@@ -135,6 +135,10 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if any(int(f) != f or f < 1 for f in self.downsample_factors):
             raise ConfigError("downsample factors must be positive integers")
+        try:
+            verify.grid_ticks(self.fusion_step)
+        except verify.VerifyError as exc:
+            raise ConfigError(str(exc)) from None
         if min(self.bkg_n, self.bkg_l, self.bkg_p) < 1:
             raise ConfigError("bkg parameters must be positive")
         if self.fusion_weights is not None:
@@ -219,26 +223,33 @@ def session_ordinals(sessions: list[Session]) -> dict[tuple[str, str], int]:
     return {key: i for i, key in enumerate(keys)}
 
 
-def extract_channel(sessions: list[Session], channel: str,
-                    config: ExperimentConfig, mode: str | None = None) -> FeatureMatrix:
-    parts = []
+def extract_channels(sessions: list[Session], channels, config: ExperimentConfig,
+                     mode: str | None = None) -> dict[str, FeatureMatrix]:
+    """Feature matrices of the given channels in one pass over the sessions;
+    keyhold and digraph share one keystroke_features call per session."""
+    for channel in channels:
+        if channel not in CHANNELS:
+            raise ConfigError(f"unknown channel {channel!r}")
+    parts: dict[str, list[FeatureMatrix]] = {channel: [] for channel in channels}
     for s in sorted(sessions, key=lambda s: (s.user_id, s.session_id)):
-        if channel == "hmog":
+        if "hmog" in parts:
             fm = extract_hmog(s, mode or config.mode)
             if tuple(config.sensors) != tuple(x.value for x in Sensor):
                 fm = fm.select_columns(feature_names_for(config.sensors))
-        elif channel == "tap":
-            fm = tap_features(s)
-        elif channel == "keyhold":
-            fm = keystroke_features(s)[0]
-        elif channel == "digraph":
-            fm = keystroke_features(s)[1]
-        else:
-            raise ConfigError(f"unknown channel {channel!r}")
-        parts.append(fm)
-    if not parts:
-        return FeatureMatrix.empty(())
-    return FeatureMatrix.vstack(parts)
+            parts["hmog"].append(fm)
+        if "tap" in parts:
+            parts["tap"].append(tap_features(s))
+        if "keyhold" in parts or "digraph" in parts:
+            for channel, fm in zip(("keyhold", "digraph"), keystroke_features(s)):
+                if channel in parts:
+                    parts[channel].append(fm)
+    return {channel: FeatureMatrix.vstack(fms) if fms else FeatureMatrix.empty(())
+            for channel, fms in parts.items()}
+
+
+def extract_channel(sessions: list[Session], channel: str,
+                    config: ExperimentConfig, mode: str | None = None) -> FeatureMatrix:
+    return extract_channels(sessions, (channel,), config, mode)[channel]
 
 
 def _filter_digraphs(train: FeatureMatrix, test: FeatureMatrix,
@@ -303,9 +314,10 @@ def _channel_setup(config: ExperimentConfig, train_s: list[Session],
                    test_s: list[Session], channels, mode: str | None = None):
     """Extract, filter, and enroll every requested channel."""
     data, failures, notes = {}, [], []
+    train_fms = extract_channels(train_s, channels, config, mode)
+    test_fms = extract_channels(test_s, channels, config, mode)
     for channel in channels:
-        train_fm = extract_channel(train_s, channel, config, mode)
-        test_fm = extract_channel(test_s, channel, config, mode)
+        train_fm, test_fm = train_fms[channel], test_fms[channel]
         if channel == "digraph":
             train_fm, test_fm = _filter_digraphs(train_fm, test_fm, config)
         if train_fm.n_rows == 0 or train_fm.n_features == 0:
@@ -591,9 +603,7 @@ def _finite_or(values: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 
 def _bkg_channel(channel: str, config: ExperimentConfig, params,
-                 train_s, test_s, ordinals) -> dict:
-    train_fm = extract_channel(train_s, channel, config)
-    test_fm = extract_channel(test_s, channel, config)
+                 train_fm: FeatureMatrix, test_fm: FeatureMatrix, ordinals) -> dict:
     if channel == "digraph":
         train_fm, test_fm = _filter_digraphs(train_fm, test_fm, config)
     report: dict = {"channel": channel, "log2_keyspace": config.bkg_l * math.log2(config.bkg_p)}
@@ -694,7 +704,10 @@ def run_bkg(config: ExperimentConfig,
         sessions = build_sessions(config)
     train_s, test_s = split_train_test(sessions)
     ordinals = session_ordinals(test_s)
-    reports = [_bkg_channel(channel, config, params, train_s, test_s, ordinals)
+    train_fms = extract_channels(train_s, config.bkg_channels, config)
+    test_fms = extract_channels(test_s, config.bkg_channels, config)
+    reports = [_bkg_channel(channel, config, params, train_fms[channel],
+                            test_fms[channel], ordinals)
                for channel in config.bkg_channels]
     if all("error" in r for r in reports):
         raise InfeasibleError("; ".join(f"{r['channel']}: {r['error']}"

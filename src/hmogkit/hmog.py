@@ -10,13 +10,34 @@ computed from four windows relative to the tap interval [t_start, t_end]:
 
 Channels are the three axes plus the magnitude; sensors are accelerometer,
 gyroscope, magnetometer. 5 * 3 * 4 + 3 * 3 * 4 = 96 features per tap.
+
+Extraction is batched per (session, sensor); Python loops over sensors only:
+
+- bounds: each window edge of every event is found by one searchsorted
+  over the arrays of event starts and ends;
+- gather: the four windows of all usable events are copied into padded
+  (width, events, channels) arrays, width the longest window of its kind,
+  rows past an event's window length set to zero;
+- reduce: all 8 families x 4 channels come from array operations along the
+  width axis.
+
+The results are bit-identical to slicing each window out on its own and
+calling NumPy's mean/std/max on it. Sums run along the outer axis, which
+NumPy adds row by row in the same order as a (k, 4) window's mean(axis=0),
+and the zero padding adds exactly nothing; std is the mean of squared
+deviations from that mean, as NumPy computes it; max and argmax see -inf in
+the padding, the settle-time argmin +inf, so NaN and ties pick the same
+first index. The single-event helpers below run the same kernels with one
+event and no padding.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .corpus.types import CHANNELS, Sensor, SENSOR_ORDER, Session, slice_span
+from .corpus.types import CHANNELS, Sensor, SENSOR_ORDER, Session
 from .matrix import FeatureMatrix
 
 BEFORE_MS = 100
@@ -43,6 +64,98 @@ def feature_names_for(sensors) -> tuple[str, ...]:
     return tuple(name for name in FEATURE_NAMES if name.split("_")[0] in tags)
 
 
+class _Windows(NamedTuple):
+    """One kind of window for several events, padded to a common width.
+
+    values is (width, events, channels) and t is (width, events), or None
+    where no feature needs the timestamps; rows at or past an event's
+    window length n hold zero values.
+    """
+
+    values: np.ndarray
+    t: np.ndarray | None
+    n: np.ndarray
+
+    def inside(self) -> np.ndarray:
+        """(width, events, 1) mask of the rows inside each event's window."""
+        return (np.arange(len(self.values))[:, None] < self.n)[..., None]
+
+    def mean(self) -> np.ndarray:
+        return self.values.sum(axis=0) / self.n[:, None]
+
+    def std(self, mean: np.ndarray) -> np.ndarray:
+        """Population form, from the window mean as numpy.std computes it."""
+        dev = np.where(self.inside(), self.values - mean, 0.0)
+        return np.sqrt((dev * dev).sum(axis=0) / self.n[:, None])
+
+    def masked(self, fill: float) -> np.ndarray:
+        return np.where(self.inside(), self.values, fill)
+
+    def t_at(self, rows: np.ndarray) -> np.ndarray:
+        """Timestamps at (events, channels) row indices."""
+        return self.t[rows, np.arange(len(rows))[:, None]]
+
+
+def _single(values, t=None) -> _Windows:
+    """A (k,) or (k, channels) window as a batch of one event."""
+    values = np.asarray(values, dtype=np.float64)
+    shape = (len(values), 1) + (values.shape[1:] or (1,))
+    return _Windows(values.reshape(shape),
+                    None if t is None else np.asarray(t).reshape(-1, 1),
+                    np.array([len(values)]))
+
+
+def _unbatch(block: np.ndarray, like) -> np.ndarray:
+    """(families, 1, channels) back to (families,) + the input's channel shape."""
+    return block.reshape((len(block),) + np.shape(like)[1:])
+
+
+def _resistance(before: _Windows, during: _Windows, after100: _Windows) -> np.ndarray:
+    avg_before = before.mean()
+    avg_after = after100.mean()
+    avg_tap = during.mean()
+    max_tap = during.masked(-np.inf).max(axis=0)
+    return np.stack([
+        avg_tap,
+        during.std(avg_tap),
+        avg_after - avg_before,
+        avg_tap - avg_before,
+        max_tap - avg_before,
+    ])
+
+
+def _settle_index(post: _Windows, avg_before: np.ndarray) -> np.ndarray:
+    """(events, channels) row whose suffix mean of |z - avg_before| is
+    minimal, the earliest on ties.
+
+    The suffix sums are a cumsum over the reversed width axis: the padding
+    of shorter windows comes first there and adds nothing.
+    """
+    inside = post.inside()
+    diffs = np.where(inside, np.abs(post.values - avg_before), 0.0)
+    suffix = np.cumsum(diffs[::-1], axis=0)[::-1]
+    counts = np.maximum(post.n - np.arange(len(diffs))[:, None], 1)
+    return np.argmin(np.where(inside, suffix / counts[..., None], np.inf), axis=0)
+
+
+def _stability(t_start: np.ndarray, t_end: np.ndarray, before: _Windows,
+               during: _Windows, after100: _Windows, post: _Windows) -> np.ndarray:
+    avg_before = before.mean()
+    avg_after = after100.mean()
+    lifted = during.masked(-np.inf)
+    max_tap = lifted.max(axis=0)
+    t_max_in_tap = during.t_at(lifted.argmax(axis=0))
+    settle = post.t_at(_settle_index(post, avg_before)) - t_end[:, None]
+    t_before_center = (t_start - CENTER_OFFSET_MS)[:, None]
+    t_after_center = (t_end + CENTER_OFFSET_MS)[:, None]
+    den2 = avg_after - avg_before
+    den3 = avg_after - max_tap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s2 = np.where(den2 == 0, np.nan, (t_after_center - t_before_center) / den2)
+        s3 = np.where(den3 == 0, np.nan, (t_after_center - t_max_in_tap) / den3)
+    return np.stack([settle.astype(np.float64), s2, s3])
+
+
 def resistance_block(before: np.ndarray, during: np.ndarray,
                      after100: np.ndarray) -> np.ndarray:
     """Five resistance features; inputs are (k,) or (k, channels) value arrays.
@@ -53,17 +166,8 @@ def resistance_block(before: np.ndarray, during: np.ndarray,
     4 avgTap - avg100msBefore
     5 maxTap - avg100msBefore
     """
-    avg_before = before.mean(axis=0)
-    avg_after = after100.mean(axis=0)
-    avg_tap = during.mean(axis=0)
-    max_tap = during.max(axis=0)
-    return np.stack([
-        avg_tap,
-        during.std(axis=0),
-        avg_after - avg_before,
-        avg_tap - avg_before,
-        max_tap - avg_before,
-    ])
+    return _unbatch(_resistance(_single(before), _single(during), _single(after100)),
+                    before)
 
 
 def t_min_index(z_post: np.ndarray, avg_before) -> np.ndarray:
@@ -72,11 +176,9 @@ def t_min_index(z_post: np.ndarray, avg_before) -> np.ndarray:
     avgDiffs[i] = mean over j >= i of |z[j] - avg_before|; ties resolve to
     the earliest index.
     """
-    diffs = np.abs(np.asarray(z_post, dtype=np.float64) - avg_before)
-    suffix = np.cumsum(diffs[::-1], axis=0)[::-1]
-    counts = np.arange(len(diffs), 0, -1, dtype=np.float64)
-    counts = counts.reshape((-1,) + (1,) * (diffs.ndim - 1))
-    return np.argmin(suffix / counts, axis=0)
+    post = _single(z_post)
+    avg = np.asarray(avg_before, dtype=np.float64).reshape(1, -1)
+    return _settle_index(post, avg).reshape(np.shape(z_post)[1:])[()]
 
 
 def t_min(t_post: np.ndarray, z_post: np.ndarray, avg_before: float) -> int:
@@ -98,19 +200,26 @@ def stability_block(t_start: int, t_end: int, before: np.ndarray,
 
     Zero denominators yield NaN for that feature only.
     """
-    avg_before = before.mean(axis=0)
-    avg_after = after100.mean(axis=0)
-    max_tap = during.max(axis=0)
-    t_max_in_tap = t_during[np.argmax(during, axis=0)]
-    t_before_center = t_start - CENTER_OFFSET_MS
-    t_after_center = t_end + CENTER_OFFSET_MS
-    settle = t_post[t_min_index(z_post, avg_before)] - t_end
-    den2 = avg_after - avg_before
-    den3 = avg_after - max_tap
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s2 = np.where(den2 == 0, np.nan, (t_after_center - t_before_center) / den2)
-        s3 = np.where(den3 == 0, np.nan, (t_after_center - t_max_in_tap) / den3)
-    return np.stack([np.asarray(settle, dtype=np.float64), s2, s3])
+    block = _stability(np.array([t_start]), np.array([t_end]), _single(before),
+                       _single(during, t_during), _single(after100),
+                       _single(z_post, t_post))
+    return _unbatch(block, before)
+
+
+def _tap_bounds(taps) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([tap.t_start_ms for tap in taps], dtype=np.int64),
+            np.array([tap.t_end_ms for tap in taps], dtype=np.int64))
+
+
+def _between_bounds(starts: np.ndarray, ends: np.ndarray,
+                    duration_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    lo = ends[:-1] + BETWEEN_GUARD_MS
+    hi = starts[1:] - BETWEEN_GUARD_MS
+    count = np.maximum(0, (hi - lo) // duration_ms)
+    # k-th block of its gap, for every block of every gap
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    block_starts = np.repeat(lo, count) + k * duration_ms
+    return block_starts, block_starts + duration_ms
 
 
 def between_blocks(taps, duration_hint_ms: int = BETWEEN_BLOCK_MS) -> list[tuple[int, int]]:
@@ -119,36 +228,44 @@ def between_blocks(taps, duration_hint_ms: int = BETWEEN_BLOCK_MS) -> list[tuple
     Blocks start 300 ms after a tap ends and stop 300 ms before the next
     starts; floor(usable span / block length) blocks fit per gap.
     """
-    blocks = []
-    for prev, nxt in zip(taps, taps[1:]):
-        lo = prev.t_end_ms + BETWEEN_GUARD_MS
-        hi = nxt.t_start_ms - BETWEEN_GUARD_MS
-        count = max(0, (hi - lo) // duration_hint_ms)
-        for k in range(count):
-            start = lo + k * duration_hint_ms
-            blocks.append((start, start + duration_hint_ms))
-    return blocks
+    lo, hi = _between_bounds(*_tap_bounds(taps), duration_hint_ms)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _event_row(t: np.ndarray, chans: np.ndarray, t_start: int, t_end: int):
-    """32 features (8 families x 4 channels) for one sensor, or None if any
-    required window is empty or the context leaves the recorded span."""
-    if len(t) == 0 or t_start - BEFORE_MS < t[0] or t_end + POST_MS > t[-1]:
-        return None
-    sl_before = slice_span(t, t_start - BEFORE_MS, t_start, True, False)
-    sl_during = slice_span(t, t_start, t_end, True, True)
-    sl_after1 = slice_span(t, t_end, t_end + AFTER_MS, False, True)
-    sl_after2 = slice_span(t, t_end, t_end + POST_MS, False, True)
-    if min(sl_before.stop - sl_before.start, sl_during.stop - sl_during.start,
-           sl_after1.stop - sl_after1.start, sl_after2.stop - sl_after2.start) == 0:
-        return None
-    before = chans[sl_before]
-    during = chans[sl_during]
-    after1 = chans[sl_after1]
-    res = resistance_block(before, during, after1)
-    stab = stability_block(t_start, t_end, before, during, t[sl_during],
-                           after1, t[sl_after2], chans[sl_after2])
-    return res, stab
+def _gather(t: np.ndarray, chans: np.ndarray, start: np.ndarray,
+            n: np.ndarray) -> _Windows:
+    """Windows chans[start[e]:start[e] + n[e]] of every event e, zero-padded."""
+    offsets = np.arange(n.max())[:, None]
+    inside = offsets < n
+    rows = np.where(inside, start + offsets, start)
+    return _Windows(np.where(inside[..., None], chans[rows], 0.0), t[rows], n)
+
+
+def _sensor_blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
+                   t_end: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(usable, blocks): the events whose four windows are all nonempty and
+    whose 300 ms context lies inside this sensor's recording, and their
+    features as a (usable events, 8 families, channels) array."""
+    b0 = np.searchsorted(t, t_start - BEFORE_MS, side="left")
+    d0 = np.searchsorted(t, t_start, side="left")
+    a0 = np.searchsorted(t, t_end, side="right")
+    a1 = np.searchsorted(t, t_end + AFTER_MS, side="right")
+    p1 = np.searchsorted(t, t_end + POST_MS, side="right")
+    # after200 contains after100, so it is nonempty whenever after100 is
+    usable = ((t_start - BEFORE_MS >= t[0]) & (t_end + POST_MS <= t[-1])
+              & (d0 > b0) & (a0 > d0) & (a1 > a0))
+    if not usable.any():
+        return usable, None
+    b0, d0, a0, a1, p1 = (bound[usable] for bound in (b0, d0, a0, a1, p1))
+    before = _gather(t, chans, b0, d0 - b0)
+    during = _gather(t, chans, d0, a0 - d0)
+    after100 = _gather(t, chans, a0, a1 - a0)
+    post = _gather(t, chans, a0, p1 - a0)
+    blocks = np.concatenate([
+        _resistance(before, during, after100),
+        _stability(t_start[usable], t_end[usable], before, during, after100, post),
+    ])
+    return usable, blocks.transpose(1, 0, 2)
 
 
 def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
@@ -158,57 +275,37 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
     without usable context contributes NaN cells. meta records counts of
     skipped events and of taps whose 300 ms contexts overlap a neighbour.
     """
+    starts, ends = _tap_bounds(session.taps)
     if mode == "during":
-        events = [(tap.t_start_ms, tap.t_end_ms) for tap in session.taps]
+        overlap = int(np.count_nonzero(starts[1:] - ends[:-1] < BETWEEN_GUARD_MS))
     elif mode == "between":
-        events = between_blocks(session.taps)
+        starts, ends = _between_bounds(starts, ends, BETWEEN_BLOCK_MS)
+        overlap = 0
     else:
         raise ValueError(f"unknown extraction mode {mode!r}")
 
-    per_sensor = {}
-    for sensor in SENSOR_ORDER:
+    n_families = len(RESISTANCE_FAMILIES) + len(STABILITY_FAMILIES)
+    cells = np.full((len(starts), n_families, len(SENSOR_ORDER), len(CHANNELS)), np.nan)
+    any_valid = np.zeros(len(starts), dtype=bool)
+    for s_idx, sensor in enumerate(SENSOR_ORDER):
         stream = session.streams.get(sensor)
-        if stream is not None and len(stream) > 0:
-            per_sensor[sensor] = (stream.t_ms, stream.channel_matrix())
+        if stream is None or len(stream) == 0:
+            continue
+        usable, blocks = _sensor_blocks(stream.t_ms, stream.channel_matrix(),
+                                        starts, ends)
+        if blocks is not None:
+            cells[usable, :, s_idx] = blocks
+        any_valid |= usable
 
-    n_channels = len(CHANNELS)
-    rows, ts = [], []
-    skipped = 0
-    for t_start, t_end in events:
-        row = np.full(len(FEATURE_NAMES), np.nan)
-        any_valid = False
-        for s_idx, sensor in enumerate(SENSOR_ORDER):
-            if sensor not in per_sensor:
-                continue
-            t, chans = per_sensor[sensor]
-            blocks = _event_row(t, chans, t_start, t_end)
-            if blocks is None:
-                continue
-            any_valid = True
-            res, stab = blocks
-            for f_idx in range(5):
-                base = f_idx * 12 + s_idx * n_channels
-                row[base:base + n_channels] = res[f_idx]
-            for f_idx in range(3):
-                base = 60 + f_idx * 12 + s_idx * n_channels
-                row[base:base + n_channels] = stab[f_idx]
-        if any_valid:
-            rows.append(row)
-            ts.append(t_start)
-        else:
-            skipped += 1
-
-    overlap = sum(1 for prev, nxt in zip(session.taps, session.taps[1:])
-                  if nxt.t_start_ms - prev.t_end_ms < BETWEEN_GUARD_MS) if mode == "during" else 0
-
+    rows = cells.reshape(len(starts), len(FEATURE_NAMES))[any_valid]
     n = len(rows)
     fm = FeatureMatrix(
         FEATURE_NAMES,
-        np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES))),
+        rows,
         np.full(n, session.user_id, dtype=object),
         np.full(n, session.session_id, dtype=object),
-        np.array(ts, dtype=np.int64),
+        starts[any_valid],
     )
-    fm.meta = {"mode": mode, "n_events": len(events), "n_skipped": skipped,
+    fm.meta = {"mode": mode, "n_events": len(starts), "n_skipped": len(starts) - n,
                "n_context_overlap": overlap}
     return fm

@@ -126,13 +126,15 @@ def latency_outlier_filter(fm: FeatureMatrix, l_ms: float, m_min: int) -> Featur
     """Drop latencies above l_ms, then drop features seen fewer than m_min
     times, in that order. Rows left without finite cells are removed.
     Applying the filter twice equals applying it once."""
-    values = fm.values.copy()
     with np.errstate(invalid="ignore"):
-        values[values > l_ms] = np.nan
-    counts = np.sum(np.isfinite(values), axis=0)
+        present = np.isfinite(fm.values) & ~(fm.values > l_ms)
+    counts = np.sum(present, axis=0)
     keep_cols = np.flatnonzero(counts >= m_min) if m_min > 0 else np.arange(len(fm.columns))
     columns = tuple(fm.columns[i] for i in keep_cols)
-    values = values[:, keep_cols]
-    keep_rows = np.any(np.isfinite(values), axis=1)
-    return FeatureMatrix(columns, values[keep_rows], fm.user_ids[keep_rows],
+    keep_rows = np.flatnonzero(np.any(present[:, keep_cols], axis=1))
+    # one copy of the surviving block, cut in place
+    values = fm.values[np.ix_(keep_rows, keep_cols)]
+    with np.errstate(invalid="ignore"):
+        values[values > l_ms] = np.nan
+    return FeatureMatrix(columns, values, fm.user_ids[keep_rows],
                          fm.session_ids[keep_rows], fm.t_ms[keep_rows])

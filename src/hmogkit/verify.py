@@ -9,6 +9,7 @@ the pooled score values.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,13 +166,19 @@ def fuse_scoresets(channels: dict[str, ScoreSet],
     return out
 
 
+def grid_ticks(step: float) -> int:
+    """Lattice points per unit weight; the step must be positive and divide 1.0."""
+    ticks = round(1.0 / step) if step > 0 and math.isfinite(1.0 / step) else 0
+    if not abs(ticks * step - 1.0) <= 1e-9:
+        raise VerifyError(f"fusion step must be positive and divide 1.0, got {step!r}")
+    return ticks
+
+
 def weight_grid(channel_names, step: float = 0.05):
     """All nonnegative weight dicts over the channels summing to 1.0 on a
     fixed lattice, in deterministic order."""
     names = list(channel_names)
-    ticks = round(1.0 / step)
-    if abs(ticks * step - 1.0) > 1e-9:
-        raise VerifyError("step must divide 1.0")
+    ticks = grid_ticks(step)
 
     def parts(remaining: int, slots: int):
         if slots == 1:

@@ -10,6 +10,12 @@ import math
 
 import numpy as np
 
+from hmogkit.corpus.types import SENSOR_ORDER, slice_span
+from hmogkit.hmog import (
+    AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
+    FEATURE_NAMES, POST_MS)
+from hmogkit.matrix import FeatureMatrix
+
 
 def eer_oracle(genuine, impostor) -> float:
     """Equal error rate by explicit threshold walk.
@@ -124,3 +130,103 @@ def assign_d_range_oracle(sigma: float, s_min: float, s_max: float, p: int) -> i
         return p - 1
     scaled = (p - 1) / 2 * (sigma - s_min) / (s_max - s_min)
     return (p - 1) - math.floor(scaled + 0.5)
+
+
+# ---------------------------------------------------------------------------
+# HMOG extraction, one tap and one sensor at a time
+# ---------------------------------------------------------------------------
+
+def _hmog_resistance_oracle(before, during, after100):
+    avg_before = before.mean(axis=0)
+    avg_after = after100.mean(axis=0)
+    avg_tap = during.mean(axis=0)
+    return np.stack([avg_tap, during.std(axis=0), avg_after - avg_before,
+                     avg_tap - avg_before, during.max(axis=0) - avg_before])
+
+
+def _hmog_stability_oracle(t_start, t_end, before, during, t_during, after100,
+                           t_post, z_post):
+    avg_before = before.mean(axis=0)
+    avg_after = after100.mean(axis=0)
+    max_tap = during.max(axis=0)
+    t_max_in_tap = t_during[np.argmax(during, axis=0)]
+    diffs = np.abs(z_post - avg_before)
+    suffix = np.cumsum(diffs[::-1], axis=0)[::-1]
+    counts = np.arange(len(diffs), 0, -1, dtype=np.float64)[:, None]
+    settle = t_post[np.argmin(suffix / counts, axis=0)] - t_end
+    den2 = avg_after - avg_before
+    den3 = avg_after - max_tap
+    span = (t_end + CENTER_OFFSET_MS) - (t_start - CENTER_OFFSET_MS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s2 = np.where(den2 == 0, np.nan, span / den2)
+        s3 = np.where(den3 == 0, np.nan,
+                      (t_end + CENTER_OFFSET_MS - t_max_in_tap) / den3)
+    return np.stack([np.asarray(settle, dtype=np.float64), s2, s3])
+
+
+def _hmog_event_oracle(t, chans, t_start, t_end):
+    """(resistance, stability) blocks of one sensor for one event, or None
+    when a window is empty or the context leaves the recording."""
+    if len(t) == 0 or t_start - BEFORE_MS < t[0] or t_end + POST_MS > t[-1]:
+        return None
+    sl_before = slice_span(t, t_start - BEFORE_MS, t_start, True, False)
+    sl_during = slice_span(t, t_start, t_end, True, True)
+    sl_after1 = slice_span(t, t_end, t_end + AFTER_MS, False, True)
+    sl_after2 = slice_span(t, t_end, t_end + POST_MS, False, True)
+    if min(sl.stop - sl.start
+           for sl in (sl_before, sl_during, sl_after1, sl_after2)) == 0:
+        return None
+    before, during, after1 = chans[sl_before], chans[sl_during], chans[sl_after1]
+    return (_hmog_resistance_oracle(before, during, after1),
+            _hmog_stability_oracle(t_start, t_end, before, during, t[sl_during],
+                                   after1, t[sl_after2], chans[sl_after2]))
+
+
+def extract_hmog_oracle(session, mode: str = "during"):
+    """extract_hmog by a Python loop over events and sensors, slicing each
+    window out of the stream separately."""
+    taps = session.taps
+    if mode == "during":
+        events = [(tap.t_start_ms, tap.t_end_ms) for tap in taps]
+    else:
+        events = []
+        for prev, nxt in zip(taps, taps[1:]):
+            lo = prev.t_end_ms + BETWEEN_GUARD_MS
+            hi = nxt.t_start_ms - BETWEEN_GUARD_MS
+            for k in range(max(0, (hi - lo) // BETWEEN_BLOCK_MS)):
+                events.append((lo + k * BETWEEN_BLOCK_MS,
+                               lo + (k + 1) * BETWEEN_BLOCK_MS))
+    streams = {sensor: (stream.t_ms, stream.channel_matrix())
+               for sensor, stream in session.streams.items() if len(stream) > 0}
+    rows, ts, skipped = [], [], 0
+    for t_start, t_end in events:
+        row = np.full(len(FEATURE_NAMES), np.nan)
+        any_valid = False
+        for s_idx, sensor in enumerate(SENSOR_ORDER):
+            if sensor not in streams:
+                continue
+            blocks = _hmog_event_oracle(*streams[sensor], t_start, t_end)
+            if blocks is None:
+                continue
+            any_valid = True
+            for f_idx, block in enumerate(np.concatenate(blocks)):
+                base = f_idx * 12 + s_idx * 4
+                row[base:base + 4] = block
+        if any_valid:
+            rows.append(row)
+            ts.append(t_start)
+        else:
+            skipped += 1
+    overlap = sum(1 for prev, nxt in zip(taps, taps[1:])
+                  if nxt.t_start_ms - prev.t_end_ms < BETWEEN_GUARD_MS) \
+        if mode == "during" else 0
+    n = len(rows)
+    fm = FeatureMatrix(
+        FEATURE_NAMES,
+        np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES))),
+        np.full(n, session.user_id, dtype=object),
+        np.full(n, session.session_id, dtype=object),
+        np.array(ts, dtype=np.int64))
+    fm.meta = {"mode": mode, "n_events": len(events), "n_skipped": skipped,
+               "n_context_overlap": overlap}
+    return fm

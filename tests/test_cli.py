@@ -47,6 +47,16 @@ def test_empty_condition_filter_is_infeasible(cli_corpus, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["0", "0.3"])
+def test_bad_fusion_step_is_a_config_error(step, capsys):
+    # rejected before any corpus is synthesized or extracted
+    assert main(["eval", "--fusion-step", step]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fusion step")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_is_a_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"sead": 1}')

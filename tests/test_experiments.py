@@ -16,6 +16,7 @@ from hmogkit.experiments import (
     aggregate_scans,
     build_sessions,
     extract_channel,
+    extract_channels,
     run_auth,
     run_between,
     run_bkg,
@@ -141,6 +142,24 @@ def test_extract_channel_orders_sessions(mini_sessions):
     fm = extract_channel(list(reversed(mini_sessions)), "tap", config)
     labels = list(zip(fm.user_ids, fm.session_ids))
     assert labels == sorted(labels)
+
+
+def test_extract_channels_one_keystroke_pass_per_session(mini_sessions, monkeypatch):
+    from hmogkit import experiments
+    original, calls = experiments.keystroke_features, []
+
+    def counting(session):
+        calls.append(session.session_id)
+        return original(session)
+
+    monkeypatch.setattr(experiments, "keystroke_features", counting)
+    config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0)
+    both = extract_channels(mini_sessions[:2], ("keyhold", "digraph"), config)
+    assert len(calls) == 2
+    for channel in ("keyhold", "digraph"):
+        single = extract_channel(mini_sessions[:2], channel, config)
+        assert both[channel].columns == single.columns
+        assert both[channel].values.tobytes() == single.values.tobytes()
 
 
 def test_filter_digraphs_train_decides_columns():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmogkit.corpus.types import CHANNELS, Condition, SENSOR_ORDER, Sensor, SensorStream, Session, TapEvent
+from hmogkit.corpus.types import (
+    CHANNELS, Condition, SENSOR_ORDER, Sensor, SensorStream, Session, TapEvent, downsample)
 from hmogkit.hmog import (
     BETWEEN_BLOCK_MS,
     FEATURE_NAMES,
@@ -18,7 +19,7 @@ from hmogkit.hmog import (
     t_min,
     t_min_index,
 )
-from oracles import t_min_oracle
+from oracles import extract_hmog_oracle, t_min_oracle
 
 
 def make_tap(tap_id, t_start, t_end):
@@ -342,3 +343,65 @@ def test_extract_no_taps_empty_matrix():
     fm = extract_hmog(grid_session(10, 1000, []))
     assert fm.values.shape == (0, 96)
     assert fm.meta["n_events"] == 0
+
+
+# ---------------------------------------------------------------- batched vs per-event
+
+def assert_matches_oracle(session, mode):
+    got = extract_hmog(session, mode)
+    want = extract_hmog_oracle(session, mode)
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.t_ms.dtype == want.t_ms.dtype
+    assert got.t_ms.tobytes() == want.t_ms.tobytes()
+    assert list(got.user_ids) == list(want.user_ids)
+    assert list(got.session_ids) == list(want.session_ids)
+    assert got.meta == want.meta
+    return got
+
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+@pytest.mark.parametrize("factor", [1, 2, 6, 20])
+def test_extract_bit_equal_to_oracle_synthetic(mini_sessions, factor, mode):
+    s = mini_sessions[0]
+    reduced = Session(user_id=s.user_id, session_id=s.session_id,
+                      condition=s.condition, taps=s.taps, keys=s.keys,
+                      streams={k: downsample(v, factor) for k, v in s.streams.items()})
+    fm = assert_matches_oracle(reduced, mode)
+    assert fm.meta["n_events"] > 0
+
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_bit_equal_to_oracle_edges(mode):
+    # taps at both recording edges, two taps 170 ms apart (overlapping
+    # 300 ms contexts), no gyr stream and a mag stream that stops early
+    taps = [make_tap(0, 40, 160), make_tap(1, 900, 1030), make_tap(2, 1200, 1310),
+            make_tap(3, 2500, 2620), make_tap(4, 3850, 3960)]
+    session = grid_session(10, 4000, taps, seed=4, short_mag_ms=1500)
+    del session.streams[Sensor.GYR]
+    fm = assert_matches_oracle(session, mode)
+    if mode == "during":
+        assert fm.meta["n_context_overlap"] == 1
+        assert fm.meta["n_skipped"] == 2
+
+
+def test_extract_bit_equal_to_oracle_no_taps():
+    for mode in ("during", "between"):
+        assert_matches_oracle(grid_session(10, 1000, []), mode).meta["n_events"] == 0
+
+
+@pytest.mark.parametrize("nan_ms", [950, 1200])
+def test_extract_bit_equal_to_oracle_nan_sample(nan_ms):
+    # one NaN acc sample inside the tap (NaN mean, std and max; stab3 is NaN
+    # whichever row argmax picks) or in the settle window past after100
+    # (argmin: the first NaN suffix mean, index 0, wins)
+    session = grid_session(10, 2000, [make_tap(0, 900, 1030)], seed=9)
+    stream = session.streams[Sensor.ACC]
+    stream.values[np.searchsorted(stream.t_ms, nan_ms), 0] = np.nan
+    row = assert_matches_oracle(session, "during").values[0]
+    mean_tap = row[FEATURE_NAMES.index("acc_x_res1")]
+    settle = row[FEATURE_NAMES.index("acc_x_stab1")]
+    if nan_ms == 950:
+        assert np.isnan(mean_tap) and np.isfinite(settle)
+    else:
+        assert np.isfinite(mean_tap) and settle == 10.0
