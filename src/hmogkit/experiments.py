@@ -53,6 +53,7 @@ from .touchkeys import keystroke_features, latency_outlier_filter, tap_features
 OUT_DIR_ENV = "HMOGKIT_OUT"
 
 CHANNELS = ("hmog", "tap", "keyhold", "digraph")
+KEYSTROKE_CHANNELS = ("keyhold", "digraph")  # both from one keystroke_features call
 
 # keeps per-session scan windows distinct across sessions after aggregation
 _SESSION_STRIDE_MS = 1 << 44
@@ -240,7 +241,7 @@ def extract_channels(sessions: list[Session], channels, config: ExperimentConfig
         if "tap" in parts:
             parts["tap"].append(tap_features(s))
         if "keyhold" in parts or "digraph" in parts:
-            for channel, fm in zip(("keyhold", "digraph"), keystroke_features(s)):
+            for channel, fm in zip(KEYSTROKE_CHANNELS, keystroke_features(s)):
                 if channel in parts:
                     parts[channel].append(fm)
     return {channel: FeatureMatrix.vstack(fms) if fms else FeatureMatrix.empty(())
@@ -250,6 +251,24 @@ def extract_channels(sessions: list[Session], channels, config: ExperimentConfig
 def extract_channel(sessions: list[Session], channel: str,
                     config: ExperimentConfig, mode: str | None = None) -> FeatureMatrix:
     return extract_channels(sessions, (channel,), config, mode)[channel]
+
+
+def _channel_splits(train_s: list[Session], test_s: list[Session], channels,
+                    config: ExperimentConfig, mode: str | None = None):
+    """(channel, train matrix, test matrix) for each channel in turn.
+
+    A channel is extracted when its turn comes, so a caller can drop one
+    channel's matrices before the next is built; keyhold and digraph come
+    from one keystroke pass, the second one waiting for its turn."""
+    waiting: dict[str, tuple[FeatureMatrix, FeatureMatrix]] = {}
+    for channel in channels:
+        if channel not in waiting:
+            batch = ([c for c in KEYSTROKE_CHANNELS if c in channels]
+                     if channel in KEYSTROKE_CHANNELS else [channel])
+            train_fms = extract_channels(train_s, batch, config, mode)
+            test_fms = extract_channels(test_s, batch, config, mode)
+            waiting.update({c: (train_fms.pop(c), test_fms.pop(c)) for c in batch})
+        yield (channel, *waiting.pop(channel))
 
 
 def _filter_digraphs(train: FeatureMatrix, test: FeatureMatrix,
@@ -314,10 +333,8 @@ def _channel_setup(config: ExperimentConfig, train_s: list[Session],
                    test_s: list[Session], channels, mode: str | None = None):
     """Extract, filter, and enroll every requested channel."""
     data, failures, notes = {}, [], []
-    train_fms = extract_channels(train_s, channels, config, mode)
-    test_fms = extract_channels(test_s, channels, config, mode)
-    for channel in channels:
-        train_fm, test_fm = train_fms[channel], test_fms[channel]
+    for channel, train_fm, test_fm in _channel_splits(train_s, test_s, channels,
+                                                      config, mode):
         if channel == "digraph":
             train_fm, test_fm = _filter_digraphs(train_fm, test_fm, config)
         if train_fm.n_rows == 0 or train_fm.n_features == 0:
@@ -704,11 +721,9 @@ def run_bkg(config: ExperimentConfig,
         sessions = build_sessions(config)
     train_s, test_s = split_train_test(sessions)
     ordinals = session_ordinals(test_s)
-    train_fms = extract_channels(train_s, config.bkg_channels, config)
-    test_fms = extract_channels(test_s, config.bkg_channels, config)
-    reports = [_bkg_channel(channel, config, params, train_fms[channel],
-                            test_fms[channel], ordinals)
-               for channel in config.bkg_channels]
+    reports = [_bkg_channel(channel, config, params, train_fm, test_fm, ordinals)
+               for channel, train_fm, test_fm
+               in _channel_splits(train_s, test_s, config.bkg_channels, config)]
     if all("error" in r for r in reports):
         raise InfeasibleError("; ".join(f"{r['channel']}: {r['error']}"
                                         for r in reports))

@@ -15,20 +15,23 @@ Extraction is batched per (session, sensor); Python loops over sensors only:
 
 - bounds: each window edge of every event is found by one searchsorted
   over the arrays of event starts and ends;
-- gather: the four windows of all usable events are copied into padded
-  (width, events, channels) arrays, width the longest window of its kind,
-  rows past an event's window length set to zero;
+- gather: usable events are sorted by their widest window and split into
+  groups whose widest windows lie within a factor of two; per group the
+  four windows are copied into padded (width, events, channels) arrays,
+  width the longest window of its kind in the group, rows past an event's
+  window length set to -0.0. Padding thus at most doubles the rows an event
+  needs, and one long press does not widen the arrays of short taps;
 - reduce: all 8 families x 4 channels come from array operations along the
   width axis.
 
 The results are bit-identical to slicing each window out on its own and
 calling NumPy's mean/std/max on it. Sums run along the outer axis, which
 NumPy adds row by row in the same order as a (k, 4) window's mean(axis=0),
-and the zero padding adds exactly nothing; std is the mean of squared
-deviations from that mean, as NumPy computes it; max and argmax see -inf in
-the padding, the settle-time argmin +inf, so NaN and ties pick the same
-first index. The single-event helpers below run the same kernels with one
-event and no padding.
+and the -0.0 padding adds exactly nothing (x + -0.0 == x for every x, both
+zeros included); std is the mean of squared deviations from that mean, as
+NumPy computes it; max and argmax see -inf in the padding, the settle-time
+argmin +inf, so NaN and ties pick the same first index. The single-event
+helpers below run the same kernels with one event and no padding.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ BETWEEN_GUARD_MS = 300     # quiet margin after/before the surrounding taps
 
 RESISTANCE_FAMILIES = tuple(f"res{i}" for i in range(1, 6))
 STABILITY_FAMILIES = tuple(f"stab{i}" for i in range(1, 4))
+N_FAMILIES = len(RESISTANCE_FAMILIES) + len(STABILITY_FAMILIES)
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f"{sensor.value}_{channel}_{family}"
@@ -69,7 +73,7 @@ class _Windows(NamedTuple):
 
     values is (width, events, channels) and t is (width, events), or None
     where no feature needs the timestamps; rows at or past an event's
-    window length n hold zero values.
+    window length n hold -0.0.
     """
 
     values: np.ndarray
@@ -85,7 +89,7 @@ class _Windows(NamedTuple):
 
     def std(self, mean: np.ndarray) -> np.ndarray:
         """Population form, from the window mean as numpy.std computes it."""
-        dev = np.where(self.inside(), self.values - mean, 0.0)
+        dev = np.where(self.inside(), self.values - mean, -0.0)
         return np.sqrt((dev * dev).sum(axis=0) / self.n[:, None])
 
     def masked(self, fill: float) -> np.ndarray:
@@ -234,11 +238,39 @@ def between_blocks(taps, duration_hint_ms: int = BETWEEN_BLOCK_MS) -> list[tuple
 
 def _gather(t: np.ndarray, chans: np.ndarray, start: np.ndarray,
             n: np.ndarray) -> _Windows:
-    """Windows chans[start[e]:start[e] + n[e]] of every event e, zero-padded."""
+    """Windows chans[start[e]:start[e] + n[e]] of every event e, padded
+    with -0.0, the exact additive identity."""
     offsets = np.arange(n.max())[:, None]
     inside = offsets < n
     rows = np.where(inside, start + offsets, start)
-    return _Windows(np.where(inside[..., None], chans[rows], 0.0), t[rows], n)
+    return _Windows(np.where(inside[..., None], chans[rows], -0.0), t[rows], n)
+
+
+def _width_groups(width: np.ndarray) -> list[np.ndarray]:
+    """Indices of the events, sorted by width and split into groups whose
+    widths lie within a factor of two of the group's narrowest; widths are
+    >= 1, so there are at most log2(max / min) + 1 groups."""
+    order = np.argsort(width, kind="stable")
+    sorted_width = width[order]
+    groups, first = [], 0
+    while first < len(order):
+        last = int(np.searchsorted(sorted_width, 2 * sorted_width[first], side="right"))
+        groups.append(order[first:last])
+        first = last
+    return groups
+
+
+def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
+            t_end: np.ndarray, b0, d0, a0, a1, p1) -> np.ndarray:
+    """(8 families, events, channels) features from window row bounds."""
+    before = _gather(t, chans, b0, d0 - b0)
+    during = _gather(t, chans, d0, a0 - d0)
+    after100 = _gather(t, chans, a0, a1 - a0)
+    post = _gather(t, chans, a0, p1 - a0)
+    return np.concatenate([
+        _resistance(before, during, after100),
+        _stability(t_start, t_end, before, during, after100, post),
+    ])
 
 
 def _sensor_blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
@@ -256,16 +288,14 @@ def _sensor_blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
               & (d0 > b0) & (a0 > d0) & (a1 > a0))
     if not usable.any():
         return usable, None
-    b0, d0, a0, a1, p1 = (bound[usable] for bound in (b0, d0, a0, a1, p1))
-    before = _gather(t, chans, b0, d0 - b0)
-    during = _gather(t, chans, d0, a0 - d0)
-    after100 = _gather(t, chans, a0, a1 - a0)
-    post = _gather(t, chans, a0, p1 - a0)
-    blocks = np.concatenate([
-        _resistance(before, during, after100),
-        _stability(t_start[usable], t_end[usable], before, during, after100, post),
-    ])
-    return usable, blocks.transpose(1, 0, 2)
+    events = [bound[usable] for bound in (t_start, t_end, b0, d0, a0, a1, p1)]
+    _, _, b0, d0, a0, _, p1 = events
+    # post contains after100, so the widest window is before, during or post
+    widest = np.maximum.reduce([d0 - b0, a0 - d0, p1 - a0])
+    blocks = np.empty((len(widest), N_FAMILIES, chans.shape[1]))
+    for group in _width_groups(widest):
+        blocks[group] = _blocks(t, chans, *(e[group] for e in events)).transpose(1, 0, 2)
+    return usable, blocks
 
 
 def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
@@ -284,8 +314,7 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
     else:
         raise ValueError(f"unknown extraction mode {mode!r}")
 
-    n_families = len(RESISTANCE_FAMILIES) + len(STABILITY_FAMILIES)
-    cells = np.full((len(starts), n_families, len(SENSOR_ORDER), len(CHANNELS)), np.nan)
+    cells = np.full((len(starts), N_FAMILIES, len(SENSOR_ORDER), len(CHANNELS)), np.nan)
     any_valid = np.zeros(len(starts), dtype=bool)
     for s_idx, sensor in enumerate(SENSOR_ORDER):
         stream = session.streams.get(sensor)

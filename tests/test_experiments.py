@@ -160,6 +160,16 @@ def test_extract_channels_one_keystroke_pass_per_session(mini_sessions, monkeypa
         single = extract_channel(mini_sessions[:2], channel, config)
         assert both[channel].columns == single.columns
         assert both[channel].values.tobytes() == single.values.tobytes()
+    # split extraction: one pass per session even with a channel in between
+    del calls[:]
+    train_s, test_s = mini_sessions[:2], mini_sessions[2:3]
+    splits = list(experiments._channel_splits(train_s, test_s,
+                                              ("keyhold", "tap", "digraph"), config))
+    assert len(calls) == 3
+    assert [channel for channel, _, _ in splits] == ["keyhold", "tap", "digraph"]
+    for channel, train_fm, test_fm in splits:
+        assert train_fm.values.tobytes() == extract_channel(train_s, channel, config).values.tobytes()
+        assert test_fm.values.tobytes() == extract_channel(test_s, channel, config).values.tobytes()
 
 
 def test_filter_digraphs_train_decides_columns():

@@ -405,3 +405,55 @@ def test_extract_bit_equal_to_oracle_nan_sample(nan_ms):
         assert np.isnan(mean_tap) and np.isfinite(settle)
     else:
         assert np.isfinite(mean_tap) and settle == 10.0
+
+
+def short_taps_session(n_taps, press_ms=None, seed=5):
+    """n_taps taps of 30-330 ms at 100 Hz, one press_ms press among them."""
+    rng = np.random.default_rng(seed)
+    lengths = list(rng.integers(30, 340, n_taps))
+    if press_ms is not None:
+        lengths.insert(n_taps // 2, press_ms)
+    taps, t0 = [], 500
+    for i, length in enumerate(lengths):
+        taps.append(make_tap(i, t0, t0 + int(length)))
+        t0 += int(length) + 450
+    return grid_session(10, t0 + 500, taps, seed=seed)
+
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_bit_equal_to_oracle_long_press(mode):
+    # one 4 s press among short taps: the press's windows are far wider than
+    # the others', which must not change any value
+    fm = assert_matches_oracle(short_taps_session(30, press_ms=4000), mode)
+    if mode == "during":
+        assert fm.n_rows == 31
+
+
+def test_extract_long_press_does_not_widen_short_windows():
+    # events are padded only up to their width group, so one 20 s press
+    # adds about its own windows to the peak memory, not 20 s per tap
+    import tracemalloc
+
+    def peak(session):
+        tracemalloc.start()
+        try:
+            extract_hmog(session)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain = peak(short_taps_session(200))
+    with_press = peak(short_taps_session(200, press_ms=20_000))
+    assert with_press < 2 * plain
+
+
+def test_extract_bit_equal_to_oracle_negative_zero():
+    # acc x reads -0.0 throughout the before and during windows of a short
+    # tap, in a session whose widest window is a 600 ms tap: padding must
+    # leave the all -0.0 sums exactly as NumPy returns them
+    taps = [make_tap(0, 300, 350), make_tap(1, 1000, 1600)]
+    session = grid_session(10, 2000, taps, seed=2)
+    stream = session.streams[Sensor.ACC]
+    stream.values[(stream.t_ms >= 200) & (stream.t_ms <= 350), 0] = -0.0
+    fm = assert_matches_oracle(session, "during")
+    assert fm.values[0, FEATURE_NAMES.index("acc_x_res1")] == 0.0
