@@ -4,6 +4,18 @@ Scores are distances: small means similar. FAR(th) is the fraction of
 impostor distances <= th; FRR(th) is the fraction of genuine distances
 above th. The EER is read off the piecewise-linear FAR/FRR polyline over
 the pooled score values.
+
+Fusion min-max normalizes each channel once and aligns the decisions
+(claimed, actual, t_ms) once, in sorted order, into a (decisions x
+channels) score matrix with a presence mask. A weight vector is then fused
+over every decision with array operations, one channel column at a time in
+the order of the ``channels`` dict: the weight sum first, then the sum of
+(weight / weight sum) * score. That is the order in which a per-decision
+loop adds the terms, so the fused scores are bit-equal to it; a matrix
+product ``S @ w / (M @ w)`` would round differently and let BLAS reorder
+the sum. An absent channel adds +0.0, which changes no sum: a sum that
+starts from +0.0, as Python's ``sum`` does, is never -0.0. The weight grid
+search aligns once and fuses each grid point with the same kernel.
 """
 
 from __future__ import annotations
@@ -69,14 +81,27 @@ class ScoreSet:
     def read_csv(cls, path: str) -> "ScoreSet":
         out = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
-        if not lines or lines[0] != "kind,claimed,actual,t_ms,score":
+            lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1)
+                     if not ln.startswith("#")]
+        if not lines or lines[0][1] != "kind,claimed,actual,t_ms,score":
             raise VerifyError(f"{path}: unexpected header")
-        for ln in lines[1:]:
+        for n, ln in lines[1:]:
             if not ln:
                 continue
-            kind, claimed, actual, t, score = ln.split(",")
-            record = ScoreRecord(claimed, actual, int(t), float(score))
+            fields = ln.split(",")
+            if len(fields) != 5:
+                raise VerifyError(f"{path}:{n}: expected 5 fields, got {len(fields)}")
+            kind, claimed, actual, t, score = fields
+            if kind not in ("genuine", "impostor"):
+                raise VerifyError(f"{path}:{n}: unknown kind {kind!r}")
+            if (kind == "genuine") != (claimed == actual):
+                raise VerifyError(f"{path}:{n}: kind {kind} does not match "
+                                  f"claimed {claimed!r} and actual {actual!r}")
+            try:
+                record = ScoreRecord(claimed, actual, int(t), float(score))
+            except ValueError:
+                raise VerifyError(f"{path}:{n}: t_ms must be an integer and score "
+                                  f"a number, got {t!r} and {score!r}") from None
             (out.genuine if kind == "genuine" else out.impostor).append(record)
         return out
 
@@ -114,18 +139,6 @@ def gen_scores(templates: dict, auth: FeatureMatrix, metric: str = "sm") -> Scor
 # fusion
 # ---------------------------------------------------------------------------
 
-def fuse(channel_scores: dict[str, float | None], weights: dict[str, float]) -> float:
-    """Weighted sum over present channels with weights renormalized to the
-    present subset. Raises when the present channels carry zero weight."""
-    present = {c: s for c, s in channel_scores.items() if s is not None}
-    if not present:
-        raise VerifyError("no channel produced a score")
-    wsum = sum(weights.get(c, 0.0) for c in present)
-    if wsum <= 0:
-        raise VerifyError("present channels carry zero weight")
-    return sum(weights.get(c, 0.0) / wsum * s for c, s in present.items())
-
-
 def minmax_normalize(scores: ScoreSet) -> tuple[ScoreSet, tuple[float, float]]:
     """Map the pooled scores onto [0, 1]; a degenerate pool maps to 0."""
     pooled = np.concatenate([scores.genuine_scores(), scores.impostor_scores()])
@@ -142,6 +155,53 @@ def minmax_normalize(scores: ScoreSet) -> tuple[ScoreSet, tuple[float, float]]:
     return ScoreSet(norm(scores.genuine), norm(scores.impostor)), (lo, hi)
 
 
+def _align(channels: dict[str, ScoreSet]):
+    """Normalize each channel once and align the decisions of all channels.
+
+    Returns (keys, S, M, genuine): the decisions (claimed, actual, t_ms) in
+    sorted order; their normalized scores, one column per channel in the
+    order of ``channels``, 0.0 where a channel has no score; the presence
+    mask of S; and the mask of genuine decisions. A channel that scores one
+    decision twice keeps the later score.
+    """
+    columns = []
+    for scores in channels.values():
+        normalized, _ = minmax_normalize(scores)
+        columns.append({(r.claimed, r.actual, r.t_ms): r.score
+                        for r in itertools.chain(normalized.genuine,
+                                                 normalized.impostor)})
+    keys = sorted(set().union(*columns))
+    row = {key: i for i, key in enumerate(keys)}
+    # column-major, so that each channel's column is contiguous
+    S = np.zeros((len(keys), len(columns)), order="F")
+    M = np.zeros(S.shape, dtype=bool, order="F")
+    for j, column in enumerate(columns):
+        idx = np.fromiter((row[key] for key in column), dtype=np.intp,
+                          count=len(column))
+        S[idx, j] = np.fromiter(column.values(), dtype=np.float64, count=len(column))
+        M[idx, j] = True
+    genuine = np.fromiter((claimed == actual for claimed, actual, _ in keys),
+                          dtype=bool, count=len(keys))
+    return keys, S, M, genuine
+
+
+def _fuse_aligned(S: np.ndarray, M: np.ndarray, weights: list[float]):
+    """Fuse one weight per column over every aligned decision.
+
+    Returns (fused, keep): the fused scores, and the mask of decisions
+    whose present channels carry weight > 0. Fused scores outside ``keep``
+    are meaningless.
+    """
+    wsum = np.zeros(len(S))
+    for j, w in enumerate(weights):
+        wsum = wsum + np.where(M[:, j], w, 0.0)
+    fused = np.zeros(len(S))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, w in enumerate(weights):
+            fused = fused + np.where(M[:, j], (w / wsum) * S[:, j], 0.0)
+    return fused, ~(wsum <= 0)
+
+
 def fuse_scoresets(channels: dict[str, ScoreSet],
                    weights: dict[str, float]) -> ScoreSet:
     """Fuse per-channel score sets after min-max normalization.
@@ -150,19 +210,13 @@ def fuse_scoresets(channels: dict[str, ScoreSet],
     decision are dropped from it and the remaining weights renormalized.
     Decisions whose present channels carry zero weight are excluded.
     """
-    normalized = {name: minmax_normalize(s)[0] for name, s in channels.items()}
-    keyed: dict[tuple[str, str, int], dict[str, float]] = {}
-    for name, scores in normalized.items():
-        for r in itertools.chain(scores.genuine, scores.impostor):
-            keyed.setdefault((r.claimed, r.actual, r.t_ms), {})[name] = r.score
+    keys, S, M, genuine = _align(channels)
+    fused, keep = _fuse_aligned(S, M, [float(weights.get(c, 0.0)) for c in channels])
     out = ScoreSet()
-    for (claimed, actual, t_ms), per_channel in sorted(keyed.items()):
-        wsum = sum(weights.get(c, 0.0) for c in per_channel)
-        if wsum <= 0:
-            continue
-        fused = sum(weights.get(c, 0.0) / wsum * s for c, s in per_channel.items())
-        record = ScoreRecord(claimed, actual, t_ms, fused)
-        (out.genuine if claimed == actual else out.impostor).append(record)
+    for i in np.flatnonzero(keep).tolist():
+        claimed, actual, t_ms = keys[i]
+        record = ScoreRecord(claimed, actual, t_ms, float(fused[i]))
+        (out.genuine if genuine[i] else out.impostor).append(record)
     return out
 
 
@@ -197,17 +251,21 @@ def search_fusion_weights(channels: dict[str, ScoreSet], step: float = 0.05):
 
     Returns (weights, fused ScoreSet, eer). Ties keep the first grid point.
     """
+    _, S, M, genuine = _align(channels)
+    impostor = ~genuine
     best = None
     for weights in weight_grid(sorted(channels), step):
-        fused = fuse_scoresets(channels, weights)
-        if not fused.genuine or not fused.impostor:
+        fused, keep = _fuse_aligned(S, M, [weights[c] for c in channels])
+        gen, imp = fused[keep & genuine], fused[keep & impostor]
+        if len(gen) == 0 or len(imp) == 0:
             continue
-        value = eer(fused.genuine_scores(), fused.impostor_scores())
-        if best is None or value < best[2]:
-            best = (weights, fused, value)
+        value = eer(gen, imp)
+        if best is None or value < best[1]:
+            best = (weights, value)
     if best is None:
         raise VerifyError("no weighting produced a scored decision set")
-    return best
+    weights, value = best
+    return weights, fuse_scoresets(channels, weights), value
 
 
 # ---------------------------------------------------------------------------

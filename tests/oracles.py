@@ -6,6 +6,7 @@ explicit enumeration) so agreement with the library is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
     FEATURE_NAMES, POST_MS)
 from hmogkit.matrix import FeatureMatrix
+from hmogkit.verify import (
+    ScoreRecord, ScoreSet, VerifyError, eer, minmax_normalize, weight_grid)
 
 
 def eer_oracle(genuine, impostor) -> float:
@@ -230,3 +233,38 @@ def extract_hmog_oracle(session, mode: str = "during"):
     fm.meta = {"mode": mode, "n_events": len(events), "n_skipped": skipped,
                "n_context_overlap": overlap}
     return fm
+
+
+def fuse_scoresets_oracle(channels, weights):
+    """fuse_scoresets by a per-decision loop: every record is re-keyed
+    through a dict and fused with Python sums, channel by channel in the
+    order of ``channels``."""
+    normalized = {name: minmax_normalize(s)[0] for name, s in channels.items()}
+    keyed: dict[tuple[str, str, int], dict[str, float]] = {}
+    for name, scores in normalized.items():
+        for r in itertools.chain(scores.genuine, scores.impostor):
+            keyed.setdefault((r.claimed, r.actual, r.t_ms), {})[name] = r.score
+    out = ScoreSet()
+    for (claimed, actual, t_ms), per_channel in sorted(keyed.items()):
+        wsum = sum(weights.get(c, 0.0) for c in per_channel)
+        if wsum <= 0:
+            continue
+        fused = sum(weights.get(c, 0.0) / wsum * s for c, s in per_channel.items())
+        record = ScoreRecord(claimed, actual, t_ms, fused)
+        (out.genuine if claimed == actual else out.impostor).append(record)
+    return out
+
+
+def search_fusion_weights_oracle(channels, step: float = 0.05):
+    """search_fusion_weights by fusing every grid point from the records."""
+    best = None
+    for weights in weight_grid(sorted(channels), step):
+        fused = fuse_scoresets_oracle(channels, weights)
+        if not fused.genuine or not fused.impostor:
+            continue
+        value = eer(fused.genuine_scores(), fused.impostor_scores())
+        if best is None or value < best[2]:
+            best = (weights, fused, value)
+    if best is None:
+        raise VerifyError("no weighting produced a scored decision set")
+    return best

@@ -182,6 +182,32 @@ def test_fuse_needs_two_channels(tmp_path):
     assert main(["fuse", "--scores", f"only={tmp_path / 'only.csv'}"]) == 2
 
 
+@pytest.mark.parametrize("row, message", [
+    ("impostor,A,B,0", "expected 5 fields, got 4"),
+    ("impostor,A,B,0,1.5,9", "expected 5 fields, got 6"),
+    ("impostor,A,B,0,far", "score a number"),
+    ("impostor,A,B,1.5,2.0", "t_ms must be an integer"),
+    ("genuin,A,A,0,1.0", "unknown kind 'genuin'"),
+    ("genuine,A,B,5,1.0", "kind genuine does not match"),
+    ("impostor,A,A,5,1.0", "kind impostor does not match"),
+])
+def test_fuse_bad_score_row_is_a_data_error(tmp_path, capsys, row, message):
+    score_csv(tmp_path / "good.csv", [1.0, 2.0], [10.0, 11.0])
+    bad = tmp_path / "bad.csv"
+    score_csv(bad, [10.0, 11.0], [1.0, 2.0])
+    lines = bad.read_text().splitlines()
+    lines.insert(2, row)
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["fuse", "--scores", f"good={tmp_path / 'good.csv'}",
+                 "--scores", f"bad={bad}", "--fusion-step", "0.5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"data error: {bad}:3: ")
+    assert message in err
+
+
 # ---------------------------------------------------------------- experiments
 
 def test_between_command(capsys):

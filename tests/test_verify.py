@@ -12,7 +12,6 @@ from hmogkit.verify import (
     VerifyError,
     det_curve,
     eer,
-    fuse,
     fuse_scoresets,
     gen_scores,
     minmax_normalize,
@@ -21,7 +20,7 @@ from hmogkit.verify import (
     sm_score,
     weight_grid,
 )
-from oracles import eer_oracle
+from oracles import eer_oracle, fuse_scoresets_oracle, search_fusion_weights_oracle
 
 
 def make_template(user="A", features=("f0", "f1"), mu=(0.0, 0.0),
@@ -106,18 +105,6 @@ def test_gen_scores_unknown_metric():
 
 # ---------------------------------------------------------------- fusion
 
-def test_fuse_renormalizes_over_present():
-    value = fuse({"a": 0.2, "b": None, "c": 0.4}, {"a": 1.0, "c": 3.0})
-    assert value == pytest.approx(0.25 * 0.2 + 0.75 * 0.4)
-
-
-def test_fuse_errors():
-    with pytest.raises(VerifyError, match="no channel"):
-        fuse({"a": None}, {"a": 1.0})
-    with pytest.raises(VerifyError, match="zero weight"):
-        fuse({"a": 0.3}, {"b": 1.0})
-
-
 def test_minmax_normalize():
     scores = score_set([2.0], [4.0, 6.0])
     out, (lo, hi) = minmax_normalize(scores)
@@ -173,6 +160,122 @@ def test_search_fusion_weights_prefers_clean_channel():
     assert value == 0.0
     assert weights == {"bad": 0.0, "good": 1.0}
     assert len(fused.genuine) == 20
+
+
+def random_channels(seed, names, users=("A", "B", "C"), n_times=6):
+    """Score sets over one decision grid; each channel misses a random share
+    of the decisions and scores a few of them twice (the later score counts).
+    The first channel alone also scores user D, so at grid points where it
+    weighs 0 those decisions drop out."""
+    rng = np.random.default_rng(seed)
+    keys = [(c, a, 1000 * t) for c in users for a in users for t in range(n_times)]
+    keys += [("D", "D", 0), ("D", "A", 0), ("A", "D", 1000)]
+    channels = {}
+    for j, name in enumerate(names):
+        scores = ScoreSet()
+        for claimed, actual, t_ms in keys:
+            if claimed == "D" or actual == "D":
+                if j > 0:
+                    continue
+            elif rng.random() < 0.25:
+                continue
+            score = float(rng.gamma(2.0, 1.0 if claimed == actual else 1.8))
+            record = ScoreRecord(claimed, actual, t_ms, score)
+            kind = scores.genuine if claimed == actual else scores.impostor
+            kind.append(record)
+            if rng.random() < 0.05:
+                kind.append(ScoreRecord(claimed, actual, t_ms, score * 1.5))
+        channels[name] = scores
+    return channels
+
+
+def degenerate_channel(channels):
+    """A channel scoring every decision of ``channels`` with one value."""
+    first = next(iter(channels.values()))
+    return ScoreSet([ScoreRecord(r.claimed, r.actual, r.t_ms, 3.0) for r in first.genuine],
+                    [ScoreRecord(r.claimed, r.actual, r.t_ms, 3.0) for r in first.impostor])
+
+
+def csv_bytes(scores, path):
+    scores.write_csv(str(path))
+    return path.read_bytes()
+
+
+def assert_search_matches_oracle(channels, step, tmp_path):
+    weights, fused, value = search_fusion_weights(channels, step)
+    o_weights, o_fused, o_value = search_fusion_weights_oracle(channels, step)
+    assert weights == o_weights
+    assert type(value) is float and value == o_value
+    assert csv_bytes(fused, tmp_path / "lib.csv") == csv_bytes(o_fused, tmp_path / "oracle.csv")
+
+
+# channel dicts in several insertion orders, most not the sorted one that the
+# weight grid uses; they pin the order in which each decision's channel
+# terms are summed
+FUSION_NAMES = {
+    2: [("tap", "hmog"), ("hmog", "tap")],
+    3: [("tap", "keyhold", "hmog"), ("keyhold", "hmog", "tap")],
+    4: [("hmog", "tap", "keyhold", "digraph"), ("digraph", "tap", "hmog", "keyhold")],
+}
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.05])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_search_fusion_weights_matches_oracle(k, step, tmp_path):
+    for seed, names in enumerate(FUSION_NAMES[k]):
+        channels = random_channels(100 * k + seed, names)
+        assert_search_matches_oracle(channels, step, tmp_path)
+        # the same channels in reverse insertion order
+        reordered = dict(reversed(list(channels.items())))
+        assert_search_matches_oracle(reordered, step, tmp_path)
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.05])
+def test_search_fusion_weights_matches_oracle_degenerate_channel(step, tmp_path):
+    channels = random_channels(7, ("tap", "hmog", "keyhold"))
+    channels["flat"] = degenerate_channel(channels)
+    channels = {name: channels[name] for name in ("keyhold", "flat", "hmog", "tap")}
+    assert_search_matches_oracle(channels, step, tmp_path)
+
+
+def test_search_fusion_weights_tie_keeps_first_grid_point(tmp_path):
+    rng = np.random.default_rng(11)
+    good = score_set(rng.uniform(0, 1, 15), rng.uniform(10, 11, 15))
+    also_good = score_set(rng.uniform(0, 1, 15), rng.uniform(10, 11, 15))
+    bad = score_set(rng.uniform(10, 11, 15), rng.uniform(0, 1, 15))
+    channels = {"z_bad": bad, "b_good": also_good, "a_good": good}
+    for step in (0.5, 0.25):
+        grid = list(weight_grid(sorted(channels), step))
+        values = []
+        for weights in grid:
+            fused = fuse_scoresets_oracle(channels, weights)
+            values.append(eer(fused.genuine_scores(), fused.impostor_scores()))
+        best = min(values)
+        assert values.count(best) >= 2
+        first = grid[values.index(best)]
+        assert search_fusion_weights(channels, step)[0] == first
+        assert_search_matches_oracle(channels, step, tmp_path)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fuse_scoresets_matches_oracle(k, tmp_path):
+    for seed, names in enumerate(FUSION_NAMES[k]):
+        channels = random_channels(200 * k + seed, names)
+        channels["flat"] = degenerate_channel(channels)
+        rng = np.random.default_rng(seed)
+        fixed = [
+            {name: float(w) for name, w in zip(channels, rng.uniform(0, 1, k + 1))},
+            {name: 0.0 if i == 0 else 1.0 for i, name in enumerate(channels)},
+            {names[-1]: 0.7},   # the other channels get weight 0
+            {name: 2.0 for name in channels},
+        ]
+        for weights in fixed:
+            fused = fuse_scoresets(channels, weights)
+            oracle = fuse_scoresets_oracle(channels, weights)
+            assert csv_bytes(fused, tmp_path / "lib.csv") == \
+                csv_bytes(oracle, tmp_path / "oracle.csv")
+            assert eer(fused.genuine_scores(), fused.impostor_scores()) == \
+                eer(oracle.genuine_scores(), oracle.impostor_scores())
 
 
 # ---------------------------------------------------------------- eer
