@@ -25,6 +25,9 @@ from .code import CodeParams, DecodeFailure, decode, encode
 _LABEL_KEY = b"\x00"
 _LABEL_TAG = b"\x01"
 
+# p < P_LIMIT: every codeword coordinate is hashed as two big-endian bytes
+P_LIMIT = 1 << 16
+
 # context string when no second authentication factor is supplied
 DEFAULT_CONTEXT = "hmogkit-bkg-1"
 
@@ -112,7 +115,7 @@ def fit_discretization(values: np.ndarray, p: int) -> DiscretizationSpec:
 
 
 def _prf(codeword: np.ndarray, password: str, label: bytes, p: int) -> bytes:
-    if p >= 1 << 16:
+    if p >= P_LIMIT:
         raise ValueError("p must fit in two bytes")
     key = b"".join(int(c).to_bytes(2, "big") for c in codeword)
     return hmac.new(key, password.encode("utf-8") + label, hashlib.sha256).digest()

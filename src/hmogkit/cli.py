@@ -15,7 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import verify
 from .corpus.io import ParseError, load_mapping, parse_session, save_corpus
 from .corpus.types import CorpusError
 from .experiments import (
@@ -24,10 +23,15 @@ from .experiments import (
     ExperimentConfig,
     InfeasibleError,
     _enroll_channel,
+    _ensure_out,
+    _fuse,
     _stamp,
     _write_json,
+    _write_scores,
     build_sessions,
+    check_fusion_weights,
     extract_channel,
+    is_number,
     run_auth,
     run_between,
     run_bkg,
@@ -183,7 +187,8 @@ def _coerce_field(name: str, value):
     if name == "fusion_weights" and value is not None:
         if not isinstance(value, dict):
             raise ConfigError("fusion_weights must be an object")
-        return {str(k): float(v) for k, v in value.items()}
+        # anything not a number is left for validate to reject
+        return {str(k): float(v) if is_number(v) else v for k, v in value.items()}
     return value
 
 
@@ -363,6 +368,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     fixed = args.fusion_weights
     args.fusion_weights = None
     config = build_config(args)
+    if fixed is not None:
+        check_fusion_weights(fixed)
     channels: dict[str, ScoreSet] = {}
     for item in args.scores or []:
         name, sep, path = item.partition("=")
@@ -371,24 +378,10 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         channels[name.strip()] = ScoreSet.read_csv(path)
     if len(channels) < 2:
         raise ConfigError("fuse needs at least two --scores channels")
-    if fixed is not None:
-        weights = {c: float(fixed.get(c, 0.0)) for c in channels}
-        fused = verify.fuse_scoresets(channels, weights)
-        if not fused.genuine or not fused.impostor:
-            raise InfeasibleError("fixed fusion weights left no decisions")
-        value = verify.eer(fused.genuine_scores(), fused.impostor_scores())
-    else:
-        weights, fused, value = verify.search_fusion_weights(
-            channels, config.fusion_step)
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        comments = _stamp(config)
-        fused.write_csv(out / "scores_fused.csv", comments)
-        verify.write_det_csv(
-            out / "det_fused.csv",
-            verify.det_curve(fused.genuine_scores(), fused.impostor_scores()),
-            comments)
+    weights, fused, value = _fuse(channels, fixed, config.fusion_step)
+    out = _ensure_out(config)
+    if out is not None:
+        _write_scores(out, "fused", fused, _stamp(config))
         _write_json(out / "fusion.json", {
             "config_hash": config.config_hash(),
             "seed": config.seed,

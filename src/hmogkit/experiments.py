@@ -11,14 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
 from .bkg import (
+    P_LIMIT,
     commit,
     fit_discretization,
     ds,
@@ -100,6 +104,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, _FIELD_TYPES[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         for name in self.channels:
             if name not in CHANNELS:
                 raise ConfigError(f"unknown channel {name!r}")
@@ -134,6 +142,8 @@ class ExperimentConfig:
             raise ConfigError("min_vectors must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if any(int(f) != f or f < 1 for f in self.downsample_factors):
             raise ConfigError("downsample factors must be positive integers")
         try:
@@ -142,12 +152,14 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if min(self.bkg_n, self.bkg_l, self.bkg_p) < 1:
             raise ConfigError("bkg parameters must be positive")
+        if self.bkg_p >= P_LIMIT:
+            raise ConfigError(f"field prime must be below {P_LIMIT}, as each code "
+                              f"symbol is hashed as two bytes; got {self.bkg_p}")
         if self.fusion_weights is not None:
             bad = set(self.fusion_weights) - set(self.channels)
             if bad:
                 raise ConfigError(f"fusion weights name unknown channels {sorted(bad)}")
-            if any(w < 0 for w in self.fusion_weights.values()):
-                raise ConfigError("fusion weights must be nonnegative")
+            check_fusion_weights(self.fusion_weights)
         return self
 
     def canonical(self) -> dict:
@@ -164,6 +176,37 @@ class ExperimentConfig:
         del blob["out_dir"], blob["workers"]
         text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a config value has its field's annotated type. An integer
+    fits a float field and a list a tuple field; a bool fits no number, and
+    NaN no float."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (tuple, list)) and all(_fits(v, args[0]) for v in value)
+    if hint is float:
+        return is_number(value) and not math.isnan(value)
+    if hint is int:
+        return is_number(value) and isinstance(value, numbers.Integral)
+    return isinstance(value, hint)
+
+
+def check_fusion_weights(weights: dict) -> None:
+    """Fixed fusion weights must be finite nonnegative numbers."""
+    for name, w in weights.items():
+        if not (is_number(w) and math.isfinite(w) and w >= 0):
+            raise ConfigError(f"fusion weight {name}={w!r} must be a finite "
+                              "nonnegative number")
 
 
 def _map(fn, items, workers: int):
@@ -361,21 +404,21 @@ def _scan_eval(channel_data, ordinals, scan_s: float, config: ExperimentConfig):
         if agg.n_rows == 0:
             continue
         scores = verify.gen_scores(templates, agg, config.metric)
-        if scores.genuine and scores.impostor:
+        if len(scores.genuine) and len(scores.impostor):
             out[channel] = scores
     return out
 
 
-def _fuse(per_channel, config: ExperimentConfig):
-    """(weights, fused ScoreSet, eer) for the live channels."""
-    if config.fusion_weights is not None:
-        weights = {c: float(config.fusion_weights.get(c, 0.0)) for c in per_channel}
-        fused = verify.fuse_scoresets(per_channel, weights)
-        if not fused.genuine or not fused.impostor:
-            raise InfeasibleError("fixed fusion weights left no decisions")
-        value = verify.eer(fused.genuine_scores(), fused.impostor_scores())
-        return weights, fused, value
-    return verify.search_fusion_weights(per_channel, config.fusion_step)
+def _fuse(per_channel: dict[str, verify.ScoreSet], weights: dict | None, step: float):
+    """(weights, fused ScoreSet, eer): the fixed weights when given (a channel
+    they omit weighs 0), else the grid search's best."""
+    if weights is None:
+        return verify.search_fusion_weights(per_channel, step)
+    weights = {c: float(weights.get(c, 0.0)) for c in per_channel}
+    fused = verify.fuse_scoresets(per_channel, weights)
+    if not len(fused.genuine) or not len(fused.impostor):
+        raise InfeasibleError("fixed fusion weights left no decisions")
+    return weights, fused, verify.eer(fused.genuine, fused.impostor)
 
 
 def _ensure_out(config: ExperimentConfig) -> Path | None:
@@ -404,6 +447,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2,
                                default=_json_default) + "\n",
                     encoding="utf-8")
+
+
+def _write_scores(out: Path, name: str, scores: verify.ScoreSet,
+                  comments: list[str]) -> None:
+    """scores_<name>.csv and its DET curve, det_<name>.csv."""
+    scores.write_csv(out / f"scores_{name}.csv", comments)
+    verify.write_det_csv(out / f"det_{name}.csv",
+                         verify.det_curve(scores.genuine, scores.impostor), comments)
 
 
 def _write_csv(path: Path, header: str, rows: list[str],
@@ -443,17 +494,16 @@ def run_auth(config: ExperimentConfig,
             continue
         entry: dict = {"channels": {}, "fused": None}
         for channel, scores in per_channel.items():
-            gen, imp = scores.genuine_scores(), scores.impostor_scores()
+            gen, imp = scores.genuine, scores.impostor
             value = verify.eer(gen, imp)
             entry["channels"][channel] = {
                 "eer": value, "n_genuine": len(gen), "n_impostor": len(imp)}
             eer_rows.append(f"{scan_s:g},{channel},{value!r},{len(gen)},{len(imp)}")
             if out is not None:
-                scores.write_csv(out / f"scores_{channel}_{scan_s:g}s.csv", comments)
-                verify.write_det_csv(out / f"det_{channel}_{scan_s:g}s.csv",
-                                     verify.det_curve(gen, imp), comments)
+                _write_scores(out, f"{channel}_{scan_s:g}s", scores, comments)
         if len(per_channel) >= 2:
-            weights, fused, value = _fuse(per_channel, config)
+            weights, fused, value = _fuse(per_channel, config.fusion_weights,
+                                          config.fusion_step)
         else:
             only = next(iter(per_channel))
             weights = {only: 1.0}
@@ -465,11 +515,7 @@ def run_auth(config: ExperimentConfig,
         eer_rows.append(f"{scan_s:g},fused,{value!r},{len(fused.genuine)},"
                         f"{len(fused.impostor)}")
         if out is not None:
-            fused.write_csv(out / f"scores_fused_{scan_s:g}s.csv", comments)
-            verify.write_det_csv(
-                out / f"det_fused_{scan_s:g}s.csv",
-                verify.det_curve(fused.genuine_scores(), fused.impostor_scores()),
-                comments)
+            _write_scores(out, f"fused_{scan_s:g}s", fused, comments)
         scans[f"{scan_s:g}"] = entry
 
     if not scans:
@@ -519,7 +565,7 @@ def run_between(config: ExperimentConfig,
                 all_notes.append(f"{mode}: {scan_s:g}s produced no decisions")
                 continue
             scores = per_channel["hmog"]
-            gen, imp = scores.genuine_scores(), scores.impostor_scores()
+            gen, imp = scores.genuine, scores.impostor
             value = verify.eer(gen, imp)
             per_mode[f"{scan_s:g}"] = {"eer": value, "n_genuine": len(gen),
                                        "n_impostor": len(imp)}
@@ -578,7 +624,7 @@ def run_rate_sweep(config: ExperimentConfig,
                 per_factor["notes"].append(f"{scan_s:g}s produced no decisions")
                 continue
             scores = per_channel["hmog"]
-            gen, imp = scores.genuine_scores(), scores.impostor_scores()
+            gen, imp = scores.genuine, scores.impostor
             per_factor["scans"][f"{scan_s:g}"] = {
                 "eer": verify.eer(gen, imp), "n_genuine": len(gen),
                 "n_impostor": len(imp), "n_enrolled": n_enrolled}

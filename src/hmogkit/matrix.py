@@ -22,13 +22,17 @@ class FeatureMatrix:
 
     def __post_init__(self) -> None:
         self.columns = tuple(self.columns)
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(-1, len(self.columns))
         self.user_ids = np.asarray(self.user_ids, dtype=object)
         self.session_ids = np.asarray(self.session_ids, dtype=object)
         self.t_ms = np.asarray(self.t_ms, dtype=np.int64)
-        n = len(self.values)
-        if not (len(self.user_ids) == len(self.session_ids) == len(self.t_ms) == n):
+        # the row count comes from the labels: with no columns the values
+        # cannot tell it
+        n = len(self.user_ids)
+        values = np.asarray(self.values, dtype=np.float64)
+        if not (values.size == n * len(self.columns) and len(self.session_ids) == n
+                and len(self.t_ms) == n):
             raise ValueError("row label arrays disagree with values")
+        self.values = values.reshape(n, len(self.columns))
 
     @property
     def n_rows(self) -> int:

@@ -507,7 +507,7 @@ def _fold_eers(train: FeatureMatrix, test: FeatureMatrix | None,
             continue
         scores = verify.gen_scores(templates, FeatureMatrix.vstack(parts), metric=metric)
         try:
-            eers[s] = verify.eer(scores.genuine_scores(), scores.impostor_scores())
+            eers[s] = verify.eer(scores.genuine, scores.impostor)
         except ValueError:
             eers[s] = 0.5
     return eers

@@ -5,6 +5,10 @@ impostor distances <= th; FRR(th) is the fraction of genuine distances
 above th. The EER is read off the piecewise-linear FAR/FRR polyline over
 the pooled score values.
 
+A ScoreSet is columnar: four parallel arrays (claimed, actual, t_ms,
+score), one row per decision; a decision is genuine when claimed ==
+actual. Every stage after scoring works on these arrays.
+
 Fusion min-max normalizes each channel once and aligns the decisions
 (claimed, actual, t_ms) once, in sorted order, into a (decisions x
 channels) score matrix with a presence mask. A weight vector is then fused
@@ -20,9 +24,8 @@ search aligns once and fuses each grid point with the same kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,43 +51,54 @@ def se_score(template, v: np.ndarray) -> float:
 _METRICS = {"sm": sm_score, "se": se_score}
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    claimed: str
-    actual: str
-    t_ms: int
-    score: float
+_CSV_HEADER = "kind,claimed,actual,t_ms,score"
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreSet:
-    genuine: list[ScoreRecord] = field(default_factory=list)
-    impostor: list[ScoreRecord] = field(default_factory=list)
+    """Scored decisions; ``genuine`` and ``impostor`` are each kind's scores."""
 
-    def genuine_scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.genuine], dtype=np.float64)
+    claimed: np.ndarray = ()   # (n,) object
+    actual: np.ndarray = ()    # (n,) object
+    t_ms: np.ndarray = ()      # (n,) int64
+    score: np.ndarray = ()     # (n,) float64
 
-    def impostor_scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.impostor], dtype=np.float64)
+    def __post_init__(self) -> None:
+        self.claimed = np.asarray(self.claimed, dtype=object)
+        self.actual = np.asarray(self.actual, dtype=object)
+        self.t_ms = np.asarray(self.t_ms, dtype=np.int64)
+        self.score = np.asarray(self.score, dtype=np.float64)
+        if not len(self.claimed) == len(self.actual) == len(self.t_ms) == len(self.score):
+            raise VerifyError("score columns differ in length")
+
+    @property
+    def genuine(self) -> np.ndarray:
+        return self.score[self.claimed == self.actual]
+
+    @property
+    def impostor(self) -> np.ndarray:
+        return self.score[self.claimed != self.actual]
 
     def write_csv(self, path: str, header_comments: list[str] | None = None) -> None:
+        genuine = self.claimed == self.actual
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for line in header_comments or []:
                 fh.write(f"# {line}\n")
-            fh.write("kind,claimed,actual,t_ms,score\n")
-            for kind, records in (("genuine", self.genuine), ("impostor", self.impostor)):
-                for r in records:
-                    fh.write(f"{kind},{r.claimed},{r.actual},{r.t_ms},"
-                             f"{repr(float(r.score))}\n")
+            fh.write(_CSV_HEADER + "\n")
+            for kind, rows in (("genuine", genuine), ("impostor", ~genuine)):
+                for claimed, actual, t_ms, score in zip(
+                        self.claimed[rows].tolist(), self.actual[rows].tolist(),
+                        self.t_ms[rows].tolist(), self.score[rows].tolist()):
+                    fh.write(f"{kind},{claimed},{actual},{t_ms},{score!r}\n")
 
     @classmethod
     def read_csv(cls, path: str) -> "ScoreSet":
-        out = cls()
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1)
                      if not ln.startswith("#")]
-        if not lines or lines[0][1] != "kind,claimed,actual,t_ms,score":
+        if not lines or lines[0][1] != _CSV_HEADER:
             raise VerifyError(f"{path}: unexpected header")
+        columns = ([], [], [], [])
         for n, ln in lines[1:]:
             if not ln:
                 continue
@@ -98,12 +112,13 @@ class ScoreSet:
                 raise VerifyError(f"{path}:{n}: kind {kind} does not match "
                                   f"claimed {claimed!r} and actual {actual!r}")
             try:
-                record = ScoreRecord(claimed, actual, int(t), float(score))
-            except ValueError:
+                row = (claimed, actual, np.int64(int(t)), float(score))
+            except (ValueError, OverflowError):
                 raise VerifyError(f"{path}:{n}: t_ms must be an integer and score "
                                   f"a number, got {t!r} and {score!r}") from None
-            (out.genuine if kind == "genuine" else out.impostor).append(record)
-        return out
+            for column, value in zip(columns, row):
+                column.append(value)
+        return cls(*columns)
 
 
 def gen_scores(templates: dict, auth: FeatureMatrix, metric: str = "sm") -> ScoreSet:
@@ -115,24 +130,19 @@ def gen_scores(templates: dict, auth: FeatureMatrix, metric: str = "sm") -> Scor
     if metric not in _METRICS:
         raise VerifyError(f"unknown metric {metric!r}")
     score_fn = _METRICS[metric]
-    out = ScoreSet()
+    claimed, rows, scores = [], [], []
     col_cache: dict[tuple[str, ...], np.ndarray] = {}
     for user, template in sorted(templates.items()):
         feats = template.input_features
         if feats not in col_cache:
             col_cache[feats] = np.array([auth.col_index(name) for name in feats])
-        idx = col_cache[feats]
-        block = auth.values[:, idx]
-        finite_any = np.any(np.isfinite(block), axis=1)
-        for i in np.flatnonzero(finite_any):
-            record = ScoreRecord(claimed=user, actual=str(auth.user_ids[i]),
-                                 t_ms=int(auth.t_ms[i]),
-                                 score=score_fn(template, block[i]))
-            if record.actual == user:
-                out.genuine.append(record)
-            else:
-                out.impostor.append(record)
-    return out
+        block = auth.values[:, col_cache[feats]]
+        hits = np.flatnonzero(np.any(np.isfinite(block), axis=1))
+        claimed += [user] * len(hits)
+        rows += hits.tolist()
+        scores += [score_fn(template, block[i]) for i in hits]
+    rows = np.array(rows, dtype=np.intp)
+    return ScoreSet(claimed, auth.user_ids[rows].astype(str), auth.t_ms[rows], scores)
 
 
 # ---------------------------------------------------------------------------
@@ -141,48 +151,41 @@ def gen_scores(templates: dict, auth: FeatureMatrix, metric: str = "sm") -> Scor
 
 def minmax_normalize(scores: ScoreSet) -> tuple[ScoreSet, tuple[float, float]]:
     """Map the pooled scores onto [0, 1]; a degenerate pool maps to 0."""
-    pooled = np.concatenate([scores.genuine_scores(), scores.impostor_scores()])
-    if len(pooled) == 0:
+    if len(scores.score) == 0:
         raise VerifyError("empty score set")
-    lo, hi = float(pooled.min()), float(pooled.max())
+    lo, hi = float(scores.score.min()), float(scores.score.max())
     span = hi - lo
-
-    def norm(records):
-        return [ScoreRecord(r.claimed, r.actual, r.t_ms,
-                            (r.score - lo) / span if span > 0 else 0.0)
-                for r in records]
-
-    return ScoreSet(norm(scores.genuine), norm(scores.impostor)), (lo, hi)
+    normalized = (scores.score - lo) / span if span > 0 else np.zeros(len(scores.score))
+    return ScoreSet(scores.claimed, scores.actual, scores.t_ms, normalized), (lo, hi)
 
 
 def _align(channels: dict[str, ScoreSet]):
     """Normalize each channel once and align the decisions of all channels.
 
-    Returns (keys, S, M, genuine): the decisions (claimed, actual, t_ms) in
-    sorted order; their normalized scores, one column per channel in the
-    order of ``channels``, 0.0 where a channel has no score; the presence
-    mask of S; and the mask of genuine decisions. A channel that scores one
-    decision twice keeps the later score.
+    Returns (keys, S, M, genuine): the claimed, actual and t_ms arrays of the
+    decisions in sorted (claimed, actual, t_ms) order; their normalized
+    scores, one column per channel in the order of ``channels``, 0.0 where a
+    channel has no score; the presence mask of S; and the genuine mask. A
+    channel that scores one decision twice keeps the later score.
     """
-    columns = []
-    for scores in channels.values():
-        normalized, _ = minmax_normalize(scores)
-        columns.append({(r.claimed, r.actual, r.t_ms): r.score
-                        for r in itertools.chain(normalized.genuine,
-                                                 normalized.impostor)})
-    keys = sorted(set().union(*columns))
-    row = {key: i for i, key in enumerate(keys)}
+    normalized = [minmax_normalize(scores)[0] for scores in channels.values()]
+    claimed, actual, t_ms = (np.concatenate([getattr(s, name) for s in normalized])
+                             for name in ("claimed", "actual", "t_ms"))
+    # users coded by rank in string order sort as the (claimed, actual, t_ms) tuples
+    names, codes = np.unique(np.concatenate([claimed, actual]), return_inverse=True)
+    (c, a, t), row = np.unique(np.stack([codes[:len(claimed)], codes[len(claimed):], t_ms]),
+                               axis=1, return_inverse=True)
+    row = row.reshape(-1)
     # column-major, so that each channel's column is contiguous
-    S = np.zeros((len(keys), len(columns)), order="F")
+    S = np.zeros((len(t), len(normalized)), order="F")
     M = np.zeros(S.shape, dtype=bool, order="F")
-    for j, column in enumerate(columns):
-        idx = np.fromiter((row[key] for key in column), dtype=np.intp,
-                          count=len(column))
-        S[idx, j] = np.fromiter(column.values(), dtype=np.float64, count=len(column))
-        M[idx, j] = True
-    genuine = np.fromiter((claimed == actual for claimed, actual, _ in keys),
-                          dtype=bool, count=len(keys))
-    return keys, S, M, genuine
+    bounds = np.cumsum([len(scores.score) for scores in normalized])[:-1]
+    for j, (scores, rows) in enumerate(zip(normalized, np.split(row, bounds))):
+        # NumPy does not promise which of repeated fancy indices is written last
+        last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
+        S[rows[last], j] = scores.score[last]
+        M[rows[last], j] = True
+    return (names[c], names[a], t), S, M, c == a
 
 
 def _fuse_aligned(S: np.ndarray, M: np.ndarray, weights: list[float]):
@@ -210,14 +213,9 @@ def fuse_scoresets(channels: dict[str, ScoreSet],
     decision are dropped from it and the remaining weights renormalized.
     Decisions whose present channels carry zero weight are excluded.
     """
-    keys, S, M, genuine = _align(channels)
+    (claimed, actual, t_ms), S, M, _ = _align(channels)
     fused, keep = _fuse_aligned(S, M, [float(weights.get(c, 0.0)) for c in channels])
-    out = ScoreSet()
-    for i in np.flatnonzero(keep).tolist():
-        claimed, actual, t_ms = keys[i]
-        record = ScoreRecord(claimed, actual, t_ms, float(fused[i]))
-        (out.genuine if genuine[i] else out.impostor).append(record)
-    return out
+    return ScoreSet(claimed[keep], actual[keep], t_ms[keep], fused[keep])
 
 
 def grid_ticks(step: float) -> int:

@@ -6,7 +6,6 @@ explicit enumeration) so agreement with the library is meaningful.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -16,8 +15,7 @@ from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
     FEATURE_NAMES, POST_MS)
 from hmogkit.matrix import FeatureMatrix
-from hmogkit.verify import (
-    ScoreRecord, ScoreSet, VerifyError, eer, minmax_normalize, weight_grid)
+from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize, weight_grid
 
 
 def eer_oracle(genuine, impostor) -> float:
@@ -242,17 +240,16 @@ def fuse_scoresets_oracle(channels, weights):
     normalized = {name: minmax_normalize(s)[0] for name, s in channels.items()}
     keyed: dict[tuple[str, str, int], dict[str, float]] = {}
     for name, scores in normalized.items():
-        for r in itertools.chain(scores.genuine, scores.impostor):
-            keyed.setdefault((r.claimed, r.actual, r.t_ms), {})[name] = r.score
-    out = ScoreSet()
-    for (claimed, actual, t_ms), per_channel in sorted(keyed.items()):
+        for key, score in zip(zip(scores.claimed, scores.actual, scores.t_ms.tolist()),
+                              scores.score.tolist()):
+            keyed.setdefault(key, {})[name] = score
+    rows = []
+    for key, per_channel in sorted(keyed.items()):
         wsum = sum(weights.get(c, 0.0) for c in per_channel)
         if wsum <= 0:
             continue
-        fused = sum(weights.get(c, 0.0) / wsum * s for c, s in per_channel.items())
-        record = ScoreRecord(claimed, actual, t_ms, fused)
-        (out.genuine if claimed == actual else out.impostor).append(record)
-    return out
+        rows.append((*key, sum(weights.get(c, 0.0) / wsum * s for c, s in per_channel.items())))
+    return ScoreSet(*zip(*rows)) if rows else ScoreSet()
 
 
 def search_fusion_weights_oracle(channels, step: float = 0.05):
@@ -260,9 +257,9 @@ def search_fusion_weights_oracle(channels, step: float = 0.05):
     best = None
     for weights in weight_grid(sorted(channels), step):
         fused = fuse_scoresets_oracle(channels, weights)
-        if not fused.genuine or not fused.impostor:
+        if not len(fused.genuine) or not len(fused.impostor):
             continue
-        value = eer(fused.genuine_scores(), fused.impostor_scores())
+        value = eer(fused.genuine, fused.impostor)
         if best is None or value < best[2]:
             best = (weights, fused, value)
     if best is None:

@@ -9,7 +9,7 @@ from hmogkit.corpus.io import load_corpus
 from hmogkit.experiments import OUT_DIR_ENV
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import load_templates
-from hmogkit.verify import ScoreRecord, ScoreSet
+from hmogkit.verify import ScoreSet
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,52 @@ def test_bad_fusion_step_is_a_config_error(step, capsys):
     assert err.startswith("config error: fusion step")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+SMALL = ["--users", "2", "--sessions", "3", "--session-seconds", "30"]
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["eval", *SMALL, "--channels", "hmog,tap", "--weights", "hmog=nan,tap=1"], None,
+     2, "config error: fusion weight hmog=nan must be a finite nonnegative number"),
+    (["eval", *SMALL, "--channels", "hmog,tap", "--weights", "hmog=1,tap=inf"], None,
+     2, "config error: fusion weight tap=inf must be"),
+    (["eval", *SMALL, "--channels", "hmog,tap", "--weights", "hmog=-1,tap=1"], None,
+     2, "config error: fusion weight hmog=-1.0 must be"),
+    (["fuse", "--weights", "good=nan,bad=1"], None, 2, "config error: fusion weight good=nan"),
+    (["fuse", "--weights", "good=-inf,bad=1"], None, 2, "config error: fusion weight good=-inf"),
+    (["fuse", "--weights", "good=1,bad=-0.5"], None, 2, "config error: fusion weight bad=-0.5"),
+    (["bkg", *SMALL, "--field-prime", "65537"], None,
+     2, "config error: field prime must be below 65536"),
+    (["eval", *SMALL], {"scan_seconds": 60}, 2, "config error: scan_seconds must be"),
+    (["eval", *SMALL], {"n_users": "three"}, 2, "config error: n_users must be int"),
+    (["eval", *SMALL], {"fusion_weights": {"hmog": "x"}}, 2, "config error: fusion weight"),
+    (["eval", *SMALL], {"seed": -1}, 2, "config error: seed must be nonnegative"),
+    (["eval", *SMALL, "--scans", "20,nan"], None, 2, "config error: scan_seconds must be"),
+    (["eval", *SMALL, "--tap-rate", "nan"], None, 2, "config error: tap_rate_hz must be"),
+    (["eval", *SMALL, "--channels", "digraph"], None,
+     4, "infeasible: digraph: no usable training vectors"),
+    (["bkg", *SMALL, "--bkg-channels", "digraph"], None,
+     4, "infeasible: digraph: not enough features"),
+])
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, argv, config, code,
+                                              message):
+    out = tmp_path / "out"
+    argv = [*argv, "--out-dir", str(out)]
+    if argv[0] == "fuse":
+        score_csv(tmp_path / "good.csv", [1.0, 2.0], [10.0, 11.0])
+        score_csv(tmp_path / "bad.csv", [10.0, 11.0], [1.0, 2.0])
+        argv += ["--scores", f"good={tmp_path / 'good.csv'}",
+                 "--scores", f"bad={tmp_path / 'bad.csv'}"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(message)
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path):
@@ -145,10 +191,11 @@ def test_out_dir_env_default(cli_corpus, tmp_path, monkeypatch):
 # ---------------------------------------------------------------- fuse
 
 def score_csv(path, genuine, impostor):
-    records = ScoreSet(
-        genuine=[ScoreRecord("A", "A", t, s) for t, s in enumerate(genuine)],
-        impostor=[ScoreRecord("A", "B", t, s) for t, s in enumerate(impostor)])
-    records.write_csv(str(path))
+    scores = ScoreSet(["A"] * (len(genuine) + len(impostor)),
+                      ["A"] * len(genuine) + ["B"] * len(impostor),
+                      [*range(len(genuine)), *range(len(impostor))],
+                      [*genuine, *impostor])
+    scores.write_csv(str(path))
 
 
 def test_fuse_searches_weights(tmp_path, capsys):

@@ -67,6 +67,17 @@ def test_empty():
     assert fm.n_rows == 0 and fm.n_features == 2
 
 
+def test_zero_columns_take_rows_from_labels():
+    fm = FeatureMatrix.empty(())
+    assert fm.n_rows == 0 and fm.n_features == 0
+    assert fm.values.shape == (0, 0)
+    fm = make_fm(np.empty((3, 0)), columns=())
+    assert fm.n_rows == 3 and fm.values.shape == (3, 0)
+    assert fm.take([2]).n_rows == 1
+    with pytest.raises(ValueError, match="disagree"):
+        FeatureMatrix((), np.empty((3, 0)), ["u1"] * 3, ["s1"] * 2, [0, 1, 2])
+
+
 def test_csv_roundtrip_with_nan(tmp_path):
     fm = make_fm([[1.5, np.nan], [np.nan, -2.25]], users=["u1", "u2"],
                  sessions=["s1", "s1"], t=[10, 20])

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import Template
 from hmogkit.verify import (
-    ScoreRecord,
     ScoreSet,
     VerifyError,
     det_curve,
@@ -43,8 +42,10 @@ def make_auth(values, users, t=None):
 
 def score_set(genuine, impostor, claimed="A", actual_other="B"):
     return ScoreSet(
-        [ScoreRecord(claimed, claimed, 1000 * i, s) for i, s in enumerate(genuine)],
-        [ScoreRecord(claimed, actual_other, 1000 * i, s) for i, s in enumerate(impostor)],
+        [claimed] * (len(genuine) + len(impostor)),
+        [claimed] * len(genuine) + [actual_other] * len(impostor),
+        [1000 * i for i in range(len(genuine))] + [1000 * i for i in range(len(impostor))],
+        [*genuine, *impostor],
     )
 
 
@@ -70,13 +71,14 @@ def test_gen_scores_split_and_order():
     scores = gen_scores(templates, auth)
     assert len(scores.genuine) == 2
     assert len(scores.impostor) == 2
+    genuine = scores.claimed == scores.actual
     # claimed users iterate in sorted order
-    assert [r.claimed for r in scores.genuine] == ["A", "B"]
-    assert scores.genuine[0].actual == "A"
-    assert scores.genuine[0].t_ms == 0
-    assert isinstance(scores.genuine[0].t_ms, int)
+    assert scores.claimed[genuine].tolist() == ["A", "B"]
+    assert scores.actual[genuine][0] == "A"
+    assert scores.t_ms[genuine][0] == 0
+    assert scores.t_ms.dtype == np.int64
     # A's template: v=[0,0], mu=[1,1], sigma=[1,2] -> 1 + 0.5
-    assert scores.genuine[0].score == pytest.approx(1.5)
+    assert scores.genuine[0] == pytest.approx(1.5)
 
 
 def test_gen_scores_skips_rows_without_overlap():
@@ -109,37 +111,44 @@ def test_minmax_normalize():
     scores = score_set([2.0], [4.0, 6.0])
     out, (lo, hi) = minmax_normalize(scores)
     assert (lo, hi) == (2.0, 6.0)
-    assert out.genuine[0].score == 0.0
-    assert [r.score for r in out.impostor] == [0.5, 1.0]
+    assert out.genuine[0] == 0.0
+    assert out.impostor.tolist() == [0.5, 1.0]
+
+
+def test_minmax_normalize_matches_scalar_formula():
+    rng = np.random.default_rng(29)
+    scores = score_set(rng.gamma(2.0, 1.0, 40), rng.gamma(2.0, 1.8, 60))
+    out, (lo, hi) = minmax_normalize(scores)
+    want = [(s - lo) / (hi - lo) for s in scores.score.tolist()]
+    assert out.score.tolist() == want
 
 
 def test_minmax_normalize_degenerate_and_empty():
     out, (lo, hi) = minmax_normalize(score_set([5.0], [5.0]))
     assert (lo, hi) == (5.0, 5.0)
-    assert out.genuine[0].score == 0.0 and out.impostor[0].score == 0.0
+    assert out.genuine[0] == 0.0 and out.impostor[0] == 0.0
     with pytest.raises(VerifyError):
         minmax_normalize(ScoreSet())
 
 
 def test_fuse_scoresets_alignment():
-    ch1 = ScoreSet([ScoreRecord("A", "A", 0, 0.0)], [ScoreRecord("A", "B", 0, 10.0)])
-    ch2 = ScoreSet([ScoreRecord("A", "A", 0, 5.0)],
-                   [ScoreRecord("A", "B", 0, 5.0), ScoreRecord("A", "B", 1, 15.0)])
+    ch1 = ScoreSet(["A", "A"], ["A", "B"], [0, 0], [0.0, 10.0])
+    ch2 = ScoreSet(["A", "A", "A"], ["A", "B", "B"], [0, 0, 1], [5.0, 5.0, 15.0])
     fused = fuse_scoresets({"c1": ch1, "c2": ch2}, {"c1": 0.5, "c2": 0.5})
     assert len(fused.genuine) == 1 and len(fused.impostor) == 2
-    by_key = {(r.claimed, r.actual, r.t_ms): r.score
-              for r in fused.genuine + fused.impostor}
+    by_key = dict(zip(zip(fused.claimed, fused.actual, fused.t_ms.tolist()),
+                      fused.score.tolist()))
     assert by_key[("A", "A", 0)] == pytest.approx(0.0)
     assert by_key[("A", "B", 0)] == pytest.approx(0.5)   # 1.0 and 0.0, equal weight
     assert by_key[("A", "B", 1)] == pytest.approx(1.0)   # only c2 present
 
 
 def test_fuse_scoresets_drops_zero_weight_decisions():
-    ch1 = ScoreSet([ScoreRecord("A", "A", 0, 0.0)], [ScoreRecord("A", "B", 0, 10.0)])
-    ch2 = ScoreSet([], [ScoreRecord("A", "B", 1, 15.0), ScoreRecord("A", "B", 2, 1.0)])
+    ch1 = ScoreSet(["A", "A"], ["A", "B"], [0, 0], [0.0, 10.0])
+    ch2 = ScoreSet(["A", "A"], ["B", "B"], [1, 2], [15.0, 1.0])
     fused = fuse_scoresets({"c1": ch1, "c2": ch2}, {"c1": 1.0, "c2": 0.0})
     assert len(fused.genuine) == 1
-    assert [r.t_ms for r in fused.impostor] == [0]
+    assert fused.t_ms[fused.claimed != fused.actual].tolist() == [0]
 
 
 def test_weight_grid():
@@ -172,7 +181,7 @@ def random_channels(seed, names, users=("A", "B", "C"), n_times=6):
     keys += [("D", "D", 0), ("D", "A", 0), ("A", "D", 1000)]
     channels = {}
     for j, name in enumerate(names):
-        scores = ScoreSet()
+        rows = []
         for claimed, actual, t_ms in keys:
             if claimed == "D" or actual == "D":
                 if j > 0:
@@ -180,20 +189,17 @@ def random_channels(seed, names, users=("A", "B", "C"), n_times=6):
             elif rng.random() < 0.25:
                 continue
             score = float(rng.gamma(2.0, 1.0 if claimed == actual else 1.8))
-            record = ScoreRecord(claimed, actual, t_ms, score)
-            kind = scores.genuine if claimed == actual else scores.impostor
-            kind.append(record)
+            rows.append((claimed, actual, t_ms, score))
             if rng.random() < 0.05:
-                kind.append(ScoreRecord(claimed, actual, t_ms, score * 1.5))
-        channels[name] = scores
+                rows.append((claimed, actual, t_ms, score * 1.5))
+        channels[name] = ScoreSet(*zip(*rows))
     return channels
 
 
 def degenerate_channel(channels):
     """A channel scoring every decision of ``channels`` with one value."""
     first = next(iter(channels.values()))
-    return ScoreSet([ScoreRecord(r.claimed, r.actual, r.t_ms, 3.0) for r in first.genuine],
-                    [ScoreRecord(r.claimed, r.actual, r.t_ms, 3.0) for r in first.impostor])
+    return ScoreSet(first.claimed, first.actual, first.t_ms, np.full(len(first.score), 3.0))
 
 
 def csv_bytes(scores, path):
@@ -249,7 +255,7 @@ def test_search_fusion_weights_tie_keeps_first_grid_point(tmp_path):
         values = []
         for weights in grid:
             fused = fuse_scoresets_oracle(channels, weights)
-            values.append(eer(fused.genuine_scores(), fused.impostor_scores()))
+            values.append(eer(fused.genuine, fused.impostor))
         best = min(values)
         assert values.count(best) >= 2
         first = grid[values.index(best)]
@@ -274,8 +280,7 @@ def test_fuse_scoresets_matches_oracle(k, tmp_path):
             oracle = fuse_scoresets_oracle(channels, weights)
             assert csv_bytes(fused, tmp_path / "lib.csv") == \
                 csv_bytes(oracle, tmp_path / "oracle.csv")
-            assert eer(fused.genuine_scores(), fused.impostor_scores()) == \
-                eer(oracle.genuine_scores(), oracle.impostor_scores())
+            assert eer(fused.genuine, fused.impostor) == eer(oracle.genuine, oracle.impostor)
 
 
 # ---------------------------------------------------------------- eer
@@ -340,10 +345,38 @@ def test_scoreset_csv_roundtrip(tmp_path):
     assert "np.float64" not in text
     assert text.startswith("# config_hash=abc\n# seed=7\n")
     back = ScoreSet.read_csv(str(path))
-    assert [r.score for r in back.genuine] == [r.score for r in scores.genuine]
-    assert [r.score for r in back.impostor] == [r.score for r in scores.impostor]
-    assert back.genuine[0].claimed == "A"
-    assert back.impostor[0].actual == "B"
+    assert back.genuine.tolist() == scores.genuine.tolist()
+    assert back.impostor.tolist() == scores.impostor.tolist()
+    genuine = back.claimed == back.actual
+    assert back.claimed[genuine][0] == "A"
+    assert back.actual[~genuine][0] == "B"
+
+
+def test_scoreset_write_csv_genuine_rows_first(tmp_path):
+    # rows interleave the kinds, as gen_scores leaves them
+    scores = ScoreSet(["A", "A", "B", "B"], ["B", "A", "B", "A"], [5, 1, 2, 7],
+                      [0.5, 0.25, np.float64(1.0) / 3.0, 2.0])
+    path = tmp_path / "scores.csv"
+    scores.write_csv(str(path))
+    assert path.read_text().splitlines() == [
+        "kind,claimed,actual,t_ms,score",
+        "genuine,A,A,1,0.25",
+        "genuine,B,B,2,0.3333333333333333",
+        "impostor,A,B,5,0.5",
+        "impostor,B,A,7,2.0",
+    ]
+    back = ScoreSet.read_csv(str(path))
+    assert back.genuine.tolist() == [0.25, 1.0 / 3.0]
+    assert back.impostor.tolist() == [0.5, 2.0]
+
+
+def test_scoreset_read_rejects_t_ms_beyond_64_bits(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("kind,claimed,actual,t_ms,score\n"
+                    "genuine,A,A,9223372036854775807,1.0\n"
+                    "impostor,A,B,9223372036854775808,2.0\n")
+    with pytest.raises(VerifyError, match=r"scores.csv:3: t_ms must be an integer"):
+        ScoreSet.read_csv(str(path))
 
 
 def test_scoreset_read_rejects_bad_header(tmp_path):
