@@ -281,10 +281,36 @@ def write_session(session: Session, directory: str) -> None:
         fh.write("\n")
 
 
+def _read_json(path: str, required: tuple[str, ...]) -> dict:
+    """A JSON object holding the required keys; ParseError names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(blob, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    missing = [key for key in required if key not in blob]
+    if missing:
+        raise ParseError(f"{path}: missing {', '.join(map(repr, missing))}")
+    return blob
+
+
 def read_session(directory: str) -> Session:
-    with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta_path = os.path.join(directory, "meta.json")
+    meta = _read_json(meta_path, ("user_id", "session_id", "condition"))
+    try:
+        condition = Condition(meta["condition"])
+    except ValueError:
+        raise ParseError(f"{meta_path}: unknown condition {meta['condition']!r}") from None
     rates = meta.get("nominal_rate_hz", {})
+    tags = {sensor.value for sensor in Sensor}
+    if not isinstance(rates, dict) or not all(
+            tag in tags and isinstance(value, (int, float))
+            and not isinstance(value, bool) and value > 0
+            for tag, value in rates.items()):
+        raise ParseError(f"{meta_path}: nominal_rate_hz must map sensor tags to "
+                         f"positive rates, got {rates!r}")
     rate = next(iter(rates.values()), DEFAULT_RATE_HZ)
     session = parse_session(
         os.path.join(directory, "sensor.csv"),
@@ -293,7 +319,7 @@ def read_session(directory: str) -> Session:
         taps_path=os.path.join(directory, "taps.csv"),
         user_id=meta["user_id"],
         session_id=meta["session_id"],
-        condition=meta["condition"],
+        condition=condition,
         nominal_rate_hz=rate,
     )
     # restore per-sensor rates (parse_session applies a single figure)
@@ -325,6 +351,9 @@ def load_corpus(root: str) -> list[Session]:
     index_path = os.path.join(root, "index.json")
     if not os.path.exists(index_path):
         raise ParseError(f"{root}: missing index.json")
-    with open(index_path, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    return [read_session(os.path.join(root, entry["path"])) for entry in index["sessions"]]
+    sessions = _read_json(index_path, ("sessions",))["sessions"]
+    if not isinstance(sessions, list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("path"), str)
+            for entry in sessions):
+        raise ParseError(f"{index_path}: every session entry needs a \"path\"")
+    return [read_session(os.path.join(root, entry["path"])) for entry in sessions]

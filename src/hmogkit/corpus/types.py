@@ -7,7 +7,6 @@ Sub-millisecond sources must be floored before these types are built.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,19 +29,6 @@ SENSOR_ORDER: tuple[Sensor, ...] = (Sensor.ACC, Sensor.GYR, Sensor.MAG)
 
 class CorpusError(ValueError):
     """Invalid recording data (bad ordering, malformed rows, broken invariants)."""
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    t_ms: int
-    x: float
-    y: float
-    z: float
-
-
-def magnitude(reading: SensorReading) -> float:
-    """Euclidean norm of the three axis values."""
-    return math.sqrt(reading.x ** 2 + reading.y ** 2 + reading.z ** 2)
 
 
 @dataclass
@@ -73,10 +59,6 @@ class SensorStream:
     def __len__(self) -> int:
         return len(self.t_ms)
 
-    def reading(self, i: int) -> SensorReading:
-        x, y, z = self.values[i]
-        return SensorReading(int(self.t_ms[i]), float(x), float(y), float(z))
-
     def magnitudes(self) -> np.ndarray:
         return np.sqrt(np.sum(self.values ** 2, axis=1))
 
@@ -87,13 +69,6 @@ class SensorStream:
 
 # Channel order inside channel_matrix and in feature names.
 CHANNELS: tuple[str, ...] = ("x", "y", "z", "m")
-
-
-def window(stream: SensorStream, from_ms: int, to_ms: int) -> list[SensorReading]:
-    """Readings with from_ms <= t <= to_ms, in stream order. May be empty."""
-    lo = int(np.searchsorted(stream.t_ms, from_ms, side="left"))
-    hi = int(np.searchsorted(stream.t_ms, to_ms, side="right"))
-    return [stream.reading(i) for i in range(lo, hi)]
 
 
 def slice_span(t_ms: np.ndarray, lo: int, hi: int,

@@ -134,6 +134,15 @@ class ExperimentConfig:
             raise ConfigError("scan lengths must be positive")
         if self.selector not in (None, "fisher", "mrmr"):
             raise ConfigError(f"unknown selector {self.selector!r}")
+        if self.pca_fraction is not None and not 0 < self.pca_fraction <= 1:
+            raise ConfigError(f"pca_fraction must be in (0, 1], got {self.pca_fraction}")
+        if self.session_seconds <= 0:
+            raise ConfigError(f"session_seconds must be positive, got {self.session_seconds}")
+        if self.bkg_scan_seconds <= 0:
+            raise ConfigError(f"bkg_scan_seconds must be positive, got {self.bkg_scan_seconds}")
+        if self.latency_min_count < 0:
+            raise ConfigError(
+                f"latency_min_count must be nonnegative, got {self.latency_min_count}")
         if self.n_users < 2:
             raise ConfigError("need at least two users")
         if self.sessions < 3 and self.corpus_dir is None:

@@ -1,9 +1,11 @@
 """Tap geometry features and keystroke timing features.
 
 Tap features (11): duration, nine contact-size statistics, and the
-point-to-point velocity between consecutive taps. Key features are sparse
-event rows: one hold time per key press, one down-down latency per
-consecutive key pair from the canonical 35-key alphabet (35 * 35 = 1225
+point-to-point velocity between consecutive taps. Taps whose contact arrays
+have the same length are reduced together as one (taps, length) array, and
+every row is byte-equal to per-tap NumPy calls on that tap. Key features
+are sparse event rows: one hold time per key press, one down-down latency
+per consecutive key pair from the canonical 35-key alphabet (35 * 35 = 1225
 possible digraphs).
 """
 
@@ -48,34 +50,39 @@ def digraph_feature_names() -> tuple[str, ...]:
 
 def tap_features(session: Session) -> FeatureMatrix:
     """One row per tap. The first tap has no velocity (NaN)."""
-    rows, ts = [], []
-    prev_xy = None
-    prev_t = None
-    for tap in session.taps:
-        size = tap.contact_size
-        q1, q2, q3 = np.percentile(size, [25, 50, 75])
-        if prev_xy is None:
-            velocity = np.nan
-        else:
-            dt_s = (tap.t_start_ms - prev_t) / 1000.0
-            velocity = float(np.hypot(*(tap.xy_px[0] - prev_xy)) / dt_s)
-        rows.append([
-            float(tap.duration_ms),
-            float(size.mean()), float(np.median(size)), float(size.std()),
-            float(q1), float(q2), float(q3),
-            float(size[0]), float(size.min()), float(size.max()),
-            velocity,
-        ])
-        ts.append(tap.t_start_ms)
-        prev_xy = tap.xy_px[0]
-        prev_t = tap.t_start_ms
-    n = len(rows)
+    taps = session.taps
+    n = len(taps)
+    values = np.empty((n, len(TAP_FEATURE_NAMES)))
+    t_start = np.array([tap.t_start_ms for tap in taps], dtype=np.int64)
+    t_end = np.array([tap.t_end_ms for tap in taps], dtype=np.int64)
+    sizes = [tap.contact_size for tap in taps]
+    lengths = np.array([len(size) for size in sizes], dtype=np.intp)
+    flat = np.concatenate(sizes) if n else np.empty(0)
+    offsets = np.cumsum(lengths) - lengths
+    values[:, 0] = t_end - t_start
+    # each row of a contiguous (taps, length) block is reduced along axis 1
+    # in the order a 1-D array of that length is, so equal-length groups
+    # keep the per-tap bytes; padding to a common length would not
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        block = flat[offsets[rows, None] + np.arange(length)]
+        values[rows, 1] = block.mean(axis=1)
+        values[rows, 2] = np.median(block, axis=1)
+        values[rows, 3] = block.std(axis=1)
+        values[rows, 4:7] = np.percentile(block, [25, 50, 75], axis=1).T
+        values[rows, 7] = block[:, 0]
+        values[rows, 8] = block.min(axis=1)
+        values[rows, 9] = block.max(axis=1)
+    first_xy = np.array([tap.xy_px[0] for tap in taps]).reshape(n, 2)
+    dx, dy = np.diff(first_xy, axis=0).T
+    values[:1, 10] = np.nan
+    values[1:, 10] = np.hypot(dx, dy) / (np.diff(t_start) / 1000.0)
     return FeatureMatrix(
         TAP_FEATURE_NAMES,
-        np.array(rows) if rows else np.empty((0, len(TAP_FEATURE_NAMES))),
+        values,
         np.full(n, session.user_id, dtype=object),
         np.full(n, session.session_id, dtype=object),
-        np.array(ts, dtype=np.int64),
+        t_start,
     )
 
 

@@ -15,6 +15,7 @@ from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
     FEATURE_NAMES, POST_MS)
 from hmogkit.matrix import FeatureMatrix
+from hmogkit.touchkeys import TAP_FEATURE_NAMES
 from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize, weight_grid
 
 
@@ -231,6 +232,40 @@ def extract_hmog_oracle(session, mode: str = "during"):
     fm.meta = {"mode": mode, "n_events": len(events), "n_skipped": skipped,
                "n_context_overlap": overlap}
     return fm
+
+
+def tap_features_oracle(session) -> FeatureMatrix:
+    """tap_features by a Python loop over taps, one NumPy call per
+    statistic per tap."""
+    rows, ts = [], []
+    prev_xy = None
+    prev_t = None
+    for tap in session.taps:
+        size = tap.contact_size
+        q1, q2, q3 = np.percentile(size, [25, 50, 75])
+        if prev_xy is None:
+            velocity = np.nan
+        else:
+            dt_s = (tap.t_start_ms - prev_t) / 1000.0
+            velocity = float(np.hypot(*(tap.xy_px[0] - prev_xy)) / dt_s)
+        rows.append([
+            float(tap.duration_ms),
+            float(size.mean()), float(np.median(size)), float(size.std()),
+            float(q1), float(q2), float(q3),
+            float(size[0]), float(size.min()), float(size.max()),
+            velocity,
+        ])
+        ts.append(tap.t_start_ms)
+        prev_xy = tap.xy_px[0]
+        prev_t = tap.t_start_ms
+    n = len(rows)
+    return FeatureMatrix(
+        TAP_FEATURE_NAMES,
+        np.array(rows) if rows else np.empty((0, len(TAP_FEATURE_NAMES))),
+        np.full(n, session.user_id, dtype=object),
+        np.full(n, session.session_id, dtype=object),
+        np.array(ts, dtype=np.int64),
+    )
 
 
 def fuse_scoresets_oracle(channels, weights):

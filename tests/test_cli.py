@@ -60,6 +60,29 @@ def test_bad_fusion_step_is_a_config_error(step, capsys):
 SMALL = ["--users", "2", "--sessions", "3", "--session-seconds", "30"]
 
 
+@pytest.fixture(scope="module")
+def malformed_corpora(tmp_path_factory):
+    """Corpus directories whose index.json or meta.json is broken."""
+    root = tmp_path_factory.mktemp("malformed")
+    index = json.dumps({"version": 1, "sessions": [{"path": "s1"}]})
+    meta = json.dumps({"session_id": "s01", "condition": "sitting"})
+    for name, index_text, meta_text in [
+            ("index_not_json", "{not json", None),
+            ("index_no_path", json.dumps({"sessions": [{"user_id": "u1"}]}), None),
+            ("meta_not_json", index, "not json"),
+            ("meta_no_user", index, meta),
+            ("meta_bad_condition", index, json.dumps(
+                {"user_id": "u1", "session_id": "s01", "condition": "running"})),
+            ("meta_bad_rate", index, json.dumps(
+                {"user_id": "u1", "session_id": "s01", "condition": "sitting",
+                 "nominal_rate_hz": {"accel": 100.0}}))]:
+        (root / name / "s1").mkdir(parents=True)
+        (root / name / "index.json").write_text(index_text)
+        if meta_text is not None:
+            (root / name / "s1" / "meta.json").write_text(meta_text)
+    return root
+
+
 @pytest.mark.parametrize("argv, config, code, message", [
     (["eval", *SMALL, "--channels", "hmog,tap", "--weights", "hmog=nan,tap=1"], None,
      2, "config error: fusion weight hmog=nan must be a finite nonnegative number"),
@@ -82,9 +105,31 @@ SMALL = ["--users", "2", "--sessions", "3", "--session-seconds", "30"]
      4, "infeasible: digraph: no usable training vectors"),
     (["bkg", *SMALL, "--bkg-channels", "digraph"], None,
      4, "infeasible: digraph: not enough features"),
+    (["eval", *SMALL, "--pca-fraction", "2"], None,
+     2, "config error: pca_fraction must be in (0, 1], got 2.0"),
+    (["eval", *SMALL[:4], "--session-seconds", "0"], None,
+     2, "config error: session_seconds must be positive, got 0.0"),
+    (["bkg", *SMALL, "--bkg-scan", "-1"], None,
+     2, "config error: bkg_scan_seconds must be positive, got -1.0"),
+    (["eval", *SMALL, "--latency-min-count", "-3"], None,
+     2, "config error: latency_min_count must be nonnegative, got -3"),
+    (["eval", "--corpus", "{corpora}/index_not_json"], None,
+     3, "data error: {corpora}/index_not_json/index.json: not valid JSON"),
+    (["eval", "--corpus", "{corpora}/index_no_path"], None,
+     3, 'data error: {corpora}/index_no_path/index.json: every session entry needs a "path"'),
+    (["eval", "--corpus", "{corpora}/meta_not_json"], None,
+     3, "data error: {corpora}/meta_not_json/s1/meta.json: not valid JSON"),
+    (["eval", "--corpus", "{corpora}/meta_no_user"], None,
+     3, "data error: {corpora}/meta_no_user/s1/meta.json: missing 'user_id'"),
+    (["eval", "--corpus", "{corpora}/meta_bad_condition"], None,
+     3, "data error: {corpora}/meta_bad_condition/s1/meta.json: unknown condition 'running'"),
+    (["eval", "--corpus", "{corpora}/meta_bad_rate"], None,
+     3, "data error: {corpora}/meta_bad_rate/s1/meta.json: nominal_rate_hz must map"),
 ])
-def test_malformed_input_exits_with_one_line(tmp_path, capsys, argv, config, code,
-                                              message):
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
+                                              config, code, message):
+    argv = [arg.format(corpora=malformed_corpora) for arg in argv]
+    message = message.format(corpora=malformed_corpora)
     out = tmp_path / "out"
     argv = [*argv, "--out-dir", str(out)]
     if argv[0] == "fuse":

@@ -20,7 +20,6 @@ from hmogkit.corpus.types import (
     TapEvent,
     downsample,
     slice_span,
-    window,
 )
 
 
@@ -61,13 +60,6 @@ def test_channel_matrix_magnitude():
     assert m.shape == (2, 4)
     assert m[0, 3] == pytest.approx(5.0)
     assert m[1, 3] == pytest.approx(3.0)
-
-
-def test_window_inclusive_both_ends():
-    s = make_stream([0, 10, 20, 30], np.arange(12).reshape(4, 3))
-    got = [r.t_ms for r in window(s, 10, 20)]
-    assert got == [10, 20]
-    assert [r.t_ms for r in window(s, 11, 19)] == []
 
 
 def test_slice_span_endpoint_modes():

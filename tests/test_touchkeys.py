@@ -17,6 +17,7 @@ from hmogkit.touchkeys import (
     latency_outlier_filter,
     tap_features,
 )
+from oracles import tap_features_oracle
 
 
 def make_tap(tap_id, t_start, t_end, contact, first_xy=(0.0, 0.0)):
@@ -104,6 +105,66 @@ def test_tap_velocity_uses_start_to_start_time():
                       streams={}, taps=taps, keys=[])
     fm = tap_features(session)
     assert_allclose(fm.values[1][-1], 100.0 / 0.5)
+
+
+def tap_session(taps):
+    return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
+                   streams={}, taps=taps, keys=[])
+
+
+def assert_taps_match_oracle(session):
+    got, want = tap_features(session), tap_features_oracle(session)
+    assert got.columns == want.columns
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.t_ms.dtype == want.t_ms.dtype == np.int64
+    assert got.t_ms.tobytes() == want.t_ms.tobytes()
+    assert list(got.user_ids) == list(want.user_ids)
+    assert list(got.session_ids) == list(want.session_ids)
+    return got
+
+
+def test_tap_features_bit_equal_to_oracle_synthetic(mini_sessions):
+    # several users and sessions; contact arrays of many lengths per session
+    assert len({s.user_id for s in mini_sessions}) > 1
+    for session in mini_sessions:
+        assert len({len(tap.contact_size) for tap in session.taps}) > 1
+        assert_taps_match_oracle(session)
+
+
+def test_tap_features_bit_equal_to_oracle_empty_and_single():
+    fm = assert_taps_match_oracle(tap_session([]))
+    assert fm.values.shape == (0, 11)
+    fm = assert_taps_match_oracle(
+        tap_session([make_tap(0, 1000, 1100, [0.3, 0.5, 0.4], first_xy=(5.0, 7.0))]))
+    assert fm.values.shape == (1, 11)
+    assert np.isnan(fm.values[0, -1])
+
+
+def test_tap_features_bit_equal_to_oracle_one_sample_contacts():
+    rng = np.random.default_rng(3)
+    taps = [make_tap(i, 1000 * i, 1000 * i + 40, [rng.uniform(0.2, 0.6)],
+                     first_xy=rng.uniform(0.0, 1000.0, 2)) for i in range(6)]
+    fm = assert_taps_match_oracle(tap_session(taps))
+    assert np.all(fm.values[:, 3] == 0.0)
+
+
+def test_tap_features_bit_equal_to_oracle_mixed_lengths():
+    # short taps of 14-32 samples in shuffled order, two presses of about
+    # 3,000 samples among them, one-sample taps and signed zeros
+    rng = np.random.default_rng(11)
+    lengths = [int(k) for k in rng.integers(14, 33, size=80)] + [2999, 3000, 1, 1]
+    lengths = [lengths[i] for i in rng.permutation(len(lengths))]
+    taps, t = [], 0
+    for i, k in enumerate(lengths):
+        contact = rng.uniform(0.1, 0.9, size=k)
+        if i % 7 == 0:
+            contact[rng.integers(k)] = -0.0
+        taps.append(make_tap(i, t, t + 10 * k, contact,
+                             first_xy=rng.uniform(0.0, 1000.0, 2)))
+        t += 10 * k + int(rng.integers(50, 400))
+    assert lengths != sorted(lengths)
+    assert_taps_match_oracle(tap_session(taps))
 
 
 # ---------------------------------------------------------------- keystrokes
