@@ -24,8 +24,6 @@ from .commitment import (
     ds,
     fit_discretization,
     open_commitment,
-    read_commitment,
-    write_commitment,
 )
 from .field import (
     centered,
@@ -67,6 +65,4 @@ __all__ = [
     "lee_weight_total",
     "open_commitment",
     "open_matrix",
-    "read_commitment",
-    "write_commitment",
 ]

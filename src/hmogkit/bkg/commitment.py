@@ -136,7 +136,6 @@ class Commitment:
     params_p: int
     delta: np.ndarray    # (n,) ints in 0..p-1
     tag: bytes
-    spec: DiscretizationSpec | None = None
 
 
 def _check_grid(x, params: CodeParams) -> np.ndarray:
@@ -149,25 +148,20 @@ def _check_grid(x, params: CodeParams) -> np.ndarray:
 
 
 def commit(x, z: str | None = None, *, params: CodeParams,
-           rng: np.random.Generator,
-           spec: DiscretizationSpec | None = None) -> tuple[Commitment, bytes]:
+           rng: np.random.Generator) -> tuple[Commitment, bytes]:
     """Bind a discretized vector x and context z to a fresh random key.
 
-    Returns the public commitment (offset + tag) and the secret key. The
-    optional spec rides along so verifiers can discretize raw probes the
-    same way; it never enters the cryptography.
+    Returns the public commitment (offset + tag) and the secret key.
     """
     x = _check_grid(x, params)
     z = DEFAULT_CONTEXT if z is None else z
-    if spec is not None and spec.n != params.n:
-        raise ValueError("discretization width must match the code length")
     message = rng.integers(0, params.p, size=params.l)
     codeword = encode(message, params)
     delta = (x - codeword) % params.p
     tag = derive_tag(codeword, z, params.p)
     key = derive_key(codeword, z, params.p)
     return Commitment(params_n=params.n, params_l=params.l, params_p=params.p,
-                      delta=delta, tag=tag, spec=spec), key
+                      delta=delta, tag=tag), key
 
 
 def open_commitment(commitment: Commitment, y, z: str | None = None, *,
@@ -190,58 +184,3 @@ def open_commitment(commitment: Commitment, y, z: str | None = None, *,
     if not hmac.compare_digest(tag, commitment.tag):
         raise OpenFailure("commitment did not open")
     return derive_key(codeword, z, params.p)
-
-
-# ---------------------------------------------------------------------------
-# storage
-# ---------------------------------------------------------------------------
-
-_FORMAT = "bkgc1"
-
-
-def write_commitment(path, commitment: Commitment) -> None:
-    if commitment.spec is None:
-        raise ValueError("cannot store a commitment without its discretization")
-    lines = [
-        f"format={_FORMAT}",
-        f"p={commitment.params_p}",
-        f"n={commitment.params_n}",
-        f"l={commitment.params_l}",
-        "d_range=" + ",".join(str(int(v)) for v in commitment.spec.d_range),
-        "f_min=" + ",".join(repr(float(v)) for v in commitment.spec.f_min),
-        "f_max=" + ",".join(repr(float(v)) for v in commitment.spec.f_max),
-        "delta=" + ",".join(str(int(v)) for v in commitment.delta),
-        f"tag={commitment.tag.hex()}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_commitment(path) -> Commitment:
-    fields: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key] = value
-    if fields.get("format") != _FORMAT:
-        raise ValueError(f"unsupported commitment format {fields.get('format')!r}")
-    try:
-        p = int(fields["p"])
-        n = int(fields["n"])
-        l = int(fields["l"])
-        spec = DiscretizationSpec(
-            d_range=np.array([int(v) for v in fields["d_range"].split(",")]),
-            f_min=np.array([float(v) for v in fields["f_min"].split(",")]),
-            f_max=np.array([float(v) for v in fields["f_max"].split(",")]),
-        )
-        delta = np.array([int(v) for v in fields["delta"].split(",")], dtype=np.int64)
-        tag = bytes.fromhex(fields["tag"])
-    except KeyError as exc:
-        raise ValueError(f"commitment file is missing field {exc}") from None
-    if spec.n != n or len(delta) != n:
-        raise ValueError("commitment file has inconsistent vector lengths")
-    return Commitment(params_n=n, params_l=l, params_p=p, delta=delta,
-                      tag=tag, spec=spec)

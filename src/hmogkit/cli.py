@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .corpus.io import ParseError, load_mapping, parse_session, save_corpus
-from .corpus.types import CorpusError
+from .corpus.types import Condition, CorpusError
 from .experiments import (
     OUT_DIR_ENV,
     ConfigError,
@@ -239,6 +240,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except KeyError as exc:
             raise ConfigError(
                 f"{args.manifest}: session {i} is missing {exc}") from None
+        if str(condition) not in {c.value for c in Condition}:
+            raise ConfigError(f"{args.manifest}: session {i} has unknown"
+                              f" condition {condition!r}")
+        rate = entry.get("rate_hz", args.rate)
+        if not is_number(rate) or not math.isfinite(rate):
+            raise ConfigError(f"{args.manifest}: session {i} has rate_hz"
+                              f" {rate!r}, expected a finite number")
         taps = entry.get("taps_file")
         sessions.append(parse_session(
             str(base / sensor), str(base / touch), str(base / keys),
@@ -246,7 +254,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             condition=str(condition),
             taps_path=str(base / taps) if taps else None,
             mapping=mapping,
-            nominal_rate_hz=float(entry.get("rate_hz", args.rate))))
+            nominal_rate_hz=float(rate)))
     save_corpus(sessions, args.corpus_out)
     print(f"ingested {len(sessions)} sessions into {args.corpus_out}")
     return EXIT_OK

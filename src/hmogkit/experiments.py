@@ -704,8 +704,7 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
         enrollment = _finite_or(nanmean_columns(user_rows.values), pooled)
         grid = ds(enrollment, spec)
         rng = np.random.default_rng(child)
-        commitments[user], _ = commit(grid, user, params=params, rng=rng,
-                                      spec=spec)
+        commitments[user], _ = commit(grid, user, params=params, rng=rng)
         passwords[user] = user
     if len(commitments) < 2:
         report["error"] = "fewer than two users could enroll"

@@ -48,9 +48,6 @@ class FeatureMatrix:
         except ValueError:
             raise KeyError(f"no feature {name!r}") from None
 
-    def col(self, name: str) -> np.ndarray:
-        return self.values[:, self.col_index(name)]
-
     def select_columns(self, names) -> "FeatureMatrix":
         idx = [self.col_index(name) for name in names]
         return FeatureMatrix(tuple(names), self.values[:, idx],
@@ -68,9 +65,6 @@ class FeatureMatrix:
 
     def users(self) -> list[str]:
         return sorted(set(self.user_ids.tolist()))
-
-    def sessions(self) -> list[str]:
-        return sorted(set(self.session_ids.tolist()))
 
     @classmethod
     def empty(cls, columns) -> "FeatureMatrix":
@@ -127,42 +121,5 @@ class FeatureMatrix:
             ts.append(int(parts[2]))
             rows.append([float(c) if c else np.nan for c in parts[3:]])
         values = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(columns)))
-        return cls(columns, values, np.array(users, dtype=object),
-                   np.array(sessions, dtype=object), np.array(ts, dtype=np.int64))
-
-    def write_long_csv(self, path: str, header_comments: list[str] | None = None) -> None:
-        """Sparse event form: one line per finite cell."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in header_comments or []:
-                fh.write(f"# {line}\n")
-            fh.write("user_id,session_id,t_ms,feature,value\n")
-            for i in range(self.n_rows):
-                for j in np.flatnonzero(np.isfinite(self.values[i])):
-                    fh.write(f"{self.user_ids[i]},{self.session_ids[i]},{self.t_ms[i]},"
-                             f"{self.columns[j]},{repr(float(self.values[i, j]))}\n")
-
-    @classmethod
-    def read_long_csv(cls, path: str, columns) -> "FeatureMatrix":
-        """Rebuild a sparse matrix: one row per input line."""
-        columns = tuple(columns)
-        index = {name: i for i, name in enumerate(columns)}
-        users, sessions, ts, rows = [], [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
-        if not lines or lines[0] != "user_id,session_id,t_ms,feature,value":
-            raise ValueError(f"{path}: unexpected header")
-        for ln in lines[1:]:
-            if not ln:
-                continue
-            user, session, t, feature, value = ln.split(",")
-            if feature not in index:
-                raise ValueError(f"{path}: unknown feature {feature!r}")
-            row = np.full(len(columns), np.nan)
-            row[index[feature]] = float(value)
-            users.append(user)
-            sessions.append(session)
-            ts.append(int(t))
-            rows.append(row)
-        values = np.array(rows) if rows else np.empty((0, len(columns)))
         return cls(columns, values, np.array(users, dtype=object),
                    np.array(sessions, dtype=object), np.array(ts, dtype=np.int64))

@@ -1,5 +1,5 @@
 """Feature selection, projection, templates, scan aggregation, and
-parameter cross-validation.
+template serialization.
 
 Selection and projection are fitted on pooled training data; templates are
 per-user mean/stdev models over the resulting space. Missing cells are
@@ -17,11 +17,10 @@ from .matrix import FeatureMatrix
 
 SIGMA_FLOOR = 1e-6
 
-FISHER_FRACTION_RANGE = (0.80, 1.00)
-PCA_FRACTIONS = (0.90, 0.95, 0.98, 1.00)
-SCAN_SECONDS = (20, 40, 60, 80, 100, 120, 140)
-
 MIN_TEMPLATE_VECTORS = 80
+
+# equal-frequency bins per feature for mRMR's mutual information
+MRMR_BINS = 10
 
 
 class PipelineError(ValueError):
@@ -103,14 +102,14 @@ def select_by_fisher(scores: np.ndarray, columns, fraction: float) -> list[str]:
 # mRMR selection (mutual-information difference form)
 # ---------------------------------------------------------------------------
 
-def _discretize_column(col: np.ndarray, n_bins: int) -> np.ndarray:
+def _discretize_column(col: np.ndarray) -> np.ndarray:
     """Equal-frequency bin codes; NaN -> -1."""
     codes = np.full(len(col), -1, dtype=np.int64)
     finite = np.isfinite(col)
     vals = col[finite]
     if len(vals) == 0:
         return codes
-    edges = np.unique(np.quantile(vals, np.linspace(0, 1, n_bins + 1)[1:-1]))
+    edges = np.unique(np.quantile(vals, np.linspace(0, 1, MRMR_BINS + 1)[1:-1]))
     codes[finite] = np.searchsorted(edges, vals, side="right")
     return codes
 
@@ -133,8 +132,7 @@ def _mutual_information(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(joint[nz] * np.log2(joint[nz] / outer[nz])))
 
 
-def mrmr_select(fm: FeatureMatrix, threshold: float, *, n_bins: int = 10,
-                max_features: int | None = None) -> list[str]:
+def mrmr_select(fm: FeatureMatrix, threshold: float) -> list[str]:
     """Greedy max-relevance min-redundancy selection.
 
     Candidate score = I(feature; user) - mean I(feature; already selected);
@@ -143,15 +141,13 @@ def mrmr_select(fm: FeatureMatrix, threshold: float, *, n_bins: int = 10,
     """
     users = {u: i for i, u in enumerate(fm.users())}
     labels = np.array([users[u] for u in fm.user_ids], dtype=np.int64)
-    codes = [_discretize_column(fm.values[:, j], n_bins) for j in range(fm.n_features)]
+    codes = [_discretize_column(fm.values[:, j]) for j in range(fm.n_features)]
     relevance = np.array([_mutual_information(codes[j], labels)
                           for j in range(fm.n_features)])
     selected: list[int] = []
     pairwise: dict[tuple[int, int], float] = {}
     candidates = list(range(fm.n_features))
     while candidates:
-        if max_features is not None and len(selected) >= max_features:
-            break
         best_j, best_score = None, -np.inf
         for j in candidates:
             if selected:
@@ -232,13 +228,6 @@ class FeaturePrep:
     selected: tuple[str, ...]
     pooled_means: np.ndarray          # per selected feature, for imputation
     pca: PcaBasis | None = None
-
-    def project(self, v: np.ndarray, impute_with: np.ndarray | None = None) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64).copy()
-        fill = self.pooled_means if impute_with is None else impute_with
-        missing = ~np.isfinite(v)
-        v[missing] = fill[missing]
-        return self.pca.transform(v) if self.pca is not None else v
 
 
 def fit_feature_prep(fm: FeatureMatrix, *, selector: str | None = None,
@@ -367,153 +356,6 @@ def scan_aggregate(fm: FeatureMatrix, t_seconds: float,
 
 
 # ---------------------------------------------------------------------------
-# grid cross-validation with majority vote across scan lengths
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PipelineParams:
-    selector: str | None = None          # None | 'fisher' | 'mrmr'
-    selector_value: float = 1.0
-    pca_fraction: float | None = None
-
-    def validate(self) -> "PipelineParams":
-        if self.selector not in (None, "fisher", "mrmr"):
-            raise PipelineError(f"unknown selector {self.selector!r}")
-        if self.selector == "fisher":
-            lo, hi = FISHER_FRACTION_RANGE
-            if not lo <= self.selector_value <= hi:
-                raise PipelineError(
-                    f"fisher fraction {self.selector_value} outside [{lo}, {hi}]")
-        if self.pca_fraction is not None and not any(
-                abs(self.pca_fraction - f) < 1e-9 for f in PCA_FRACTIONS):
-            raise PipelineError(f"pca fraction {self.pca_fraction} not in {PCA_FRACTIONS}")
-        return self
-
-
-@dataclass
-class CvResult:
-    best: PipelineParams
-    mean_eer: np.ndarray        # (grid, scans)
-    winners: list[int]          # winning grid index per scan length
-    votes: dict[int, int]
-    mean_feature_count: np.ndarray
-
-
-def _chronological_folds(fm: FeatureMatrix, folds: int) -> list[np.ndarray]:
-    """Per-user row indices split into `folds` time-ordered blocks, merged
-    across users per fold."""
-    per_fold: list[list[int]] = [[] for _ in range(folds)]
-    for user in fm.users():
-        rows = np.flatnonzero(fm.user_ids == user)
-        rows = rows[np.argsort(fm.t_ms[rows], kind="stable")]
-        for f, block in enumerate(np.array_split(rows, folds)):
-            per_fold[f].extend(block.tolist())
-    return [np.array(sorted(block), dtype=np.int64) for block in per_fold]
-
-
-def cross_validate(fm: FeatureMatrix, grid: list[PipelineParams],
-                   scan_lengths=SCAN_SECONDS, *, folds: int = 10,
-                   metric: str = "sm",
-                   min_vectors: int = MIN_TEMPLATE_VECTORS) -> CvResult:
-    """Mean EER per (grid point, scan length) over chronological folds.
-
-    Infeasible combinations score 0.5 for the fold. The winner per scan
-    length has the lowest mean EER; the final choice is the majority vote
-    across scan lengths, ties broken toward fewer selected features, then
-    lower PCA fraction, then grid order.
-    """
-    if not grid:
-        raise PipelineError("empty parameter grid")
-    if folds < 2:
-        raise PipelineError("cross-validation needs at least two folds")
-    for params in grid:
-        params.validate()
-    scan_lengths = list(scan_lengths)
-    fold_rows = _chronological_folds(fm, folds)
-    sums = np.zeros((len(grid), len(scan_lengths)))
-    feature_counts = np.zeros(len(grid))
-    feature_samples = np.zeros(len(grid))
-
-    for f in range(folds):
-        test_idx = fold_rows[f]
-        train_idx = np.concatenate([fold_rows[g] for g in range(folds) if g != f])
-        train = fm.take(np.sort(train_idx))
-        test = fm.take(np.sort(test_idx)) if len(test_idx) else None
-        for g, params in enumerate(grid):
-            eers = _fold_eers(train, test, params, scan_lengths, metric, min_vectors,
-                              feature_counts, feature_samples, g)
-            sums[g] += eers
-    mean_eer = sums / folds
-
-    avg_features = np.where(feature_samples > 0, feature_counts / np.maximum(feature_samples, 1),
-                            np.inf)
-
-    def tie_key(g: int, s: int):
-        params = grid[g]
-        pca = params.pca_fraction if params.pca_fraction is not None else 1.0
-        return (mean_eer[g, s], avg_features[g], pca, g)
-
-    winners = [min(range(len(grid)), key=lambda g, s=s: tie_key(g, s))
-               for s in range(len(scan_lengths))]
-    votes: dict[int, int] = {}
-    for w in winners:
-        votes[w] = votes.get(w, 0) + 1
-    top = max(votes.values())
-    tied = [g for g, c in votes.items() if c == top]
-    best = min(tied, key=lambda g: (avg_features[g],
-                                    grid[g].pca_fraction if grid[g].pca_fraction is not None else 1.0,
-                                    g))
-    return CvResult(best=grid[best], mean_eer=mean_eer, winners=winners,
-                    votes=votes, mean_feature_count=avg_features)
-
-
-def _fold_eers(train: FeatureMatrix, test: FeatureMatrix | None,
-               params: PipelineParams, scan_lengths, metric: str,
-               min_vectors: int, feature_counts, feature_samples, g: int) -> np.ndarray:
-    from . import verify
-
-    infeasible = np.full(len(scan_lengths), 0.5)
-    if test is None or test.n_rows == 0:
-        return infeasible
-    try:
-        prep = fit_feature_prep(train, selector=params.selector,
-                                selector_value=params.selector_value,
-                                pca_fraction=params.pca_fraction)
-    except PipelineError:
-        return infeasible
-    feature_counts[g] += len(prep.selected)
-    feature_samples[g] += 1
-    templates = {}
-    for user in train.users():
-        try:
-            templates[user] = build_template(user, train.for_user(user), prep,
-                                             min_vectors=min_vectors)
-        except EnrollmentError:
-            continue
-    if len(templates) < 2:
-        return infeasible
-    eers = np.empty(len(scan_lengths))
-    for s, scan in enumerate(scan_lengths):
-        parts = []
-        for user in test.users():
-            user_rows = test.for_user(user)
-            for session in sorted(set(user_rows.session_ids.tolist())):
-                block = user_rows.take(user_rows.session_ids == session)
-                agg = scan_aggregate(block.select_columns(prep.selected), scan)
-                if agg.n_rows:
-                    parts.append(agg)
-        if not parts:
-            eers[s] = 0.5
-            continue
-        scores = verify.gen_scores(templates, FeatureMatrix.vstack(parts), metric=metric)
-        try:
-            eers[s] = verify.eer(scores.genuine, scores.impostor)
-        except ValueError:
-            eers[s] = 0.5
-    return eers
-
-
-# ---------------------------------------------------------------------------
 # template serialization
 # ---------------------------------------------------------------------------
 
@@ -529,14 +371,6 @@ def _pca_to_dict(pca: PcaBasis | None):
         "components": pca.components.tolist(),   # row-major
         "variances": pca.variances.tolist(),
     }
-
-
-def _pca_from_dict(blob) -> PcaBasis | None:
-    if blob is None:
-        return None
-    return PcaBasis(center=np.array(blob["center"]), scale=np.array(blob["scale"]),
-                    components=np.array(blob["components"]),
-                    variances=np.array(blob["variances"]))
 
 
 def save_templates(path: str, templates: dict[str, Template],
@@ -559,22 +393,3 @@ def save_templates(path: str, templates: dict[str, Template],
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def load_templates(path: str) -> dict[str, Template]:
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != _TEMPLATE_FORMAT:
-        raise PipelineError(f"{path}: unknown template format {blob.get('format')!r}")
-    out = {}
-    for user, t in blob["templates"].items():
-        out[user] = Template(
-            user_id=user,
-            input_features=tuple(t["input_features"]),
-            raw_means=np.array(t["raw_means"]),
-            mu=np.array(t["mu"]),
-            sigma=np.array(t["sigma"]),
-            n_train=t["n_train"],
-            pca=_pca_from_dict(t["pca"]),
-        )
-    return out

@@ -27,8 +27,6 @@ from hmogkit.bkg.commitment import (
     ds,
     fit_discretization,
     open_commitment,
-    read_commitment,
-    write_commitment,
 )
 from hmogkit.bkg.field import (
     centered,
@@ -369,12 +367,6 @@ def code637():
     return grs_build(6, 3, 7)
 
 
-def spec_for(params):
-    return DiscretizationSpec(d_range=np.full(params.n, params.p - 1),
-                              f_min=np.zeros(params.n),
-                              f_max=np.ones(params.n))
-
-
 def test_commit_open_roundtrip(code637):
     rng = np.random.default_rng(20)
     x = rng.integers(0, 7, 6)
@@ -418,8 +410,7 @@ def test_open_rejections_are_indistinguishable(code637):
 
     flipped = Commitment(params_n=commitment.params_n, params_l=commitment.params_l,
                          params_p=commitment.params_p, delta=commitment.delta,
-                         tag=bytes([commitment.tag[0] ^ 1]) + commitment.tag[1:],
-                         spec=commitment.spec)
+                         tag=bytes([commitment.tag[0] ^ 1]) + commitment.tag[1:])
     with pytest.raises(OpenFailure):
         open_commitment(flipped, x, "secret", params=code637)
 
@@ -430,11 +421,6 @@ def test_commit_input_validation(code637):
         commit(np.array([1, 2]), "pw", params=code637, rng=rng)
     with pytest.raises(ValueError, match=r"\[0, p\)"):
         commit(np.array([0, 1, 2, 3, 4, 9]), "pw", params=code637, rng=rng)
-    bad_spec = DiscretizationSpec(d_range=np.array([4]), f_min=np.array([0.0]),
-                                  f_max=np.array([1.0]))
-    with pytest.raises(ValueError, match="width"):
-        commit(np.zeros(6, dtype=np.int64), "pw", params=code637, rng=rng,
-               spec=bad_spec)
 
 
 def test_open_checks_code_parameters(code637):
@@ -444,36 +430,6 @@ def test_open_checks_code_parameters(code637):
     other = grs_build(6, 2, 7)
     with pytest.raises(ValueError, match="parameters"):
         open_commitment(commitment, x, "pw", params=other)
-
-
-def test_commitment_file_roundtrip(tmp_path, code637):
-    rng = np.random.default_rng(25)
-    x = rng.integers(0, 7, 6)
-    commitment, key = commit(x, "pw", params=code637, rng=rng,
-                             spec=spec_for(code637))
-    path = tmp_path / "alice.bkgc"
-    write_commitment(str(path), commitment)
-    back = read_commitment(str(path))
-    assert (back.params_n, back.params_l, back.params_p) == (6, 3, 7)
-    assert np.array_equal(back.delta, commitment.delta)
-    assert back.tag == commitment.tag
-    assert np.array_equal(back.spec.d_range, commitment.spec.d_range)
-    assert np.array_equal(back.spec.f_min, commitment.spec.f_min)
-    assert open_commitment(back, x, "pw", params=code637) == key
-
-
-def test_write_commitment_requires_spec(tmp_path, code637):
-    rng = np.random.default_rng(26)
-    commitment, _ = commit(np.zeros(6, dtype=np.int64), "pw", params=code637, rng=rng)
-    with pytest.raises(ValueError, match="discretization"):
-        write_commitment(str(tmp_path / "x.bkgc"), commitment)
-
-
-def test_read_commitment_rejects_unknown_format(tmp_path):
-    path = tmp_path / "bad.bkgc"
-    path.write_text("format=nope\n")
-    with pytest.raises(ValueError, match="format"):
-        read_commitment(str(path))
 
 
 # ---------------------------------------------------------------- guessing

@@ -8,7 +8,6 @@ from hmogkit.cli import main
 from hmogkit.corpus.io import load_corpus
 from hmogkit.experiments import OUT_DIR_ENV
 from hmogkit.matrix import FeatureMatrix
-from hmogkit.pipeline import load_templates
 from hmogkit.verify import ScoreSet
 
 
@@ -191,9 +190,16 @@ def test_train_writes_loadable_templates(cli_corpus, tmp_path):
     code = main(["train", "--corpus", str(cli_corpus), "--channel", "hmog",
                  "--min-vectors", "10", "--templates-out", str(out)])
     assert code == 0
-    templates = load_templates(str(out))
-    assert set(templates) == {"u01", "u02"}
-    assert json.loads(out.read_text())["params"]["channel"] == "hmog"
+    blob = json.loads(out.read_text())
+    assert blob["format"] == "hmogkit-templates-1"
+    assert set(blob["templates"]) == {"u01", "u02"}
+    assert blob["params"]["channel"] == "hmog"
+    for saved in blob["templates"].values():
+        width = len(saved["input_features"])
+        assert width > 0 and len(saved["raw_means"]) == width
+        assert len(saved["mu"]) == len(saved["sigma"]) == width
+        assert saved["n_train"] >= 10
+        assert saved["pca"] is None
 
 
 def test_eval_outputs_and_reruns_identically(cli_corpus, tmp_path, capsys):
@@ -372,9 +378,34 @@ def test_ingest_builds_corpus(tmp_path, capsys):
     assert [k.key for k in sessions[0].keys] == ["a", "b"]
 
 
-def test_ingest_missing_manifest_field(tmp_path):
-    manifest = write_manifest(tmp_path, {
-        "sensor_file": "sensor.csv", "touch_file": "touch.csv",
-        "key_file": "keys.csv", "user_id": "u9", "session_id": "s1"})
+INGEST_ENTRY = {
+    "sensor_file": "sensor.csv", "touch_file": "touch.csv",
+    "key_file": "keys.csv", "user_id": "u9", "session_id": "s1",
+    "condition": "walking"}
+
+
+def assert_manifest_config_error(tmp_path, capsys, entry, message):
+    manifest = write_manifest(tmp_path, entry)
+    out = tmp_path / "corpus"
     assert main(["ingest", "--manifest", str(manifest),
-                 "--corpus-out", str(tmp_path / "corpus")]) == 2
+                 "--corpus-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "session 0" in err and message in err
+    assert not out.exists()
+
+
+def test_ingest_missing_manifest_field(tmp_path, capsys):
+    entry = {k: v for k, v in INGEST_ENTRY.items() if k != "condition"}
+    assert_manifest_config_error(tmp_path, capsys, entry, "missing 'condition'")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("condition", "running", "unknown condition 'running'"),
+    ("rate_hz", "fast", "rate_hz 'fast'"),
+    ("rate_hz", True, "rate_hz True"),
+    ("rate_hz", None, "rate_hz None"),
+])
+def test_ingest_bad_manifest_field(tmp_path, capsys, field, value, message):
+    entry = {**INGEST_ENTRY, field: value}
+    assert_manifest_config_error(tmp_path, capsys, entry, message)

@@ -25,9 +25,11 @@ def test_select_columns_reorders():
 
 def test_col_and_unknown_column():
     fm = make_fm([[1.0, 2.0], [3.0, 4.0]], columns=("a", "b"))
-    np.testing.assert_array_equal(fm.col("b"), [2.0, 4.0])
+    np.testing.assert_array_equal(fm.select_columns(["b"]).values[:, 0], [2.0, 4.0])
     with pytest.raises(KeyError):
         fm.col_index("zz")
+    with pytest.raises(KeyError):
+        fm.select_columns(["a", "zz"])
 
 
 def test_take_bool_and_index():
@@ -42,7 +44,6 @@ def test_users_sessions_sorted():
     fm = make_fm([[1.0]] * 4, users=["b", "a", "b", "a"],
                  sessions=["s2", "s1", "s1", "s2"])
     assert fm.users() == ["a", "b"]
-    assert fm.sessions() == ["s1", "s2"]
 
 
 def test_vstack():
@@ -100,17 +101,3 @@ def test_csv_roundtrip_exact_floats(tmp_path):
     fm.write_csv(str(path))
     back = FeatureMatrix.read_csv(str(path))
     np.testing.assert_array_equal(back.values, fm.values)
-
-
-def test_long_csv_roundtrip(tmp_path):
-    values = np.full((3, 4), np.nan)
-    values[0, 1] = 7.5
-    values[1, 3] = -1.0
-    values[2, 0] = 0.25
-    fm = make_fm(values, users=["u1", "u1", "u2"], t=[5, 6, 7])
-    path = tmp_path / "long.csv"
-    fm.write_long_csv(str(path))
-    back = FeatureMatrix.read_long_csv(str(path), fm.columns)
-    assert back.n_rows == 3
-    np.testing.assert_array_equal(np.isnan(back.values), np.isnan(fm.values))
-    assert back.values[0, 1] == 7.5

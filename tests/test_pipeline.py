@@ -1,5 +1,6 @@
-"""Selection, PCA, templates, scan aggregation, cross-validation."""
+"""Selection, PCA, templates, scan aggregation, template serialization."""
 
+import json
 import warnings
 
 import numpy as np
@@ -9,17 +10,13 @@ from numpy.testing import assert_allclose
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import (
     MIN_TEMPLATE_VECTORS,
-    PCA_FRACTIONS,
     SIGMA_FLOOR,
     EnrollmentError,
     PipelineError,
-    PipelineParams,
     Template,
     build_template,
-    cross_validate,
     fisher_scores,
     fit_feature_prep,
-    load_templates,
     mrmr_select,
     nanmean_columns,
     pca_fit,
@@ -145,7 +142,6 @@ def test_mrmr_threshold_and_cap():
     assert mrmr_select(fm, 2.0) == []
     low = mrmr_select(fm, -0.5)
     assert low[0] == "f0" and set(low) == {"f0", "f1", "f2"}
-    assert len(mrmr_select(fm, -0.5, max_features=2)) == 2
 
 
 def test_mrmr_deterministic():
@@ -222,16 +218,14 @@ def test_fit_feature_prep_no_selector():
     assert prep.selected == ("f0", "f1")
     assert_allclose(prep.pooled_means, [2.0, 4.0])
     assert prep.pca is None
-    assert_allclose(prep.project(np.array([np.nan, 7.0])), [2.0, 7.0])
-    assert_allclose(prep.project(np.array([np.nan, 7.0]),
-                                 impute_with=np.array([9.0, 9.0])), [9.0, 7.0])
 
 
 def test_fit_feature_prep_fisher_subset():
     fm = fisher_fixture()
     prep = fit_feature_prep(fm, selector="fisher", selector_value=0.9)
     assert prep.selected == ("f0",)
-    assert prep.project(np.array([5.0])).shape == (1,)
+    assert prep.pooled_means.shape == (1,)
+    assert prep.pca is None
 
 
 def test_fit_feature_prep_mrmr():
@@ -244,7 +238,10 @@ def test_fit_feature_prep_pca():
     fm = fm_of(rng.normal(0, 1, (30, 4)), ["A"] * 15 + ["B"] * 15)
     prep = fit_feature_prep(fm, pca_fraction=1.0)
     assert prep.pca is not None
-    out = prep.project(np.array([np.nan, 1.0, 2.0, np.nan]))
+    assert prep.selected == ("f0", "f1", "f2", "f3")
+    assert_allclose(prep.pooled_means, fm.values.mean(axis=0))
+    v = np.array([np.nan, 1.0, 2.0, np.nan])
+    out = prep.pca.transform(np.where(np.isfinite(v), v, prep.pooled_means))
     assert out.shape == (len(prep.pca.variances),)
     assert np.all(np.isfinite(out))
 
@@ -354,55 +351,6 @@ def test_scan_aggregate_edge_inputs():
         scan_aggregate(empty, 0.0)
 
 
-# ---------------------------------------------------------------- params + cv
-
-def test_pipeline_params_validate():
-    PipelineParams().validate()
-    PipelineParams("fisher", 0.9).validate()
-    PipelineParams(None, 1.0, 0.95).validate()
-    with pytest.raises(PipelineError):
-        PipelineParams("pca").validate()
-    with pytest.raises(PipelineError):
-        PipelineParams("fisher", 0.5).validate()
-    with pytest.raises(PipelineError):
-        PipelineParams(None, 1.0, 0.93).validate()
-    assert 0.95 in PCA_FRACTIONS
-
-
-def cv_fixture():
-    rng = np.random.default_rng(12)
-    n = 40
-    rows, users, ts = [], [], []
-    for u, level in (("A", 0.0), ("B", 10.0)):
-        for i in range(n):
-            rows.append([level + rng.normal(0, 0.1), rng.normal(0, 1)])
-            users.append(u)
-            ts.append(i * 2500)
-    return fm_of(rows, users, t=ts)
-
-
-def test_cross_validate_separable_data():
-    grid = [PipelineParams(), PipelineParams("fisher", 0.9)]
-    res = cross_validate(cv_fixture(), grid, scan_lengths=(10,), folds=2,
-                         min_vectors=5)
-    assert res.best in grid
-    assert res.mean_eer.shape == (2, 1)
-    assert res.mean_eer.min() <= 0.1
-    assert len(res.winners) == 1
-    assert sum(res.votes.values()) == 1
-    assert res.winners[0] in (0, 1)
-
-
-def test_cross_validate_errors():
-    fm = cv_fixture()
-    with pytest.raises(PipelineError, match="folds"):
-        cross_validate(fm, [PipelineParams()], folds=1)
-    with pytest.raises(PipelineError, match="grid"):
-        cross_validate(fm, [])
-    with pytest.raises(PipelineError):
-        cross_validate(fm, [PipelineParams("fisher", 0.5)], folds=2)
-
-
 # ---------------------------------------------------------------- persistence
 
 def test_template_roundtrip(tmp_path):
@@ -415,21 +363,17 @@ def test_template_roundtrip(tmp_path):
     }
     path = tmp_path / "templates.json"
     save_templates(str(path), templates, params_echo={"channel": "hmog"})
-    loaded = load_templates(str(path))
-    assert set(loaded) == {"A", "B"}
+    blob = json.loads(path.read_text())
+    assert blob["format"] == "hmogkit-templates-1"
+    assert blob["params"] == {"channel": "hmog"}
+    assert set(blob["templates"]) == {"A", "B"}
     for user in ("A", "B"):
-        orig, back = templates[user], loaded[user]
-        assert back.input_features == orig.input_features
-        assert np.array_equal(back.mu, orig.mu)
-        assert np.array_equal(back.sigma, orig.sigma)
-        assert np.array_equal(back.raw_means, orig.raw_means)
-        assert back.n_train == orig.n_train
-    assert loaded["B"].pca is None
-    assert np.array_equal(loaded["A"].pca.components, templates["A"].pca.components)
-
-
-def test_load_templates_rejects_unknown_format(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "other", "templates": {}}')
-    with pytest.raises(PipelineError, match="format"):
-        load_templates(str(path))
+        orig, saved = templates[user], blob["templates"][user]
+        assert saved["input_features"] == list(orig.input_features)
+        for key in ("raw_means", "mu", "sigma"):
+            assert np.array_equal(np.array(saved[key]), getattr(orig, key))
+        assert saved["n_train"] == orig.n_train
+    assert blob["templates"]["B"]["pca"] is None
+    pca, saved = templates["A"].pca, blob["templates"]["A"]["pca"]
+    for key in ("center", "scale", "components", "variances"):
+        assert np.array_equal(np.array(saved[key]), getattr(pca, key))
