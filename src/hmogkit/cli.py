@@ -23,6 +23,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
+    _channel_matrices,
     _enroll_channel,
     _ensure_out,
     _fuse,
@@ -40,7 +41,7 @@ from .experiments import (
     training_sessions,
 )
 from .pipeline import PipelineError, save_templates
-from .touchkeys import latency_outlier_filter
+from .touchkeys import digraph_feature_names, widen
 from .verify import ScoreSet, VerifyError
 
 EXIT_OK = 0
@@ -243,11 +244,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if str(condition) not in {c.value for c in Condition}:
             raise ConfigError(f"{args.manifest}: session {i} has unknown"
                               f" condition {condition!r}")
-        rate = entry.get("rate_hz", args.rate)
-        if not is_number(rate) or not math.isfinite(rate):
-            raise ConfigError(f"{args.manifest}: session {i} has rate_hz"
-                              f" {rate!r}, expected a finite number")
         taps = entry.get("taps_file")
+        for name, path in [("sensor_file", sensor), ("touch_file", touch),
+                           ("key_file", keys), ("taps_file", taps)]:
+            # taps_file is optional: absent or null means no tap file
+            if not (isinstance(path, str) or name == "taps_file" and path is None):
+                raise ConfigError(f"{args.manifest}: session {i} has {name}"
+                                  f" {path!r}, expected a path string")
+        rate = entry.get("rate_hz", args.rate)
+        if not is_number(rate) or not math.isfinite(rate) or rate <= 0:
+            raise ConfigError(f"{args.manifest}: session {i} has rate_hz"
+                              f" {rate!r}, expected a positive finite number")
         sessions.append(parse_session(
             str(base / sensor), str(base / touch), str(base / keys),
             user_id=str(user_id), session_id=str(session_id),
@@ -279,6 +286,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config.validate()
     sessions = build_sessions(config)
     fm = extract_channel(sessions, args.channel, config)
+    if args.channel == "digraph":
+        fm = widen(fm, digraph_feature_names())
     fm.write_csv(args.features_out, _stamp(config))
     print(f"{args.channel}: {fm.n_rows} rows x {fm.n_features} features"
           f" -> {args.features_out}")
@@ -292,11 +301,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, channels=(args.channel,))
     config.validate()
     sessions = build_sessions(config)
-    train_s = training_sessions(sessions)
-    train_fm = extract_channel(train_s, args.channel, config)
-    if args.channel == "digraph":
-        train_fm = latency_outlier_filter(train_fm, config.latency_max_ms,
-                                          config.latency_min_count)
+    train_fm, _ = _channel_matrices(training_sessions(sessions), [], (args.channel,),
+                                    config)[args.channel]
     _, templates, failures = _enroll_channel(args.channel, train_fm, config)
     for failure in failures:
         print(f"skipped {failure['user_id']}: {failure['reason']}",

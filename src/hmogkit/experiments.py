@@ -52,7 +52,14 @@ from .pipeline import (
     nanmean_columns,
     scan_aggregate,
 )
-from .touchkeys import keystroke_features, latency_outlier_filter, tap_features
+from .touchkeys import (
+    EVENT_COLUMNS,
+    hold_feature_names,
+    keystroke_features,
+    latency_outlier_filter,
+    tap_features,
+    widen,
+)
 
 OUT_DIR_ENV = "HMOGKIT_OUT"
 
@@ -108,20 +115,24 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not _fits(value, _FIELD_TYPES[f.name]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # runs are keyed by these entries, so each list needs distinct ones
+        for name in ("channels", "bkg_channels", "sensors", "scan_seconds",
+                     "downsample_factors"):
+            items = getattr(self, name)
+            if not items:
+                raise ConfigError(f"{name} must not be empty")
+            if len(set(items)) < len(items):
+                raise ConfigError(f"{name} must not repeat an entry, got {list(items)}")
         for name in self.channels:
             if name not in CHANNELS:
                 raise ConfigError(f"unknown channel {name!r}")
         for name in self.bkg_channels:
             if name not in CHANNELS:
                 raise ConfigError(f"unknown bkg channel {name!r}")
-        if not self.channels:
-            raise ConfigError("at least one channel is required")
         known_sensors = {s.value for s in Sensor}
         for name in self.sensors:
             if name not in known_sensors:
                 raise ConfigError(f"unknown sensor {name!r}")
-        if not self.sensors:
-            raise ConfigError("at least one sensor is required")
         try:
             Condition(self.condition)
         except ValueError:
@@ -130,7 +141,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be during or between, got {self.mode!r}")
         if self.metric not in ("sm", "se"):
             raise ConfigError(f"metric must be sm or se, got {self.metric!r}")
-        if not self.scan_seconds or any(t <= 0 for t in self.scan_seconds):
+        if any(t <= 0 for t in self.scan_seconds):
             raise ConfigError("scan lengths must be positive")
         if self.selector not in (None, "fisher", "mrmr"):
             raise ConfigError(f"unknown selector {self.selector!r}")
@@ -279,7 +290,8 @@ def session_ordinals(sessions: list[Session]) -> dict[tuple[str, str], int]:
 def extract_channels(sessions: list[Session], channels, config: ExperimentConfig,
                      mode: str | None = None) -> dict[str, FeatureMatrix]:
     """Feature matrices of the given channels in one pass over the sessions;
-    keyhold and digraph share one keystroke_features call per session."""
+    keyhold and digraph share one keystroke_features call per session, and
+    digraph latencies stay long-form events (see latency_outlier_filter)."""
     for channel in channels:
         if channel not in CHANNELS:
             raise ConfigError(f"unknown channel {channel!r}")
@@ -296,8 +308,12 @@ def extract_channels(sessions: list[Session], channels, config: ExperimentConfig
             for channel, fm in zip(KEYSTROKE_CHANNELS, keystroke_features(s)):
                 if channel in parts:
                     parts[channel].append(fm)
-    return {channel: FeatureMatrix.vstack(fms) if fms else FeatureMatrix.empty(())
-            for channel, fms in parts.items()}
+    out = {channel: FeatureMatrix.vstack(fms) if fms else FeatureMatrix.empty(
+               EVENT_COLUMNS if channel in KEYSTROKE_CHANNELS else ())
+           for channel, fms in parts.items()}
+    if "keyhold" in out:
+        out["keyhold"] = widen(out["keyhold"], hold_feature_names())
+    return out
 
 
 def extract_channel(sessions: list[Session], channel: str,
@@ -305,35 +321,17 @@ def extract_channel(sessions: list[Session], channel: str,
     return extract_channels(sessions, (channel,), config, mode)[channel]
 
 
-def _channel_splits(train_s: list[Session], test_s: list[Session], channels,
-                    config: ExperimentConfig, mode: str | None = None):
-    """(channel, train matrix, test matrix) for each channel in turn.
-
-    A channel is extracted when its turn comes, so a caller can drop one
-    channel's matrices before the next is built; keyhold and digraph come
-    from one keystroke pass, the second one waiting for its turn."""
-    waiting: dict[str, tuple[FeatureMatrix, FeatureMatrix]] = {}
-    for channel in channels:
-        if channel not in waiting:
-            batch = ([c for c in KEYSTROKE_CHANNELS if c in channels]
-                     if channel in KEYSTROKE_CHANNELS else [channel])
-            train_fms = extract_channels(train_s, batch, config, mode)
-            test_fms = extract_channels(test_s, batch, config, mode)
-            waiting.update({c: (train_fms.pop(c), test_fms.pop(c)) for c in batch})
-        yield (channel, *waiting.pop(channel))
-
-
-def _filter_digraphs(train: FeatureMatrix, test: FeatureMatrix,
-                     config: ExperimentConfig) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Outlier-filter latencies; the column set is decided on training data
-    only and then imposed on the test side."""
-    ftrain = latency_outlier_filter(train, config.latency_max_ms,
-                                    config.latency_min_count)
-    ftest = latency_outlier_filter(test, config.latency_max_ms, 0)
-    if ftrain.n_features == 0:
-        return ftrain, ftest
-    ftest = ftest.select_columns(ftrain.columns)
-    return ftrain, ftest
+def _channel_matrices(train_s: list[Session], test_s: list[Session], channels,
+                      config: ExperimentConfig, mode: str | None = None):
+    """{channel: (train matrix, test matrix)} from one extraction per side;
+    digraphs are filtered and widened over the columns training keeps."""
+    train = extract_channels(train_s, channels, config, mode)
+    test = extract_channels(test_s, channels, config, mode)
+    if "digraph" in train:
+        train["digraph"], test["digraph"] = latency_outlier_filter(
+            train["digraph"], test["digraph"], config.latency_max_ms,
+            config.latency_min_count)
+    return {channel: (train[channel], test[channel]) for channel in channels}
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +383,10 @@ def _channel_setup(config: ExperimentConfig, train_s: list[Session],
                    test_s: list[Session], channels, mode: str | None = None):
     """Extract, filter, and enroll every requested channel."""
     data, failures, notes = {}, [], []
-    for channel, train_fm, test_fm in _channel_splits(train_s, test_s, channels,
-                                                      config, mode):
-        if channel == "digraph":
-            train_fm, test_fm = _filter_digraphs(train_fm, test_fm, config)
+    matrices = _channel_matrices(train_s, test_s, channels, config, mode)
+    for channel in channels:
+        # popped, so each training matrix is freed once its channel enrolls
+        train_fm, test_fm = matrices.pop(channel)
         if train_fm.n_rows == 0 or train_fm.n_features == 0:
             notes.append(f"{channel}: no usable training vectors")
             continue
@@ -676,8 +674,6 @@ def _finite_or(values: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 def _bkg_channel(channel: str, config: ExperimentConfig, params,
                  train_fm: FeatureMatrix, test_fm: FeatureMatrix, ordinals) -> dict:
-    if channel == "digraph":
-        train_fm, test_fm = _filter_digraphs(train_fm, test_fm, config)
     report: dict = {"channel": channel, "log2_keyspace": config.bkg_l * math.log2(config.bkg_p)}
     if train_fm.n_rows == 0 or train_fm.n_features < params.n:
         report["error"] = "not enough features for the code length"
@@ -775,9 +771,9 @@ def run_bkg(config: ExperimentConfig,
         sessions = build_sessions(config)
     train_s, test_s = split_train_test(sessions)
     ordinals = session_ordinals(test_s)
-    reports = [_bkg_channel(channel, config, params, train_fm, test_fm, ordinals)
-               for channel, train_fm, test_fm
-               in _channel_splits(train_s, test_s, config.bkg_channels, config)]
+    matrices = _channel_matrices(train_s, test_s, config.bkg_channels, config)
+    reports = [_bkg_channel(channel, config, params, *matrices.pop(channel), ordinals)
+               for channel in config.bkg_channels]
     if all("error" in r for r in reports):
         raise InfeasibleError("; ".join(f"{r['channel']}: {r['error']}"
                                         for r in reports))

@@ -3,10 +3,17 @@
 Tap features (11): duration, nine contact-size statistics, and the
 point-to-point velocity between consecutive taps. Taps whose contact arrays
 have the same length are reduced together as one (taps, length) array, and
-every row is byte-equal to per-tap NumPy calls on that tap. Key features
-are sparse event rows: one hold time per key press, one down-down latency
-per consecutive key pair from the canonical 35-key alphabet (35 * 35 = 1225
-possible digraphs).
+every row is byte-equal to per-tap NumPy calls on that tap.
+
+Key features come out in long form: one row per event holding its column
+index and its value (``EVENT_COLUMNS``), labelled with user, session and
+press time. Events are one hold time per key press over the 89-key hold
+universe, and one down-down latency per consecutive key pair over the
+canonical 35-key alphabet (35 * 35 = 1225 digraphs). ``widen`` turns events
+into the dense matrix the pipeline scores, NaN outside each event's cell.
+Hold times are widened over all 89 columns; digraph latencies are widened
+by ``latency_outlier_filter``, only over the digraphs the training side
+keeps, so no 1,225-column matrix is built on the way.
 """
 
 from __future__ import annotations
@@ -39,9 +46,12 @@ EXTENDED_KEYS: tuple[str, ...] = tuple(f"d{i}" for i in range(10)) + (
 
 HOLD_UNIVERSE: tuple[str, ...] = KEY_ALPHABET + EXTENDED_KEYS
 
+# a long-form key event: (column index in its universe, value in ms)
+EVENT_COLUMNS: tuple[str, ...] = ("column", "value")
 
-def hold_feature_names(universe=HOLD_UNIVERSE) -> tuple[str, ...]:
-    return tuple(f"hold_{key}" for key in universe)
+
+def hold_feature_names() -> tuple[str, ...]:
+    return tuple(f"hold_{key}" for key in HOLD_UNIVERSE)
 
 
 def digraph_feature_names() -> tuple[str, ...]:
@@ -86,35 +96,27 @@ def tap_features(session: Session) -> FeatureMatrix:
     )
 
 
-def _sparse_matrix(session: Session, columns: tuple[str, ...],
-                   entries: list[tuple[int, int, float]]) -> FeatureMatrix:
+def _events(session: Session, entries: list[tuple[int, int, float]]) -> FeatureMatrix:
     n = len(entries)
-    values = np.full((n, len(columns)), np.nan)
-    ts = np.empty(n, dtype=np.int64)
-    for i, (t, col, value) in enumerate(entries):
-        values[i, col] = value
-        ts[i] = t
+    ts, column, value = zip(*entries) if entries else ((), (), ())
     return FeatureMatrix(
-        columns, values,
+        EVENT_COLUMNS, np.column_stack([column, value]),
         np.full(n, session.user_id, dtype=object),
         np.full(n, session.session_id, dtype=object),
         ts,
     )
 
 
-def keystroke_features(session: Session,
-                       hold_universe=HOLD_UNIVERSE) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """(hold matrix, digraph matrix); one sparse row per event.
+def keystroke_features(session: Session) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """(hold events, digraph events) in long form: one row per event.
 
     Keys outside the hold universe carry no hold feature; digraph pairs
     containing a key outside the canonical alphabet are skipped.
     """
-    hold_cols = hold_feature_names(hold_universe)
-    hold_index = {key: i for i, key in enumerate(hold_universe)}
+    hold_index = {key: i for i, key in enumerate(HOLD_UNIVERSE)}
     holds = [(ev.t_press_ms, hold_index[ev.key], float(ev.hold_ms))
              for ev in session.keys if ev.key in hold_index]
 
-    dig_cols = digraph_feature_names()
     dig_index = {key: i for i, key in enumerate(KEY_ALPHABET)}
     k = len(KEY_ALPHABET)
     digraphs = []
@@ -125,23 +127,34 @@ def keystroke_features(session: Session,
         digraphs.append((first.t_press_ms, col,
                          float(second.t_press_ms - first.t_press_ms)))
 
-    return (_sparse_matrix(session, hold_cols, holds),
-            _sparse_matrix(session, dig_cols, digraphs))
+    return _events(session, holds), _events(session, digraphs)
 
 
-def latency_outlier_filter(fm: FeatureMatrix, l_ms: float, m_min: int) -> FeatureMatrix:
-    """Drop latencies above l_ms, then drop features seen fewer than m_min
-    times, in that order. Rows left without finite cells are removed.
-    Applying the filter twice equals applying it once."""
-    with np.errstate(invalid="ignore"):
-        present = np.isfinite(fm.values) & ~(fm.values > l_ms)
-    counts = np.sum(present, axis=0)
-    keep_cols = np.flatnonzero(counts >= m_min) if m_min > 0 else np.arange(len(fm.columns))
-    columns = tuple(fm.columns[i] for i in keep_cols)
-    keep_rows = np.flatnonzero(np.any(present[:, keep_cols], axis=1))
-    # one copy of the surviving block, cut in place
-    values = fm.values[np.ix_(keep_rows, keep_cols)]
-    with np.errstate(invalid="ignore"):
-        values[values > l_ms] = np.nan
-    return FeatureMatrix(columns, values, fm.user_ids[keep_rows],
-                         fm.session_ids[keep_rows], fm.t_ms[keep_rows])
+def widen(events: FeatureMatrix, columns: tuple[str, ...], keep=None) -> FeatureMatrix:
+    """Dense matrix of long-form events over ``columns``, or over their
+    indices ``keep``: NaN off each event's cell, and an event whose column
+    is not kept leaves an empty row."""
+    keep = np.arange(len(columns)) if keep is None else np.asarray(keep)
+    position = np.full(len(columns), -1)
+    position[keep] = np.arange(len(keep))
+    cell = position[events.values[:, 0].astype(np.intp)]
+    rows = np.flatnonzero(cell >= 0)
+    values = np.full((events.n_rows, len(keep)), np.nan)
+    values[rows, cell[rows]] = events.values[rows, 1]
+    return FeatureMatrix(tuple(columns[i] for i in keep), values,
+                         events.user_ids, events.session_ids, events.t_ms)
+
+
+def latency_outlier_filter(train: FeatureMatrix, test: FeatureMatrix, l_ms: float,
+                           m_min: int) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """Dense (train, test) digraph matrices from long-form latencies: those
+    above l_ms go, and both sides are widened over the digraphs with at least
+    m_min training latencies left. A training latency of a dropped digraph
+    goes; a test one stays as a row without a finite cell."""
+    train = train.take(train.values[:, 1] <= l_ms)
+    test = test.take(test.values[:, 1] <= l_ms)
+    names = digraph_feature_names()
+    column = train.values[:, 0].astype(np.intp)
+    kept = np.bincount(column, minlength=len(names)) >= m_min
+    keep = np.flatnonzero(kept)
+    return widen(train.take(kept[column]), names, keep), widen(test, names, keep)

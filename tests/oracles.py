@@ -14,8 +14,10 @@ from hmogkit.corpus.types import SENSOR_ORDER, slice_span
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
     FEATURE_NAMES, POST_MS)
+from hmogkit.corpus.synth import KEY_ALPHABET
 from hmogkit.matrix import FeatureMatrix
-from hmogkit.touchkeys import TAP_FEATURE_NAMES
+from hmogkit.touchkeys import (
+    HOLD_UNIVERSE, TAP_FEATURE_NAMES, digraph_feature_names)
 from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize, weight_grid
 
 
@@ -266,6 +268,96 @@ def tap_features_oracle(session) -> FeatureMatrix:
         np.full(n, session.session_id, dtype=object),
         np.array(ts, dtype=np.int64),
     )
+
+
+def _sparse_matrix(session, columns: tuple[str, ...],
+                   entries: list[tuple[int, int, float]]) -> FeatureMatrix:
+    n = len(entries)
+    values = np.full((n, len(columns)), np.nan)
+    ts = np.empty(n, dtype=np.int64)
+    for i, (t, col, value) in enumerate(entries):
+        values[i, col] = value
+        ts[i] = t
+    return FeatureMatrix(
+        columns, values,
+        np.full(n, session.user_id, dtype=object),
+        np.full(n, session.session_id, dtype=object),
+        ts,
+    )
+
+
+def keystroke_features_oracle(session, hold_universe=HOLD_UNIVERSE):
+    """(hold matrix, digraph matrix) built dense: one row per event, one
+    finite cell per row, every other column NaN."""
+    hold_cols = tuple(f"hold_{key}" for key in hold_universe)
+    hold_index = {key: i for i, key in enumerate(hold_universe)}
+    holds = [(ev.t_press_ms, hold_index[ev.key], float(ev.hold_ms))
+             for ev in session.keys if ev.key in hold_index]
+
+    dig_cols = digraph_feature_names()
+    dig_index = {key: i for i, key in enumerate(KEY_ALPHABET)}
+    k = len(KEY_ALPHABET)
+    digraphs = []
+    for first, second in zip(session.keys, session.keys[1:]):
+        if first.key not in dig_index or second.key not in dig_index:
+            continue
+        col = dig_index[first.key] * k + dig_index[second.key]
+        digraphs.append((first.t_press_ms, col,
+                         float(second.t_press_ms - first.t_press_ms)))
+
+    return (_sparse_matrix(session, hold_cols, holds),
+            _sparse_matrix(session, dig_cols, digraphs))
+
+
+def digraph_events(fm: FeatureMatrix) -> FeatureMatrix:
+    """Long-form events of a dense matrix whose columns are digraph names:
+    one (digraph index, value) row per finite cell, in row-major order."""
+    names = digraph_feature_names()
+    rows, cols = np.nonzero(np.isfinite(fm.values))
+    values = [[names.index(fm.columns[j]), fm.values[i, j]] for i, j in zip(rows, cols)]
+    return FeatureMatrix(("column", "value"), np.array(values).reshape(len(rows), 2),
+                         fm.user_ids[rows], fm.session_ids[rows], fm.t_ms[rows])
+
+
+def dense_digraphs(events: FeatureMatrix) -> FeatureMatrix:
+    """The dense 1,225-column matrix of long-form digraph events, one row
+    per event, filled by a loop."""
+    values = np.full((events.n_rows, len(digraph_feature_names())), np.nan)
+    for i, (col, value) in enumerate(events.values):
+        values[i, int(col)] = value
+    return FeatureMatrix(digraph_feature_names(), values, events.user_ids,
+                         events.session_ids, events.t_ms)
+
+
+def latency_outlier_filter_oracle(fm: FeatureMatrix, l_ms: float, m_min: int) -> FeatureMatrix:
+    """Drop latencies above l_ms, then drop features seen fewer than m_min
+    times, in that order, on one dense matrix. Rows left without finite
+    cells are removed."""
+    with np.errstate(invalid="ignore"):
+        present = np.isfinite(fm.values) & ~(fm.values > l_ms)
+    counts = np.sum(present, axis=0)
+    keep_cols = np.flatnonzero(counts >= m_min) if m_min > 0 else np.arange(len(fm.columns))
+    columns = tuple(fm.columns[i] for i in keep_cols)
+    keep_rows = np.flatnonzero(np.any(present[:, keep_cols], axis=1))
+    # one copy of the surviving block, cut in place
+    values = fm.values[np.ix_(keep_rows, keep_cols)]
+    with np.errstate(invalid="ignore"):
+        values[values > l_ms] = np.nan
+    return FeatureMatrix(columns, values, fm.user_ids[keep_rows],
+                         fm.session_ids[keep_rows], fm.t_ms[keep_rows])
+
+
+def filter_digraphs_oracle(train: FeatureMatrix, test: FeatureMatrix, l_ms: float,
+                           m_min: int) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """Filter dense train and test digraph matrices separately; the column
+    set is decided on training data only and then imposed on the test side
+    (left whole when training keeps no column)."""
+    ftrain = latency_outlier_filter_oracle(train, l_ms, m_min)
+    ftest = latency_outlier_filter_oracle(test, l_ms, 0)
+    if ftrain.n_features == 0:
+        return ftrain, ftest
+    ftest = ftest.select_columns(ftrain.columns)
+    return ftrain, ftest
 
 
 def fuse_scoresets_oracle(channels, weights):

@@ -1,14 +1,23 @@
 """End-to-end command line coverage, including exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from hmogkit.cli import main
+from hmogkit.cli import build_config, main, make_parser
 from hmogkit.corpus.io import load_corpus
-from hmogkit.experiments import OUT_DIR_ENV
+from hmogkit.experiments import (
+    OUT_DIR_ENV,
+    _enroll_channel,
+    _stamp,
+    build_sessions,
+    training_sessions,
+)
 from hmogkit.matrix import FeatureMatrix
+from hmogkit.pipeline import save_templates
 from hmogkit.verify import ScoreSet
+from oracles import keystroke_features_oracle, latency_outlier_filter_oracle
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +133,16 @@ def malformed_corpora(tmp_path_factory):
      3, "data error: {corpora}/meta_bad_condition/s1/meta.json: unknown condition 'running'"),
     (["eval", "--corpus", "{corpora}/meta_bad_rate"], None,
      3, "data error: {corpora}/meta_bad_rate/s1/meta.json: nominal_rate_hz must map"),
+    (["eval", *SMALL, "--channels", "tap,tap", "--scans", "60,60"], None,
+     2, "config error: channels must not repeat an entry, got ['tap', 'tap']"),
+    (["eval", *SMALL, "--channels", "tap", "--scans", "60,60"], None,
+     2, "config error: scan_seconds must not repeat an entry, got [60.0, 60.0]"),
+    (["sweep", *SMALL, "--factors", "2,2"], None,
+     2, "config error: downsample_factors must not repeat an entry, got [2, 2]"),
+    (["bkg", *SMALL], {"bkg_channels": []}, 2, "config error: bkg_channels must not be empty"),
+    (["sweep", *SMALL], {"downsample_factors": []},
+     2, "config error: downsample_factors must not be empty"),
+    (["eval", *SMALL], {"channels": []}, 2, "config error: channels must not be empty"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -200,6 +219,55 @@ def test_train_writes_loadable_templates(cli_corpus, tmp_path):
         assert len(saved["mu"]) == len(saved["sigma"]) == width
         assert saved["n_train"] >= 10
         assert saved["pca"] is None
+
+
+def cli_config(argv, channel):
+    """The config a keystroke extract or train run uses."""
+    return dataclasses.replace(build_config(make_parser().parse_args(argv)),
+                               channels=(channel,))
+
+
+def dense_keystrokes(sessions, channel):
+    """The channel's dense matrix built by the per-event oracle."""
+    pick = ("keyhold", "digraph").index(channel)
+    return FeatureMatrix.vstack([keystroke_features_oracle(s)[pick] for s in
+                                 sorted(sessions, key=lambda s: (s.user_id, s.session_id))])
+
+
+@pytest.mark.parametrize("channel", ["keyhold", "digraph"])
+def test_keystroke_extract_matches_oracle_path(cli_corpus, tmp_path, channel):
+    # the CSV holds every column, unfiltered, as the dense extraction wrote it
+    out, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    argv = ["extract", "--corpus", str(cli_corpus), "--channel", channel,
+            "--seed", "5", "--features-out", str(out)]
+    assert main(argv) == 0
+    config = cli_config(argv, channel)
+    fm = dense_keystrokes(build_sessions(config), channel)
+    assert fm.n_features == {"keyhold": 89, "digraph": 1225}[channel]
+    fm.write_csv(str(want), _stamp(config))
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--latency-min-count", "2"],
+    ["--latency-min-count", "0"],
+    ["--latency-min-count", "1", "--latency-max", "800"],
+])
+def test_train_digraph_matches_oracle_path(cli_corpus, tmp_path, flags):
+    out, want = tmp_path / "got.json", tmp_path / "want.json"
+    argv = ["train", "--corpus", str(cli_corpus), "--channel", "digraph",
+            "--min-vectors", "10", *flags, "--templates-out", str(out)]
+    assert main(argv) == 0
+    config = cli_config(argv, "digraph")
+    dense = dense_keystrokes(training_sessions(build_sessions(config)), "digraph")
+    train_fm = latency_outlier_filter_oracle(dense, config.latency_max_ms,
+                                             config.latency_min_count)
+    _, templates, _ = _enroll_channel("digraph", train_fm, config)
+    assert len(templates) == 2
+    save_templates(str(want), templates,
+                   params_echo={"channel": "digraph", "config_hash": config.config_hash(),
+                                "seed": config.seed})
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_eval_outputs_and_reruns_identically(cli_corpus, tmp_path, capsys):
@@ -405,6 +473,12 @@ def test_ingest_missing_manifest_field(tmp_path, capsys):
     ("rate_hz", "fast", "rate_hz 'fast'"),
     ("rate_hz", True, "rate_hz True"),
     ("rate_hz", None, "rate_hz None"),
+    ("sensor_file", 7, "sensor_file 7, expected a path string"),
+    ("touch_file", ["touch.csv"], "touch_file ['touch.csv'], expected a path string"),
+    ("key_file", None, "key_file None, expected a path string"),
+    ("taps_file", 5, "taps_file 5, expected a path string"),
+    ("rate_hz", 0, "rate_hz 0, expected a positive finite number"),
+    ("rate_hz", -5.0, "rate_hz -5.0, expected a positive finite number"),
 ])
 def test_ingest_bad_manifest_field(tmp_path, capsys, field, value, message):
     entry = {**INGEST_ENTRY, field: value}

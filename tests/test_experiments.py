@@ -12,7 +12,7 @@ from hmogkit.experiments import (
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
-    _filter_digraphs,
+    _channel_setup,
     aggregate_scans,
     build_sessions,
     extract_channel,
@@ -26,6 +26,13 @@ from hmogkit.experiments import (
     training_sessions,
 )
 from hmogkit.matrix import FeatureMatrix
+from hmogkit.touchkeys import (
+    EVENT_COLUMNS,
+    digraph_feature_names,
+    latency_outlier_filter,
+    widen,
+)
+from oracles import digraph_events
 
 
 def bare_session(user, session_id):
@@ -68,6 +75,13 @@ def test_config_validate_accepts_defaults():
     {"bkg_n": 0},
     {"fusion_weights": {"sonar": 1.0}},
     {"fusion_weights": {"hmog": -0.5}},
+    {"channels": ("tap", "tap")},
+    {"bkg_channels": ()},
+    {"bkg_channels": ("hmog", "hmog")},
+    {"sensors": ("acc", "acc")},
+    {"scan_seconds": (60.0, 60.0)},
+    {"downsample_factors": ()},
+    {"downsample_factors": (2, 2)},
 ])
 def test_config_validate_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -132,7 +146,9 @@ def test_extract_channel_shapes(mini_sessions):
     assert all(c.startswith("acc_") for c in acc.columns)
     assert extract_channel(one, "tap", config).n_features == 11
     assert extract_channel(one, "keyhold", config).n_features == 89
-    assert extract_channel(one, "digraph", config).n_features == 1225
+    digraphs = extract_channel(one, "digraph", config)
+    assert digraphs.columns == EVENT_COLUMNS
+    assert widen(digraphs, digraph_feature_names()).n_features == 1225
     with pytest.raises(ConfigError):
         extract_channel(one, "sonar", config)
 
@@ -160,16 +176,50 @@ def test_extract_channels_one_keystroke_pass_per_session(mini_sessions, monkeypa
         single = extract_channel(mini_sessions[:2], channel, config)
         assert both[channel].columns == single.columns
         assert both[channel].values.tobytes() == single.values.tobytes()
-    # split extraction: one pass per session even with a channel in between
+    # channel set-up: one extraction per side covering every channel, so
+    # one keystroke pass per session even with a channel in between
     del calls[:]
     train_s, test_s = mini_sessions[:2], mini_sessions[2:3]
-    splits = list(experiments._channel_splits(train_s, test_s,
-                                              ("keyhold", "tap", "digraph"), config))
+    channels = ("keyhold", "tap", "digraph")
+    extract_calls = []
+
+    def counting_extract(sessions, chans, *args):
+        extract_calls.append(tuple(chans))
+        return extract_channels(sessions, chans, *args)
+
+    monkeypatch.setattr(experiments, "extract_channels", counting_extract)
+    matrices = experiments._channel_matrices(train_s, test_s, channels, config)
+    assert extract_calls == [channels, channels]
     assert len(calls) == 3
-    assert [channel for channel, _, _ in splits] == ["keyhold", "tap", "digraph"]
-    for channel, train_fm, test_fm in splits:
+    assert list(matrices) == list(channels)
+    for channel in ("keyhold", "tap"):
+        train_fm, test_fm = matrices[channel]
         assert train_fm.values.tobytes() == extract_channel(train_s, channel, config).values.tobytes()
         assert test_fm.values.tobytes() == extract_channel(test_s, channel, config).values.tobytes()
+    want = latency_outlier_filter(extract_channel(train_s, "digraph", config),
+                                  extract_channel(test_s, "digraph", config),
+                                  config.latency_max_ms, config.latency_min_count)
+    for got, fm in zip(matrices["digraph"], want):
+        assert got.columns == fm.columns
+        assert got.values.tobytes() == fm.values.tobytes()
+
+
+def test_channel_setup_keystrokes_stay_below_one_dense_digraph_matrix(mini_sessions):
+    import tracemalloc
+    # the default latency filter; the old path built the dense 1,225-column
+    # training matrix before filtering it
+    config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0,
+                              min_vectors=5)
+    train_s, test_s = split_train_test(mini_sessions)
+    dense_bytes = extract_channel(train_s, "digraph", config).n_rows * 1225 * 8
+    tracemalloc.start()
+    try:
+        data, _, notes = _channel_setup(config, train_s, test_s, ("keyhold", "digraph"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(data) == {"keyhold", "digraph"}, notes
+    assert peak < dense_bytes
 
 
 def test_filter_digraphs_train_decides_columns():
@@ -179,7 +229,8 @@ def test_filter_digraphs_train_decides_columns():
                   ["A"] * 4, ["s01"] * 4, [0, 1, 2, 3], columns)
     test = fm_of([[np.nan, 80.0], [150.0, np.nan]],
                  ["A"] * 2, ["s03"] * 2, [0, 1], columns)
-    ftrain, ftest = _filter_digraphs(train, test, config)
+    ftrain, ftest = latency_outlier_filter(digraph_events(train), digraph_events(test),
+                                           config.latency_max_ms, config.latency_min_count)
     # dig_a_c has one sub-cap training value, below the min count
     assert ftrain.columns == ("dig_a_b",)
     assert ftest.columns == ("dig_a_b",)

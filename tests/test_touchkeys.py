@@ -1,4 +1,4 @@
-"""Tap geometry features, sparse keystroke features, latency filtering."""
+"""Tap geometry features, long-form keystroke events, latency filtering."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from hmogkit.corpus.synth import KEY_ALPHABET
 from hmogkit.corpus.types import Condition, KeyEvent, Session, TapEvent
 from hmogkit.matrix import FeatureMatrix
+from hmogkit.experiments import split_train_test
 from hmogkit.touchkeys import (
+    EVENT_COLUMNS,
     EXTENDED_KEYS,
     HOLD_UNIVERSE,
     TAP_FEATURE_NAMES,
@@ -16,8 +18,15 @@ from hmogkit.touchkeys import (
     keystroke_features,
     latency_outlier_filter,
     tap_features,
+    widen,
 )
-from oracles import tap_features_oracle
+from oracles import (
+    dense_digraphs,
+    digraph_events,
+    filter_digraphs_oracle,
+    keystroke_features_oracle,
+    tap_features_oracle,
+)
 
 
 def make_tap(tap_id, t_start, t_end, contact, first_xy=(0.0, 0.0)):
@@ -54,7 +63,7 @@ def test_feature_name_builders():
     holds = hold_feature_names()
     assert len(holds) == 89
     assert holds[0] == f"hold_{HOLD_UNIVERSE[0]}"
-    assert hold_feature_names(("a", "b")) == ("hold_a", "hold_b")
+    assert holds[-1] == f"hold_{HOLD_UNIVERSE[-1]}"
     digs = digraph_feature_names()
     assert len(digs) == 35 * 35
     assert digs[0] == f"dig_{KEY_ALPHABET[0]}_{KEY_ALPHABET[0]}"
@@ -112,8 +121,7 @@ def tap_session(taps):
                    streams={}, taps=taps, keys=[])
 
 
-def assert_taps_match_oracle(session):
-    got, want = tap_features(session), tap_features_oracle(session)
+def assert_same_matrix(got, want):
     assert got.columns == want.columns
     assert got.values.shape == want.values.shape
     assert got.values.tobytes() == want.values.tobytes()
@@ -121,6 +129,11 @@ def assert_taps_match_oracle(session):
     assert got.t_ms.tobytes() == want.t_ms.tobytes()
     assert list(got.user_ids) == list(want.user_ids)
     assert list(got.session_ids) == list(want.session_ids)
+
+
+def assert_taps_match_oracle(session):
+    got = tap_features(session)
+    assert_same_matrix(got, tap_features_oracle(session))
     return got
 
 
@@ -169,14 +182,37 @@ def test_tap_features_bit_equal_to_oracle_mixed_lengths():
 
 # ---------------------------------------------------------------- keystrokes
 
-def test_keystroke_features_hand_case():
-    keys = [
+def wide_keystrokes(session):
+    holds, digs = keystroke_features(session)
+    assert holds.columns == digs.columns == EVENT_COLUMNS
+    return widen(holds, hold_feature_names()), widen(digs, digraph_feature_names())
+
+
+def hand_keys():
+    return [
         KeyEvent(key="a", t_press_ms=1000, t_release_ms=1080),
         KeyEvent(key="b", t_press_ms=1300, t_release_ms=1400),
         KeyEvent(key="zz", t_press_ms=1600, t_release_ms=1650),
         KeyEvent(key="c", t_press_ms=1900, t_release_ms=1960),
     ]
-    holds, digs = keystroke_features(key_session(keys))
+
+
+def extended_keys():
+    return [
+        KeyEvent(key="d3", t_press_ms=1000, t_release_ms=1100),
+        KeyEvent(key="a", t_press_ms=1400, t_release_ms=1500),
+    ]
+
+
+def test_keystroke_features_hand_case():
+    hold_events, dig_events = keystroke_features(key_session(hand_keys()))
+    # one long-form row per event: (column index, value)
+    assert hold_events.values.tolist() == [
+        [HOLD_UNIVERSE.index("a"), 80.0], [HOLD_UNIVERSE.index("b"), 100.0],
+        [HOLD_UNIVERSE.index("c"), 60.0]]
+    assert dig_events.values.tolist() == [
+        [digraph_feature_names().index("dig_a_b"), 300.0]]
+    holds, digs = wide_keystrokes(key_session(hand_keys()))
 
     assert holds.columns == hold_feature_names()
     assert holds.values.shape == (3, 89)  # "zz" carries no hold feature
@@ -196,22 +232,38 @@ def test_keystroke_features_hand_case():
 
 
 def test_extended_keys_hold_but_no_digraph():
-    keys = [
-        KeyEvent(key="d3", t_press_ms=1000, t_release_ms=1100),
-        KeyEvent(key="a", t_press_ms=1400, t_release_ms=1500),
-    ]
-    holds, digs = keystroke_features(key_session(keys))
+    holds, digs = wide_keystrokes(key_session(extended_keys()))
     assert holds.values.shape == (2, 89)
     assert holds.values[0][holds.col_index("hold_d3")] == 100.0
     assert digs.values.shape == (0, 1225)
 
 
-def test_keystroke_custom_universe():
-    keys = [KeyEvent(key="a", t_press_ms=100, t_release_ms=150),
-            KeyEvent(key="q", t_press_ms=400, t_release_ms=460)]
-    holds, _ = keystroke_features(key_session(keys), hold_universe=("a",))
-    assert holds.columns == ("hold_a",)
-    assert holds.values.shape == (1, 1)
+def assert_keystrokes_match_oracle(session):
+    for got, want in zip(wide_keystrokes(session), keystroke_features_oracle(session)):
+        assert_same_matrix(got, want)
+
+
+def test_keystroke_bit_equal_to_oracle_synthetic(mini_sessions):
+    for session in mini_sessions:
+        assert len(session.keys) > 1
+        assert_keystrokes_match_oracle(session)
+
+
+@pytest.mark.parametrize("keys", [hand_keys(), extended_keys(), []])
+def test_keystroke_bit_equal_to_oracle_hand_cases(keys):
+    assert_keystrokes_match_oracle(key_session(keys))
+
+
+def test_widen_over_chosen_columns():
+    events = digraph_events(filter_fixture())
+    names = digraph_feature_names()
+    keep = [names.index("dig_a_c"), names.index("dig_a_a")]
+    out = widen(events, names, keep)
+    assert out.columns == ("dig_a_c", "dig_a_a")
+    assert list(out.t_ms) == [10, 20, 30, 30, 40]
+    # the dig_a_b event at t=20 has no kept column: its row stays, empty
+    assert_allclose(out.values, [[np.nan, 100.0], [np.nan, np.nan], [np.nan, 200.0],
+                                 [50.0, np.nan], [75.0, np.nan]])
 
 
 # ---------------------------------------------------------------- latency filter
@@ -230,35 +282,99 @@ def filter_fixture():
     return FeatureMatrix(columns, values, ids, sess, t)
 
 
+def filter_events():
+    """The fixture's five latencies in long form; the row at t=30 holds two
+    of them, so it becomes two events."""
+    return digraph_events(filter_fixture())
+
+
+def no_events():
+    return FeatureMatrix.empty(EVENT_COLUMNS)
+
+
+def assert_filtered(out, l_ms, m_min):
+    """Output a second filter pass would leave unchanged: every training
+    row holds one latency, at most l_ms, and every kept column has at least
+    m_min of them."""
+    finite = np.isfinite(out.values)
+    assert np.all(finite.sum(axis=1) == 1)
+    assert not np.any(out.values[finite] > l_ms)
+    assert np.all(finite.sum(axis=0) >= m_min)
+
+
 def test_latency_filter_drops_outliers_sparse_columns_empty_rows():
-    out = latency_outlier_filter(filter_fixture(), 500.0, 2)
-    # 600 exceeds the cap, emptying row 1; dig_a_b then has no support
+    out, test = latency_outlier_filter(filter_events(), filter_events(), 500.0, 2)
+    # 600 exceeds the cap, dropping its event; dig_a_b then has no support
     assert out.columns == ("dig_a_a", "dig_a_c")
-    assert out.values.shape == (3, 2)
-    assert list(out.t_ms) == [10, 30, 40]
-    assert list(out.user_ids) == ["u1", "u2", "u2"]
-    assert_allclose(out.values[1], [200.0, 50.0])
+    assert out.values.shape == (4, 2)
+    assert list(out.t_ms) == [10, 30, 30, 40]
+    assert list(out.user_ids) == ["u1", "u2", "u2", "u2"]
+    assert_allclose(out.values[1:3], [[200.0, np.nan], [np.nan, 50.0]])
+    assert_filtered(out, 500.0, 2)
+    assert test.columns == out.columns
+    assert test.values.tobytes() == out.values.tobytes()
 
 
 def test_latency_filter_min_count_zero_keeps_all_columns():
-    out = latency_outlier_filter(filter_fixture(), 500.0, 0)
-    assert out.columns == ("dig_a_a", "dig_a_b", "dig_a_c")
-    assert out.values.shape == (3, 3)
-    assert np.all(~np.isfinite(out.values[:, 1]))
-
-
-def test_latency_filter_idempotent():
-    once = latency_outlier_filter(filter_fixture(), 500.0, 2)
-    twice = latency_outlier_filter(once, 500.0, 2)
-    assert twice.columns == once.columns
-    assert_allclose(twice.values, once.values)
-    assert list(twice.t_ms) == list(once.t_ms)
-    assert list(twice.user_ids) == list(once.user_ids)
+    out, test = latency_outlier_filter(filter_events(), no_events(), 500.0, 0)
+    assert out.columns == digraph_feature_names()
+    assert test.columns == out.columns and test.n_rows == 0
+    sub = out.select_columns(("dig_a_a", "dig_a_b", "dig_a_c"))
+    assert sub.values.shape == (4, 3)
+    assert np.all(~np.isfinite(sub.values[:, 1]))
+    assert_filtered(out, 500.0, 0)
 
 
 def test_latency_filter_keeps_values_at_cap():
-    fm = filter_fixture()
-    out = latency_outlier_filter(fm, 600.0, 1)
+    out, _ = latency_outlier_filter(filter_events(), no_events(), 600.0, 1)
     # 600 == cap stays; nothing removed
-    assert out.values.shape == (4, 3)
+    assert out.columns == ("dig_a_a", "dig_a_b", "dig_a_c")
+    assert out.values.shape == (5, 3)
     assert out.values[1][out.col_index("dig_a_b")] == 600.0
+
+
+def assert_filter_matches_oracle(train_events, test_events, dense_train, dense_test,
+                                 l_ms, m_min):
+    train, test = latency_outlier_filter(train_events, test_events, l_ms, m_min)
+    want_train, want_test = filter_digraphs_oracle(dense_train, dense_test, l_ms, m_min)
+    assert_same_matrix(train, want_train)
+    assert_filtered(train, l_ms, m_min)
+    if train.n_features == 0:
+        # the dense path left the unused test side whole when training kept
+        # no column; the event path widens it over the same empty set
+        assert test.n_features == 0
+        want_test = want_test.select_columns(())
+    assert_same_matrix(test, want_test)
+    return train, test
+
+
+def stacked(sessions, pick):
+    return FeatureMatrix.vstack([pick(s)[1] for s in sessions])
+
+
+@pytest.mark.parametrize("m_min", [0, 1, 3])
+def test_latency_filter_bit_equal_to_oracle_synthetic(mini_sessions, m_min):
+    train_s, test_s = split_train_test(mini_sessions)
+    train_events = stacked(train_s, keystroke_features)
+    latencies = np.sort(train_events.values[:, 1])
+    # the default cap, and a cap exactly at a training latency
+    for l_ms in (1500.0, float(latencies[len(latencies) // 2])):
+        train, _ = assert_filter_matches_oracle(
+            train_events, stacked(test_s, keystroke_features),
+            stacked(train_s, keystroke_features_oracle),
+            stacked(test_s, keystroke_features_oracle), l_ms, m_min)
+        assert train.n_features > 0 or l_ms < 1500.0
+
+
+@pytest.mark.parametrize("m_min", [0, 1, 3])
+@pytest.mark.parametrize("l_ms", [500.0, 600.0])
+def test_latency_filter_bit_equal_to_oracle_hand_cases(m_min, l_ms):
+    # 600.0 puts the dig_a_b latency exactly at the cap
+    events = filter_events()
+    dense = dense_digraphs(events)
+    assert_filter_matches_oracle(events, events, dense, dense, l_ms, m_min)
+    # the a->b latency of the hand case is 300 ms, exactly at this cap
+    hand = key_session(hand_keys())
+    assert_filter_matches_oracle(keystroke_features(hand)[1], keystroke_features(hand)[1],
+                                 keystroke_features_oracle(hand)[1],
+                                 keystroke_features_oracle(hand)[1], 300.0, m_min)
