@@ -29,7 +29,6 @@ from .field import (
     centered,
     inv_mod,
     is_prime,
-    lee_distance,
     lee_weight,
     lee_weight_total,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "guessing_distance",
     "inv_mod",
     "is_prime",
-    "lee_distance",
     "lee_weight",
     "lee_weight_total",
     "open_commitment",

@@ -37,15 +37,6 @@ def lee_weight_total(v, p: int) -> int:
     return int(np.sum(lee_weight(np.asarray(v, dtype=np.int64), p)))
 
 
-def lee_distance(u, v, p: int) -> int:
-    """Componentwise sum of Lee weights of the difference."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if u.shape != v.shape:
-        raise ValueError("length mismatch")
-    return lee_weight_total(u - v, p)
-
-
 def centered(x: int, p: int) -> int:
     """Representative of x mod p in (-(p-1)/2, ..., (p-1)/2]."""
     xm = x % p

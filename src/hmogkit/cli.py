@@ -32,7 +32,7 @@ from .experiments import (
     _write_scores,
     build_sessions,
     check_fusion_weights,
-    extract_channel,
+    extract_channels,
     is_number,
     run_auth,
     run_between,
@@ -228,6 +228,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     mapping = load_mapping(args.mapping) if args.mapping else None
     base = Path(args.manifest).parent
     sessions = []
+    seen: dict[tuple[str, str], int] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"{args.manifest}: session {i} is not an object")
@@ -241,6 +242,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except KeyError as exc:
             raise ConfigError(
                 f"{args.manifest}: session {i} is missing {exc}") from None
+        for name, value in [("user_id", user_id), ("session_id", session_id)]:
+            # ids name the session's corpus directory, so None, True or ""
+            # must not turn into one
+            if not (isinstance(value, str) and value
+                    or isinstance(value, int) and not isinstance(value, bool)):
+                raise ConfigError(f"{args.manifest}: session {i} has {name}"
+                                  f" {value!r}, expected a non-empty string or"
+                                  " an integer")
+        key = (str(user_id), str(session_id))
+        if key in seen:
+            raise ConfigError(f"{args.manifest}: session {i} repeats user_id"
+                              f" {key[0]!r} and session_id {key[1]!r} of"
+                              f" session {seen[key]}")
+        seen[key] = i
         if str(condition) not in {c.value for c in Condition}:
             raise ConfigError(f"{args.manifest}: session {i} has unknown"
                               f" condition {condition!r}")
@@ -257,7 +272,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                               f" {rate!r}, expected a positive finite number")
         sessions.append(parse_session(
             str(base / sensor), str(base / touch), str(base / keys),
-            user_id=str(user_id), session_id=str(session_id),
+            user_id=key[0], session_id=key[1],
             condition=str(condition),
             taps_path=str(base / taps) if taps else None,
             mapping=mapping,
@@ -285,7 +300,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, channels=(args.channel,))
     config.validate()
     sessions = build_sessions(config)
-    fm = extract_channel(sessions, args.channel, config)
+    fm = extract_channels(sessions, (args.channel,), config)[args.channel]
     if args.channel == "digraph":
         fm = widen(fm, digraph_feature_names())
     fm.write_csv(args.features_out, _stamp(config))

@@ -23,7 +23,6 @@ from .types import (
     Session,
     TapEvent,
     downsample,
-    slice_span,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "parse_session",
     "read_session",
     "save_corpus",
-    "slice_span",
     "synthesize_user",
     "write_session",
 ]

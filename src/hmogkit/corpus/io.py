@@ -9,7 +9,8 @@ Canonical schemas (header row required):
 
 Foreign column names are adapted through a mapping config of
 ``canonical_column = source_column`` lines. Fractional timestamps are
-floored to integer milliseconds at ingestion.
+floored to integer milliseconds at ingestion; timestamps count from session
+start, so a negative one is rejected.
 """
 
 from __future__ import annotations
@@ -67,9 +68,12 @@ def load_mapping(path: str) -> dict[str, str]:
 
 def _floor_ms(value: str, where: str) -> int:
     try:
-        return math.floor(float(value))
-    except ValueError:
+        t = math.floor(float(value))
+    except (ValueError, OverflowError):  # NaN and infinities too
         raise ParseError(f"{where}: bad timestamp {value!r}") from None
+    if t < 0:
+        raise ParseError(f"{where}: negative timestamp {value!r}")
+    return t
 
 
 def _float(value: str, where: str) -> float:

@@ -71,15 +71,6 @@ class SensorStream:
 CHANNELS: tuple[str, ...] = ("x", "y", "z", "m")
 
 
-def slice_span(t_ms: np.ndarray, lo: int, hi: int,
-               include_lo: bool, include_hi: bool) -> slice:
-    """Index slice of a sorted timestamp array covering [lo, hi] with
-    configurable endpoint inclusion."""
-    i0 = int(np.searchsorted(t_ms, lo, side="left" if include_lo else "right"))
-    i1 = int(np.searchsorted(t_ms, hi, side="right" if include_hi else "left"))
-    return slice(i0, max(i0, i1))
-
-
 def downsample(stream: SensorStream, k: int) -> SensorStream:
     """Keep every k-th reading starting at index 0; rate divides by k."""
     if not isinstance(k, (int, np.integer)) or k < 1:

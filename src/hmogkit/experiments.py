@@ -3,7 +3,13 @@
 Every runner is a pure function of (config, corpus): templates come from
 each user's first two sessions, scores from the remaining ones, and all
 randomness descends from the master seed, so reruns are byte-identical.
-Output files carry the config hash and seed in comment lines.
+
+The four runners share one skeleton. _split validates the config and splits
+the corpus; test vectors are scored per scan window (pipeline.scan_aggregate,
+keyed by the test sessions' ordinals); every per-scan result is an
+{eer, n_genuine, n_impostor} cell from _cell; and _finish stamps the bundle
+with the config, its hash and the seed and writes the CSV tables and
+summary.json. Output files carry the config hash and seed in comment lines.
 """
 
 from __future__ import annotations
@@ -65,9 +71,6 @@ OUT_DIR_ENV = "HMOGKIT_OUT"
 
 CHANNELS = ("hmog", "tap", "keyhold", "digraph")
 KEYSTROKE_CHANNELS = ("keyhold", "digraph")  # both from one keystroke_features call
-
-# keeps per-session scan windows distinct across sessions after aggregation
-_SESSION_STRIDE_MS = 1 << 44
 
 
 class ConfigError(ValueError):
@@ -316,11 +319,6 @@ def extract_channels(sessions: list[Session], channels, config: ExperimentConfig
     return out
 
 
-def extract_channel(sessions: list[Session], channel: str,
-                    config: ExperimentConfig, mode: str | None = None) -> FeatureMatrix:
-    return extract_channels(sessions, (channel,), config, mode)[channel]
-
-
 def _channel_matrices(train_s: list[Session], test_s: list[Session], channels,
                       config: ExperimentConfig, mode: str | None = None):
     """{channel: (train matrix, test matrix)} from one extraction per side;
@@ -337,27 +335,6 @@ def _channel_matrices(train_s: list[Session], test_s: list[Session], channels,
 # ---------------------------------------------------------------------------
 # authentication runs
 # ---------------------------------------------------------------------------
-
-def aggregate_scans(fm: FeatureMatrix, scan_s: float,
-                    ordinals: dict[tuple[str, str], int]) -> FeatureMatrix:
-    """Per-session scan aggregation with window starts anchored at 0 so the
-    same window lines up across channels; session ordinals shift timestamps
-    apart so windows stay globally unique."""
-    parts = []
-    for (user, session), ordinal in sorted(ordinals.items()):
-        mask = (fm.user_ids == user) & (fm.session_ids == session)
-        if not mask.any():
-            continue
-        agg = scan_aggregate(fm.take(mask), scan_s, anchor_ms=0)
-        if agg.n_rows == 0:
-            continue
-        parts.append(FeatureMatrix(agg.columns, agg.values, agg.user_ids,
-                                   agg.session_ids,
-                                   agg.t_ms + ordinal * _SESSION_STRIDE_MS))
-    if not parts:
-        return FeatureMatrix.empty(fm.columns)
-    return FeatureMatrix.vstack(parts)
-
 
 def _enroll_channel(channel: str, train_fm: FeatureMatrix,
                     config: ExperimentConfig):
@@ -407,7 +384,7 @@ def _scan_eval(channel_data, ordinals, scan_s: float, config: ExperimentConfig):
     """Per-channel score sets for one scan length."""
     out = {}
     for channel, (templates, test_fm) in channel_data.items():
-        agg = aggregate_scans(test_fm, scan_s, ordinals)
+        agg = scan_aggregate(test_fm, scan_s, ordinals)
         if agg.n_rows == 0:
             continue
         scores = verify.gen_scores(templates, agg, config.metric)
@@ -464,24 +441,68 @@ def _write_scores(out: Path, name: str, scores: verify.ScoreSet,
                          verify.det_curve(scores.genuine, scores.impostor), comments)
 
 
-def _write_csv(path: Path, header: str, rows: list[str],
-               comments: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _split(config: ExperimentConfig, sessions: list[Session] | None):
+    """(train sessions, test sessions, test session ordinals) of a validated
+    config, from the given sessions or else the ones it builds."""
+    config.validate()
+    if sessions is None:
+        sessions = build_sessions(config)
+    train_s, test_s = split_train_test(sessions)
+    return train_s, test_s, session_ordinals(test_s)
+
+
+def _cell(scores: verify.ScoreSet, eer: float | None = None) -> dict:
+    """A scan's result for one score set; eer is computed unless given."""
+    gen, imp = scores.genuine, scores.impostor
+    return {"eer": verify.eer(gen, imp) if eer is None else eer,
+            "n_genuine": len(gen), "n_impostor": len(imp)}
+
+
+def _row(prefix: str, cell: dict) -> str:
+    return f"{prefix},{cell['eer']!r},{cell['n_genuine']},{cell['n_impostor']}"
+
+
+def _finish(config: ExperimentConfig, body: dict,
+            tables: dict[str, tuple[str, list[str]]]) -> dict:
+    """The run bundle: config, hash and seed ahead of the body. With an
+    output directory, each {file name: (header, rows)} table becomes a
+    stamped CSV, and the bundle summary.json."""
+    bundle = {"config": config.canonical(), "config_hash": config.config_hash(),
+              "seed": config.seed, **body}
+    out = _ensure_out(config)
+    if out is not None:
+        comments = _stamp(config)
+        for name, (header, rows) in tables.items():
+            with open(out / name, "w", encoding="utf-8", newline="") as fh:
+                for line in [*(f"# {c}" for c in comments), header, *rows]:
+                    fh.write(line + "\n")
+        _write_json(out / "summary.json", bundle)
+    return bundle
+
+
+def _hmog_scans(config: ExperimentConfig, train_s: list[Session],
+                test_s: list[Session], ordinals, mode: str | None = None):
+    """HMOG enrolled once and scored at every scan length: (templates,
+    {scan key: (cell, scores)}, enrollment failures, notes). When nobody
+    enrolls there are no scans and no per-scan notes."""
+    channel_data, failures, notes = _channel_setup(config, train_s, test_s,
+                                                   ("hmog",), mode)
+    if not channel_data:
+        return {}, {}, failures, notes
+    scans = {}
+    for scan_s in config.scan_seconds:
+        scores = _scan_eval(channel_data, ordinals, scan_s, config).get("hmog")
+        if scores is None:
+            notes.append(f"{scan_s:g}s produced no decisions")
+            continue
+        scans[f"{scan_s:g}"] = (_cell(scores), scores)
+    return channel_data["hmog"][0], scans, failures, notes
 
 
 def run_auth(config: ExperimentConfig,
              sessions: list[Session] | None = None) -> dict:
     """Verification experiment: per-channel and fused EER per scan length."""
-    config.validate()
-    if sessions is None:
-        sessions = build_sessions(config)
-    train_s, test_s = split_train_test(sessions)
-    ordinals = session_ordinals(test_s)
+    train_s, test_s, ordinals = _split(config, sessions)
     channel_data, failures, notes = _channel_setup(config, train_s, test_s,
                                                    config.channels)
     if not channel_data:
@@ -499,13 +520,9 @@ def run_auth(config: ExperimentConfig,
         if not per_channel:
             notes.append(f"{scan_s:g}s: no scored decisions")
             continue
-        entry: dict = {"channels": {}, "fused": None}
+        cells = {channel: _cell(scores) for channel, scores in per_channel.items()}
         for channel, scores in per_channel.items():
-            gen, imp = scores.genuine, scores.impostor
-            value = verify.eer(gen, imp)
-            entry["channels"][channel] = {
-                "eer": value, "n_genuine": len(gen), "n_impostor": len(imp)}
-            eer_rows.append(f"{scan_s:g},{channel},{value!r},{len(gen)},{len(imp)}")
+            eer_rows.append(_row(f"{scan_s:g},{channel}", cells[channel]))
             if out is not None:
                 _write_scores(out, f"{channel}_{scan_s:g}s", scores, comments)
         if len(per_channel) >= 2:
@@ -513,87 +530,46 @@ def run_auth(config: ExperimentConfig,
                                           config.fusion_step)
         else:
             only = next(iter(per_channel))
-            weights = {only: 1.0}
-            fused = per_channel[only]
-            value = entry["channels"][only]["eer"]
-        entry["fused"] = {"eer": value, "weights": weights,
-                          "n_genuine": len(fused.genuine),
-                          "n_impostor": len(fused.impostor)}
-        eer_rows.append(f"{scan_s:g},fused,{value!r},{len(fused.genuine)},"
-                        f"{len(fused.impostor)}")
+            weights, fused, value = {only: 1.0}, per_channel[only], cells[only]["eer"]
+        fused_cell = {**_cell(fused, value), "weights": weights}
+        eer_rows.append(_row(f"{scan_s:g},fused", fused_cell))
         if out is not None:
             _write_scores(out, f"fused_{scan_s:g}s", fused, comments)
-        scans[f"{scan_s:g}"] = entry
+        scans[f"{scan_s:g}"] = {"channels": cells, "fused": fused_cell}
 
     if not scans:
         raise InfeasibleError("no scan length produced scored decisions")
-    bundle = {
-        "config": config.canonical(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "scans": scans,
-        "enrollment_failures": failures,
-        "notes": notes,
-    }
-    if out is not None:
-        _write_csv(out / "eer.csv", "scan_s,channel,eer,n_genuine,n_impostor",
-                   eer_rows, comments)
-        _write_csv(out / "enrollment.csv", "channel,user_id,reason",
-                   [f"{f['channel']},{f['user_id']},{f['reason']}"
-                    for f in failures], comments)
-        _write_json(out / "summary.json", bundle)
-    return bundle
+    return _finish(config, {"scans": scans, "enrollment_failures": failures,
+                            "notes": notes}, {
+        "eer.csv": ("scan_s,channel,eer,n_genuine,n_impostor", eer_rows),
+        "enrollment.csv": ("channel,user_id,reason",
+                           [f"{f['channel']},{f['user_id']},{f['reason']}"
+                            for f in failures])})
 
 
 def run_between(config: ExperimentConfig,
                 sessions: list[Session] | None = None) -> dict:
     """During-tap vs between-tap comparison on the HMOG channel."""
-    config.validate()
-    if sessions is None:
-        sessions = build_sessions(config)
-    train_s, test_s = split_train_test(sessions)
-    ordinals = session_ordinals(test_s)
+    train_s, test_s, ordinals = _split(config, sessions)
     out = _ensure_out(config)
     comments = _stamp(config)
     modes: dict[str, dict] = {}
     rows: list[str] = []
-    all_notes: list[str] = []
+    notes: list[str] = []
     for mode in ("during", "between"):
-        channel_data, failures, notes = _channel_setup(
-            config, train_s, test_s, ("hmog",), mode)
-        all_notes.extend(f"{mode}: {n}" for n in notes)
-        if not channel_data:
-            modes[mode] = {"scans": {}, "enrollment_failures": failures}
-            continue
-        per_mode: dict[str, dict] = {}
-        for scan_s in config.scan_seconds:
-            per_channel = _scan_eval(channel_data, ordinals, scan_s, config)
-            if "hmog" not in per_channel:
-                all_notes.append(f"{mode}: {scan_s:g}s produced no decisions")
-                continue
-            scores = per_channel["hmog"]
-            gen, imp = scores.genuine, scores.impostor
-            value = verify.eer(gen, imp)
-            per_mode[f"{scan_s:g}"] = {"eer": value, "n_genuine": len(gen),
-                                       "n_impostor": len(imp)}
-            rows.append(f"{mode},{scan_s:g},{value!r},{len(gen)},{len(imp)}")
+        _, scans, failures, mode_notes = _hmog_scans(config, train_s, test_s,
+                                                     ordinals, mode)
+        notes.extend(f"{mode}: {n}" for n in mode_notes)
+        for scan_key, (cell, scores) in scans.items():
+            rows.append(_row(f"{mode},{scan_key}", cell))
             if out is not None:
-                scores.write_csv(out / f"scores_{mode}_{scan_s:g}s.csv", comments)
-        modes[mode] = {"scans": per_mode, "enrollment_failures": failures}
+                scores.write_csv(out / f"scores_{mode}_{scan_key}s.csv", comments)
+        modes[mode] = {"scans": {k: cell for k, (cell, _) in scans.items()},
+                       "enrollment_failures": failures}
     if not any(modes[m]["scans"] for m in modes):
-        raise InfeasibleError("; ".join(all_notes) or "neither mode produced decisions")
-    bundle = {
-        "config": config.canonical(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "modes": modes,
-        "notes": all_notes,
-    }
-    if out is not None:
-        _write_csv(out / "between.csv", "mode,scan_s,eer,n_genuine,n_impostor",
-                   rows, comments)
-        _write_json(out / "summary.json", bundle)
-    return bundle
+        raise InfeasibleError("; ".join(notes) or "neither mode produced decisions")
+    return _finish(config, {"modes": modes, "notes": notes},
+                   {"between.csv": ("mode,scan_s,eer,n_genuine,n_impostor", rows)})
 
 
 def _downsample_session(session: Session, factor: int) -> Session:
@@ -609,33 +585,17 @@ def _downsample_session(session: Session, factor: int) -> Session:
 def run_rate_sweep(config: ExperimentConfig,
                    sessions: list[Session] | None = None) -> dict:
     """HMOG-only EER after downsampling the sensor streams per factor."""
-    config.validate()
-    if sessions is None:
-        sessions = build_sessions(config)
+    train_s, test_s, ordinals = _split(config, sessions)
 
     def eval_factor(factor: int):
-        reduced = [_downsample_session(s, factor) for s in sessions]
-        train_s, test_s = split_train_test(reduced)
-        ordinals = session_ordinals(test_s)
-        channel_data, failures, notes = _channel_setup(config, train_s, test_s,
-                                                       ("hmog",))
-        rate_hz = next(iter(reduced[0].streams.values())).nominal_rate_hz
-        per_factor: dict = {"rate_hz": rate_hz, "scans": {},
-                            "enrollment_failures": failures, "notes": notes}
-        if not channel_data:
-            return factor, per_factor
-        n_enrolled = len(channel_data["hmog"][0])
-        for scan_s in config.scan_seconds:
-            per_channel = _scan_eval(channel_data, ordinals, scan_s, config)
-            if "hmog" not in per_channel:
-                per_factor["notes"].append(f"{scan_s:g}s produced no decisions")
-                continue
-            scores = per_channel["hmog"]
-            gen, imp = scores.genuine, scores.impostor
-            per_factor["scans"][f"{scan_s:g}"] = {
-                "eer": verify.eer(gen, imp), "n_genuine": len(gen),
-                "n_impostor": len(imp), "n_enrolled": n_enrolled}
-        return factor, per_factor
+        train = [_downsample_session(s, factor) for s in train_s]
+        test = [_downsample_session(s, factor) for s in test_s]
+        templates, scans, failures, notes = _hmog_scans(config, train, test, ordinals)
+        return factor, {
+            "rate_hz": next(iter(train[0].streams.values())).nominal_rate_hz,
+            "scans": {k: {**cell, "n_enrolled": len(templates)}
+                      for k, (cell, _) in scans.items()},
+            "enrollment_failures": failures, "notes": notes}
 
     factors = {}
     rows = []
@@ -649,19 +609,8 @@ def run_rate_sweep(config: ExperimentConfig,
                         f"{cell['n_genuine']},{cell['n_impostor']}")
     if not any(per["scans"] for per in factors.values()):
         raise InfeasibleError("no downsample factor produced scored decisions")
-    bundle = {
-        "config": config.canonical(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "factors": factors,
-    }
-    out = _ensure_out(config)
-    if out is not None:
-        _write_csv(out / "sweep.csv",
-                   "factor,rate_hz,scan_s,eer,n_enrolled,n_genuine,n_impostor",
-                   rows, _stamp(config))
-        _write_json(out / "summary.json", bundle)
-    return bundle
+    return _finish(config, {"factors": factors}, {"sweep.csv": (
+        "factor,rate_hz,scan_s,eer,n_enrolled,n_genuine,n_impostor", rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +656,7 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
         report["enroll_notes"] = enroll_notes
         return report
 
-    agg = aggregate_scans(test_sel, config.bkg_scan_seconds, ordinals)
+    agg = scan_aggregate(test_sel, config.bkg_scan_seconds, ordinals)
     probes: dict[str, list[np.ndarray]] = {u: [] for u in commitments}
     for i in range(agg.n_rows):
         user = str(agg.user_ids[i])
@@ -762,43 +711,28 @@ def run_bkg(config: ExperimentConfig,
             sessions: list[Session] | None = None) -> dict:
     """Key-generation experiment: per-channel FAR/FRR at the binary open
     decision, guessing distance, and keyspace size."""
+    # the code is checked before any corpus is built or synthesized
     config.validate()
     try:
         params = grs_build(config.bkg_n, config.bkg_l, config.bkg_p)
     except ValueError as exc:
         raise ConfigError(f"bkg code parameters rejected: {exc}") from None
-    if sessions is None:
-        sessions = build_sessions(config)
-    train_s, test_s = split_train_test(sessions)
-    ordinals = session_ordinals(test_s)
+    train_s, test_s, ordinals = _split(config, sessions)
     matrices = _channel_matrices(train_s, test_s, config.bkg_channels, config)
     reports = [_bkg_channel(channel, config, params, *matrices.pop(channel), ordinals)
                for channel in config.bkg_channels]
     if all("error" in r for r in reports):
         raise InfeasibleError("; ".join(f"{r['channel']}: {r['error']}"
                                         for r in reports))
-    bundle = {
-        "config": config.canonical(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
+    rows = [f"{r['channel']},,,,,,{r['error']}" if "error" in r else
+            f"{r['channel']},{r['eer']!r},{r['far']!r},{r['frr']!r},"
+            f"{r['mean_guessing_distance']!r},{r['non_guessed_pct']!r},"
+            f"{'yes' if r['key_generation_possible'] else 'no'}"
+            for r in reports]
+    return _finish(config, {
         "code": {"n": params.n, "l": params.l, "p": params.p,
                  "radius": params.radius},
         "channels": {r["channel"]: {k: v for k, v in r.items() if k != "channel"}
                      for r in reports},
-    }
-    out = _ensure_out(config)
-    if out is not None:
-        rows = []
-        for r in reports:
-            if "error" in r:
-                rows.append(f"{r['channel']},,,,,,{r['error']}")
-                continue
-            rows.append(
-                f"{r['channel']},{r['eer']!r},{r['far']!r},{r['frr']!r},"
-                f"{r['mean_guessing_distance']!r},{r['non_guessed_pct']!r},"
-                f"{'yes' if r['key_generation_possible'] else 'no'}")
-        _write_csv(out / "bkg.csv",
-                   "channel,eer,far,frr,mean_gd,non_guessed_pct,key_generation",
-                   rows, _stamp(config))
-        _write_json(out / "summary.json", bundle)
-    return bundle
+    }, {"bkg.csv": ("channel,eer,far,frr,mean_gd,non_guessed_pct,key_generation",
+                    rows)})

@@ -100,26 +100,3 @@ class FeatureMatrix:
                          for v in self.values[i]]
                 fh.write(f"{self.user_ids[i]},{self.session_ids[i]},{self.t_ms[i]},"
                          + ",".join(cells) + "\n")
-
-    @classmethod
-    def read_csv(cls, path: str) -> "FeatureMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
-        if not lines:
-            raise ValueError(f"{path}: empty feature file")
-        header = lines[0].split(",")
-        if header[:3] != ["user_id", "session_id", "t_ms"]:
-            raise ValueError(f"{path}: unexpected header")
-        columns = tuple(header[3:])
-        users, sessions, ts, rows = [], [], [], []
-        for ln in lines[1:]:
-            if not ln:
-                continue
-            parts = ln.split(",")
-            users.append(parts[0])
-            sessions.append(parts[1])
-            ts.append(int(parts[2]))
-            rows.append([float(c) if c else np.nan for c in parts[3:]])
-        values = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(columns)))
-        return cls(columns, values, np.array(users, dtype=object),
-                   np.array(sessions, dtype=object), np.array(ts, dtype=np.int64))

@@ -4,6 +4,11 @@ template serialization.
 Selection and projection are fitted on pooled training data; templates are
 per-user mean/stdev models over the resulting space. Missing cells are
 imputed with template means at scoring time.
+
+Test vectors are scored as scan windows: scan_aggregate averages each
+session's vectors over fixed windows anchored at the session's zero, and
+keys every window by its session ordinal and start, so one key names the
+same stretch of recording in every channel.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from .matrix import FeatureMatrix
 SIGMA_FLOOR = 1e-6
 
 MIN_TEMPLATE_VECTORS = 80
+
+# keeps the scan windows of different sessions apart: a session's window
+# keys start at its ordinal times this stride (2**44 ms is about 557 years)
+SESSION_STRIDE_MS = 1 << 44
 
 # equal-frequency bins per feature for mRMR's mutual information
 MRMR_BINS = 10
@@ -318,41 +327,39 @@ def build_template(user_id: str, fm: FeatureMatrix, prep: FeaturePrep | None = N
 # scan aggregation
 # ---------------------------------------------------------------------------
 
-def scan_aggregate(fm: FeatureMatrix, t_seconds: float,
-                   anchor_ms: int | None = None) -> FeatureMatrix:
-    """Feature-wise mean over consecutive non-overlapping t-second windows.
+def scan_aggregate(fm: FeatureMatrix, scan_s: float,
+                   ordinals: dict[tuple[str, str], int]) -> FeatureMatrix:
+    """Feature-wise mean over consecutive non-overlapping scan windows.
 
-    Windows start at the first vector's timestamp unless an anchor is
-    given. Only windows holding at least one vector produce output; the
-    output timestamp is the window start. Aggregates with no finite cell
-    are dropped.
+    Windows are scan_s long and start at multiples of scan_s from each
+    session's zero, so the same window lines up across channels. A row's
+    window key, which is also its output timestamp, is
+    ordinal * SESSION_STRIDE_MS + t_ms // span * span, with the ordinal of
+    its (user, session); rows of a session with no ordinal are dropped.
+    Windows come out in key order; a window whose mean has no finite cell
+    is dropped.
     """
-    if t_seconds <= 0:
+    if scan_s <= 0:
         raise PipelineError("scan length must be positive")
-    if fm.n_rows == 0:
+    span = int(scan_s * 1000)
+    ordinal = np.array([ordinals.get(key, -1)
+                        for key in zip(fm.user_ids.tolist(), fm.session_ids.tolist())],
+                       dtype=np.int64)
+    rows = np.flatnonzero(ordinal >= 0)
+    if len(rows) == 0:
         return FeatureMatrix.empty(fm.columns)
-    order = np.argsort(fm.t_ms, kind="stable")
-    fm = fm.take(order)
-    anchor = int(fm.t_ms[0]) if anchor_ms is None else int(anchor_ms)
-    if fm.t_ms[0] < anchor:
-        raise PipelineError("anchor is later than the first vector")
-    span = int(t_seconds * 1000)
-    idx = (fm.t_ms - anchor) // span
-    rows, users, sessions, ts = [], [], [], []
-    for w in np.unique(idx):
-        block = fm.values[idx == w]
-        agg = nanmean_columns(block)
-        if not np.any(np.isfinite(agg)):
-            continue
-        rows.append(agg)
-        where = np.flatnonzero(idx == w)[0]
-        users.append(fm.user_ids[where])
-        sessions.append(fm.session_ids[where])
-        ts.append(anchor + int(w) * span)
-    if not rows:
-        return FeatureMatrix.empty(fm.columns)
-    return FeatureMatrix(fm.columns, np.array(rows), np.array(users, dtype=object),
-                         np.array(sessions, dtype=object), np.array(ts, dtype=np.int64))
+    # stable, so rows with equal (ordinal, t_ms) keep their input order and
+    # each window's mean adds its rows in the same order as the oracle
+    order = rows[np.lexsort((fm.t_ms[rows], ordinal[rows]))]
+    key = ordinal[order] * SESSION_STRIDE_MS + fm.t_ms[order] // span * span
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    # one window's rows copied at a time, never the whole matrix
+    means = np.array([nanmean_columns(fm.values[order[a:b]])
+                      for a, b in zip(starts, np.r_[starts[1:], len(key)])])
+    keep = np.isfinite(means).any(axis=1)
+    first = order[starts[keep]]
+    return FeatureMatrix(fm.columns, means[keep], fm.user_ids[first],
+                         fm.session_ids[first], key[starts[keep]])
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ import math
 
 import numpy as np
 
-from hmogkit.corpus.types import SENSOR_ORDER, slice_span
+from hmogkit.corpus.types import SENSOR_ORDER
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
     FEATURE_NAMES, POST_MS)
 from hmogkit.corpus.synth import KEY_ALPHABET
 from hmogkit.matrix import FeatureMatrix
+from hmogkit.pipeline import PipelineError, nanmean_columns
 from hmogkit.touchkeys import (
     HOLD_UNIVERSE, TAP_FEATURE_NAMES, digraph_feature_names)
 from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize, weight_grid
@@ -166,6 +167,15 @@ def _hmog_stability_oracle(t_start, t_end, before, during, t_during, after100,
         s3 = np.where(den3 == 0, np.nan,
                       (t_end + CENTER_OFFSET_MS - t_max_in_tap) / den3)
     return np.stack([np.asarray(settle, dtype=np.float64), s2, s3])
+
+
+def slice_span(t_ms: np.ndarray, lo: int, hi: int,
+               include_lo: bool, include_hi: bool) -> slice:
+    """Index slice of a sorted timestamp array covering [lo, hi] with
+    configurable endpoint inclusion."""
+    i0 = int(np.searchsorted(t_ms, lo, side="left" if include_lo else "right"))
+    i1 = int(np.searchsorted(t_ms, hi, side="right" if include_hi else "left"))
+    return slice(i0, max(i0, i1))
 
 
 def _hmog_event_oracle(t, chans, t_start, t_end):
@@ -392,3 +402,61 @@ def search_fusion_weights_oracle(channels, step: float = 0.05):
     if best is None:
         raise VerifyError("no weighting produced a scored decision set")
     return best
+
+
+# ---------------------------------------------------------------------------
+# scan windows, one session and one window at a time
+# ---------------------------------------------------------------------------
+
+_SESSION_STRIDE_MS = 1 << 44
+
+
+def _scan_aggregate_one_session(fm: FeatureMatrix, t_seconds: float,
+                                anchor_ms: int | None = None) -> FeatureMatrix:
+    if t_seconds <= 0:
+        raise PipelineError("scan length must be positive")
+    if fm.n_rows == 0:
+        return FeatureMatrix.empty(fm.columns)
+    order = np.argsort(fm.t_ms, kind="stable")
+    fm = fm.take(order)
+    anchor = int(fm.t_ms[0]) if anchor_ms is None else int(anchor_ms)
+    if fm.t_ms[0] < anchor:
+        raise PipelineError("anchor is later than the first vector")
+    span = int(t_seconds * 1000)
+    idx = (fm.t_ms - anchor) // span
+    rows, users, sessions, ts = [], [], [], []
+    for w in np.unique(idx):
+        block = fm.values[idx == w]
+        agg = nanmean_columns(block)
+        if not np.any(np.isfinite(agg)):
+            continue
+        rows.append(agg)
+        where = np.flatnonzero(idx == w)[0]
+        users.append(fm.user_ids[where])
+        sessions.append(fm.session_ids[where])
+        ts.append(anchor + int(w) * span)
+    if not rows:
+        return FeatureMatrix.empty(fm.columns)
+    return FeatureMatrix(fm.columns, np.array(rows), np.array(users, dtype=object),
+                         np.array(sessions, dtype=object), np.array(ts, dtype=np.int64))
+
+
+def scan_aggregate_oracle(fm: FeatureMatrix, scan_s: float,
+                          ordinals: dict[tuple[str, str], int]) -> FeatureMatrix:
+    """scan_aggregate by a loop over sessions in key order, each aggregated
+    window by window with windows anchored at 0, then shifted apart by the
+    session ordinal."""
+    parts = []
+    for (user, session), ordinal in sorted(ordinals.items()):
+        mask = (fm.user_ids == user) & (fm.session_ids == session)
+        if not mask.any():
+            continue
+        agg = _scan_aggregate_one_session(fm.take(mask), scan_s, anchor_ms=0)
+        if agg.n_rows == 0:
+            continue
+        parts.append(FeatureMatrix(agg.columns, agg.values, agg.user_ids,
+                                   agg.session_ids,
+                                   agg.t_ms + ordinal * _SESSION_STRIDE_MS))
+    if not parts:
+        return FeatureMatrix.empty(fm.columns)
+    return FeatureMatrix.vstack(parts)

@@ -32,7 +32,6 @@ from hmogkit.bkg.field import (
     centered,
     inv_mod,
     is_prime,
-    lee_distance,
     lee_weight,
     lee_weight_total,
     poly_add,
@@ -79,9 +78,6 @@ def test_lee_weight_values():
     assert lee_weight(-1, 5) == 1
     vec = np.array([0, 1, 3, 4])
     assert lee_weight_total(vec, 5) == lee_weight_oracle(vec, 5) == 4
-    assert lee_distance([0, 0], [1, 4], 5) == 2
-    with pytest.raises(ValueError, match="length"):
-        lee_distance([0], [1, 2], 5)
 
 
 def test_centered():

@@ -1,5 +1,6 @@
 """End-to-end command line coverage, including exit codes."""
 
+import csv
 import dataclasses
 import json
 
@@ -70,10 +71,23 @@ SMALL = ["--users", "2", "--sessions", "3", "--session-seconds", "30"]
 
 @pytest.fixture(scope="module")
 def malformed_corpora(tmp_path_factory):
-    """Corpus directories whose index.json or meta.json is broken."""
+    """Corpus directories whose index.json, meta.json or recordings are broken."""
     root = tmp_path_factory.mktemp("malformed")
     index = json.dumps({"version": 1, "sessions": [{"path": "s1"}]})
     meta = json.dumps({"session_id": "s01", "condition": "sitting"})
+    good_meta = json.dumps({"user_id": "u1", "session_id": "s01", "condition": "sitting"})
+    taps = "session_id,tap_id,t_start_ms,t_end_ms\n"
+    sensor = "session_id,sensor,t_ms,x,y,z\n"
+    for name, files in [
+            # a session shifted 5 s early: timestamps count from session start
+            ("negative_t", {"taps.csv": taps,
+                            "sensor.csv": sensor + "s01,acc,-5000,0.1,0.2,9.8\n"}),
+            ("infinite_t", {"taps.csv": taps + "s01,1,100,inf\n"})]:
+        (root / name / "s1").mkdir(parents=True)
+        (root / name / "index.json").write_text(index)
+        (root / name / "s1" / "meta.json").write_text(good_meta)
+        for file_name, text in files.items():
+            (root / name / "s1" / file_name).write_text(text)
     for name, index_text, meta_text in [
             ("index_not_json", "{not json", None),
             ("index_no_path", json.dumps({"sessions": [{"user_id": "u1"}]}), None),
@@ -143,6 +157,10 @@ def malformed_corpora(tmp_path_factory):
     (["sweep", *SMALL], {"downsample_factors": []},
      2, "config error: downsample_factors must not be empty"),
     (["eval", *SMALL], {"channels": []}, 2, "config error: channels must not be empty"),
+    (["eval", "--corpus", "{corpora}/negative_t"], None,
+     3, "data error: {corpora}/negative_t/s1/sensor.csv:2: negative timestamp '-5000'"),
+    (["eval", "--corpus", "{corpora}/infinite_t"], None,
+     3, "data error: {corpora}/infinite_t/s1/taps.csv:2: bad timestamp 'inf'"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -188,9 +206,10 @@ def test_extract_writes_stamped_csv(cli_corpus, tmp_path):
     assert text.startswith("# config_hash=")
     assert "# seed=5" in text.splitlines()[1]
     assert "np.float64" not in text
-    fm = FeatureMatrix.read_csv(str(out))
-    assert fm.n_features == 11
-    assert fm.n_rows > 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+    assert len(header) == 3 + 11
+    assert rows
 
 
 def test_config_file_beats_flags(cli_corpus, tmp_path):
@@ -421,12 +440,12 @@ s1,b,300,390
 """
 
 
-def write_manifest(tmp_path, entry):
+def write_manifest(tmp_path, *entries):
     (tmp_path / "sensor.csv").write_text(RAW_SENSOR)
     (tmp_path / "touch.csv").write_text(RAW_TOUCH)
     (tmp_path / "keys.csv").write_text(RAW_KEYS)
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"sessions": [entry]}))
+    manifest.write_text(json.dumps({"sessions": list(entries)}))
     return manifest
 
 
@@ -452,20 +471,21 @@ INGEST_ENTRY = {
     "condition": "walking"}
 
 
-def assert_manifest_config_error(tmp_path, capsys, entry, message):
-    manifest = write_manifest(tmp_path, entry)
+def assert_manifest_config_error(tmp_path, capsys, entries, message):
+    manifest = write_manifest(tmp_path, *entries)
     out = tmp_path / "corpus"
     assert main(["ingest", "--manifest", str(manifest),
                  "--corpus-out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: {manifest}: session ")
     assert "session 0" in err and message in err
     assert not out.exists()
 
 
 def test_ingest_missing_manifest_field(tmp_path, capsys):
     entry = {k: v for k, v in INGEST_ENTRY.items() if k != "condition"}
-    assert_manifest_config_error(tmp_path, capsys, entry, "missing 'condition'")
+    assert_manifest_config_error(tmp_path, capsys, [entry], "missing 'condition'")
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -479,7 +499,19 @@ def test_ingest_missing_manifest_field(tmp_path, capsys):
     ("taps_file", 5, "taps_file 5, expected a path string"),
     ("rate_hz", 0, "rate_hz 0, expected a positive finite number"),
     ("rate_hz", -5.0, "rate_hz -5.0, expected a positive finite number"),
+    ("user_id", None, "user_id None, expected a non-empty string or an integer"),
+    ("session_id", None, "session_id None, expected a non-empty string"),
+    ("user_id", True, "user_id True, expected a non-empty string"),
+    ("session_id", False, "session_id False, expected a non-empty string"),
+    ("user_id", "", "user_id '', expected a non-empty string"),
+    ("session_id", "", "session_id '', expected a non-empty string"),
+    ("user_id", ["u9"], "user_id ['u9'], expected a non-empty string"),
+    # a second entry naming the same session as the first
+    ("sessions", [INGEST_ENTRY, {**INGEST_ENTRY, "condition": "sitting"}],
+     "session 1 repeats user_id 'u9' and session_id 's1' of session 0"),
+    ("sessions", [{**INGEST_ENTRY, "user_id": 9}, {**INGEST_ENTRY, "user_id": "9"}],
+     "session 1 repeats user_id '9' and session_id 's1' of session 0"),
 ])
 def test_ingest_bad_manifest_field(tmp_path, capsys, field, value, message):
-    entry = {**INGEST_ENTRY, field: value}
-    assert_manifest_config_error(tmp_path, capsys, entry, message)
+    entries = value if field == "sessions" else [{**INGEST_ENTRY, field: value}]
+    assert_manifest_config_error(tmp_path, capsys, entries, message)

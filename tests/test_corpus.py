@@ -19,8 +19,8 @@ from hmogkit.corpus.types import (
     Session,
     TapEvent,
     downsample,
-    slice_span,
 )
+from oracles import slice_span
 
 
 def make_stream(t, values, sensor=Sensor.ACC, rate=100.0):

@@ -8,14 +8,11 @@ import pytest
 
 from hmogkit.corpus.types import Condition, Session
 from hmogkit.experiments import (
-    _SESSION_STRIDE_MS,
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
     _channel_setup,
-    aggregate_scans,
     build_sessions,
-    extract_channel,
     extract_channels,
     run_auth,
     run_between,
@@ -26,6 +23,7 @@ from hmogkit.experiments import (
     training_sessions,
 )
 from hmogkit.matrix import FeatureMatrix
+from hmogkit.pipeline import SESSION_STRIDE_MS, scan_aggregate
 from hmogkit.touchkeys import (
     EVENT_COLUMNS,
     digraph_feature_names,
@@ -139,23 +137,23 @@ def test_session_ordinals_sorted():
 def test_extract_channel_shapes(mini_sessions):
     config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0)
     one = mini_sessions[:1]
-    assert extract_channel(one, "hmog", config).n_features == 96
+    assert extract_channels(one, ("hmog",), config)["hmog"].n_features == 96
     sub = dataclasses.replace(config, sensors=("acc",))
-    acc = extract_channel(one, "hmog", sub)
+    acc = extract_channels(one, ("hmog",), sub)["hmog"]
     assert acc.n_features == 32
     assert all(c.startswith("acc_") for c in acc.columns)
-    assert extract_channel(one, "tap", config).n_features == 11
-    assert extract_channel(one, "keyhold", config).n_features == 89
-    digraphs = extract_channel(one, "digraph", config)
+    assert extract_channels(one, ("tap",), config)["tap"].n_features == 11
+    assert extract_channels(one, ("keyhold",), config)["keyhold"].n_features == 89
+    digraphs = extract_channels(one, ("digraph",), config)["digraph"]
     assert digraphs.columns == EVENT_COLUMNS
     assert widen(digraphs, digraph_feature_names()).n_features == 1225
     with pytest.raises(ConfigError):
-        extract_channel(one, "sonar", config)
+        extract_channels(one, ("sonar",), config)
 
 
 def test_extract_channel_orders_sessions(mini_sessions):
     config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0)
-    fm = extract_channel(list(reversed(mini_sessions)), "tap", config)
+    fm = extract_channels(list(reversed(mini_sessions)), ("tap",), config)["tap"]
     labels = list(zip(fm.user_ids, fm.session_ids))
     assert labels == sorted(labels)
 
@@ -173,7 +171,7 @@ def test_extract_channels_one_keystroke_pass_per_session(mini_sessions, monkeypa
     both = extract_channels(mini_sessions[:2], ("keyhold", "digraph"), config)
     assert len(calls) == 2
     for channel in ("keyhold", "digraph"):
-        single = extract_channel(mini_sessions[:2], channel, config)
+        single = extract_channels(mini_sessions[:2], (channel,), config)[channel]
         assert both[channel].columns == single.columns
         assert both[channel].values.tobytes() == single.values.tobytes()
     # channel set-up: one extraction per side covering every channel, so
@@ -194,10 +192,11 @@ def test_extract_channels_one_keystroke_pass_per_session(mini_sessions, monkeypa
     assert list(matrices) == list(channels)
     for channel in ("keyhold", "tap"):
         train_fm, test_fm = matrices[channel]
-        assert train_fm.values.tobytes() == extract_channel(train_s, channel, config).values.tobytes()
-        assert test_fm.values.tobytes() == extract_channel(test_s, channel, config).values.tobytes()
-    want = latency_outlier_filter(extract_channel(train_s, "digraph", config),
-                                  extract_channel(test_s, "digraph", config),
+        for got, side in ((train_fm, train_s), (test_fm, test_s)):
+            want = extract_channels(side, (channel,), config)[channel]
+            assert got.values.tobytes() == want.values.tobytes()
+    want = latency_outlier_filter(extract_channels(train_s, ("digraph",), config)["digraph"],
+                                  extract_channels(test_s, ("digraph",), config)["digraph"],
                                   config.latency_max_ms, config.latency_min_count)
     for got, fm in zip(matrices["digraph"], want):
         assert got.columns == fm.columns
@@ -211,7 +210,7 @@ def test_channel_setup_keystrokes_stay_below_one_dense_digraph_matrix(mini_sessi
     config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0,
                               min_vectors=5)
     train_s, test_s = split_train_test(mini_sessions)
-    dense_bytes = extract_channel(train_s, "digraph", config).n_rows * 1225 * 8
+    dense_bytes = extract_channels(train_s, ("digraph",), config)["digraph"].n_rows * 1225 * 8
     tracemalloc.start()
     try:
         data, _, notes = _channel_setup(config, train_s, test_s, ("keyhold", "digraph"))
@@ -244,9 +243,9 @@ def test_aggregate_scans_aligns_channels():
     wide = fm_of([[1.0], [3.0], [5.0], [7.0]], ["u1"] * 4,
                  ["s01", "s01", "s02", "s02"], [10000, 70000, 0, 65000], ["a"])
     narrow = fm_of([[2.0]], ["u1"], ["s01"], [30000], ["b"])
-    agg_wide = aggregate_scans(wide, 60.0, ordinals)
-    agg_narrow = aggregate_scans(narrow, 60.0, ordinals)
-    stride = _SESSION_STRIDE_MS
+    agg_wide = scan_aggregate(wide, 60.0, ordinals)
+    agg_narrow = scan_aggregate(narrow, 60.0, ordinals)
+    stride = SESSION_STRIDE_MS
     assert list(agg_wide.t_ms) == [0, 60000, stride, 60000 + stride]
     # the narrow channel's one window lands on the same key as the wide one
     assert list(agg_narrow.t_ms) == [0]
@@ -257,9 +256,9 @@ def test_aggregate_scans_aligns_channels():
 def test_aggregate_scans_skips_absent_pairs():
     ordinals = {("u1", "s01"): 0, ("u2", "s01"): 1}
     fm = fm_of([[1.0]], ["u1"], ["s01"], [0], ["a"])
-    agg = aggregate_scans(fm, 60.0, ordinals)
+    agg = scan_aggregate(fm, 60.0, ordinals)
     assert agg.n_rows == 1
-    empty = aggregate_scans(FeatureMatrix.empty(("a",)), 60.0, ordinals)
+    empty = scan_aggregate(FeatureMatrix.empty(("a",)), 60.0, ordinals)
     assert empty.n_rows == 0
 
 
@@ -369,6 +368,27 @@ def test_run_between_slow_taps(tmp_path):
         assert cell["n_genuine"] > 0 and cell["n_impostor"] > 0
     text = (tmp_path / "between.csv").read_text()
     assert "during,30," in text and "between,30," in text
+
+
+def test_run_between_modes_match_run_auth(tmp_path):
+    # each mode of run_between is run_auth on the hmog channel in that mode
+    base = ExperimentConfig(n_users=2, sessions=3, session_seconds=120.0,
+                            tap_rate_hz=0.8, min_vectors=20, channels=("hmog",),
+                            scan_seconds=(10.0, 30.0), seed=11)
+    sessions = build_sessions(base)
+    for mode in ("during", "between"):
+        config = dataclasses.replace(base, mode=mode)
+        between_dir, auth_dir = tmp_path / mode / "between", tmp_path / mode / "auth"
+        between = run_between(dataclasses.replace(config, out_dir=str(between_dir)),
+                              sessions)
+        auth = run_auth(dataclasses.replace(config, out_dir=str(auth_dir)), sessions)
+        cells = between["modes"][mode]["scans"]
+        assert list(cells) == ["10", "30"]
+        assert cells == {scan: entry["channels"]["hmog"]
+                         for scan, entry in auth["scans"].items()}
+        for scan in cells:
+            assert ((between_dir / f"scores_{mode}_{scan}s.csv").read_bytes()
+                    == (auth_dir / f"scores_hmog_{scan}s.csv").read_bytes())
 
 
 def test_run_bkg(mini_sessions):

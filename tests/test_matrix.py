@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ def test_zero_columns_take_rows_from_labels():
         FeatureMatrix((), np.empty((3, 0)), ["u1"] * 3, ["s1"] * 2, [0, 1, 2])
 
 
+def read_back(path):
+    """Header and rows of a written matrix CSV, comment lines skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+    assert header[:3] == ["user_id", "session_id", "t_ms"]
+    values = np.array([[float(c) if c else np.nan for c in row[3:]] for row in rows])
+    return tuple(header[3:]), values, np.array([int(row[2]) for row in rows])
+
+
 def test_csv_roundtrip_with_nan(tmp_path):
     fm = make_fm([[1.5, np.nan], [np.nan, -2.25]], users=["u1", "u2"],
                  sessions=["s1", "s1"], t=[10, 20])
@@ -87,11 +98,11 @@ def test_csv_roundtrip_with_nan(tmp_path):
     text = path.read_text()
     assert text.startswith("# config_hash=abc\n# seed=7\n")
     assert "np.float64" not in text
-    back = FeatureMatrix.read_csv(str(path))
-    assert back.columns == fm.columns
-    np.testing.assert_array_equal(back.t_ms, fm.t_ms)
-    np.testing.assert_array_equal(np.isnan(back.values), np.isnan(fm.values))
-    assert back.values[0, 0] == 1.5 and back.values[1, 1] == -2.25
+    columns, values, t_ms = read_back(path)
+    assert columns == fm.columns
+    np.testing.assert_array_equal(t_ms, fm.t_ms)
+    np.testing.assert_array_equal(np.isnan(values), np.isnan(fm.values))
+    assert values[0, 0] == 1.5 and values[1, 1] == -2.25
 
 
 def test_csv_roundtrip_exact_floats(tmp_path):
@@ -99,5 +110,4 @@ def test_csv_roundtrip_exact_floats(tmp_path):
     fm = make_fm(rng.normal(size=(20, 3)))
     path = tmp_path / "m.csv"
     fm.write_csv(str(path))
-    back = FeatureMatrix.read_csv(str(path))
-    np.testing.assert_array_equal(back.values, fm.values)
+    np.testing.assert_array_equal(read_back(path)[1], fm.values)

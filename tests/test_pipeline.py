@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hmogkit.experiments import CHANNELS, ExperimentConfig, extract_channels, session_ordinals
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import (
     MIN_TEMPLATE_VECTORS,
+    SESSION_STRIDE_MS,
     SIGMA_FLOOR,
     EnrollmentError,
     PipelineError,
@@ -24,6 +26,8 @@ from hmogkit.pipeline import (
     scan_aggregate,
     select_by_fisher,
 )
+from hmogkit.touchkeys import digraph_feature_names, widen
+from oracles import scan_aggregate_oracle
 
 
 def fm_of(values, users, sessions=None, t=None, columns=None):
@@ -310,8 +314,11 @@ def scan_fixture():
                  t=[0, 5000, 10000, 65000])
 
 
+ONE_SESSION = {("A", "s01"): 0}
+
+
 def test_scan_aggregate_hand_windows():
-    out = scan_aggregate(scan_fixture(), 60.0)
+    out = scan_aggregate(scan_fixture(), 60.0, ONE_SESSION)
     assert out.values.shape == (2, 2)
     assert list(out.t_ms) == [0, 60000]
     assert_allclose(out.values[0], [2.0, 15.0])
@@ -321,18 +328,19 @@ def test_scan_aggregate_hand_windows():
 
 def test_scan_aggregate_anchor():
     fm = fm_of([[1.0], [5.0]], ["A", "A"], t=[65000, 70000])
-    out = scan_aggregate(fm, 60.0, anchor_ms=0)
+    out = scan_aggregate(fm, 60.0, ONE_SESSION)
     # both rows fall in the second window anchored at zero
     assert list(out.t_ms) == [60000]
     assert_allclose(out.values[0], [3.0])
-    with pytest.raises(PipelineError, match="anchor"):
-        scan_aggregate(fm, 60.0, anchor_ms=66000)
+    # a later session's windows are anchored at its own zero
+    out = scan_aggregate(fm, 60.0, {("A", "s01"): 3})
+    assert list(out.t_ms) == [3 * SESSION_STRIDE_MS + 60000]
 
 
 def test_scan_aggregate_sorts_input():
     fm = scan_fixture()
     shuffled = fm.take(np.array([3, 0, 2, 1]))
-    out = scan_aggregate(shuffled, 60.0)
+    out = scan_aggregate(shuffled, 60.0, ONE_SESSION)
     assert list(out.t_ms) == [0, 60000]
     assert_allclose(out.values[0], [2.0, 15.0])
 
@@ -340,15 +348,42 @@ def test_scan_aggregate_sorts_input():
 def test_scan_aggregate_drops_empty_windows():
     values = [[1.0], [np.nan], [5.0]]
     fm = fm_of(values, ["A"] * 3, t=[0, 61000, 122000])
-    out = scan_aggregate(fm, 60.0)
+    out = scan_aggregate(fm, 60.0, ONE_SESSION)
     assert list(out.t_ms) == [0, 120000]
 
 
 def test_scan_aggregate_edge_inputs():
     empty = FeatureMatrix.empty(("f0",))
-    assert scan_aggregate(empty, 60.0).n_rows == 0
+    assert scan_aggregate(empty, 60.0, ONE_SESSION).n_rows == 0
     with pytest.raises(PipelineError):
-        scan_aggregate(empty, 0.0)
+        scan_aggregate(empty, 0.0, ONE_SESSION)
+
+
+@pytest.mark.parametrize("scan_s", [2.0, 60.0])
+def test_scan_aggregate_matches_oracle(mini_sessions, scan_s):
+    config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0)
+    matrices = extract_channels(mini_sessions, CHANNELS, config)
+    matrices["digraph"] = widen(matrices["digraph"], digraph_feature_names())
+    # shuffled rows with timestamps floored to whole seconds: ties inside a
+    # window must keep their input order
+    hmog = matrices["hmog"]
+    shuffled = hmog.take(np.random.default_rng(3).permutation(hmog.n_rows))
+    matrices["hmog_tied"] = FeatureMatrix(
+        shuffled.columns, shuffled.values, shuffled.user_ids,
+        shuffled.session_ids, shuffled.t_ms // 1000 * 1000)
+    assert len(np.unique(matrices["hmog_tied"].t_ms)) < hmog.n_rows
+    ordinals = session_ordinals(mini_sessions)
+    del ordinals[("u02", "s02")]  # a session with no ordinal is dropped
+    for name, fm in matrices.items():
+        got = scan_aggregate(fm, scan_s, ordinals)
+        want = scan_aggregate_oracle(fm, scan_s, ordinals)
+        assert got.n_rows > 0, name
+        assert got.columns == want.columns, name
+        assert got.values.tobytes() == want.values.tobytes(), name
+        assert got.user_ids.tolist() == want.user_ids.tolist(), name
+        assert got.session_ids.tolist() == want.session_ids.tolist(), name
+        assert got.t_ms.tobytes() == want.t_ms.tobytes(), name
+        assert "s02" not in got.session_ids[got.user_ids == "u02"].tolist()
 
 
 # ---------------------------------------------------------------- persistence
