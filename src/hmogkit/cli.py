@@ -250,6 +250,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 raise ConfigError(f"{args.manifest}: session {i} has {name}"
                                   f" {value!r}, expected a non-empty string or"
                                   " an integer")
+            # the directory is <user_id>_<session_id> under --corpus-out;
+            # a separator would place it elsewhere
+            if any(c in str(value) for c in "/\\\0"):
+                raise ConfigError(f"{args.manifest}: session {i} has {name}"
+                                  f" {value!r}, which must not contain '/',"
+                                  " '\\' or NUL")
         key = (str(user_id), str(session_id))
         if key in seen:
             raise ConfigError(f"{args.manifest}: session {i} repeats user_id"

@@ -144,16 +144,15 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be during or between, got {self.mode!r}")
         if self.metric not in ("sm", "se"):
             raise ConfigError(f"metric must be sm or se, got {self.metric!r}")
-        if any(t <= 0 for t in self.scan_seconds):
-            raise ConfigError("scan lengths must be positive")
+        for scan_s in self.scan_seconds:
+            _check_scan_length("scan_seconds", scan_s)
         if self.selector not in (None, "fisher", "mrmr"):
             raise ConfigError(f"unknown selector {self.selector!r}")
         if self.pca_fraction is not None and not 0 < self.pca_fraction <= 1:
             raise ConfigError(f"pca_fraction must be in (0, 1], got {self.pca_fraction}")
         if self.session_seconds <= 0:
             raise ConfigError(f"session_seconds must be positive, got {self.session_seconds}")
-        if self.bkg_scan_seconds <= 0:
-            raise ConfigError(f"bkg_scan_seconds must be positive, got {self.bkg_scan_seconds}")
+        _check_scan_length("bkg_scan_seconds", self.bkg_scan_seconds)
         if self.latency_min_count < 0:
             raise ConfigError(
                 f"latency_min_count must be nonnegative, got {self.latency_min_count}")
@@ -206,6 +205,15 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_scan_length(name: str, scan_s: float) -> None:
+    """Scan windows are whole milliseconds wide (``int(scan_s * 1000)``), so
+    a length under 1 ms would make each session one window."""
+    if scan_s <= 0:
+        raise ConfigError(f"{name} must be positive, got {scan_s}")
+    if not math.isfinite(scan_s) or int(scan_s * 1000) < 1:
+        raise ConfigError(f"{name} must be finite and at least 0.001 s, got {scan_s}")
 
 
 def _fits(value, hint) -> bool:

@@ -229,6 +229,69 @@ def test_zero_locator_code_roundtrip():
         assert np.array_equal(decode((word + e) % 5, params), word)
 
 
+def words_for_every_syndrome(params):
+    """One word per syndrome: the words supported on the first n - l
+    positions, whose parity columns form an invertible Vandermonde block."""
+    r = params.n - params.l
+    grids = np.meshgrid(*[np.arange(params.p)] * r, indexing="ij")
+    words = np.zeros((params.p ** r, params.n), dtype=np.int64)
+    words[:, :r] = np.stack([g.ravel() for g in grids], axis=1)
+    syndromes = (words @ params.parity.T) % params.p
+    assert len({tuple(s) for s in syndromes.tolist()}) == params.p ** r
+    return words, syndromes
+
+
+def test_decode_every_syndrome_13_10_29():
+    params = grs_build(13, 10, 29)
+    errors = [(0,) * 13] + list(lee_patterns(13, 29, params.radius))
+    assert len(errors) == 365
+    leader = {tuple(((params.parity @ np.array(e)) % 29).tolist()): np.array(e)
+              for e in errors}
+    assert len(leader) == 365
+    words, syndromes = words_for_every_syndrome(params)
+    decoded = 0
+    for word, s in zip(words, syndromes.tolist()):
+        e = leader.get(tuple(s))
+        if e is None:
+            with pytest.raises(DecodeFailure):
+                decode(word, params)
+        else:
+            assert np.array_equal(decode(word, params), (word - e) % 29)
+            decoded += 1
+    assert decoded == 365
+
+
+def test_decode_every_syndrome_zero_locator_7_3_7():
+    params = grs_build(7, 3, 7)
+    assert params.zero_locator
+    assert len(codebook(params)) == 343
+    words, _ = words_for_every_syndrome(params)
+    decoded = 0
+    for word in words:
+        try:
+            expected = decode_brute(word, params)
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                decode(word, params)
+            continue
+        assert np.array_equal(decode(word, params), expected)
+        decoded += 1
+    assert decoded > 0
+
+
+@pytest.mark.parametrize("n,l,p", [(7, 3, 7), (13, 10, 29)])
+def test_inverse_powers_table(n, l, p):
+    params = grs_build(n, l, p)
+    table = params.inverse_powers
+    n_loc = n - 1 if params.zero_locator else n
+    assert table.shape == (n_loc, n - l + 1)
+    assert table.dtype == np.int64
+    for k in range(n_loc):
+        for j in range(n - l + 1):
+            assert (int(table[k, j]) * pow(k + 1, j, p)) % p == 1
+            assert 0 < table[k, j] < p
+
+
 def test_decode_input_validation():
     params = grs_build(4, 2, 5)
     with pytest.raises(ValueError, match="length"):

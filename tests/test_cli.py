@@ -161,6 +161,12 @@ def malformed_corpora(tmp_path_factory):
      3, "data error: {corpora}/negative_t/s1/sensor.csv:2: negative timestamp '-5000'"),
     (["eval", "--corpus", "{corpora}/infinite_t"], None,
      3, "data error: {corpora}/infinite_t/s1/taps.csv:2: bad timestamp 'inf'"),
+    (["eval", *SMALL, "--scans", "0.0001"], None,
+     2, "config error: scan_seconds must be finite and at least 0.001 s, got 0.0001"),
+    (["eval", *SMALL, "--scans", "20,inf"], None,
+     2, "config error: scan_seconds must be finite and at least 0.001 s, got inf"),
+    (["bkg", *SMALL, "--bkg-scan", "0.0009"], None,
+     2, "config error: bkg_scan_seconds must be finite and at least 0.001 s, got 0.0009"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -511,6 +517,10 @@ def test_ingest_missing_manifest_field(tmp_path, capsys):
      "session 1 repeats user_id 'u9' and session_id 's1' of session 0"),
     ("sessions", [{**INGEST_ENTRY, "user_id": 9}, {**INGEST_ENTRY, "user_id": "9"}],
      "session 1 repeats user_id '9' and session_id 's1' of session 0"),
+    ("user_id", "../../escaped", "user_id '../../escaped', which must not contain"),
+    ("session_id", "s1/../..", "session_id 's1/../..', which must not contain"),
+    ("user_id", "..\\u9", "user_id '..\\\\u9', which must not contain"),
+    ("session_id", "s\x001", "session_id 's\\x001', which must not contain"),
 ])
 def test_ingest_bad_manifest_field(tmp_path, capsys, field, value, message):
     entries = value if field == "sessions" else [{**INGEST_ENTRY, field: value}]

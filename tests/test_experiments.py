@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ def test_config_validate_accepts_defaults():
     assert config.validate() is config
 
 
+def test_config_validate_accepts_one_ms_scans():
+    # int(0.001 * 1000) is exactly 1: the shortest window a scan can have
+    ExperimentConfig(scan_seconds=(0.001,), bkg_scan_seconds=0.001).validate()
+
+
 @pytest.mark.parametrize("overrides", [
     {"channels": ("sonar",)},
     {"channels": ()},
@@ -80,6 +86,11 @@ def test_config_validate_accepts_defaults():
     {"scan_seconds": (60.0, 60.0)},
     {"downsample_factors": ()},
     {"downsample_factors": (2, 2)},
+    {"scan_seconds": (0.0001,)},
+    {"scan_seconds": (60.0, 0.0009)},
+    {"scan_seconds": (math.inf,)},
+    {"bkg_scan_seconds": 0.0005},
+    {"bkg_scan_seconds": math.inf},
 ])
 def test_config_validate_rejects(overrides):
     with pytest.raises(ConfigError):
