@@ -256,6 +256,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 raise ConfigError(f"{args.manifest}: session {i} has {name}"
                                   f" {value!r}, which must not contain '/',"
                                   " '\\' or NUL")
+        # session_id leads every CSV row of the session: a leading '#' makes
+        # the row a comment, and a delimiter, quote or line break splits it
+        if str(session_id).startswith("#") or any(c in str(session_id) for c in ',"\r\n'):
+            raise ConfigError(f"{args.manifest}: session {i} has session_id"
+                              f" {session_id!r}, which must not start with '#'"
+                              " or contain ',', '\"', CR or LF")
         key = (str(user_id), str(session_id))
         if key in seen:
             raise ConfigError(f"{args.manifest}: session {i} repeats user_id"

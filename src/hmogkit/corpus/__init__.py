@@ -16,12 +16,12 @@ from .types import (
     CHANNELS,
     Condition,
     CorpusError,
-    KeyEvent,
+    KeyTable,
     Sensor,
     SENSOR_ORDER,
     SensorStream,
     Session,
-    TapEvent,
+    TapTable,
     downsample,
 )
 
@@ -31,14 +31,14 @@ __all__ = [
     "CorpusError",
     "DEFAULT_RATE_HZ",
     "KEY_ALPHABET",
-    "KeyEvent",
+    "KeyTable",
     "ParseError",
     "SENSOR_ORDER",
     "Sensor",
     "SensorStream",
     "Session",
     "SynthProfile",
-    "TapEvent",
+    "TapTable",
     "downsample",
     "load_corpus",
     "load_mapping",

@@ -19,18 +19,19 @@ import csv
 import json
 import math
 import os
+from itertools import chain, repeat
 
 import numpy as np
 
 from .types import (
     Condition,
     CorpusError,
-    KeyEvent,
+    KeyTable,
     Sensor,
     SENSOR_ORDER,
     SensorStream,
     Session,
-    TapEvent,
+    TapTable,
 )
 
 SENSOR_COLUMNS = ("session_id", "sensor", "t_ms", "x", "y", "z")
@@ -73,7 +74,19 @@ def _floor_ms(value: str, where: str) -> int:
         raise ParseError(f"{where}: bad timestamp {value!r}") from None
     if t < 0:
         raise ParseError(f"{where}: negative timestamp {value!r}")
+    if t >= 2 ** 63:  # past the int64 timestamp columns
+        raise ParseError(f"{where}: bad timestamp {value!r}")
     return t
+
+
+def _tap_id(value: str, where: str) -> int:
+    try:
+        tap_id = int(value)
+        if -2 ** 63 <= tap_id < 2 ** 63:  # tap ids are an int64 column
+            return tap_id
+    except ValueError:
+        pass
+    raise ParseError(f"{where}: bad tap_id {value!r}")
 
 
 def _float(value: str, where: str) -> float:
@@ -146,77 +159,61 @@ def _parse_sensor_file(path: str, mapping: dict[str, str] | None,
 
 
 def _parse_touch_file(path: str, mapping: dict[str, str] | None,
-                      boundaries: dict[int, tuple[int, int]] | None) -> list[TapEvent]:
-    samples: dict[int, list[tuple[int, float, float, float]]] = {}
-    order: list[int] = []
+                      boundaries: dict[int, tuple[int, int]] | None) -> TapTable:
+    ids, t, values = [], [], []
     for lineno, row in _read_rows(path, TOUCH_COLUMNS, mapping):
         where = f"{path}:{lineno}"
-        try:
-            tap_id = int(row["tap_id"])
-        except ValueError:
-            raise ParseError(f"{where}: bad tap_id {row['tap_id']!r}") from None
-        if tap_id not in samples:
-            samples[tap_id] = []
-            order.append(tap_id)
-        samples[tap_id].append((
-            _floor_ms(row["t_ms"], where),
-            _float(row["x_px"], where),
-            _float(row["y_px"], where),
-            _float(row["contact_size"], where),
-        ))
-    if boundaries is not None:
-        for tap_id in boundaries:
-            if tap_id not in samples:
-                raise ParseError(f"{path}: tap {tap_id} declared with zero touch samples")
-    taps = []
-    for tap_id in order:
-        rows = samples[tap_id]
-        t = np.array([r[0] for r in rows], dtype=np.int64)
-        if boundaries is not None and tap_id in boundaries:
-            t_start, t_end = boundaries[tap_id]
-        else:
-            t_start, t_end = int(t.min()), int(t.max())
-        taps.append(TapEvent(
-            tap_id=tap_id,
-            t_start_ms=t_start,
-            t_end_ms=t_end,
-            t_samples=t,
-            xy_px=np.array([(r[1], r[2]) for r in rows], dtype=np.float64),
-            contact_size=np.array([r[3] for r in rows], dtype=np.float64),
-        ))
-    taps.sort(key=lambda tap: (tap.t_start_ms, tap.tap_id))
-    return taps
+        ids.append(_tap_id(row["tap_id"], where))
+        t.append(_floor_ms(row["t_ms"], where))
+        values.append((_float(row["x_px"], where), _float(row["y_px"], where),
+                       _float(row["contact_size"], where)))
+    ids, t = np.array(ids, dtype=np.int64), np.array(t, dtype=np.int64)
+    values = np.array(values, dtype=np.float64).reshape(-1, 3)
+    tap_id, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    # a tap spans its samples unless taps.csv declares its bounds
+    by_tap, last = t[np.lexsort((t, ids))], np.cumsum(counts)
+    t_start, t_end = by_tap[last - counts], by_tap[last - 1]
+    if boundaries:
+        declared = np.array(list(boundaries), dtype=np.int64)
+        missing = declared[~np.isin(declared, tap_id)]
+        if len(missing):
+            raise ParseError(f"{path}: tap {missing[0]} declared with zero touch samples")
+        rows = np.searchsorted(tap_id, declared)
+        t_start[rows], t_end[rows] = np.array(list(boundaries.values()), dtype=np.int64).T
+    # taps ordered by (start, id); each keeps its samples in file order
+    order = np.lexsort((tap_id, t_start))
+    samples = np.lexsort((ids, t_start[inverse]))
+    return TapTable(tap_id=tap_id[order], t_start_ms=t_start[order], t_end_ms=t_end[order],
+                    offsets=np.concatenate([[0], np.cumsum(counts[order])]),
+                    t_samples=t[samples], xy_px=values[samples, :2],
+                    contact_size=values[samples, 2])
 
 
 def _parse_taps_file(path: str, mapping: dict[str, str] | None) -> dict[int, tuple[int, int]]:
     boundaries: dict[int, tuple[int, int]] = {}
     for lineno, row in _read_rows(path, TAPS_COLUMNS, mapping):
         where = f"{path}:{lineno}"
-        try:
-            tap_id = int(row["tap_id"])
-        except ValueError:
-            raise ParseError(f"{where}: bad tap_id {row['tap_id']!r}") from None
+        tap_id = _tap_id(row["tap_id"], where)
         if tap_id in boundaries:
             raise ParseError(f"{where}: duplicate tap_id {tap_id}")
         boundaries[tap_id] = (_floor_ms(row["t_start_ms"], where), _floor_ms(row["t_end_ms"], where))
     return boundaries
 
 
-def _parse_key_file(path: str, mapping: dict[str, str] | None) -> list[KeyEvent]:
-    events = []
-    last_press = None
+def _parse_key_file(path: str, mapping: dict[str, str] | None) -> KeyTable:
+    keys, press, release = [], [], []
     for lineno, row in _read_rows(path, KEY_COLUMNS, mapping):
         where = f"{path}:{lineno}"
-        press = _floor_ms(row["t_press_ms"], where)
-        if last_press is not None and press < last_press:
+        t = _floor_ms(row["t_press_ms"], where)
+        if press and t < press[-1]:
             raise ParseError(f"{where}: non-monotone key press timestamps")
-        last_press = press
         key = row["key_code"].strip()
         if not key:
             raise ParseError(f"{where}: empty key code")
-        events.append(KeyEvent(key=key, t_press_ms=press,
-                               t_release_ms=_floor_ms(row["t_release_ms"], where)))
-    return events
+        keys.append(key)
+        press.append(t)
+        release.append(_floor_ms(row["t_release_ms"], where))
+    return KeyTable(key=keys, t_press_ms=press, t_release_ms=release)
 
 
 def parse_session(sensor_path: str, touch_path: str, key_path: str, *,
@@ -241,37 +238,31 @@ def parse_session(sensor_path: str, touch_path: str, key_path: str, *,
 # canonical serialization (round-trips exactly through parse_session)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: str, columns: tuple[str, ...], rows) -> None:
+    """csv quotes a field holding ',', '"' or a line break, so _read_rows
+    splits it back; floats print as repr, which float() reads back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_session(session: Session, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "sensor.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SENSOR_COLUMNS) + "\n")
-        for sensor in SENSOR_ORDER:
-            stream = session.streams.get(sensor)
-            if stream is None:
-                continue
-            for i in range(len(stream)):
-                x, y, z = stream.values[i]
-                fh.write(f"{session.session_id},{sensor.value},{stream.t_ms[i]},"
-                         f"{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
-    with open(os.path.join(directory, "touch.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TOUCH_COLUMNS) + "\n")
-        for tap in session.taps:
-            for i in range(len(tap.t_samples)):
-                fh.write(f"{session.session_id},{tap.tap_id},{tap.t_samples[i]},"
-                         f"{_fmt(tap.xy_px[i, 0])},{_fmt(tap.xy_px[i, 1])},"
-                         f"{_fmt(tap.contact_size[i])}\n")
-    with open(os.path.join(directory, "taps.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TAPS_COLUMNS) + "\n")
-        for tap in session.taps:
-            fh.write(f"{session.session_id},{tap.tap_id},{tap.t_start_ms},{tap.t_end_ms}\n")
-    with open(os.path.join(directory, "keys.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(KEY_COLUMNS) + "\n")
-        for ev in session.keys:
-            fh.write(f"{session.session_id},{ev.key},{ev.t_press_ms},{ev.t_release_ms}\n")
+    sid = repeat(session.session_id)  # the first field of every row
+    taps, keys = session.taps, session.keys
+    streams = [(sensor.value, session.streams[sensor])
+               for sensor in SENSOR_ORDER if sensor in session.streams]
+    _write_csv(os.path.join(directory, "sensor.csv"), SENSOR_COLUMNS, chain.from_iterable(
+        zip(sid, repeat(tag), stream.t_ms.tolist(), *stream.values.T.tolist())
+        for tag, stream in streams))
+    _write_csv(os.path.join(directory, "touch.csv"), TOUCH_COLUMNS, zip(
+        sid, np.repeat(taps.tap_id, np.diff(taps.offsets)).tolist(), taps.t_samples.tolist(),
+        *taps.xy_px.T.tolist(), taps.contact_size.tolist()))
+    _write_csv(os.path.join(directory, "taps.csv"), TAPS_COLUMNS, zip(
+        sid, taps.tap_id.tolist(), taps.t_start_ms.tolist(), taps.t_end_ms.tolist()))
+    _write_csv(os.path.join(directory, "keys.csv"), KEY_COLUMNS, zip(
+        sid, keys.key.tolist(), keys.t_press_ms.tolist(), keys.t_release_ms.tolist()))
     rates = {sensor.value: session.streams[sensor].nominal_rate_hz
              for sensor in SENSOR_ORDER if sensor in session.streams}
     meta = {

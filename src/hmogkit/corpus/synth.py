@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .types import Condition, CorpusError, KeyEvent, Sensor, SENSOR_ORDER, SensorStream, Session, TapEvent
+from .types import Condition, CorpusError, KeyTable, Sensor, SENSOR_ORDER, SensorStream, Session, TapTable
 
 # canonical 35-key alphabet: 26 letters, 5 layout/control keys, 4 specials
 KEY_ALPHABET: tuple[str, ...] = tuple("abcdefghijklmnopqrstuvwxyz") + (
@@ -95,21 +95,25 @@ def _tap_times(profile: SynthProfile, duration_ms: int, rng: np.random.Generator
     return taps
 
 
-def _make_taps(profile: SynthProfile, times, rng: np.random.Generator) -> list[TapEvent]:
-    taps = []
+def _make_taps(profile: SynthProfile, times, rng: np.random.Generator) -> TapTable:
+    starts, ends = np.array(times, dtype=np.int64).reshape(-1, 2).T
+    step = profile.touch_sample_step_ms
+    counts = (ends - starts) // step + 1
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # sample j of tap i is at starts[i] + step * (j - offsets[i])
+    t = np.repeat(starts - step * offsets[:-1], counts) + step * np.arange(offsets[-1])
+    xy, size = np.empty((offsets[-1], 2)), np.empty(offsets[-1])
     cx, cy = profile.tap_center_px
-    for tap_id, (t_start, t_end) in enumerate(times):
-        t = np.arange(t_start, t_end + 1, profile.touch_sample_step_ms, dtype=np.int64)
-        k = len(t)
+    # per tap, in the draw order the corpus bytes depend on: x0, y0, k x-, k y-steps, k sizes
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
         x0 = cx + rng.normal(0, profile.tap_spread_px)
         y0 = cy + rng.normal(0, profile.tap_spread_px)
-        xy = np.column_stack([x0 + np.cumsum(rng.normal(0, 0.7, k)),
-                              y0 + np.cumsum(rng.normal(0, 0.7, k))])
-        size = np.clip(rng.normal(profile.contact_size_mean, profile.contact_size_sd, k),
-                       0.01, 2.0)
-        taps.append(TapEvent(tap_id=tap_id, t_start_ms=t_start, t_end_ms=t_end,
-                             t_samples=t, xy_px=xy, contact_size=size))
-    return taps
+        xy[lo:hi, 0] = x0 + np.cumsum(rng.normal(0, 0.7, hi - lo))
+        xy[lo:hi, 1] = y0 + np.cumsum(rng.normal(0, 0.7, hi - lo))
+        size[lo:hi] = np.clip(rng.normal(profile.contact_size_mean, profile.contact_size_sd,
+                                         hi - lo), 0.01, 2.0)
+    return TapTable(tap_id=np.arange(len(starts)), t_start_ms=starts, t_end_ms=ends,
+                    offsets=offsets, t_samples=t, xy_px=xy, contact_size=size)
 
 
 def _key_hold_offset(profile: SynthProfile, key_index: int) -> float:
@@ -117,22 +121,23 @@ def _key_hold_offset(profile: SynthProfile, key_index: int) -> float:
     return 18.0 * np.sin(profile.key_style + 0.9 * key_index)
 
 
-def _make_keys(profile: SynthProfile, duration_ms: int, rng: np.random.Generator) -> list[KeyEvent]:
+def _make_keys(profile: SynthProfile, duration_ms: int, rng: np.random.Generator) -> KeyTable:
     if profile.key_rate_hz == 0:
-        return []
+        return KeyTable()
     weights = np.exp(0.9 * np.sin(profile.key_style + 2.3 * np.arange(len(KEY_ALPHABET))))
     weights /= weights.sum()
     mean_gap = 1000.0 / profile.key_rate_hz
-    events = []
+    keys, press, release = [], [], []
     t = 200 + int(rng.uniform(0, mean_gap))
     while t < duration_ms - 500:
         idx = int(rng.choice(len(KEY_ALPHABET), p=weights))
         hold = np.clip(rng.normal(profile.key_hold_mean_ms + _key_hold_offset(profile, idx),
                                   profile.key_hold_sd_ms), 20, 400)
-        events.append(KeyEvent(key=KEY_ALPHABET[idx], t_press_ms=t,
-                               t_release_ms=t + int(hold)))
+        keys.append(KEY_ALPHABET[idx])
+        press.append(t)
+        release.append(t + int(hold))
         t += max(120, int(rng.normal(mean_gap, 0.3 * mean_gap)))
-    return events
+    return KeyTable(key=keys, t_press_ms=press, t_release_ms=release)
 
 
 def _make_streams(profile: SynthProfile, duration_ms: int, taps,

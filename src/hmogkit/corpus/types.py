@@ -84,51 +84,71 @@ def downsample(stream: SensorStream, k: int) -> SensorStream:
 
 
 @dataclass
-class TapEvent:
-    """A touch-down/touch-up interval with its raw screen samples."""
+class TapTable:
+    """Touch-down/touch-up intervals with their raw screen samples, one row
+    per tap. The samples of tap i are rows offsets[i]:offsets[i + 1] of the
+    flat sample arrays; offsets starts at 0 and has one entry more than
+    there are taps."""
 
-    tap_id: int
-    t_start_ms: int
-    t_end_ms: int
-    t_samples: np.ndarray     # (k,) int64, nondecreasing, inside [start, end]
-    xy_px: np.ndarray         # (k, 2) float64
-    contact_size: np.ndarray  # (k,) float64, nonnegative
+    tap_id: np.ndarray = ()         # (n,) int64
+    t_start_ms: np.ndarray = ()     # (n,) int64
+    t_end_ms: np.ndarray = ()       # (n,) int64
+    offsets: np.ndarray = (0,)      # (n + 1,) int64, nondecreasing
+    t_samples: np.ndarray = ()      # (m,) int64, nondecreasing per tap, inside [start, end]
+    xy_px: np.ndarray = ()          # (m, 2) float64
+    contact_size: np.ndarray = ()   # (m,) float64, nonnegative
+
+    _FAULTS = ("end before start", "zero touch samples", "touch samples out of order",
+               "samples outside tap interval", "negative contact size")
 
     def __post_init__(self) -> None:
-        self.t_samples = np.asarray(self.t_samples, dtype=np.int64)
-        self.xy_px = np.asarray(self.xy_px, dtype=np.float64)
+        for name in ("tap_id", "t_start_ms", "t_end_ms", "offsets", "t_samples"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        self.xy_px = np.asarray(self.xy_px, dtype=np.float64).reshape(-1, 2)
         self.contact_size = np.asarray(self.contact_size, dtype=np.float64)
-        if self.t_end_ms < self.t_start_ms:
-            raise CorpusError(f"tap {self.tap_id}: end before start")
-        if len(self.t_samples) == 0:
-            raise CorpusError(f"tap {self.tap_id}: zero touch samples")
-        if len(self.t_samples) != len(self.xy_px) or len(self.t_samples) != len(self.contact_size):
-            raise CorpusError(f"tap {self.tap_id}: sample array length mismatch")
-        if np.any(np.diff(self.t_samples) < 0):
-            raise CorpusError(f"tap {self.tap_id}: touch samples out of order")
-        if self.t_samples[0] < self.t_start_ms or self.t_samples[-1] > self.t_end_ms:
-            raise CorpusError(f"tap {self.tap_id}: samples outside tap interval")
-        if np.any(self.contact_size < 0):
-            raise CorpusError(f"tap {self.tap_id}: negative contact size")
+        n, t, counts = len(self.tap_id), self.t_samples, np.diff(self.offsets)
+        if not (len(self.t_start_ms) == len(self.t_end_ms) == n == len(self.offsets) - 1
+                and self.offsets[0] == 0 and np.all(counts >= 0)
+                and len(t) == len(self.xy_px) == len(self.contact_size) == self.offsets[-1]):
+            raise CorpusError("taps: column lengths disagree with offsets")
+        tap_of = np.repeat(np.arange(n), counts)
+        # (check, tap) faults, in the order of _FAULTS
+        fault = np.zeros((len(self._FAULTS), n), dtype=bool)
+        fault[:2] = self.t_end_ms < self.t_start_ms, counts == 0
+        check, sample = np.nonzero([
+            (np.diff(t, prepend=t[:1]) < 0) & (np.diff(tap_of, prepend=-1) == 0),
+            (t < self.t_start_ms[tap_of]) | (t > self.t_end_ms[tap_of]),
+            self.contact_size < 0])
+        fault[2 + check, tap_of[sample]] = True
+        if fault.any():
+            # the first offending tap, by its first failing check
+            tap = fault.any(axis=0).argmax()
+            raise CorpusError(f"tap {self.tap_id[tap]}: {self._FAULTS[fault[:, tap].argmax()]}")
 
-    @property
-    def duration_ms(self) -> int:
-        return self.t_end_ms - self.t_start_ms
+    def __len__(self) -> int:
+        return len(self.tap_id)
 
 
-@dataclass(frozen=True)
-class KeyEvent:
-    key: str
-    t_press_ms: int
-    t_release_ms: int
+@dataclass
+class KeyTable:
+    """Key presses, one row per press."""
+
+    key: np.ndarray = ()            # (n,) object, key codes as str
+    t_press_ms: np.ndarray = ()     # (n,) int64
+    t_release_ms: np.ndarray = ()   # (n,) int64
 
     def __post_init__(self) -> None:
-        if self.t_release_ms < self.t_press_ms:
-            raise CorpusError(f"key {self.key!r}: release before press")
+        self.key = np.asarray(self.key, dtype=object)
+        self.t_press_ms = np.asarray(self.t_press_ms, dtype=np.int64)
+        self.t_release_ms = np.asarray(self.t_release_ms, dtype=np.int64)
+        if not len(self.key) == len(self.t_press_ms) == len(self.t_release_ms):
+            raise CorpusError("keys: key columns disagree in length")
+        early = np.flatnonzero(self.t_release_ms < self.t_press_ms)
+        if len(early):
+            raise CorpusError(f"key {self.key[early[0]]!r}: release before press")
 
-    @property
-    def hold_ms(self) -> int:
-        return self.t_release_ms - self.t_press_ms
+    def __len__(self) -> int:
+        return len(self.key)
 
 
 @dataclass
@@ -139,22 +159,18 @@ class Session:
     session_id: str
     condition: Condition
     streams: dict[Sensor, SensorStream] = field(default_factory=dict)
-    taps: list[TapEvent] = field(default_factory=list)
-    keys: list[KeyEvent] = field(default_factory=list)
+    taps: TapTable = field(default_factory=TapTable)
+    keys: KeyTable = field(default_factory=KeyTable)
 
     def validate(self) -> "Session":
         for sensor, stream in self.streams.items():
             if stream.sensor is not sensor:
                 raise CorpusError(f"stream keyed {sensor.value} labelled {stream.sensor.value}")
-        prev_end = None
-        for tap in self.taps:
-            if prev_end is not None and tap.t_start_ms <= prev_end:
-                raise CorpusError(
-                    f"session {self.session_id}: taps overlap or out of order at tap {tap.tap_id}")
-            prev_end = tap.t_end_ms
-        prev_press = None
-        for ev in self.keys:
-            if prev_press is not None and ev.t_press_ms < prev_press:
-                raise CorpusError(f"session {self.session_id}: key presses out of order")
-            prev_press = ev.t_press_ms
+        taps = self.taps
+        overlap = np.flatnonzero(taps.t_start_ms[1:] <= taps.t_end_ms[:-1])
+        if len(overlap):
+            raise CorpusError(f"session {self.session_id}: taps overlap or out of order"
+                              f" at tap {taps.tap_id[overlap[0] + 1]}")
+        if np.any(np.diff(self.keys.t_press_ms) < 0):
+            raise CorpusError(f"session {self.session_id}: key presses out of order")
         return self

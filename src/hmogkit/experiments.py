@@ -21,7 +21,7 @@ import numbers
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -583,11 +583,8 @@ def run_between(config: ExperimentConfig,
 def _downsample_session(session: Session, factor: int) -> Session:
     if factor == 1:
         return session
-    streams = {sensor: downsample(stream, factor)
-               for sensor, stream in session.streams.items()}
-    return Session(user_id=session.user_id, session_id=session.session_id,
-                   condition=session.condition, streams=streams,
-                   taps=session.taps, keys=session.keys)
+    return replace(session, streams={sensor: downsample(stream, factor)
+                                     for sensor, stream in session.streams.items()})
 
 
 def run_rate_sweep(config: ExperimentConfig,

@@ -210,13 +210,10 @@ def stability_block(t_start: int, t_end: int, before: np.ndarray,
     return _unbatch(block, before)
 
 
-def _tap_bounds(taps) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([tap.t_start_ms for tap in taps], dtype=np.int64),
-            np.array([tap.t_end_ms for tap in taps], dtype=np.int64))
-
-
 def _between_bounds(starts: np.ndarray, ends: np.ndarray,
                     duration_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-taps of duration_ms, as many as fit from 300 ms after each tap
+    ends to 300 ms before the next starts."""
     lo = ends[:-1] + BETWEEN_GUARD_MS
     hi = starts[1:] - BETWEEN_GUARD_MS
     count = np.maximum(0, (hi - lo) // duration_ms)
@@ -224,16 +221,6 @@ def _between_bounds(starts: np.ndarray, ends: np.ndarray,
     k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     block_starts = np.repeat(lo, count) + k * duration_ms
     return block_starts, block_starts + duration_ms
-
-
-def between_blocks(taps, duration_hint_ms: int = BETWEEN_BLOCK_MS) -> list[tuple[int, int]]:
-    """Non-overlapping pseudo-tap intervals inside inter-tap gaps.
-
-    Blocks start 300 ms after a tap ends and stop 300 ms before the next
-    starts; floor(usable span / block length) blocks fit per gap.
-    """
-    lo, hi = _between_bounds(*_tap_bounds(taps), duration_hint_ms)
-    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _gather(t: np.ndarray, chans: np.ndarray, start: np.ndarray,
@@ -305,7 +292,7 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
     without usable context contributes NaN cells. meta records counts of
     skipped events and of taps whose 300 ms contexts overlap a neighbour.
     """
-    starts, ends = _tap_bounds(session.taps)
+    starts, ends = session.taps.t_start_ms, session.taps.t_end_ms
     if mode == "during":
         overlap = int(np.count_nonzero(starts[1:] - ends[:-1] < BETWEEN_GUARD_MS))
     elif mode == "between":

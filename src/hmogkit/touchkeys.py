@@ -63,19 +63,14 @@ def tap_features(session: Session) -> FeatureMatrix:
     taps = session.taps
     n = len(taps)
     values = np.empty((n, len(TAP_FEATURE_NAMES)))
-    t_start = np.array([tap.t_start_ms for tap in taps], dtype=np.int64)
-    t_end = np.array([tap.t_end_ms for tap in taps], dtype=np.int64)
-    sizes = [tap.contact_size for tap in taps]
-    lengths = np.array([len(size) for size in sizes], dtype=np.intp)
-    flat = np.concatenate(sizes) if n else np.empty(0)
-    offsets = np.cumsum(lengths) - lengths
-    values[:, 0] = t_end - t_start
+    lengths = np.diff(taps.offsets)
+    values[:, 0] = taps.t_end_ms - taps.t_start_ms
     # each row of a contiguous (taps, length) block is reduced along axis 1
     # in the order a 1-D array of that length is, so equal-length groups
     # keep the per-tap bytes; padding to a common length would not
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
-        block = flat[offsets[rows, None] + np.arange(length)]
+        block = taps.contact_size[taps.offsets[rows, None] + np.arange(length)]
         values[rows, 1] = block.mean(axis=1)
         values[rows, 2] = np.median(block, axis=1)
         values[rows, 3] = block.std(axis=1)
@@ -83,28 +78,33 @@ def tap_features(session: Session) -> FeatureMatrix:
         values[rows, 7] = block[:, 0]
         values[rows, 8] = block.min(axis=1)
         values[rows, 9] = block.max(axis=1)
-    first_xy = np.array([tap.xy_px[0] for tap in taps]).reshape(n, 2)
-    dx, dy = np.diff(first_xy, axis=0).T
+    dx, dy = np.diff(taps.xy_px[taps.offsets[:-1]], axis=0).T
     values[:1, 10] = np.nan
-    values[1:, 10] = np.hypot(dx, dy) / (np.diff(t_start) / 1000.0)
+    values[1:, 10] = np.hypot(dx, dy) / (np.diff(taps.t_start_ms) / 1000.0)
     return FeatureMatrix(
         TAP_FEATURE_NAMES,
         values,
         np.full(n, session.user_id, dtype=object),
         np.full(n, session.session_id, dtype=object),
-        t_start,
+        taps.t_start_ms,
     )
 
 
-def _events(session: Session, entries: list[tuple[int, int, float]]) -> FeatureMatrix:
-    n = len(entries)
-    ts, column, value = zip(*entries) if entries else ((), (), ())
+def _events(session: Session, t_ms: np.ndarray, column: np.ndarray,
+            value: np.ndarray) -> FeatureMatrix:
+    n = len(t_ms)
     return FeatureMatrix(
         EVENT_COLUMNS, np.column_stack([column, value]),
         np.full(n, session.user_id, dtype=object),
         np.full(n, session.session_id, dtype=object),
-        ts,
+        t_ms,
     )
+
+
+def _codes(keys: np.ndarray, universe: tuple[str, ...]) -> np.ndarray:
+    """Index of every key in universe, -1 for a key outside it."""
+    index = {key: i for i, key in enumerate(universe)}
+    return np.fromiter((index.get(key, -1) for key in keys), dtype=np.intp, count=len(keys))
 
 
 def keystroke_features(session: Session) -> tuple[FeatureMatrix, FeatureMatrix]:
@@ -113,21 +113,18 @@ def keystroke_features(session: Session) -> tuple[FeatureMatrix, FeatureMatrix]:
     Keys outside the hold universe carry no hold feature; digraph pairs
     containing a key outside the canonical alphabet are skipped.
     """
-    hold_index = {key: i for i, key in enumerate(HOLD_UNIVERSE)}
-    holds = [(ev.t_press_ms, hold_index[ev.key], float(ev.hold_ms))
-             for ev in session.keys if ev.key in hold_index]
+    keys = session.keys
+    hold = _codes(keys.key, HOLD_UNIVERSE)
+    held = hold >= 0
+    holds = _events(session, keys.t_press_ms[held], hold[held],
+                    (keys.t_release_ms - keys.t_press_ms)[held])
 
-    dig_index = {key: i for i, key in enumerate(KEY_ALPHABET)}
-    k = len(KEY_ALPHABET)
-    digraphs = []
-    for first, second in zip(session.keys, session.keys[1:]):
-        if first.key not in dig_index or second.key not in dig_index:
-            continue
-        col = dig_index[first.key] * k + dig_index[second.key]
-        digraphs.append((first.t_press_ms, col,
-                         float(second.t_press_ms - first.t_press_ms)))
-
-    return _events(session, holds), _events(session, digraphs)
+    letter = _codes(keys.key, KEY_ALPHABET)
+    pair = (letter[:-1] >= 0) & (letter[1:] >= 0)
+    column = letter[:-1] * len(KEY_ALPHABET) + letter[1:]
+    digraphs = _events(session, keys.t_press_ms[:-1][pair], column[pair],
+                       np.diff(keys.t_press_ms)[pair])
+    return holds, digraphs
 
 
 def widen(events: FeatureMatrix, columns: tuple[str, ...], keep=None) -> FeatureMatrix:

@@ -20,6 +20,7 @@ from hmogkit.pipeline import PipelineError, nanmean_columns
 from hmogkit.touchkeys import (
     HOLD_UNIVERSE, TAP_FEATURE_NAMES, digraph_feature_names)
 from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize, weight_grid
+from tables import tap_rows
 
 
 def eer_oracle(genuine, impostor) -> float:
@@ -199,14 +200,14 @@ def _hmog_event_oracle(t, chans, t_start, t_end):
 def extract_hmog_oracle(session, mode: str = "during"):
     """extract_hmog by a Python loop over events and sensors, slicing each
     window out of the stream separately."""
-    taps = session.taps
+    taps = [(t_start, t_end) for _, t_start, t_end, *_ in tap_rows(session.taps)]
     if mode == "during":
-        events = [(tap.t_start_ms, tap.t_end_ms) for tap in taps]
+        events = taps
     else:
         events = []
-        for prev, nxt in zip(taps, taps[1:]):
-            lo = prev.t_end_ms + BETWEEN_GUARD_MS
-            hi = nxt.t_start_ms - BETWEEN_GUARD_MS
+        for (_, prev_end), (nxt_start, _) in zip(taps, taps[1:]):
+            lo = prev_end + BETWEEN_GUARD_MS
+            hi = nxt_start - BETWEEN_GUARD_MS
             for k in range(max(0, (hi - lo) // BETWEEN_BLOCK_MS)):
                 events.append((lo + k * BETWEEN_BLOCK_MS,
                                lo + (k + 1) * BETWEEN_BLOCK_MS))
@@ -231,8 +232,8 @@ def extract_hmog_oracle(session, mode: str = "during"):
             ts.append(t_start)
         else:
             skipped += 1
-    overlap = sum(1 for prev, nxt in zip(taps, taps[1:])
-                  if nxt.t_start_ms - prev.t_end_ms < BETWEEN_GUARD_MS) \
+    overlap = sum(1 for (_, prev_end), (nxt_start, _) in zip(taps, taps[1:])
+                  if nxt_start - prev_end < BETWEEN_GUARD_MS) \
         if mode == "during" else 0
     n = len(rows)
     fm = FeatureMatrix(
@@ -252,24 +253,23 @@ def tap_features_oracle(session) -> FeatureMatrix:
     rows, ts = [], []
     prev_xy = None
     prev_t = None
-    for tap in session.taps:
-        size = tap.contact_size
+    for _, t_start, t_end, _, xy, size in tap_rows(session.taps):
         q1, q2, q3 = np.percentile(size, [25, 50, 75])
         if prev_xy is None:
             velocity = np.nan
         else:
-            dt_s = (tap.t_start_ms - prev_t) / 1000.0
-            velocity = float(np.hypot(*(tap.xy_px[0] - prev_xy)) / dt_s)
+            dt_s = (t_start - prev_t) / 1000.0
+            velocity = float(np.hypot(*(xy[0] - prev_xy)) / dt_s)
         rows.append([
-            float(tap.duration_ms),
+            float(t_end - t_start),
             float(size.mean()), float(np.median(size)), float(size.std()),
             float(q1), float(q2), float(q3),
             float(size[0]), float(size.min()), float(size.max()),
             velocity,
         ])
-        ts.append(tap.t_start_ms)
-        prev_xy = tap.xy_px[0]
-        prev_t = tap.t_start_ms
+        ts.append(t_start)
+        prev_xy = xy[0]
+        prev_t = t_start
     n = len(rows)
     return FeatureMatrix(
         TAP_FEATURE_NAMES,
@@ -301,19 +301,20 @@ def keystroke_features_oracle(session, hold_universe=HOLD_UNIVERSE):
     finite cell per row, every other column NaN."""
     hold_cols = tuple(f"hold_{key}" for key in hold_universe)
     hold_index = {key: i for i, key in enumerate(hold_universe)}
-    holds = [(ev.t_press_ms, hold_index[ev.key], float(ev.hold_ms))
-             for ev in session.keys if ev.key in hold_index]
+    keys = list(zip(session.keys.key.tolist(), session.keys.t_press_ms.tolist(),
+                    session.keys.t_release_ms.tolist()))
+    holds = [(press, hold_index[key], float(release - press))
+             for key, press, release in keys if key in hold_index]
 
     dig_cols = digraph_feature_names()
     dig_index = {key: i for i, key in enumerate(KEY_ALPHABET)}
     k = len(KEY_ALPHABET)
     digraphs = []
-    for first, second in zip(session.keys, session.keys[1:]):
-        if first.key not in dig_index or second.key not in dig_index:
+    for (first, press, _), (second, next_press, _) in zip(keys, keys[1:]):
+        if first not in dig_index or second not in dig_index:
             continue
-        col = dig_index[first.key] * k + dig_index[second.key]
-        digraphs.append((first.t_press_ms, col,
-                         float(second.t_press_ms - first.t_press_ms)))
+        col = dig_index[first] * k + dig_index[second]
+        digraphs.append((press, col, float(next_press - press)))
 
     return (_sparse_matrix(session, hold_cols, holds),
             _sparse_matrix(session, dig_cols, digraphs))

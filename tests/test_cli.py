@@ -468,7 +468,7 @@ def test_ingest_builds_corpus(tmp_path, capsys):
     sessions = load_corpus(str(out))
     assert len(sessions) == 1
     assert sessions[0].user_id == "u9"
-    assert [k.key for k in sessions[0].keys] == ["a", "b"]
+    assert sessions[0].keys.key.tolist() == ["a", "b"]
 
 
 INGEST_ENTRY = {
@@ -521,6 +521,12 @@ def test_ingest_missing_manifest_field(tmp_path, capsys):
     ("session_id", "s1/../..", "session_id 's1/../..', which must not contain"),
     ("user_id", "..\\u9", "user_id '..\\\\u9', which must not contain"),
     ("session_id", "s\x001", "session_id 's\\x001', which must not contain"),
+    # session_id is the first field of every CSV row written for the session
+    ("session_id", "#s1", "session_id '#s1', which must not start with '#'"),
+    ("session_id", "s,1", "session_id 's,1', which must not start with '#' or contain"),
+    ("session_id", 's"1', "session_id 's\"1', which must not start with '#' or contain"),
+    ("session_id", "s\r1", "session_id 's\\r1', which must not start with '#' or contain"),
+    ("session_id", "s\n1", "session_id 's\\n1', which must not start with '#' or contain"),
 ])
 def test_ingest_bad_manifest_field(tmp_path, capsys, field, value, message):
     entries = value if field == "sessions" else [{**INGEST_ENTRY, field: value}]

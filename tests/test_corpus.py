@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,18 @@ from hmogkit.corpus.io import (
     save_corpus,
     write_session,
 )
+from hmogkit.corpus.synth import make_corpus, make_profiles
 from hmogkit.corpus.types import (
     CorpusError,
     Condition,
-    KeyEvent,
     Sensor,
     SensorStream,
     Session,
-    TapEvent,
+    TapTable,
     downsample,
 )
 from oracles import slice_span
+from tables import key_table, tap_table, table_equal
 
 
 def make_stream(t, values, sensor=Sensor.ACC, rate=100.0):
@@ -28,10 +31,9 @@ def make_stream(t, values, sensor=Sensor.ACC, rate=100.0):
                         t_ms=np.asarray(t), values=np.asarray(values, dtype=float))
 
 
-def make_tap(tap_id, start, end, size=0.5):
-    return TapEvent(tap_id=tap_id, t_start_ms=start, t_end_ms=end,
-                    t_samples=np.array([start]), xy_px=np.array([[100.0, 200.0]]),
-                    contact_size=np.array([size]))
+def make_tap(tap_id, start, end, size=0.5, t_samples=None):
+    t = [start] if t_samples is None else t_samples
+    return (tap_id, start, end, t, np.tile([100.0, 200.0], (len(t), 1)), np.full(len(t), size))
 
 
 # ---------------------------------------------------------------------------
@@ -97,37 +99,67 @@ def test_downsample_rejects_bad_factor():
             downsample(s, k)
 
 
-def test_tap_event_validation():
-    with pytest.raises(CorpusError, match="end before start"):
-        make_tap(1, 100, 90)
-    with pytest.raises(CorpusError, match="outside tap interval"):
-        TapEvent(tap_id=1, t_start_ms=100, t_end_ms=200,
-                 t_samples=np.array([99]), xy_px=np.array([[0.0, 0.0]]),
-                 contact_size=np.array([0.5]))
-    with pytest.raises(CorpusError, match="negative contact"):
-        make_tap(1, 100, 200, size=-0.1)
-    assert make_tap(1, 100, 230).duration_ms == 130
+def test_tap_table_validation():
+    with pytest.raises(CorpusError, match="tap 1: end before start"):
+        tap_table([make_tap(1, 100, 90)])
+    with pytest.raises(CorpusError, match="tap 1: samples outside tap interval"):
+        tap_table([make_tap(1, 100, 200, t_samples=[99])])
+    with pytest.raises(CorpusError, match="tap 1: negative contact size"):
+        tap_table([make_tap(1, 100, 200, size=-0.1)])
+    with pytest.raises(CorpusError, match="tap 1: zero touch samples"):
+        tap_table([make_tap(1, 100, 200, t_samples=[])])
+    with pytest.raises(CorpusError, match="tap 2: touch samples out of order"):
+        tap_table([make_tap(1, 100, 200), make_tap(2, 300, 400, t_samples=[350, 340])])
+    # a sample earlier than the previous tap's last one is in order
+    taps = tap_table([make_tap(1, 100, 200, t_samples=[100, 190]),
+                      make_tap(2, 150, 400, t_samples=[160, 170])])
+    assert taps.offsets.tolist() == [0, 2, 4]
 
 
-def test_key_event():
-    assert KeyEvent("a", 100, 160).hold_ms == 60
-    with pytest.raises(CorpusError, match="release before press"):
-        KeyEvent("a", 100, 90)
+def test_tap_table_names_first_offending_tap():
+    # tap 9 fails a later check than tap 4 does; the first tap is named,
+    # by its own first failing check
+    taps = [make_tap(9, 100, 200, size=-1.0, t_samples=[150, 120]),
+            make_tap(4, 300, 250), make_tap(6, 500, 600)]
+    with pytest.raises(CorpusError, match=r"^tap 9: touch samples out of order$"):
+        tap_table(taps)
+    with pytest.raises(CorpusError, match=r"^tap 4: end before start$"):
+        tap_table(taps[1:])
+
+
+def test_tap_table_rejects_misshapen_columns():
+    columns = dict(tap_id=[1], t_start_ms=[100], t_end_ms=[200], offsets=[0, 1],
+                   t_samples=[100], xy_px=[[0.0, 0.0]], contact_size=[0.5])
+    assert len(TapTable(**columns)) == 1
+    for bad in ({"offsets": [0]}, {"offsets": [1, 1]}, {"offsets": []},
+                {"t_end_ms": [200, 300]}, {"contact_size": [0.5, 0.6]}):
+        with pytest.raises(CorpusError, match="taps: column lengths disagree with offsets"):
+            TapTable(**{**columns, **bad})
+    empty = TapTable()
+    assert len(empty) == 0 and empty.offsets.tolist() == [0] and empty.xy_px.shape == (0, 2)
+
+
+def test_key_table():
+    keys = key_table([("a", 100, 160), ("b", 200, 200)])
+    assert len(keys) == 2 and keys.key.tolist() == ["a", "b"]
+    assert (keys.t_release_ms - keys.t_press_ms).tolist() == [60, 0]
+    with pytest.raises(CorpusError, match="key 'b': release before press"):
+        key_table([("a", 100, 160), ("b", 200, 190), ("c", 300, 290)])
 
 
 def test_session_validate_rejects_overlapping_taps():
     s = Session(user_id="u", session_id="s", condition=Condition.SITTING,
-                taps=[make_tap(1, 100, 250), make_tap(2, 250, 400)])
-    with pytest.raises(CorpusError, match="overlap"):
+                taps=tap_table([make_tap(1, 100, 250), make_tap(2, 250, 400)]))
+    with pytest.raises(CorpusError, match="taps overlap or out of order at tap 2"):
         s.validate()
     ok = Session(user_id="u", session_id="s", condition=Condition.SITTING,
-                 taps=[make_tap(1, 100, 250), make_tap(2, 251, 400)])
+                 taps=tap_table([make_tap(1, 100, 250), make_tap(2, 251, 400)]))
     assert ok.validate() is ok
 
 
 def test_session_validate_rejects_unsorted_keys():
     s = Session(user_id="u", session_id="s", condition=Condition.SITTING,
-                keys=[KeyEvent("a", 200, 260), KeyEvent("b", 100, 160)])
+                keys=key_table([("a", 200, 260), ("b", 100, 160)]))
     with pytest.raises(CorpusError, match="out of order"):
         s.validate()
 
@@ -167,10 +199,10 @@ def test_parse_session_roundtrip_values(tmp_path):
                             taps_path=str(taps))
     assert set(session.streams) == {Sensor.ACC, Sensor.GYR}
     assert list(session.streams[Sensor.ACC].t_ms) == [0, 10]
-    tap = session.taps[0]
-    assert (tap.t_start_ms, tap.t_end_ms) == (95, 130)
-    assert tap.xy_px[0, 0] == pytest.approx(540.5)
-    assert [k.key for k in session.keys] == ["a", "b"]
+    taps = session.taps
+    assert (taps.t_start_ms.tolist(), taps.t_end_ms.tolist()) == ([95], [130])
+    assert taps.xy_px[0, 0] == pytest.approx(540.5)
+    assert session.keys.key.tolist() == ["a", "b"]
 
 
 def test_parse_session_tap_bounds_from_samples(tmp_path):
@@ -182,7 +214,27 @@ def test_parse_session_tap_bounds_from_samples(tmp_path):
     )
     session = parse_session(str(sensor), str(touch), str(keys),
                             user_id="u", session_id="s1", condition="sitting")
-    assert (session.taps[0].t_start_ms, session.taps[0].t_end_ms) == (100, 140)
+    assert (session.taps.t_start_ms.tolist(), session.taps.t_end_ms.tolist()) == ([100], [140])
+
+
+def test_parse_orders_taps_by_start_and_keeps_sample_order(tmp_path):
+    # tap 2 is listed first but starts after tap 5, and their samples
+    # interleave; tap 9 takes its bounds from taps.csv, the others from
+    # their samples
+    sensor, touch, keys, taps = write_raw(
+        tmp_path,
+        ["s1,acc,0,0,0,9.8"],
+        ["s1,2,300,1,1,0.5", "s1,5,100,2,2,0.4", "s1,2,320,3,3,0.6",
+         "s1,5,140,4,4,0.45", "s1,9,500,5,5,0.3"],
+        [],
+        ["s1,9,480,520"],
+    )
+    got = parse_session(str(sensor), str(touch), str(keys), user_id="u", session_id="s1",
+                        condition="sitting", taps_path=str(taps)).taps
+    assert table_equal(got, tap_table([
+        (5, 100, 140, [100, 140], [[2, 2], [4, 4]], [0.4, 0.45]),
+        (2, 300, 320, [300, 320], [[1, 1], [3, 3]], [0.5, 0.6]),
+        (9, 480, 520, [500], [[5, 5]], [0.3])]))
 
 
 def test_parse_fractional_timestamps_floored(tmp_path):
@@ -195,8 +247,19 @@ def test_parse_fractional_timestamps_floored(tmp_path):
     session = parse_session(str(sensor), str(touch), str(keys),
                             user_id="u", session_id="s1", condition="sitting")
     assert list(session.streams[Sensor.ACC].t_ms) == [0, 10]
-    assert session.taps[0].t_start_ms == 100
-    assert (session.keys[0].t_press_ms, session.keys[0].t_release_ms) == (50, 120)
+    assert session.taps.t_start_ms.tolist() == [100]
+    assert (session.keys.t_press_ms.tolist(), session.keys.t_release_ms.tolist()) == ([50], [120])
+
+
+@pytest.mark.parametrize("touch_row, message", [
+    ("s1,99999999999999999999,100,1,2,0.4", r"touch\.csv:2: bad tap_id '99999999999999999999'"),
+    ("s1,1,1e19,1,2,0.4", r"touch\.csv:2: bad timestamp '1e19'"),
+])
+def test_parse_rejects_values_past_int64(tmp_path, touch_row, message):
+    sensor, touch, keys, _ = write_raw(tmp_path, ["s1,acc,0,0,0,9.8"], [touch_row], [])
+    with pytest.raises(ParseError, match=message):
+        parse_session(str(sensor), str(touch), str(keys),
+                      user_id="u", session_id="s1", condition="sitting")
 
 
 def test_parse_error_carries_file_and_line(tmp_path):
@@ -285,16 +348,7 @@ def session_equal(a: Session, b: Session) -> bool:
         if not (np.array_equal(sa.t_ms, sb.t_ms) and np.array_equal(sa.values, sb.values)
                 and sa.nominal_rate_hz == sb.nominal_rate_hz):
             return False
-    if len(a.taps) != len(b.taps) or len(a.keys) != len(b.keys):
-        return False
-    for ta, tb in zip(a.taps, b.taps):
-        if (ta.tap_id, ta.t_start_ms, ta.t_end_ms) != (tb.tap_id, tb.t_start_ms, tb.t_end_ms):
-            return False
-        if not (np.array_equal(ta.t_samples, tb.t_samples)
-                and np.array_equal(ta.xy_px, tb.xy_px)
-                and np.array_equal(ta.contact_size, tb.contact_size)):
-            return False
-    return a.keys == b.keys
+    return table_equal(a.taps, b.taps) and table_equal(a.keys, b.keys)
 
 
 def test_write_read_session_roundtrip(tmp_path, mini_sessions):
@@ -311,6 +365,35 @@ def test_save_load_corpus_roundtrip(tmp_path, mini_sessions):
     by_key = {(s.user_id, s.session_id): s for s in mini_sessions}
     for session in back:
         assert session_equal(by_key[(session.user_id, session.session_id)], session)
+
+
+def test_key_codes_with_csv_specials_roundtrip(tmp_path):
+    session = Session(user_id="u", session_id="s1", condition=Condition.SITTING,
+                      keys=key_table([(",", 100, 160), ('"', 200, 250), ("a b", 300, 390)]))
+    write_session(session, str(tmp_path / "sess"))
+    back = read_session(str(tmp_path / "sess"))
+    assert back.keys.key.tolist() == [",", '"', "a b"]
+    assert session_equal(session, back)
+
+
+def tree_digest(root) -> str:
+    """sha256 over the relative path and bytes of every file under root."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_save_corpus_bytes_pinned(tmp_path):
+    # any change to what the generator draws or how sessions are written
+    # moves this hash; recorded on NumPy 2.4.6
+    profiles = make_profiles(1, "sitting", 5, sessions=2, session_seconds=10.0)
+    sessions = make_corpus(profiles, 5)
+    assert all(len(s.taps) > 5 and len(s.keys) > 5 for s in sessions)
+    save_corpus(sessions, str(tmp_path))
+    assert tree_digest(tmp_path) == \
+        "b456dd019bba01a9bf06a423cd981556ec8038f164fac269bf03c4772fd51bcb"
 
 
 def test_load_corpus_requires_index(tmp_path):

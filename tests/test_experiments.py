@@ -36,7 +36,7 @@ from oracles import digraph_events
 
 def bare_session(user, session_id):
     return Session(user_id=user, session_id=session_id,
-                   condition=Condition.SITTING, streams={}, taps=[], keys=[])
+                   condition=Condition.SITTING)
 
 
 def fm_of(values, users, sessions, t, columns):

@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmogkit.corpus.types import (
-    CHANNELS, Condition, SENSOR_ORDER, Sensor, SensorStream, Session, TapEvent, downsample)
+    CHANNELS, Condition, SENSOR_ORDER, Sensor, SensorStream, Session, downsample)
 from hmogkit.hmog import (
     BETWEEN_BLOCK_MS,
     FEATURE_NAMES,
     RESISTANCE_FAMILIES,
     STABILITY_FAMILIES,
-    between_blocks,
+    _between_bounds,
     extract_hmog,
     feature_names_for,
     resistance_block,
@@ -20,12 +20,11 @@ from hmogkit.hmog import (
     t_min_index,
 )
 from oracles import extract_hmog_oracle, t_min_oracle
+from tables import tap_table
 
 
 def make_tap(tap_id, t_start, t_end):
-    t = np.array([t_start, t_end], dtype=np.int64)
-    return TapEvent(tap_id=tap_id, t_start_ms=t_start, t_end_ms=t_end,
-                    t_samples=t, xy_px=np.zeros((2, 2)), contact_size=np.full(2, 0.1))
+    return (tap_id, t_start, t_end, [t_start, t_end], np.zeros((2, 2)), np.full(2, 0.1))
 
 
 def grid_session(step_ms, total_ms, taps, seed=0, short_mag_ms=None):
@@ -41,7 +40,7 @@ def grid_session(step_ms, total_ms, taps, seed=0, short_mag_ms=None):
         streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=rate, t_ms=tt,
                                        values=rng.normal(0, 1, (len(tt), 3)))
     return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
-                   streams=streams, taps=taps, keys=[])
+                   streams=streams, taps=tap_table(taps))
 
 
 # ---------------------------------------------------------------- names
@@ -209,32 +208,36 @@ def test_stability_block_offset_invariance():
 
 # ---------------------------------------------------------------- between blocks
 
+def between_blocks(bounds, duration_ms=BETWEEN_BLOCK_MS):
+    """_between_bounds of taps given as (start, end) pairs, as a list."""
+    starts, ends = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    lo, hi = _between_bounds(starts, ends, duration_ms)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 def test_between_blocks_gap_1000():
-    taps = [make_tap(0, 1000, 2000), make_tap(1, 3000, 3100)]
-    blocks = between_blocks(taps)
+    blocks = between_blocks([(1000, 2000), (3000, 3100)])
     # usable span [2300, 2700): four 91 ms blocks
     assert blocks == [(2300, 2391), (2391, 2482), (2482, 2573), (2573, 2664)]
     assert all(hi <= 2700 for _, hi in blocks)
 
 
 def test_between_blocks_gap_too_small():
-    taps = [make_tap(0, 1000, 2000), make_tap(1, 2650, 2750)]
-    assert between_blocks(taps) == []
+    assert between_blocks([(1000, 2000), (2650, 2750)]) == []
     # negative usable span must not produce blocks either
-    taps = [make_tap(0, 1000, 2000), make_tap(1, 2400, 2500)]
-    assert between_blocks(taps) == []
+    assert between_blocks([(1000, 2000), (2400, 2500)]) == []
 
 
 def test_between_blocks_multiple_gaps_and_hint():
-    taps = [make_tap(0, 0, 100), make_tap(1, 1091, 1191), make_tap(2, 2182, 2282)]
+    taps = [(0, 100), (1091, 1191), (2182, 2282)]
     blocks = between_blocks(taps)
     # each gap spans 391 ms usable -> 4 blocks apiece
     assert len(blocks) == 8
     assert blocks[0] == (400, 491)
     assert blocks[4] == (1491, 1582)
-    wide = between_blocks(taps, duration_hint_ms=200)
+    wide = between_blocks(taps, duration_ms=200)
     assert wide == [(400, 600), (1491, 1691)]
-    assert between_blocks([make_tap(0, 0, 100)]) == []
+    assert between_blocks([(0, 100)]) == []
 
 
 # ---------------------------------------------------------------- extraction

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmogkit.corpus.synth import KEY_ALPHABET
-from hmogkit.corpus.types import Condition, KeyEvent, Session, TapEvent
+from hmogkit.corpus.types import Condition, Session
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.experiments import split_train_test
 from hmogkit.touchkeys import (
@@ -27,6 +27,7 @@ from oracles import (
     keystroke_features_oracle,
     tap_features_oracle,
 )
+from tables import key_table, tap_table
 
 
 def make_tap(tap_id, t_start, t_end, contact, first_xy=(0.0, 0.0)):
@@ -34,13 +35,12 @@ def make_tap(tap_id, t_start, t_end, contact, first_xy=(0.0, 0.0)):
     k = len(contact)
     t = np.linspace(t_start, t_end, k).astype(np.int64)
     xy = np.tile(np.asarray(first_xy, dtype=np.float64), (k, 1))
-    return TapEvent(tap_id=tap_id, t_start_ms=t_start, t_end_ms=t_end,
-                    t_samples=t, xy_px=xy, contact_size=contact)
+    return (tap_id, t_start, t_end, t, xy, contact)
 
 
 def key_session(keys):
     return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
-                   streams={}, taps=[], keys=keys)
+                   streams={}, keys=key_table(keys))
 
 
 # ---------------------------------------------------------------- universes
@@ -80,7 +80,7 @@ def test_tap_features_hand_values():
         make_tap(1, 2000, 2100, [1.0, 1.0], first_xy=(400.0, 400.0)),
     ]
     session = Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
-                      streams={}, taps=taps, keys=[])
+                      streams={}, taps=tap_table(taps))
     fm = tap_features(session)
     assert fm.columns == TAP_FEATURE_NAMES
     assert fm.values.shape == (2, 11)
@@ -111,14 +111,14 @@ def test_tap_velocity_uses_start_to_start_time():
         make_tap(1, 1500, 1600, [0.5], first_xy=(100.0, 0.0)),
     ]
     session = Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
-                      streams={}, taps=taps, keys=[])
+                      streams={}, taps=tap_table(taps))
     fm = tap_features(session)
     assert_allclose(fm.values[1][-1], 100.0 / 0.5)
 
 
 def tap_session(taps):
     return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
-                   streams={}, taps=taps, keys=[])
+                   streams={}, taps=tap_table(taps))
 
 
 def assert_same_matrix(got, want):
@@ -141,7 +141,7 @@ def test_tap_features_bit_equal_to_oracle_synthetic(mini_sessions):
     # several users and sessions; contact arrays of many lengths per session
     assert len({s.user_id for s in mini_sessions}) > 1
     for session in mini_sessions:
-        assert len({len(tap.contact_size) for tap in session.taps}) > 1
+        assert len(np.unique(np.diff(session.taps.offsets))) > 1
         assert_taps_match_oracle(session)
 
 
@@ -190,17 +190,17 @@ def wide_keystrokes(session):
 
 def hand_keys():
     return [
-        KeyEvent(key="a", t_press_ms=1000, t_release_ms=1080),
-        KeyEvent(key="b", t_press_ms=1300, t_release_ms=1400),
-        KeyEvent(key="zz", t_press_ms=1600, t_release_ms=1650),
-        KeyEvent(key="c", t_press_ms=1900, t_release_ms=1960),
+        ("a", 1000, 1080),
+        ("b", 1300, 1400),
+        ("zz", 1600, 1650),
+        ("c", 1900, 1960),
     ]
 
 
 def extended_keys():
     return [
-        KeyEvent(key="d3", t_press_ms=1000, t_release_ms=1100),
-        KeyEvent(key="a", t_press_ms=1400, t_release_ms=1500),
+        ("d3", 1000, 1100),
+        ("a", 1400, 1500),
     ]
 
 
