@@ -100,13 +100,6 @@ def poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
     return poly_trim(q), poly_trim(a)
 
 
-def poly_eval(a, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def poly_divide_linear(a, alpha: int, p: int) -> list[int] | None:
     """Exact quotient a / (1 - alpha*x), or None when not divisible.
 

@@ -7,15 +7,17 @@ Canonical schemas (header row required):
   taps.csv    session_id,tap_id,t_start_ms,t_end_ms  (optional; else min/max per tap_id)
   keys.csv    session_id,key_code,t_press_ms,t_release_ms
 
+Every file is read and written through hmogkit.table: ``#`` lines are
+comments, csv quoting applies, and a ParseError names the file line.
 Foreign column names are adapted through a mapping config of
-``canonical_column = source_column`` lines. Fractional timestamps are
-floored to integer milliseconds at ingestion; timestamps count from session
-start, so a negative one is rejected.
+``canonical_column = source_column`` lines. An integer timestamp is kept
+exactly, up to the int64 limit; a fractional one is floored to integer
+milliseconds. Timestamps count from session start, so a negative one is
+rejected.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -23,6 +25,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from ..table import read_rows, write_table
 from .types import (
     Condition,
     CorpusError,
@@ -69,9 +72,12 @@ def load_mapping(path: str) -> dict[str, str]:
 
 def _floor_ms(value: str, where: str) -> int:
     try:
-        t = math.floor(float(value))
-    except (ValueError, OverflowError):  # NaN and infinities too
-        raise ParseError(f"{where}: bad timestamp {value!r}") from None
+        t = int(value)  # exact past 2**53, where a float rounds
+    except ValueError:
+        try:
+            t = math.floor(float(value))
+        except (ValueError, OverflowError):  # NaN and infinities too
+            raise ParseError(f"{where}: bad timestamp {value!r}") from None
     if t < 0:
         raise ParseError(f"{where}: negative timestamp {value!r}")
     if t >= 2 ** 63:  # past the int64 timestamp columns
@@ -100,37 +106,33 @@ def _read_rows(path: str, canonical: tuple[str, ...],
                mapping: dict[str, str] | None):
     """Yield (lineno, dict keyed by canonical column names)."""
     mapping = mapping or {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        index: dict[str, int] = {}
-        for name in canonical:
-            # one mapping file serves every input; fall back to the
-            # canonical name in files that never used the source name
-            source = mapping.get(name, name)
-            if source in header:
-                index[name] = header.index(source)
-            elif name in header:
-                index[name] = header.index(name)
-            else:
-                raise ParseError(f"{path}: missing column {source!r}")
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            yield lineno, {name: row[i] for name, i in index.items()}
+    rows = read_rows(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    index: dict[str, int] = {}
+    for name in canonical:
+        # one mapping file serves every input; fall back to the
+        # canonical name in files that never used the source name
+        source = mapping.get(name, name)
+        if source in header:
+            index[name] = header.index(source)
+        elif name in header:
+            index[name] = header.index(name)
+        else:
+            raise ParseError(f"{path}: missing column {source!r}")
+    width = len(header)
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        yield lineno, {name: row[i] for name, i in index.items()}
 
 
 def _parse_sensor_file(path: str, mapping: dict[str, str] | None,
                        nominal_rate_hz: float) -> dict[Sensor, SensorStream]:
-    by_sensor: dict[Sensor, list[tuple[int, float, float, float]]] = {s: [] for s in SENSOR_ORDER}
-    last_t: dict[Sensor, int] = {}
+    times: dict[Sensor, list[int]] = {s: [] for s in SENSOR_ORDER}
+    values: dict[Sensor, list[tuple[float, float, float]]] = {s: [] for s in SENSOR_ORDER}
     for lineno, row in _read_rows(path, SENSOR_COLUMNS, mapping):
         where = f"{path}:{lineno}"
         tag = row["sensor"].strip()
@@ -138,24 +140,16 @@ def _parse_sensor_file(path: str, mapping: dict[str, str] | None,
             sensor = Sensor(tag)
         except ValueError:
             raise ParseError(f"{where}: unknown sensor tag {tag!r}") from None
-        t = _floor_ms(row["t_ms"], where)
-        if sensor in last_t and t <= last_t[sensor]:
-            raise ParseError(f"{where}: non-monotone timestamp for {tag} ({t} after {last_t[sensor]})")
-        last_t[sensor] = t
-        by_sensor[sensor].append((t, _float(row["x"], where), _float(row["y"], where),
-                                  _float(row["z"], where)))
-    streams = {}
-    for sensor, rows in by_sensor.items():
-        if not rows:
-            continue
-        arr = np.array(rows, dtype=np.float64)
-        streams[sensor] = SensorStream(
-            sensor=sensor,
-            nominal_rate_hz=nominal_rate_hz,
-            t_ms=arr[:, 0].astype(np.int64),
-            values=arr[:, 1:4],
-        )
-    return streams
+        t, seen = _floor_ms(row["t_ms"], where), times[sensor]
+        if seen and t <= seen[-1]:
+            raise ParseError(f"{where}: non-monotone timestamp for {tag} ({t} after {seen[-1]})")
+        seen.append(t)
+        values[sensor].append((_float(row["x"], where), _float(row["y"], where),
+                               _float(row["z"], where)))
+    return {sensor: SensorStream(sensor=sensor, nominal_rate_hz=nominal_rate_hz,
+                                 t_ms=np.array(times[sensor], dtype=np.int64),
+                                 values=np.array(values[sensor], dtype=np.float64))
+            for sensor in SENSOR_ORDER if times[sensor]}
 
 
 def _parse_touch_file(path: str, mapping: dict[str, str] | None,
@@ -238,30 +232,24 @@ def parse_session(sensor_path: str, touch_path: str, key_path: str, *,
 # canonical serialization (round-trips exactly through parse_session)
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, columns: tuple[str, ...], rows) -> None:
-    """csv quotes a field holding ',', '"' or a line break, so _read_rows
-    splits it back; floats print as repr, which float() reads back exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def write_session(session: Session, directory: str) -> None:
+    if session.session_id.startswith("#"):  # it leads every CSV row
+        raise CorpusError(f"session_id {session.session_id!r} starts with '#', "
+                          "which would make every CSV row a comment")
     os.makedirs(directory, exist_ok=True)
     sid = repeat(session.session_id)  # the first field of every row
     taps, keys = session.taps, session.keys
     streams = [(sensor.value, session.streams[sensor])
                for sensor in SENSOR_ORDER if sensor in session.streams]
-    _write_csv(os.path.join(directory, "sensor.csv"), SENSOR_COLUMNS, chain.from_iterable(
+    write_table(os.path.join(directory, "sensor.csv"), SENSOR_COLUMNS, chain.from_iterable(
         zip(sid, repeat(tag), stream.t_ms.tolist(), *stream.values.T.tolist())
         for tag, stream in streams))
-    _write_csv(os.path.join(directory, "touch.csv"), TOUCH_COLUMNS, zip(
+    write_table(os.path.join(directory, "touch.csv"), TOUCH_COLUMNS, zip(
         sid, np.repeat(taps.tap_id, np.diff(taps.offsets)).tolist(), taps.t_samples.tolist(),
         *taps.xy_px.T.tolist(), taps.contact_size.tolist()))
-    _write_csv(os.path.join(directory, "taps.csv"), TAPS_COLUMNS, zip(
+    write_table(os.path.join(directory, "taps.csv"), TAPS_COLUMNS, zip(
         sid, taps.tap_id.tolist(), taps.t_start_ms.tolist(), taps.t_end_ms.tolist()))
-    _write_csv(os.path.join(directory, "keys.csv"), KEY_COLUMNS, zip(
+    write_table(os.path.join(directory, "keys.csv"), KEY_COLUMNS, zip(
         sid, keys.key.tolist(), keys.t_press_ms.tolist(), keys.t_release_ms.tolist()))
     rates = {sensor.value: session.streams[sensor].nominal_rate_hz
              for sensor in SENSOR_ORDER if sensor in session.streams}

@@ -53,11 +53,13 @@ from .pipeline import (
     MIN_TEMPLATE_VECTORS,
     PipelineError,
     build_template,
+    fill_missing,
     fisher_scores,
     fit_feature_prep,
     nanmean_columns,
     scan_aggregate,
 )
+from .table import write_table
 from .touchkeys import (
     EVENT_COLUMNS,
     hold_feature_names,
@@ -466,12 +468,12 @@ def _cell(scores: verify.ScoreSet, eer: float | None = None) -> dict:
             "n_genuine": len(gen), "n_impostor": len(imp)}
 
 
-def _row(prefix: str, cell: dict) -> str:
-    return f"{prefix},{cell['eer']!r},{cell['n_genuine']},{cell['n_impostor']}"
+def _row(prefix: tuple, cell: dict) -> tuple:
+    return (*prefix, cell["eer"], cell["n_genuine"], cell["n_impostor"])
 
 
 def _finish(config: ExperimentConfig, body: dict,
-            tables: dict[str, tuple[str, list[str]]]) -> dict:
+            tables: dict[str, tuple[tuple[str, ...], list[tuple]]]) -> dict:
     """The run bundle: config, hash and seed ahead of the body. With an
     output directory, each {file name: (header, rows)} table becomes a
     stamped CSV, and the bundle summary.json."""
@@ -481,9 +483,7 @@ def _finish(config: ExperimentConfig, body: dict,
     if out is not None:
         comments = _stamp(config)
         for name, (header, rows) in tables.items():
-            with open(out / name, "w", encoding="utf-8", newline="") as fh:
-                for line in [*(f"# {c}" for c in comments), header, *rows]:
-                    fh.write(line + "\n")
+            write_table(out / name, header, rows, comments)
         _write_json(out / "summary.json", bundle)
     return bundle
 
@@ -519,7 +519,7 @@ def run_auth(config: ExperimentConfig,
     out = _ensure_out(config)
     comments = _stamp(config)
     scans: dict[str, dict] = {}
-    eer_rows: list[str] = []
+    eer_rows: list[tuple] = []
 
     def eval_scan(scan_s: float):
         return scan_s, _scan_eval(channel_data, ordinals, scan_s, config)
@@ -530,7 +530,7 @@ def run_auth(config: ExperimentConfig,
             continue
         cells = {channel: _cell(scores) for channel, scores in per_channel.items()}
         for channel, scores in per_channel.items():
-            eer_rows.append(_row(f"{scan_s:g},{channel}", cells[channel]))
+            eer_rows.append(_row((f"{scan_s:g}", channel), cells[channel]))
             if out is not None:
                 _write_scores(out, f"{channel}_{scan_s:g}s", scores, comments)
         if len(per_channel) >= 2:
@@ -540,7 +540,7 @@ def run_auth(config: ExperimentConfig,
             only = next(iter(per_channel))
             weights, fused, value = {only: 1.0}, per_channel[only], cells[only]["eer"]
         fused_cell = {**_cell(fused, value), "weights": weights}
-        eer_rows.append(_row(f"{scan_s:g},fused", fused_cell))
+        eer_rows.append(_row((f"{scan_s:g}", "fused"), fused_cell))
         if out is not None:
             _write_scores(out, f"fused_{scan_s:g}s", fused, comments)
         scans[f"{scan_s:g}"] = {"channels": cells, "fused": fused_cell}
@@ -549,10 +549,9 @@ def run_auth(config: ExperimentConfig,
         raise InfeasibleError("no scan length produced scored decisions")
     return _finish(config, {"scans": scans, "enrollment_failures": failures,
                             "notes": notes}, {
-        "eer.csv": ("scan_s,channel,eer,n_genuine,n_impostor", eer_rows),
-        "enrollment.csv": ("channel,user_id,reason",
-                           [f"{f['channel']},{f['user_id']},{f['reason']}"
-                            for f in failures])})
+        "eer.csv": (("scan_s", "channel", "eer", "n_genuine", "n_impostor"), eer_rows),
+        "enrollment.csv": (("channel", "user_id", "reason"),
+                           [(f["channel"], f["user_id"], f["reason"]) for f in failures])})
 
 
 def run_between(config: ExperimentConfig,
@@ -562,14 +561,14 @@ def run_between(config: ExperimentConfig,
     out = _ensure_out(config)
     comments = _stamp(config)
     modes: dict[str, dict] = {}
-    rows: list[str] = []
+    rows: list[tuple] = []
     notes: list[str] = []
     for mode in ("during", "between"):
         _, scans, failures, mode_notes = _hmog_scans(config, train_s, test_s,
                                                      ordinals, mode)
         notes.extend(f"{mode}: {n}" for n in mode_notes)
         for scan_key, (cell, scores) in scans.items():
-            rows.append(_row(f"{mode},{scan_key}", cell))
+            rows.append(_row((mode, scan_key), cell))
             if out is not None:
                 scores.write_csv(out / f"scores_{mode}_{scan_key}s.csv", comments)
         modes[mode] = {"scans": {k: cell for k, (cell, _) in scans.items()},
@@ -577,7 +576,7 @@ def run_between(config: ExperimentConfig,
     if not any(modes[m]["scans"] for m in modes):
         raise InfeasibleError("; ".join(notes) or "neither mode produced decisions")
     return _finish(config, {"modes": modes, "notes": notes},
-                   {"between.csv": ("mode,scan_s,eer,n_genuine,n_impostor", rows)})
+                   {"between.csv": (("mode", "scan_s", "eer", "n_genuine", "n_impostor"), rows)})
 
 
 def _downsample_session(session: Session, factor: int) -> Session:
@@ -609,22 +608,18 @@ def run_rate_sweep(config: ExperimentConfig,
                                    config.workers):
         factors[str(factor)] = per_factor
         for scan_key, cell in per_factor["scans"].items():
-            rows.append(f"{factor},{per_factor['rate_hz']!r},{scan_key},"
-                        f"{cell['eer']!r},{cell['n_enrolled']},"
-                        f"{cell['n_genuine']},{cell['n_impostor']}")
+            rows.append((factor, per_factor["rate_hz"], scan_key, cell["eer"],
+                         cell["n_enrolled"], cell["n_genuine"], cell["n_impostor"]))
     if not any(per["scans"] for per in factors.values()):
         raise InfeasibleError("no downsample factor produced scored decisions")
     return _finish(config, {"factors": factors}, {"sweep.csv": (
-        "factor,rate_hz,scan_s,eer,n_enrolled,n_genuine,n_impostor", rows)})
+        ("factor", "rate_hz", "scan_s", "eer", "n_enrolled", "n_genuine", "n_impostor"),
+        rows)})
 
 
 # ---------------------------------------------------------------------------
 # key generation
 # ---------------------------------------------------------------------------
-
-def _finite_or(values: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(values), values, fallback)
-
 
 def _bkg_channel(channel: str, config: ExperimentConfig, params,
                  train_fm: FeatureMatrix, test_fm: FeatureMatrix, ordinals) -> dict:
@@ -638,8 +633,7 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
     selected = [train_fm.columns[i] for i in order]
     train_sel = train_fm.select_columns(selected)
     test_sel = test_fm.select_columns(selected)
-    pooled = nanmean_columns(train_sel.values)
-    pooled = np.where(np.isfinite(pooled), pooled, 0.0)
+    pooled = fill_missing(nanmean_columns(train_sel.values), 0.0)
     spec = fit_discretization(train_sel.values, config.bkg_p)
 
     users = train_sel.users()
@@ -651,7 +645,7 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
         if user_rows.n_rows == 0:
             enroll_notes.append(f"{user}: no training vectors")
             continue
-        enrollment = _finite_or(nanmean_columns(user_rows.values), pooled)
+        enrollment = fill_missing(nanmean_columns(user_rows.values), pooled)
         grid = ds(enrollment, spec)
         rng = np.random.default_rng(child)
         commitments[user], _ = commit(grid, user, params=params, rng=rng)
@@ -666,7 +660,7 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
     for i in range(agg.n_rows):
         user = str(agg.user_ids[i])
         if user in probes:
-            probes[user].append(ds(_finite_or(agg.values[i], pooled), spec))
+            probes[user].append(ds(fill_missing(agg.values[i], pooled), spec))
     if any(not rows for rows in probes.values()):
         missing = sorted(u for u, rows in probes.items() if not rows)
         enroll_notes.append(f"no probes for {', '.join(missing)}")
@@ -729,15 +723,14 @@ def run_bkg(config: ExperimentConfig,
     if all("error" in r for r in reports):
         raise InfeasibleError("; ".join(f"{r['channel']}: {r['error']}"
                                         for r in reports))
-    rows = [f"{r['channel']},,,,,,{r['error']}" if "error" in r else
-            f"{r['channel']},{r['eer']!r},{r['far']!r},{r['frr']!r},"
-            f"{r['mean_guessing_distance']!r},{r['non_guessed_pct']!r},"
-            f"{'yes' if r['key_generation_possible'] else 'no'}"
+    rows = [(r["channel"], *[None] * 5, r["error"]) if "error" in r else
+            (r["channel"], r["eer"], r["far"], r["frr"], r["mean_guessing_distance"],
+             r["non_guessed_pct"], "yes" if r["key_generation_possible"] else "no")
             for r in reports]
     return _finish(config, {
         "code": {"n": params.n, "l": params.l, "p": params.p,
                  "radius": params.radius},
         "channels": {r["channel"]: {k: v for k, v in r.items() if k != "channel"}
                      for r in reports},
-    }, {"bkg.csv": ("channel,eer,far,frr,mean_gd,non_guessed_pct,key_generation",
-                    rows)})
+    }, {"bkg.csv": (("channel", "eer", "far", "frr", "mean_gd", "non_guessed_pct",
+                     "key_generation"), rows)})

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .table import write_table
+
 
 @dataclass
 class FeatureMatrix:
@@ -90,13 +92,10 @@ class FeatureMatrix:
 
     # -- CSV ---------------------------------------------------------------
 
-    def write_csv(self, path: str, header_comments: list[str] | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in header_comments or []:
-                fh.write(f"# {line}\n")
-            fh.write("user_id,session_id,t_ms," + ",".join(self.columns) + "\n")
-            for i in range(self.n_rows):
-                cells = ["" if np.isnan(v) else repr(float(v))
-                         for v in self.values[i]]
-                fh.write(f"{self.user_ids[i]},{self.session_ids[i]},{self.t_ms[i]},"
-                         + ",".join(cells) + "\n")
+    def write_csv(self, path: str, header_comments=()) -> None:
+        cells = np.where(np.isnan(self.values), None, self.values).tolist()
+        write_table(path, ("user_id", "session_id", "t_ms", *self.columns),
+                    ((user, session, t, *row) for user, session, t, row in zip(
+                        self.user_ids.tolist(), self.session_ids.tolist(),
+                        self.t_ms.tolist(), cells)),
+                    header_comments)

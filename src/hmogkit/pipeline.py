@@ -51,6 +51,13 @@ def nanmean_columns(values: np.ndarray) -> np.ndarray:
                      where=counts > 0)
 
 
+def fill_missing(x: np.ndarray, fill) -> np.ndarray:
+    """x with every non-finite cell replaced by fill (broadcast), as a new
+    C-ordered array: reductions over it then add in one order, whatever
+    the layout of x."""
+    return np.ascontiguousarray(np.where(np.isfinite(x), x, fill))
+
+
 # ---------------------------------------------------------------------------
 # Fisher-score selection
 # ---------------------------------------------------------------------------
@@ -254,14 +261,10 @@ def fit_feature_prep(fm: FeatureMatrix, *, selector: str | None = None,
     if not selected:
         raise PipelineError("selection kept no features")
     sub = fm.select_columns(selected)
-    pooled = nanmean_columns(sub.values)
-    pooled = np.where(np.isfinite(pooled), pooled, 0.0)
+    pooled = fill_missing(nanmean_columns(sub.values), 0.0)
     pca = None
     if pca_fraction is not None:
-        x = sub.values.copy()
-        mask = ~np.isfinite(x)
-        x[mask] = np.broadcast_to(pooled, x.shape)[mask]
-        pca = pca_fit(x, pca_fraction)
+        pca = pca_fit(fill_missing(sub.values, pooled), pca_fraction)
     return FeaturePrep(selected=tuple(selected), pooled_means=pooled, pca=pca)
 
 
@@ -280,9 +283,7 @@ class Template:
     def project(self, v: np.ndarray) -> np.ndarray:
         """Impute missing input cells with the template mean, then apply
         the projection the template was built in."""
-        v = np.asarray(v, dtype=np.float64).copy()
-        missing = ~np.isfinite(v)
-        v[missing] = self.raw_means[missing]
+        v = fill_missing(v, self.raw_means)
         return self.pca.transform(v) if self.pca is not None else v
 
 
@@ -310,11 +311,8 @@ def build_template(user_id: str, fm: FeatureMatrix, prep: FeaturePrep | None = N
         columns = [c for c, u in zip(columns, usable) if u]
         raw_means = raw_means[usable]
     else:
-        holes = ~np.isfinite(raw_means)
-        raw_means = np.where(holes, prep.pooled_means, raw_means)
-    filled = values.copy()
-    mask = ~np.isfinite(filled)
-    filled[mask] = np.broadcast_to(raw_means, filled.shape)[mask]
+        raw_means = fill_missing(raw_means, prep.pooled_means)
+    filled = fill_missing(values, raw_means)
     projected = filled if pca is None else pca.transform(filled)
     mu = projected.mean(axis=0)
     sigma = np.maximum(projected.std(axis=0), SIGMA_FLOOR)

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .matrix import FeatureMatrix
+from .table import read_rows, write_table
 
 
 class VerifyError(ValueError):
@@ -51,7 +53,7 @@ def se_score(template, v: np.ndarray) -> float:
 _METRICS = {"sm": sm_score, "se": se_score}
 
 
-_CSV_HEADER = "kind,claimed,actual,t_ms,score"
+_CSV_HEADER = ["kind", "claimed", "actual", "t_ms", "score"]
 
 
 @dataclass(eq=False)
@@ -79,30 +81,21 @@ class ScoreSet:
     def impostor(self) -> np.ndarray:
         return self.score[self.claimed != self.actual]
 
-    def write_csv(self, path: str, header_comments: list[str] | None = None) -> None:
+    def write_csv(self, path: str, header_comments=()) -> None:
         genuine = self.claimed == self.actual
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in header_comments or []:
-                fh.write(f"# {line}\n")
-            fh.write(_CSV_HEADER + "\n")
-            for kind, rows in (("genuine", genuine), ("impostor", ~genuine)):
-                for claimed, actual, t_ms, score in zip(
-                        self.claimed[rows].tolist(), self.actual[rows].tolist(),
-                        self.t_ms[rows].tolist(), self.score[rows].tolist()):
-                    fh.write(f"{kind},{claimed},{actual},{t_ms},{score!r}\n")
+        write_table(path, _CSV_HEADER, chain.from_iterable(
+            zip(repeat(kind), self.claimed[rows].tolist(), self.actual[rows].tolist(),
+                self.t_ms[rows].tolist(), self.score[rows].tolist())
+            for kind, rows in (("genuine", genuine), ("impostor", ~genuine))),
+            header_comments)
 
     @classmethod
     def read_csv(cls, path: str) -> "ScoreSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1)
-                     if not ln.startswith("#")]
-        if not lines or lines[0][1] != _CSV_HEADER:
+        rows = read_rows(path)
+        if next(rows, (0, None))[1] != _CSV_HEADER:
             raise VerifyError(f"{path}: unexpected header")
         columns = ([], [], [], [])
-        for n, ln in lines[1:]:
-            if not ln:
-                continue
-            fields = ln.split(",")
+        for n, fields in rows:
             if len(fields) != 5:
                 raise VerifyError(f"{path}:{n}: expected 5 fields, got {len(fields)}")
             kind, claimed, actual, t, score = fields
@@ -290,14 +283,8 @@ def det_curve(genuine: np.ndarray, impostor: np.ndarray) -> np.ndarray:
     return np.column_stack([thresholds, far, frr])
 
 
-def write_det_csv(path: str, det: np.ndarray,
-                  header_comments: list[str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_comments or []:
-            fh.write(f"# {line}\n")
-        fh.write("threshold,far,frr\n")
-        for th, far, frr in det:
-            fh.write(f"{repr(float(th))},{repr(float(far))},{repr(float(frr))}\n")
+def write_det_csv(path: str, det: np.ndarray, header_comments=()) -> None:
+    write_table(path, ("threshold", "far", "frr"), det.tolist(), header_comments)
 
 
 def eer(genuine: np.ndarray, impostor: np.ndarray) -> float:

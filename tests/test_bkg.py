@@ -37,7 +37,6 @@ from hmogkit.bkg.field import (
     poly_add,
     poly_divide_linear,
     poly_divmod,
-    poly_eval,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -93,7 +92,6 @@ def test_poly_basic_ops():
     assert poly_sub([1], [1], p) == []
     assert poly_mul([1, 1], [1, 4], p) == [1, 0, 4]  # (1+x)(1+4x) = 1+5x+4x^2
     assert poly_mul([], [1, 2], p) == []
-    assert poly_eval([2, 0, 3], 4, p) == (2 + 3 * 16) % p
 
 
 def test_poly_divmod_identity():

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from hmogkit.cli import build_config, main, make_parser
-from hmogkit.corpus.io import load_corpus
+from hmogkit.corpus.io import load_corpus, save_corpus
 from hmogkit.experiments import (
     OUT_DIR_ENV,
     _enroll_channel,
@@ -397,6 +397,30 @@ def test_fuse_bad_score_row_is_a_data_error(tmp_path, capsys, row, message):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"data error: {bad}:3: ")
     assert message in err
+
+
+def test_user_ids_with_csv_specials_reach_fuse(cli_corpus, tmp_path, capsys):
+    # ingest accepts these ids; every table they land in must split back
+    names = dict(zip(sorted({s.user_id for s in load_corpus(str(cli_corpus))}),
+                     ["a,b", 'c"d']))
+    corpus = tmp_path / "corpus"
+    save_corpus([dataclasses.replace(s, user_id=names[s.user_id])
+                 for s in load_corpus(str(cli_corpus))], str(corpus))
+    out = tmp_path / "results"
+    assert main(eval_args(corpus, "--out-dir", str(out))) == 0
+    scores = ScoreSet.read_csv(str(out / "scores_hmog_20s.csv"))
+    assert set(scores.claimed) == set(scores.actual) == set(names.values())
+    assert main(["fuse", "--scores", f"hmog={out / 'scores_hmog_20s.csv'}",
+                 "--scores", f"tap={out / 'scores_tap_20s.csv'}",
+                 "--out-dir", str(tmp_path / "fused")]) == 0
+    assert (tmp_path / "fused" / "fusion.json").exists()
+    features = tmp_path / "hmog.csv"
+    assert main(["extract", "--corpus", str(corpus), "--channel", "hmog",
+                 "--features-out", str(features)]) == 0
+    with open(features, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+    assert rows and {len(row) for row in rows} == {len(header)}
+    assert {row[0] for row in rows} == set(names.values())
 
 
 # ---------------------------------------------------------------- experiments

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -274,6 +275,42 @@ def test_parse_error_carries_file_and_line(tmp_path):
                       user_id="u", session_id="s1", condition="sitting")
 
 
+def test_parse_error_line_counts_comment_lines(tmp_path):
+    sensor, touch, keys, _ = write_raw(
+        tmp_path,
+        ["s1,acc,0,0,0,9.8", "s1,acc,5,bad,0,9.8"],
+        ["s1,1,100,1,2,0.4"],
+        [],
+        sensor_header="# recorded at 100 Hz\n# device A\n#\nsession_id,sensor,t_ms,x,y,z",
+    )
+    with pytest.raises(ParseError, match=r"sensor\.csv:6: bad number 'bad'"):
+        parse_session(str(sensor), str(touch), str(keys),
+                      user_id="u", session_id="s1", condition="sitting")
+
+
+@pytest.mark.parametrize("text, t_ms", [
+    ("9007199254740993", 2 ** 53 + 1),  # a float rounds it to 2**53
+    ("9223372036854775807", 2 ** 63 - 1),
+    ("9223372036854775808", None),
+    ("nan", None),
+    ("-0.5", None),
+    ("12.7", 12),
+    ("1e3", 1000),
+])
+def test_parse_sensor_timestamps_exactly(tmp_path, text, t_ms):
+    sensor, touch, keys, _ = write_raw(tmp_path, [f"s1,acc,{text},0,0,9.8"],
+                                       ["s1,1,100,1,2,0.4"], [])
+
+    def parse():
+        return parse_session(str(sensor), str(touch), str(keys),
+                             user_id="u", session_id="s1", condition="sitting")
+    if t_ms is None:
+        with pytest.raises(ParseError, match=rf"sensor\.csv:2: (bad|negative) timestamp '{text}'"):
+            parse()
+    else:
+        assert parse().streams[Sensor.ACC].t_ms.tolist() == [t_ms]
+
+
 def test_parse_rejects_nonmonotone_sensor_rows(tmp_path):
     sensor, touch, keys, _ = write_raw(
         tmp_path,
@@ -374,6 +411,14 @@ def test_key_codes_with_csv_specials_roundtrip(tmp_path):
     back = read_session(str(tmp_path / "sess"))
     assert back.keys.key.tolist() == [",", '"', "a b"]
     assert session_equal(session, back)
+
+
+def test_write_session_refuses_comment_session_id(tmp_path, mini_sessions):
+    # a leading '#' would make every row of the session's files a comment
+    session = dataclasses.replace(mini_sessions[0], session_id="#s1")
+    with pytest.raises(CorpusError, match="session_id '#s1'"):
+        write_session(session, str(tmp_path / "sess"))
+    assert not (tmp_path / "sess").exists()
 
 
 def tree_digest(root) -> str:

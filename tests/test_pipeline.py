@@ -272,6 +272,21 @@ def test_build_template_hand_case():
     assert_allclose(t.project(np.array([np.nan, 10.0])), [2.0, 10.0])
 
 
+def test_build_template_sums_rows_in_c_order():
+    # select_columns leaves values column-major; the imputed copy must be
+    # row-major, as the stored templates were built, or mean and std add
+    # in another order and move the last bits
+    rng = np.random.default_rng(8)
+    values = rng.normal(0, 1, (500, 6)) * 10.0 ** rng.integers(-3, 4, 6)
+    values[rng.random(values.shape) < 0.1] = np.nan
+    fm = fm_of(values, ["A"] * 500).select_columns(["f5", "f0", "f3", "f1", "f4", "f2"])
+    assert not fm.values.flags.c_contiguous
+    t = build_template("A", fm, min_vectors=2)
+    filled = np.where(np.isfinite(fm.values), fm.values, t.raw_means).copy(order="C")
+    assert t.mu.tobytes() == filled.mean(axis=0).tobytes()
+    assert t.sigma.tobytes() == np.maximum(filled.std(axis=0), SIGMA_FLOOR).tobytes()
+
+
 def test_build_template_drops_empty_columns():
     fm = fm_of([[1.0, np.nan], [3.0, np.nan]], ["A", "A"])
     t = build_template("A", fm, min_vectors=2)
