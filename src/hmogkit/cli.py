@@ -262,6 +262,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise ConfigError(f"{args.manifest}: session {i} has session_id"
                               f" {session_id!r}, which must not start with '#'"
                               " or contain ',', '\"', CR or LF")
+        # user_id is a field of every score and feature row; csv leaves a
+        # lone CR unquoted, and reading the row back splits it there
+        if "\r" in str(user_id):
+            raise ConfigError(f"{args.manifest}: session {i} has user_id"
+                              f" {user_id!r}, which must not contain CR")
         key = (str(user_id), str(session_id))
         if key in seen:
             raise ConfigError(f"{args.manifest}: session {i} repeats user_id"

@@ -204,6 +204,8 @@ def _parse_key_file(path: str, mapping: dict[str, str] | None) -> KeyTable:
         key = row["key_code"].strip()
         if not key:
             raise ParseError(f"{where}: empty key code")
+        if "\r" in key:  # keys.csv would leave it unquoted and split the row
+            raise ParseError(f"{where}: key code {key!r} contains CR")
         keys.append(key)
         press.append(t)
         release.append(_floor_ms(row["t_release_ms"], where))

@@ -4,10 +4,27 @@ Each user is a SynthProfile: per-sensor baseline offsets, tap-impulse
 amplitudes with exponential decay, optional periodic gait (walking), and
 tap/key timing distributions. The same (profile, seed) pair always yields
 byte-identical sessions.
+
+Those bytes depend on the order of each session's draws from its own
+generator, so the order is part of the contract:
+
+1. the tap times: a lead-in offset, then per tap its duration and the gap
+   to the next, until a tap no longer fits;
+2. the tap block: per tap x0, y0, its x-steps, its y-steps and its contact
+   sizes, drawn as one block;
+3. the keys: a lead-in offset, then per key its letter, hold and gap;
+4. per sensor, in SENSOR_ORDER: the (n, 3) noise block, the three gait
+   phases when walking, then one jitter per tap whose impulse reaches a
+   sample.
+
+The tap and key loops stay sequential because where they stop depends on
+their draws; the rest draws in blocks that return the values scalar calls
+would, in the same order. tests/oracles.py keeps the per-tap version.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +85,8 @@ class SynthProfile:
             raise CorpusError("sessions must be >= 1")
         if self.session_seconds <= 0 or self.sample_rate_hz <= 0:
             raise CorpusError("session length and sample rate must be positive")
+        if not np.isfinite(self.session_seconds):
+            raise CorpusError("session length must be finite")
         if self.impulse_decay_ms <= 0 or self.tap_duration_mean_ms <= 0:
             raise CorpusError("impulse decay and tap duration must be positive")
         if self.tap_rate_hz < 0 or self.key_rate_hz < 0:
@@ -85,8 +104,8 @@ def _tap_times(profile: SynthProfile, duration_ms: int, rng: np.random.Generator
     taps = []
     t = _SESSION_LEAD_MS + int(rng.uniform(0, mean_cycle))
     while True:
-        dur = int(np.clip(rng.normal(profile.tap_duration_mean_ms, profile.tap_duration_sd_ms),
-                          30, 340))
+        dur = int(min(max(rng.normal(profile.tap_duration_mean_ms, profile.tap_duration_sd_ms),
+                          30), 340))
         if t + dur + 300 >= duration_ms:
             break
         taps.append((t, t + dur))
@@ -100,20 +119,33 @@ def _make_taps(profile: SynthProfile, times, rng: np.random.Generator) -> TapTab
     step = profile.touch_sample_step_ms
     counts = (ends - starts) // step + 1
     offsets = np.concatenate([[0], np.cumsum(counts)])
+    n, m = len(starts), offsets[-1]
     # sample j of tap i is at starts[i] + step * (j - offsets[i])
-    t = np.repeat(starts - step * offsets[:-1], counts) + step * np.arange(offsets[-1])
-    xy, size = np.empty((offsets[-1], 2)), np.empty(offsets[-1])
-    cx, cy = profile.tap_center_px
-    # per tap, in the draw order the corpus bytes depend on: x0, y0, k x-, k y-steps, k sizes
-    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        x0 = cx + rng.normal(0, profile.tap_spread_px)
-        y0 = cy + rng.normal(0, profile.tap_spread_px)
-        xy[lo:hi, 0] = x0 + np.cumsum(rng.normal(0, 0.7, hi - lo))
-        xy[lo:hi, 1] = y0 + np.cumsum(rng.normal(0, 0.7, hi - lo))
-        size[lo:hi] = np.clip(rng.normal(profile.contact_size_mean, profile.contact_size_sd,
-                                         hi - lo), 0.01, 2.0)
-    return TapTable(tap_id=np.arange(len(starts)), t_start_ms=starts, t_end_ms=ends,
-                    offsets=offsets, t_samples=t, xy_px=xy, contact_size=size)
+    t = np.repeat(starts - step * offsets[:-1], counts) + step * np.arange(m)
+    # tap i draws x0, y0, then k x-steps, k y-steps and k sizes (k = counts[i]),
+    # so its draws start at 2 * i + 3 * offsets[i]. Draw j of the block is
+    # normal(loc[j], scale[j]): the same C routine, so the same value, as the
+    # scalar call it replaces
+    first = 2 * np.arange(n) + 3 * offsets[:-1]
+    x_step = np.repeat(first + 2 - offsets[:-1], counts) + np.arange(m)
+    y_step = x_step + np.repeat(counts, counts)
+    size_at = y_step + np.repeat(counts, counts)
+    loc, scale = np.zeros(2 * n + 3 * m), np.full(2 * n + 3 * m, 0.7)
+    scale[first] = scale[first + 1] = profile.tap_spread_px
+    loc[size_at], scale[size_at] = profile.contact_size_mean, profile.contact_size_sd
+    draws = rng.normal(loc, scale)
+    origin = np.array(profile.tap_center_px) + draws[first[:, None] + [0, 1]]
+    steps = draws[np.column_stack([x_step, y_step])]
+    xy = np.empty((m, 2))
+    # cumsum runs sequentially along axis 1, so each tap's running sum is the
+    # one a 1-D cumsum over its own steps gives
+    for length in np.unique(counts):
+        rows = np.flatnonzero(counts == length)
+        idx = offsets[rows, None] + np.arange(length)
+        xy[idx] = origin[rows, None] + np.cumsum(steps[idx], axis=1)
+    return TapTable(tap_id=np.arange(n), t_start_ms=starts, t_end_ms=ends,
+                    offsets=offsets, t_samples=t, xy_px=xy,
+                    contact_size=np.clip(draws[size_at], 0.01, 2.0))
 
 
 def _key_hold_offset(profile: SynthProfile, key_index: int) -> float:
@@ -126,13 +158,19 @@ def _make_keys(profile: SynthProfile, duration_ms: int, rng: np.random.Generator
         return KeyTable()
     weights = np.exp(0.9 * np.sin(profile.key_style + 2.3 * np.arange(len(KEY_ALPHABET))))
     weights /= weights.sum()
+    # rng.choice(len(KEY_ALPHABET), p=weights) draws one uniform and finds it
+    # in this cdf with searchsorted(side="right"); bisect_right is the same search
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    hold_mean = [profile.key_hold_mean_ms + _key_hold_offset(profile, i)
+                 for i in range(len(KEY_ALPHABET))]
     mean_gap = 1000.0 / profile.key_rate_hz
     keys, press, release = [], [], []
     t = 200 + int(rng.uniform(0, mean_gap))
     while t < duration_ms - 500:
-        idx = int(rng.choice(len(KEY_ALPHABET), p=weights))
-        hold = np.clip(rng.normal(profile.key_hold_mean_ms + _key_hold_offset(profile, idx),
-                                  profile.key_hold_sd_ms), 20, 400)
+        idx = bisect.bisect_right(cdf, rng.random())
+        hold = min(max(rng.normal(hold_mean[idx], profile.key_hold_sd_ms), 20), 400)
         keys.append(KEY_ALPHABET[idx])
         press.append(t)
         release.append(t + int(hold))
@@ -140,11 +178,20 @@ def _make_keys(profile: SynthProfile, duration_ms: int, rng: np.random.Generator
     return KeyTable(key=keys, t_press_ms=press, t_release_ms=release)
 
 
-def _make_streams(profile: SynthProfile, duration_ms: int, taps,
+def _make_streams(profile: SynthProfile, duration_ms: int, tap_starts: np.ndarray,
                   rng: np.random.Generator) -> dict[Sensor, SensorStream]:
     step = 1000.0 / profile.sample_rate_hz
     n = int(duration_ms / step)
     t = np.floor(np.arange(n) * step).astype(np.int64)
+    # the samples each tap's impulse reaches, in tap order; a tap reaching
+    # none draws no jitter
+    i0 = np.searchsorted(t, tap_starts, side="left")
+    lengths = np.searchsorted(t, tap_starts + _IMPULSE_TAIL_MS, side="right") - i0
+    hit = lengths > 0
+    i0, lengths = i0[hit], lengths[hit]
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    rows = np.repeat(i0 - bounds[:-1], lengths) + np.arange(bounds[-1])
+    decay = np.exp(-((t[rows] - np.repeat(tap_starts[hit], lengths)) / profile.impulse_decay_ms))
     streams = {}
     for s_idx, sensor in enumerate(SENSOR_ORDER):
         values = profile.base_offset[s_idx] + rng.normal(0, profile.noise_sd[s_idx], (n, 3))
@@ -152,14 +199,10 @@ def _make_streams(profile: SynthProfile, duration_ms: int, taps,
             phase = rng.uniform(0, 2 * np.pi, 3)
             wave = np.sin(2 * np.pi * profile.gait_freq_hz * (t[:, None] / 1000.0) + phase)
             values = values + profile.gait_amp[s_idx] * wave
-        for t_start, _ in taps:
-            i0 = int(np.searchsorted(t, t_start, side="left"))
-            i1 = int(np.searchsorted(t, t_start + _IMPULSE_TAIL_MS, side="right"))
-            if i0 >= i1:
-                continue
-            dt = (t[i0:i1] - t_start) / profile.impulse_decay_ms
-            jitter = 1.0 + rng.normal(0, 0.08)
-            values[i0:i1] += jitter * np.exp(-dt)[:, None] * profile.impulse_amp[s_idx]
+        jitter = 1.0 + rng.normal(0, 0.08, len(lengths))
+        # impulse tails overlap; add.at adds them in tap order
+        np.add.at(values, rows,
+                  (np.repeat(jitter, lengths) * decay)[:, None] * profile.impulse_amp[s_idx])
         streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=profile.sample_rate_hz,
                                        t_ms=t, values=values)
     return streams
@@ -177,7 +220,7 @@ def synthesize_user(profile: SynthProfile,
         times = _tap_times(profile, duration_ms, rng)
         taps = _make_taps(profile, times, rng)
         keys = _make_keys(profile, duration_ms, rng)
-        streams = _make_streams(profile, duration_ms, times, rng)
+        streams = _make_streams(profile, duration_ms, taps.t_start_ms, rng)
         sessions.append(Session(
             user_id=profile.user_id,
             session_id=f"s{s_idx + 1:02d}",

@@ -154,6 +154,8 @@ class ExperimentConfig:
             raise ConfigError(f"pca_fraction must be in (0, 1], got {self.pca_fraction}")
         if self.session_seconds <= 0:
             raise ConfigError(f"session_seconds must be positive, got {self.session_seconds}")
+        if not math.isfinite(self.session_seconds):
+            raise ConfigError(f"session_seconds must be finite, got {self.session_seconds}")
         _check_scan_length("bkg_scan_seconds", self.bkg_scan_seconds)
         if self.latency_min_count < 0:
             raise ConfigError(

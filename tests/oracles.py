@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 
-from hmogkit.corpus.types import SENSOR_ORDER
+from hmogkit.corpus.types import (
+    SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
     FEATURE_NAMES, POST_MS)
-from hmogkit.corpus.synth import KEY_ALPHABET
+from hmogkit.corpus.synth import (
+    _IMPULSE_TAIL_MS, _MIN_TAP_GAP_MS, _SESSION_LEAD_MS, KEY_ALPHABET, _key_hold_offset)
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import PipelineError, nanmean_columns
 from hmogkit.touchkeys import (
@@ -461,3 +463,106 @@ def scan_aggregate_oracle(fm: FeatureMatrix, scan_s: float,
     if not parts:
         return FeatureMatrix.empty(fm.columns)
     return FeatureMatrix.vstack(parts)
+
+
+def _tap_times_oracle(profile, duration_ms: int, rng):
+    if profile.tap_rate_hz == 0:
+        return []
+    mean_cycle = 1000.0 / profile.tap_rate_hz
+    taps = []
+    t = _SESSION_LEAD_MS + int(rng.uniform(0, mean_cycle))
+    while True:
+        dur = int(np.clip(rng.normal(profile.tap_duration_mean_ms, profile.tap_duration_sd_ms),
+                          30, 340))
+        if t + dur + 300 >= duration_ms:
+            break
+        taps.append((t, t + dur))
+        cycle = max(dur + _MIN_TAP_GAP_MS, rng.normal(mean_cycle, 0.25 * mean_cycle))
+        t = t + int(cycle)
+    return taps
+
+
+def _make_taps_oracle(profile, times, rng) -> TapTable:
+    starts, ends = np.array(times, dtype=np.int64).reshape(-1, 2).T
+    step = profile.touch_sample_step_ms
+    counts = (ends - starts) // step + 1
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    t = np.repeat(starts - step * offsets[:-1], counts) + step * np.arange(offsets[-1])
+    xy, size = np.empty((offsets[-1], 2)), np.empty(offsets[-1])
+    cx, cy = profile.tap_center_px
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        x0 = cx + rng.normal(0, profile.tap_spread_px)
+        y0 = cy + rng.normal(0, profile.tap_spread_px)
+        xy[lo:hi, 0] = x0 + np.cumsum(rng.normal(0, 0.7, hi - lo))
+        xy[lo:hi, 1] = y0 + np.cumsum(rng.normal(0, 0.7, hi - lo))
+        size[lo:hi] = np.clip(rng.normal(profile.contact_size_mean, profile.contact_size_sd,
+                                         hi - lo), 0.01, 2.0)
+    return TapTable(tap_id=np.arange(len(starts)), t_start_ms=starts, t_end_ms=ends,
+                    offsets=offsets, t_samples=t, xy_px=xy, contact_size=size)
+
+
+def _make_keys_oracle(profile, duration_ms: int, rng) -> KeyTable:
+    if profile.key_rate_hz == 0:
+        return KeyTable()
+    weights = np.exp(0.9 * np.sin(profile.key_style + 2.3 * np.arange(len(KEY_ALPHABET))))
+    weights /= weights.sum()
+    mean_gap = 1000.0 / profile.key_rate_hz
+    keys, press, release = [], [], []
+    t = 200 + int(rng.uniform(0, mean_gap))
+    while t < duration_ms - 500:
+        idx = int(rng.choice(len(KEY_ALPHABET), p=weights))
+        hold = np.clip(rng.normal(profile.key_hold_mean_ms + _key_hold_offset(profile, idx),
+                                  profile.key_hold_sd_ms), 20, 400)
+        keys.append(KEY_ALPHABET[idx])
+        press.append(t)
+        release.append(t + int(hold))
+        t += max(120, int(rng.normal(mean_gap, 0.3 * mean_gap)))
+    return KeyTable(key=keys, t_press_ms=press, t_release_ms=release)
+
+
+def _make_streams_oracle(profile, duration_ms: int, taps, rng) -> dict:
+    step = 1000.0 / profile.sample_rate_hz
+    n = int(duration_ms / step)
+    t = np.floor(np.arange(n) * step).astype(np.int64)
+    streams = {}
+    for s_idx, sensor in enumerate(SENSOR_ORDER):
+        values = profile.base_offset[s_idx] + rng.normal(0, profile.noise_sd[s_idx], (n, 3))
+        if profile.condition is Condition.WALKING:
+            phase = rng.uniform(0, 2 * np.pi, 3)
+            wave = np.sin(2 * np.pi * profile.gait_freq_hz * (t[:, None] / 1000.0) + phase)
+            values = values + profile.gait_amp[s_idx] * wave
+        for t_start, _ in taps:
+            i0 = int(np.searchsorted(t, t_start, side="left"))
+            i1 = int(np.searchsorted(t, t_start + _IMPULSE_TAIL_MS, side="right"))
+            if i0 >= i1:
+                continue
+            dt = (t[i0:i1] - t_start) / profile.impulse_decay_ms
+            jitter = 1.0 + rng.normal(0, 0.08)
+            values[i0:i1] += jitter * np.exp(-dt)[:, None] * profile.impulse_amp[s_idx]
+        streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=profile.sample_rate_hz,
+                                       t_ms=t, values=values)
+    return streams
+
+
+def synthesize_user_oracle(profile, seed) -> list[Session]:
+    """synthesize_user with one scalar draw or small vector draw per tap,
+    per key and per tap impulse, in the order the corpus bytes depend on."""
+    profile.validate()
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    sessions = []
+    for s_idx, child in enumerate(ss.spawn(profile.sessions)):
+        rng = np.random.default_rng(child)
+        duration_ms = int(profile.session_seconds * 1000)
+        times = _tap_times_oracle(profile, duration_ms, rng)
+        taps = _make_taps_oracle(profile, times, rng)
+        keys = _make_keys_oracle(profile, duration_ms, rng)
+        streams = _make_streams_oracle(profile, duration_ms, times, rng)
+        sessions.append(Session(
+            user_id=profile.user_id,
+            session_id=f"s{s_idx + 1:02d}",
+            condition=profile.condition,
+            streams=streams,
+            taps=taps,
+            keys=keys,
+        ).validate())
+    return sessions

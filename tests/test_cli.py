@@ -167,6 +167,8 @@ def malformed_corpora(tmp_path_factory):
      2, "config error: scan_seconds must be finite and at least 0.001 s, got inf"),
     (["bkg", *SMALL, "--bkg-scan", "0.0009"], None,
      2, "config error: bkg_scan_seconds must be finite and at least 0.001 s, got 0.0009"),
+    (["synth", *SMALL[:4], "--session-seconds", "inf", "--corpus-out", "{corpora}/inf"], None,
+     2, "config error: session_seconds must be finite, got inf"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -551,7 +553,21 @@ def test_ingest_missing_manifest_field(tmp_path, capsys):
     ("session_id", 's"1', "session_id 's\"1', which must not start with '#' or contain"),
     ("session_id", "s\r1", "session_id 's\\r1', which must not start with '#' or contain"),
     ("session_id", "s\n1", "session_id 's\\n1', which must not start with '#' or contain"),
+    # user_id is a field of every score row, and a lone CR there is unquoted
+    ("user_id", "a\rb", "user_id 'a\\rb', which must not contain CR"),
 ])
 def test_ingest_bad_manifest_field(tmp_path, capsys, field, value, message):
     entries = value if field == "sessions" else [{**INGEST_ENTRY, field: value}]
     assert_manifest_config_error(tmp_path, capsys, entries, message)
+
+
+def test_ingest_key_code_with_cr_is_a_data_error(tmp_path, capsys):
+    # keys.csv would leave the lone CR unquoted and split the row on reading
+    manifest = write_manifest(tmp_path, INGEST_ENTRY)
+    (tmp_path / "keys.csv").write_text(RAW_KEYS + 's1,"x\ry",500,560\n')
+    out = tmp_path / "corpus"
+    assert main(["ingest", "--manifest", str(manifest), "--corpus-out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"data error: {tmp_path / 'keys.csv'}:4: key code 'x\\ry' contains CR")
+    assert not out.exists()

@@ -91,6 +91,7 @@ def test_config_validate_accepts_one_ms_scans():
     {"scan_seconds": (math.inf,)},
     {"bkg_scan_seconds": 0.0005},
     {"bkg_scan_seconds": math.inf},
+    {"session_seconds": math.inf},
 ])
 def test_config_validate_rejects(overrides):
     with pytest.raises(ConfigError):

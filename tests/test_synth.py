@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hmogkit.corpus.synth import (
     synthesize_user,
 )
 from hmogkit.corpus.types import Condition, Sensor
+from oracles import synthesize_user_oracle
 from tables import table_equal
 
 
@@ -133,3 +136,50 @@ def test_profile_validation():
         SynthProfile(user_id="u", sessions=0).validate()
     with pytest.raises(ValueError):
         SynthProfile(user_id="u", tap_rate_hz=-1.0).validate()
+
+
+_WALKER = make_profiles(1, "walking", 3, sessions=2, session_seconds=60.0)[0]
+
+
+@pytest.mark.parametrize("profile", [
+    *make_profiles(2, "sitting", 7, sessions=2, session_seconds=120.0),
+    *make_profiles(2, "walking", 7, sessions=2, session_seconds=120.0),
+    replace(_WALKER, tap_rate_hz=0.0),
+    replace(_WALKER, key_rate_hz=0.0),
+    replace(_WALKER, sample_rate_hz=16.0),          # a 62.5 ms sample step
+    replace(_WALKER, touch_sample_step_ms=7),
+    replace(_WALKER, session_seconds=1e-9),         # no sample, tap or key
+    # taps 395 ms apart, so consecutive 400 ms impulse tails share samples
+    replace(_WALKER, tap_rate_hz=20.0, tap_duration_mean_ms=35.0),
+], ids=["sitting1", "sitting2", "walking1", "walking2", "no-taps", "no-keys",
+        "16hz", "touch-7ms", "empty", "overlapping-tails"])
+@pytest.mark.parametrize("seed", [0, 31])
+def test_synthesize_user_matches_oracle_bitwise(profile, seed):
+    sessions = synthesize_user(profile, seed)
+    expected = synthesize_user_oracle(profile, seed)
+    assert len(sessions) == len(expected) == profile.sessions
+    for got, want in zip(sessions, expected):
+        assert got.streams.keys() == want.streams.keys()
+        for sensor, stream in got.streams.items():
+            assert stream.t_ms.tobytes() == want.streams[sensor].t_ms.tobytes()
+            assert stream.values.tobytes() == want.streams[sensor].values.tobytes()
+        for table in ("taps", "keys"):
+            got_table, want_table = getattr(got, table), getattr(want, table)
+            for f in fields(got_table):
+                a, b = getattr(got_table, f.name), getattr(want_table, f.name)
+                assert a.dtype == b.dtype and a.shape == b.shape, (table, f.name)
+                if a.dtype == object:
+                    assert a.tolist() == b.tolist(), (table, f.name)
+                else:
+                    assert a.tobytes() == b.tobytes(), (table, f.name)
+
+
+def test_overlapping_tails_profile_overlaps():
+    # the oracle case above tests the order of add.at only if some sample
+    # lies in two impulse tails, [start, start + 400 ms] of consecutive taps
+    profile = replace(_WALKER, tap_rate_hz=20.0, tap_duration_mean_ms=35.0)
+    session = synthesize_user(profile, 0)[0]
+    t = session.streams[Sensor.ACC].t_ms
+    starts = session.taps.t_start_ms
+    shared = [np.any((t >= nxt) & (t <= start + 400)) for start, nxt in zip(starts, starts[1:])]
+    assert sum(shared) > 10
