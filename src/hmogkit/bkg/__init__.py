@@ -32,7 +32,7 @@ from .field import (
     lee_weight,
     lee_weight_total,
 )
-from .guessing import GuessingReport, guessing_distance, open_matrix
+from .guessing import GuessingReport, guessing_distance
 
 __all__ = [
     "DEFAULT_CONTEXT",
@@ -62,5 +62,4 @@ __all__ = [
     "lee_weight",
     "lee_weight_total",
     "open_commitment",
-    "open_matrix",
 ]

@@ -64,19 +64,18 @@ class DiscretizationSpec:
 
 
 def ds(x, spec: DiscretizationSpec) -> np.ndarray:
-    """Discretize a feature vector: clamp below min to 0, above max to
-    d_range, otherwise floor(d_range * (x - min) / (max - min))."""
+    """Discretize a feature vector, or each row of a block of them: clamp
+    below min to 0, above max to d_range, otherwise
+    floor(d_range * (x - min) / (max - min))."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.n,):
-        raise ValueError(f"expected vector of length {spec.n}")
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.n:
+        raise ValueError(f"expected vectors of length {spec.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("discretization input must be finite")
     span = spec.f_max - spec.f_min
     raw = np.floor(spec.d_range * (x - spec.f_min) / span).astype(np.int64)
     out = np.clip(raw, 0, spec.d_range)
-    out[x < spec.f_min] = 0
-    out[x > spec.f_max] = spec.d_range[x > spec.f_max]
-    return out
+    return np.where(x < spec.f_min, 0, np.where(x > spec.f_max, spec.d_range, out))
 
 
 def assign_d_range(sigmas, p: int) -> np.ndarray:

@@ -1,20 +1,24 @@
 """How hard is it to open someone else's commitment with your own biometrics.
 
 The attacker holds every user's commitment and password and a probe vector
-per user. For a target, probes are tried in a fixed global order: users
-ranked by how many foreign commitments their probe opens (most first, ties
-by user id). The guessing distance of a target is log2 of the attempt
-number at which it first opens; targets no foreign probe opens count as
-not guessed.
+per user. The input is a table that says which probe opens which
+commitment, and this module opens nothing itself. For a target, probes are
+tried in a fixed global order: users ranked by how many foreign commitments
+their probe opens (most first, ties by user id). The guessing distance of a
+target is log2 of the attempt number at which it first opens; targets no
+foreign probe opens count as not guessed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .code import CodeParams
-from .commitment import Commitment, OpenFailure, open_commitment
+import numpy as np
+
+# bound here as well as in experiments: the benchmark's tracer wraps both names
+from .commitment import open_commitment  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -34,42 +38,21 @@ class GuessingReport:
         return 100.0 * len(self.not_guessed) / total if total else 0.0
 
 
-def open_matrix(commitments: dict[str, Commitment], probes: dict,
-                passwords: dict[str, str],
-                params: CodeParams) -> dict[str, dict[str, bool]]:
-    """opens[j][i]: does user j's probe open user i's commitment."""
-    users = sorted(commitments)
-    out: dict[str, dict[str, bool]] = {}
-    for j in users:
-        row = {}
-        for i in users:
-            try:
-                open_commitment(commitments[i], probes[j], passwords[i],
-                                params=params)
-                row[i] = True
-            except OpenFailure:
-                row[i] = False
-        out[j] = row
-    return out
-
-
-def guessing_distance(commitments: dict[str, Commitment], probes: dict,
-                      passwords: dict[str, str],
-                      params: CodeParams) -> GuessingReport:
-    users = sorted(commitments)
-    if set(probes) != set(users) or set(passwords) != set(users):
-        raise ValueError("commitments, probes, and passwords must cover the same users")
-    opens = open_matrix(commitments, probes, passwords, params)
-    foreign_opens = {j: sum(opens[j][i] for i in users if i != j) for j in users}
+def guessing_distance(opened, users: Sequence[str]) -> GuessingReport:
+    """opened[j, i]: does users[j]'s probe open users[i]'s commitment. The
+    table is square, and users names each of its users once."""
+    opened = np.asarray(opened, dtype=bool)
+    if opened.shape != (len(users), len(users)) or len(set(users)) != len(users):
+        raise ValueError("the table must cover the same users on both axes")
+    foreign_opens = opened.sum(axis=1) - opened.diagonal()
+    order = sorted(range(len(users)), key=lambda j: (-foreign_opens[j], users[j]))
     distances: dict[str, float] = {}
     missed: list[str] = []
-    for target in users:
-        order = sorted((j for j in users if j != target),
-                       key=lambda j: (-foreign_opens[j], j))
-        hit = next((k for k, j in enumerate(order, start=1)
-                    if opens[j][target]), None)
+    for t in sorted(range(len(users)), key=users.__getitem__):
+        hit = next((k for k, j in enumerate((j for j in order if j != t), start=1)
+                    if opened[j, t]), None)
         if hit is None:
-            missed.append(target)
+            missed.append(users[t])
         else:
-            distances[target] = math.log2(hit)
+            distances[users[t]] = math.log2(hit)
     return GuessingReport(distances=distances, not_guessed=tuple(missed))

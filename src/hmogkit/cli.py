@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus.io import ParseError, load_mapping, parse_session, save_corpus
+from .corpus.io import ParseError, id_problem, load_mapping, parse_session, save_corpus
 from .corpus.types import Condition, CorpusError
 from .experiments import (
     OUT_DIR_ENV,
@@ -242,31 +242,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except KeyError as exc:
             raise ConfigError(
                 f"{args.manifest}: session {i} is missing {exc}") from None
-        for name, value in [("user_id", user_id), ("session_id", session_id)]:
-            # ids name the session's corpus directory, so None, True or ""
-            # must not turn into one
-            if not (isinstance(value, str) and value
-                    or isinstance(value, int) and not isinstance(value, bool)):
-                raise ConfigError(f"{args.manifest}: session {i} has {name}"
-                                  f" {value!r}, expected a non-empty string or"
-                                  " an integer")
-            # the directory is <user_id>_<session_id> under --corpus-out;
-            # a separator would place it elsewhere
-            if any(c in str(value) for c in "/\\\0"):
-                raise ConfigError(f"{args.manifest}: session {i} has {name}"
-                                  f" {value!r}, which must not contain '/',"
-                                  " '\\' or NUL")
-        # session_id leads every CSV row of the session: a leading '#' makes
-        # the row a comment, and a delimiter, quote or line break splits it
-        if str(session_id).startswith("#") or any(c in str(session_id) for c in ',"\r\n'):
-            raise ConfigError(f"{args.manifest}: session {i} has session_id"
-                              f" {session_id!r}, which must not start with '#'"
-                              " or contain ',', '\"', CR or LF")
-        # user_id is a field of every score and feature row; csv leaves a
-        # lone CR unquoted, and reading the row back splits it there
-        if "\r" in str(user_id):
-            raise ConfigError(f"{args.manifest}: session {i} has user_id"
-                              f" {user_id!r}, which must not contain CR")
+        problem = id_problem(user_id, session_id)
+        if problem:
+            raise ConfigError(f"{args.manifest}: session {i} has {problem}")
         key = (str(user_id), str(session_id))
         if key in seen:
             raise ConfigError(f"{args.manifest}: session {i} repeats user_id"
@@ -314,7 +292,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.corpus_dir is None:
         raise ConfigError("extract needs --corpus")
-    config = dataclasses.replace(config, channels=(args.channel,))
+    # one channel and no fusion: eval's fusion weights name other channels
+    config = dataclasses.replace(config, channels=(args.channel,), fusion_weights=None)
     config.validate()
     sessions = build_sessions(config)
     fm = extract_channels(sessions, (args.channel,), config)[args.channel]
@@ -330,7 +309,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.corpus_dir is None:
         raise ConfigError("train needs --corpus")
-    config = dataclasses.replace(config, channels=(args.channel,))
+    # one channel and no fusion: eval's fusion weights name other channels
+    config = dataclasses.replace(config, channels=(args.channel,), fusion_weights=None)
     config.validate()
     sessions = build_sessions(config)
     train_fm, _ = _channel_matrices(training_sessions(sessions), [], (args.channel,),

@@ -281,9 +281,37 @@ def _read_json(path: str, required: tuple[str, ...]) -> dict:
     return blob
 
 
+def id_problem(user_id, session_id) -> str | None:
+    """What keeps a (user_id, session_id) pair from naming a session, as
+    "<field> <value!r>, <reason>"; None when nothing does.
+
+    The ids name the session's corpus directory <user_id>_<session_id>, so
+    None, True or "" must not turn into one and a path separator would place
+    it elsewhere. session_id leads every CSV row of the session: a leading
+    '#' makes the row a comment, and a delimiter, quote or line break splits
+    it. user_id is a field of every score and feature row; csv leaves a lone
+    CR unquoted, and reading the row back splits it there.
+    """
+    for name, value in [("user_id", user_id), ("session_id", session_id)]:
+        if not (isinstance(value, str) and value
+                or isinstance(value, int) and not isinstance(value, bool)):
+            return f"{name} {value!r}, expected a non-empty string or an integer"
+        if any(c in str(value) for c in "/\\\0"):
+            return f"{name} {value!r}, which must not contain '/', '\\' or NUL"
+    if str(session_id).startswith("#") or any(c in str(session_id) for c in ',"\r\n'):
+        return (f"session_id {session_id!r}, which must not start with '#'"
+                " or contain ',', '\"', CR or LF")
+    if "\r" in str(user_id):
+        return f"user_id {user_id!r}, which must not contain CR"
+    return None
+
+
 def read_session(directory: str) -> Session:
     meta_path = os.path.join(directory, "meta.json")
     meta = _read_json(meta_path, ("user_id", "session_id", "condition"))
+    problem = id_problem(meta["user_id"], meta["session_id"])
+    if problem:
+        raise ParseError(f"{meta_path}: {problem}")
     try:
         condition = Condition(meta["condition"])
     except ValueError:
@@ -292,10 +320,10 @@ def read_session(directory: str) -> Session:
     tags = {sensor.value for sensor in Sensor}
     if not isinstance(rates, dict) or not all(
             tag in tags and isinstance(value, (int, float))
-            and not isinstance(value, bool) and value > 0
+            and not isinstance(value, bool) and math.isfinite(value) and value > 0
             for tag, value in rates.items()):
         raise ParseError(f"{meta_path}: nominal_rate_hz must map sensor tags to "
-                         f"positive rates, got {rates!r}")
+                         f"positive finite rates, got {rates!r}")
     rate = next(iter(rates.values()), DEFAULT_RATE_HZ)
     session = parse_session(
         os.path.join(directory, "sensor.csv"),

@@ -592,13 +592,18 @@ def run_rate_sweep(config: ExperimentConfig,
                    sessions: list[Session] | None = None) -> dict:
     """HMOG-only EER after downsampling the sensor streams per factor."""
     train_s, test_s, ordinals = _split(config, sessions)
+    # each factor reports the first training stream's rate, divided as
+    # downsample divides it
+    base = next((stream for s in train_s for stream in s.streams.values()), None)
+    if base is None:
+        raise InfeasibleError("no training session has sensor rows")
 
     def eval_factor(factor: int):
         train = [_downsample_session(s, factor) for s in train_s]
         test = [_downsample_session(s, factor) for s in test_s]
         templates, scans, failures, notes = _hmog_scans(config, train, test, ordinals)
         return factor, {
-            "rate_hz": next(iter(train[0].streams.values())).nominal_rate_hz,
+            "rate_hz": base.nominal_rate_hz / factor,
             "scans": {k: {**cell, "n_enrolled": len(templates)}
                       for k, (cell, _) in scans.items()},
             "enrollment_failures": failures, "notes": notes}
@@ -639,69 +644,54 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
     spec = fit_discretization(train_sel.values, config.bkg_p)
 
     users = train_sel.users()
-    root = np.random.SeedSequence([config.seed, 0xB46])
-    commitments, passwords = {}, {}
-    enroll_notes = []
-    for user, child in zip(users, root.spawn(len(users))):
-        user_rows = train_sel.for_user(user)
-        if user_rows.n_rows == 0:
-            enroll_notes.append(f"{user}: no training vectors")
-            continue
-        enrollment = fill_missing(nanmean_columns(user_rows.values), pooled)
-        grid = ds(enrollment, spec)
-        rng = np.random.default_rng(child)
-        commitments[user], _ = commit(grid, user, params=params, rng=rng)
-        passwords[user] = user
-    if len(commitments) < 2:
+    if len(users) < 2:
         report["error"] = "fewer than two users could enroll"
-        report["enroll_notes"] = enroll_notes
+        report["enroll_notes"] = []
         return report
+    root = np.random.SeedSequence([config.seed, 0xB46])
+    commitments = []
+    for user, child in zip(users, root.spawn(len(users))):
+        enrollment = fill_missing(nanmean_columns(train_sel.for_user(user).values), pooled)
+        rng = np.random.default_rng(child)
+        # the user id is the password
+        commitments.append(commit(ds(enrollment, spec), user, params=params, rng=rng)[0])
 
+    # a probe per scan window of an enrolled user, claiming that user
     agg = scan_aggregate(test_sel, config.bkg_scan_seconds, ordinals)
-    probes: dict[str, list[np.ndarray]] = {u: [] for u in commitments}
-    for i in range(agg.n_rows):
-        user = str(agg.user_ids[i])
-        if user in probes:
-            probes[user].append(ds(fill_missing(agg.values[i], pooled), spec))
-    if any(not rows for rows in probes.values()):
-        missing = sorted(u for u, rows in probes.items() if not rows)
-        enroll_notes.append(f"no probes for {', '.join(missing)}")
-        for user in missing:
-            del probes[user]
-    if len(probes) < 2:
+    column = {u: k for k, u in enumerate(users)}
+    claimant = np.array([column.get(u, -1) for u in agg.user_ids.tolist()], dtype=np.int64)
+    probes = ds(fill_missing(agg.values[claimant >= 0], pooled), spec)
+    claimant = claimant[claimant >= 0]
+    probed, first = np.unique(claimant, return_index=True)
+    missing = [users[k] for k in np.setdiff1d(np.arange(len(users)), probed)]
+    enroll_notes = [f"no probes for {', '.join(missing)}"] if missing else []
+    if len(probed) < 2:
         report["error"] = "fewer than two users have probe vectors"
         report["enroll_notes"] = enroll_notes
         return report
 
-    genuine_total = genuine_opens = 0
-    impostor_total = impostor_opens = 0
-    for claimant, rows in sorted(probes.items()):
-        for target in sorted(commitments):
-            for grid in rows:
-                try:
-                    open_commitment(commitments[target], grid, passwords[target],
-                                    params=params)
-                    opened = True
-                except OpenFailure:
-                    opened = False
-                if claimant == target:
-                    genuine_total += 1
-                    genuine_opens += opened
-                else:
-                    impostor_total += 1
-                    impostor_opens += opened
-    far = impostor_opens / impostor_total if impostor_total else 0.0
-    frr = 1.0 - genuine_opens / genuine_total if genuine_total else 1.0
+    # opened[w, k]: does probe window w open user k's commitment
+    opened = np.zeros((len(probes), len(users)), dtype=bool)
+    for w, grid in enumerate(probes):
+        for k, user in enumerate(users):
+            try:
+                open_commitment(commitments[k], grid, user, params=params)
+                opened[w, k] = True
+            except OpenFailure:
+                pass
+    genuine = claimant[:, None] == np.arange(len(users))
+    n_genuine, n_impostor = int(genuine.sum()), int((~genuine).sum())
+    genuine_opens = int(opened[genuine].sum())
+    far = int(opened[~genuine].sum()) / n_impostor
+    frr = 1.0 - genuine_opens / n_genuine
     report.update({
         "far": far, "frr": frr, "eer": (far + frr) / 2,
-        "n_genuine": genuine_total, "n_impostor": impostor_total,
+        "n_genuine": n_genuine, "n_impostor": n_impostor,
         "key_generation_possible": genuine_opens > 0,
         "enroll_notes": enroll_notes,
     })
-    gd_targets = {u: commitments[u] for u in probes}
-    first_probe = {u: rows[0] for u, rows in probes.items()}
-    gd = guessing_distance(gd_targets, first_probe,
-                           {u: passwords[u] for u in probes}, params)
+    # the guessing attacker holds each probed user's first probe window
+    gd = guessing_distance(opened[np.ix_(first, probed)], [users[k] for k in probed])
     report["mean_guessing_distance"] = gd.mean_distance
     report["non_guessed_pct"] = gd.not_guessed_pct
     report["guessing_distances"] = {u: v for u, v in sorted(gd.distances.items())}

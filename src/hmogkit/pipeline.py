@@ -162,14 +162,18 @@ def mrmr_select(fm: FeatureMatrix, threshold: float) -> list[str]:
                           for j in range(fm.n_features)])
     selected: list[int] = []
     pairwise: dict[tuple[int, int], float] = {}
+
+    def mutual_information(j: int, s: int) -> float:
+        if (j, s) not in pairwise:
+            pairwise[j, s] = _mutual_information(codes[j], codes[s])
+        return pairwise[j, s]
+
     candidates = list(range(fm.n_features))
     while candidates:
         best_j, best_score = None, -np.inf
         for j in candidates:
             if selected:
-                redundancy = np.mean([
-                    pairwise.setdefault((j, s), _mutual_information(codes[j], codes[s]))
-                    for s in selected])
+                redundancy = np.mean([mutual_information(j, s) for s in selected])
             else:
                 redundancy = 0.0
             score = relevance[j] - redundancy

@@ -144,6 +144,22 @@ def assign_d_range_oracle(sigma: float, s_min: float, s_max: float, p: int) -> i
 # HMOG extraction, one tap and one sensor at a time
 # ---------------------------------------------------------------------------
 
+def guessing_distance_oracle(opens: dict[str, dict[str, bool]]) -> tuple[dict, tuple]:
+    """(distances, not guessed) from opens[j][i], one user at a time: each
+    target's attempts sorted by foreign opens (most first), then user id."""
+    users = sorted(opens)
+    foreign = {j: sum(opens[j][i] for i in users if i != j) for j in users}
+    distances, missed = {}, []
+    for target in users:
+        order = sorted((j for j in users if j != target), key=lambda j: (-foreign[j], j))
+        hit = next((k for k, j in enumerate(order, start=1) if opens[j][target]), None)
+        if hit is None:
+            missed.append(target)
+        else:
+            distances[target] = math.log2(hit)
+    return distances, tuple(missed)
+
+
 def _hmog_resistance_oracle(before, during, after100):
     avg_before = before.mean(axis=0)
     avg_after = after100.mean(axis=0)

@@ -41,11 +41,12 @@ from hmogkit.bkg.field import (
     poly_sub,
     poly_trim,
 )
-from hmogkit.bkg.guessing import guessing_distance, open_matrix
+from hmogkit.bkg.guessing import guessing_distance
 from oracles import (
     assign_d_range_oracle,
     codebook_oracle,
     ds_oracle,
+    guessing_distance_oracle,
     lee_patterns,
     lee_weight_oracle,
     min_lee_distance_oracle,
@@ -320,6 +321,9 @@ def test_ds_matches_oracle():
         for j in range(3):
             assert got[j] == ds_oracle(x[j], spec.f_min[j], spec.f_max[j],
                                        int(spec.d_range[j]))
+    # a block of vectors discretizes row by row
+    block = rng.uniform(-3, 13, (50, 3))
+    assert np.array_equal(ds(block, spec), np.array([ds(row, spec) for row in block]))
 
 
 def test_ds_input_errors():
@@ -329,6 +333,8 @@ def test_ds_input_errors():
         ds(np.array([np.nan]), spec)
     with pytest.raises(ValueError, match="length"):
         ds(np.array([0.1, 0.2]), spec)
+    with pytest.raises(ValueError, match="length"):
+        ds(np.zeros((2, 2, 1)), spec)
 
 
 def test_discretization_spec_validation():
@@ -491,6 +497,22 @@ def test_open_checks_code_parameters(code637):
 
 # ---------------------------------------------------------------- guessing
 
+def open_table(commitments, vectors, passwords, params):
+    """opened[j, i]: does user j's vector open user i's commitment, both
+    axes in sorted user order."""
+    users = sorted(commitments)
+    opened = np.zeros((len(users), len(users)), dtype=bool)
+    for j, prober in enumerate(users):
+        for i, target in enumerate(users):
+            try:
+                open_commitment(commitments[target], vectors[prober],
+                                passwords[target], params=params)
+                opened[j, i] = True
+            except OpenFailure:
+                pass
+    return users, opened
+
+
 def test_guessing_distance_hand_case(code637):
     rng = np.random.default_rng(30)
     x_ab = np.array([1, 2, 3, 4, 5, 6])
@@ -501,16 +523,51 @@ def test_guessing_distance_hand_case(code637):
     for user, vec in vectors.items():
         commitments[user], _ = commit(vec, passwords[user], params=code637, rng=rng)
 
-    opens = open_matrix(commitments, vectors, passwords, code637)
-    assert all(opens[u][u] for u in vectors)  # own probe always opens
-    assert opens["A"]["B"] and opens["B"]["A"]
-    assert not opens["A"]["C"] and not opens["C"]["A"]
+    users, opens = open_table(commitments, vectors, passwords, code637)
+    a, b, c = (users.index(u) for u in "ABC")
+    assert opens.diagonal().all()  # own probe always opens
+    assert opens[a, b] and opens[b, a]
+    assert not opens[a, c] and not opens[c, a]
 
-    report = guessing_distance(commitments, vectors, passwords, code637)
+    report = guessing_distance(opens, users)
     assert report.distances == {"A": 0.0, "B": 0.0}  # first attempt, log2(1)
     assert report.not_guessed == ("C",)
     assert report.mean_distance == 0.0
     assert report.not_guessed_pct == pytest.approx(100.0 / 3.0)
+    # the users may come in any order; ties still go by user id
+    shuffled = [c, a, b]
+    assert guessing_distance(opens[np.ix_(shuffled, shuffled)], ["C", "A", "B"]) == report
+
+
+def test_guessing_distance_attempt_order():
+    # P opens two foreign commitments, Q one, R and S none: every target is
+    # tried with P first, then Q, then R and S by id
+    users = ["P", "Q", "R", "S"]
+    opens = np.array([[1, 0, 1, 1],
+                      [0, 1, 0, 1],
+                      [0, 0, 1, 0],
+                      [0, 0, 0, 1]], dtype=bool)
+    report = guessing_distance(opens, users)
+    assert report.distances == {"R": 0.0, "S": 0.0}
+    assert report.not_guessed == ("P", "Q")
+    opens[2, 1] = True  # R opens Q: R ties with Q, and Q's second attempt is R
+    report = guessing_distance(opens, users)
+    assert report.distances == {"Q": 1.0, "R": 0.0, "S": 0.0}
+    assert report.not_guessed == ("P",)
+
+
+def test_guessing_distance_matches_oracle():
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 5, 8):
+        users = [f"u{k}" for k in range(n)]
+        for density in (0.1, 0.3, 0.6):
+            opens = rng.random((n, n)) < density
+            report = guessing_distance(opens, users)
+            distances, missed = guessing_distance_oracle(
+                {j: {i: bool(opens[a, b]) for b, i in enumerate(users)}
+                 for a, j in enumerate(users)})
+            assert report.distances == distances
+            assert report.not_guessed == missed
 
 
 def test_guessing_distance_nobody_guessed(code637):
@@ -519,7 +576,8 @@ def test_guessing_distance_nobody_guessed(code637):
     passwords = {"A": "pa", "B": "pb"}
     commitments = {u: commit(v, passwords[u], params=code637, rng=rng)[0]
                    for u, v in vectors.items()}
-    report = guessing_distance(commitments, vectors, passwords, code637)
+    users, opens = open_table(commitments, vectors, passwords, code637)
+    report = guessing_distance(opens, users)
     assert report.distances == {}
     assert set(report.not_guessed) == {"A", "B"}
     assert np.isnan(report.mean_distance)
@@ -529,5 +587,15 @@ def test_guessing_distance_nobody_guessed(code637):
 def test_guessing_distance_user_mismatch(code637):
     rng = np.random.default_rng(32)
     c, _ = commit(np.zeros(6, dtype=np.int64), "pw", params=code637, rng=rng)
+    # A's commitment against the probes of A and B: B has no commitment
+    opens = np.zeros((2, 1), dtype=bool)
+    for j, vec in enumerate([np.zeros(6), np.full(6, 3)]):
+        try:
+            open_commitment(c, vec, "pw", params=code637)
+            opens[j, 0] = True
+        except OpenFailure:
+            pass
     with pytest.raises(ValueError, match="same users"):
-        guessing_distance({"A": c}, {"B": np.zeros(6)}, {"A": "pw"}, code637)
+        guessing_distance(opens, ["A", "B"])
+    with pytest.raises(ValueError, match="same users"):
+        guessing_distance(np.ones((2, 2), dtype=bool), ["A", "A"])

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import math
+import shutil
 
 import pytest
 
@@ -97,7 +99,19 @@ def malformed_corpora(tmp_path_factory):
                 {"user_id": "u1", "session_id": "s01", "condition": "running"})),
             ("meta_bad_rate", index, json.dumps(
                 {"user_id": "u1", "session_id": "s01", "condition": "sitting",
-                 "nominal_rate_hz": {"accel": 100.0}}))]:
+                 "nominal_rate_hz": {"accel": 100.0}})),
+            # json.load accepts Infinity; the rate would reach summary.json
+            ("meta_inf_rate", index, json.dumps(
+                {"user_id": "u1", "session_id": "s01", "condition": "sitting",
+                 "nominal_rate_hz": {"acc": math.inf}})),
+            # the ids follow ingest's rules: a lone CR in user_id would split
+            # score rows, and a leading '#' makes every session row a comment
+            ("meta_user_cr", index, json.dumps(
+                {"user_id": "a\rb", "session_id": "s01", "condition": "sitting"})),
+            ("meta_session_hash", index, json.dumps(
+                {"user_id": "u1", "session_id": "#s01", "condition": "sitting"})),
+            ("meta_user_null", index, json.dumps(
+                {"user_id": None, "session_id": "s01", "condition": "sitting"}))]:
         (root / name / "s1").mkdir(parents=True)
         (root / name / "index.json").write_text(index_text)
         if meta_text is not None:
@@ -169,6 +183,18 @@ def malformed_corpora(tmp_path_factory):
      2, "config error: bkg_scan_seconds must be finite and at least 0.001 s, got 0.0009"),
     (["synth", *SMALL[:4], "--session-seconds", "inf", "--corpus-out", "{corpora}/inf"], None,
      2, "config error: session_seconds must be finite, got inf"),
+    (["sweep", "--corpus", "{corpora}/meta_inf_rate"], None,
+     3, "data error: {corpora}/meta_inf_rate/s1/meta.json: nominal_rate_hz must map"
+        " sensor tags to positive finite rates, got {{'acc': inf}}"),
+    (["eval", "--corpus", "{corpora}/meta_user_cr"], None,
+     3, "data error: {corpora}/meta_user_cr/s1/meta.json: user_id 'a\\rb',"
+        " which must not contain CR"),
+    (["eval", "--corpus", "{corpora}/meta_session_hash"], None,
+     3, "data error: {corpora}/meta_session_hash/s1/meta.json: session_id '#s01',"
+        " which must not start with '#'"),
+    (["eval", "--corpus", "{corpora}/meta_user_null"], None,
+     3, "data error: {corpora}/meta_user_null/s1/meta.json: user_id None,"
+        " expected a non-empty string or an integer"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -246,6 +272,20 @@ def test_train_writes_loadable_templates(cli_corpus, tmp_path):
         assert len(saved["mu"]) == len(saved["sigma"]) == width
         assert saved["n_train"] >= 10
         assert saved["pca"] is None
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("extract", ["--features-out"]), ("train", ["--min-vectors", "10", "--templates-out"])])
+def test_single_channel_commands_ignore_fusion_weights(cli_corpus, tmp_path, command, flags):
+    # a config file written for eval names fusion weights for channels that
+    # extract and train, which neither fuse, do not run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fusion_weights": {"hmog": 0.5, "tap": 0.5}}))
+    argv = [command, "--corpus", str(cli_corpus), "--channel", "hmog", *flags[:-1]]
+    out_flag = flags[-1]
+    assert main([*argv, "--config", str(cfg), out_flag, str(tmp_path / "got")]) == 0
+    assert main([*argv, out_flag, str(tmp_path / "want")]) == 0
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 def cli_config(argv, channel):
@@ -453,6 +493,25 @@ def test_sweep_command(cli_corpus, capsys):
     out = capsys.readouterr().out
     assert "factor   1 (100 Hz)" in out
     assert "factor   2 (50 Hz)" in out
+
+
+def test_sweep_rate_from_a_training_session_with_sensor_rows(cli_corpus, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, corpus)
+    header = "session_id,sensor,t_ms,x,y,z\n"
+    # the first training session has no sensor rows; u02's stream gives the rate
+    (corpus / "u01_s01" / "sensor.csv").write_text(header)
+    argv = ["sweep", "--corpus", str(corpus), "--factors", "1,2", "--scans", "20",
+            "--min-vectors", "10"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "factor   1 (100 Hz)" in out and "factor   2 (50 Hz)" in out
+    # no training session has one
+    for name in ("u01_s02", "u02_s01", "u02_s02"):
+        (corpus / name / "sensor.csv").write_text(header)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == "infeasible: no training session has sensor rows\n"
 
 
 # ---------------------------------------------------------------- ingest

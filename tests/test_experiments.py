@@ -7,6 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from hmogkit import experiments
+from hmogkit.bkg import guessing
+from hmogkit.corpus.synth import make_corpus, make_profiles
 from hmogkit.corpus.types import Condition, Session
 from hmogkit.experiments import (
     ConfigError,
@@ -414,6 +417,63 @@ def test_run_bkg(mini_sessions):
     assert 0.0 <= report["frr"] <= 1.0
     assert report["eer"] == pytest.approx((report["far"] + report["frr"]) / 2)
     assert report["n_genuine"] > 0 and report["n_impostor"] > 0
+
+
+@pytest.fixture(scope="module")
+def close_sessions():
+    """4 users x 3 sessions x 120 s whose profiles lie close together, so
+    impostor windows open commitments too."""
+    profiles = make_profiles(4, "sitting", 42, sessions=3, session_seconds=120.0,
+                             separation=0.05)
+    return make_corpus(profiles, 42)
+
+
+def bkg_opens(monkeypatch, config, sessions):
+    """The hmog report, and the password of every open run_bkg made."""
+    passwords = []
+    real = experiments.open_commitment
+
+    def recording(commitment, y, z, *, params):
+        passwords.append(z)
+        return real(commitment, y, z, params=params)
+
+    # the two names through which a runner can reach open_commitment
+    monkeypatch.setattr(experiments, "open_commitment", recording)
+    monkeypatch.setattr(guessing, "open_commitment", recording)
+    return run_bkg(config, sessions)["channels"]["hmog"], passwords
+
+
+BKG_WIDE = dict(n_users=4, bkg_n=7, bkg_l=1, bkg_p=7, bkg_scan_seconds=5.0)
+
+
+def test_run_bkg_opens_each_window_and_user_once(monkeypatch, close_sessions):
+    report, passwords = bkg_opens(monkeypatch, auth_config(**BKG_WIDE), close_sessions)
+    windows = report["n_genuine"]
+    assert windows > 0 and report["n_impostor"] == 3 * windows
+    # each window against each user's commitment once; the guessing
+    # distance reads the same table and opens nothing
+    assert sorted(passwords) == sorted(["u01", "u02", "u03", "u04"] * windows)
+    assert report["far"] > 0 and report["guessing_distances"]
+    assert report["enroll_notes"] == []
+
+
+def test_run_bkg_users_without_probes(monkeypatch, close_sessions):
+    # u03 has no test session: its commitment is still a target, but it
+    # neither claims nor joins the guessing distance
+    sessions = [s for s in close_sessions if (s.user_id, s.session_id) != ("u03", "s03")]
+    assert len(sessions) == len(close_sessions) - 1
+    report, passwords = bkg_opens(monkeypatch, auth_config(**BKG_WIDE), sessions)
+    windows = report["n_genuine"]
+    assert report["n_impostor"] == 3 * windows
+    assert passwords.count("u03") == windows
+    assert report["enroll_notes"] == ["no probes for u03"]
+    assert "u03" not in report["guessing_distances"]
+    assert report["non_guessed_pct"] + 100 * len(report["guessing_distances"]) / 3 == \
+        pytest.approx(100.0)
+    # one user left with probes
+    alone = [s for s in sessions if s.user_id == "u01" or s.session_id != "s03"]
+    with pytest.raises(InfeasibleError, match="hmog: fewer than two users have probe"):
+        run_bkg(auth_config(**BKG_WIDE), alone)
 
 
 def test_run_bkg_rejects_bad_code(mini_sessions):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hmogkit import pipeline
 from hmogkit.experiments import CHANNELS, ExperimentConfig, extract_channels, session_ordinals
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import (
@@ -151,6 +152,24 @@ def test_mrmr_threshold_and_cap():
 def test_mrmr_deterministic():
     fm = mrmr_fixture()
     assert mrmr_select(fm, 0.0) == mrmr_select(fm, 0.0)
+
+
+def test_mrmr_computes_each_pair_once(monkeypatch):
+    # 30 features, six users; every feature carries some of the user signal
+    rng = np.random.default_rng(12)
+    signal = np.repeat(np.arange(6.0), 50)
+    values = rng.normal(size=(300, 30)) + signal[:, None] * rng.uniform(0, 1, 30)
+    fm = fm_of(values, np.repeat([f"u{i}" for i in range(6)], 50))
+    calls = []
+    real = pipeline._mutual_information
+    monkeypatch.setattr(pipeline, "_mutual_information",
+                        lambda a, b: calls.append(1) or real(a, b))
+    selected = mrmr_select(fm, 0.0)
+    assert selected == ["f6", "f11", "f20", "f1", "f21", "f23", "f13", "f27", "f14",
+                        "f28", "f19", "f8", "f18", "f10", "f4", "f25", "f29", "f15", "f5"]
+    # 30 relevances, then each selected feature against every feature still
+    # a candidate after it: 29 + 28 + ... + 11; one MI per lookup made 3,260
+    assert len(calls) == 30 + sum(range(11, 30))
 
 
 # ---------------------------------------------------------------- pca
