@@ -632,7 +632,8 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
                  train_fm: FeatureMatrix, test_fm: FeatureMatrix, ordinals) -> dict:
     report: dict = {"channel": channel, "log2_keyspace": config.bkg_l * math.log2(config.bkg_p)}
     if train_fm.n_rows == 0 or train_fm.n_features < params.n:
-        report["error"] = "not enough features for the code length"
+        report["error"] = (f"not enough features for the code length ({train_fm.n_features} "
+                           f"features, code length {params.n})")
         return report
 
     scores = fisher_scores(train_fm)

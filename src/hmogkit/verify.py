@@ -11,22 +11,36 @@ actual. Every stage after scoring works on these arrays.
 
 Fusion min-max normalizes each channel once and aligns the decisions
 (claimed, actual, t_ms) once, in sorted order, into a (decisions x
-channels) score matrix with a presence mask. A weight vector is then fused
-over every decision with array operations, one channel column at a time in
-the order of the ``channels`` dict: the weight sum first, then the sum of
-(weight / weight sum) * score. That is the order in which a per-decision
-loop adds the terms, so the fused scores are bit-equal to it; a matrix
-product ``S @ w / (M @ w)`` would round differently and let BLAS reorder
-the sum. An absent channel adds +0.0, which changes no sum: a sum that
-starts from +0.0, as Python's ``sum`` does, is never -0.0. The weight grid
-search aligns once and fuses each grid point with the same kernel.
+channels) score matrix with a presence mask. The weight grid search then
+scores the weight lattice in blocks of grid points, a fixed number of
+(point, decision) cells at a time, so memory stays bounded at any step.
+A block's weights form a (points x channels) array, and the block is
+fused into a (points x decisions) array with array operations, one channel
+column at a time in the order of the ``channels`` dict: the weight sum
+first, then the sum of (weight / weight sum) * score. Every cell sees the
+same additions in the same order as a per-decision loop, or as fusing its
+point alone (``fuse_scoresets`` fuses a one-row block), so the fused scores
+are bit-equal to it; a matrix product ``S @ w / (M @ w)`` would round
+differently and let BLAS reorder the sum. An absent channel's term is
+skipped, which is what adding +0.0 does to a sum that starts at +0.0 and
+so is never -0.0.
+
+Each row of the fused block is then scored with one row-wise EER: the row
+is sorted once, its kept decisions (present channels carrying weight) are
+taken in score order, and the genuine and impostor decisions up to each
+distinct score are counted. FAR and FRR are those counts divided as a
+``searchsorted`` count over each kind's sorted scores would be, and the
+crossing is found and interpolated with the same float operations as a
+one-set EER, so each row's EER is bit-equal to ``eer`` on that point's
+kept decisions; ``eer`` is the one-row case of the same kernel. The search
+keeps the first grid point with the smallest EER.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, combinations, islice, repeat
 
 import numpy as np
 
@@ -109,6 +123,8 @@ class ScoreSet:
             except (ValueError, OverflowError):
                 raise VerifyError(f"{path}:{n}: t_ms must be an integer and score "
                                   f"a number, got {t!r} and {score!r}") from None
+            if not math.isfinite(row[3]):
+                raise VerifyError(f"{path}:{n}: score must be finite, got {score!r}")
             for column, value in zip(columns, row):
                 column.append(value)
         return cls(*columns)
@@ -181,20 +197,23 @@ def _align(channels: dict[str, ScoreSet]):
     return (names[c], names[a], t), S, M, c == a
 
 
-def _fuse_aligned(S: np.ndarray, M: np.ndarray, weights: list[float]):
-    """Fuse one weight per column over every aligned decision.
+def _fuse_aligned(S: np.ndarray, M: np.ndarray, W: np.ndarray):
+    """Fuse each row of weights W (points x channels) over every aligned decision.
 
-    Returns (fused, keep): the fused scores, and the mask of decisions
-    whose present channels carry weight > 0. Fused scores outside ``keep``
-    are meaningless.
+    Returns (fused, keep), both (points x decisions): the fused scores, and
+    the mask of decisions whose present channels carry weight > 0. Fused
+    scores outside ``keep`` are meaningless.
     """
-    wsum = np.zeros(len(S))
-    for j, w in enumerate(weights):
-        wsum = wsum + np.where(M[:, j], w, 0.0)
-    fused = np.zeros(len(S))
+    wsum = np.zeros((len(W), len(S)))
+    for j in range(S.shape[1]):
+        np.add(wsum, W[:, j, None], out=wsum, where=M[:, j])
+    fused = np.zeros(wsum.shape)
+    term = np.empty(wsum.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, w in enumerate(weights):
-            fused = fused + np.where(M[:, j], (w / wsum) * S[:, j], 0.0)
+        for j in range(S.shape[1]):
+            np.divide(W[:, j, None], wsum, out=term)
+            term *= S[:, j]
+            np.add(fused, term, out=fused, where=M[:, j])
     return fused, ~(wsum <= 0)
 
 
@@ -207,7 +226,8 @@ def fuse_scoresets(channels: dict[str, ScoreSet],
     Decisions whose present channels carry zero weight are excluded.
     """
     (claimed, actual, t_ms), S, M, _ = _align(channels)
-    fused, keep = _fuse_aligned(S, M, [float(weights.get(c, 0.0)) for c in channels])
+    W = np.array([[float(weights.get(c, 0.0)) for c in channels]])
+    fused, keep = (a[0] for a in _fuse_aligned(S, M, W))
     return ScoreSet(claimed[keep], actual[keep], t_ms[keep], fused[keep])
 
 
@@ -219,43 +239,63 @@ def grid_ticks(step: float) -> int:
     return ticks
 
 
+# cells (grid points x decisions) fused and scored at once; bounds the
+# search's memory at any grid step
+_BLOCK_CELLS = 1 << 15
+
+
+def _lattice_blocks(ticks: int, k: int, size: int):
+    """The k-part compositions of ``ticks`` in lexicographic order, as
+    (points x k) integer arrays of at most ``size`` rows.
+
+    A composition is a choice of k - 1 bar positions among ticks + k - 1
+    slots (stars and bars); the combinations come in lexicographic order,
+    and so do the part counts read off them.
+    """
+    bars = combinations(range(ticks + k - 1), k - 1)
+    while True:
+        chunk = list(islice(bars, size))
+        if not chunk:
+            return
+        edges = np.array(chunk, dtype=np.intp).reshape(len(chunk), k - 1)
+        edges = np.pad(edges, ((0, 0), (1, 1)), constant_values=(-1, ticks + k - 1))
+        yield np.diff(edges, axis=1) - 1
+
+
 def weight_grid(channel_names, step: float = 0.05):
     """All nonnegative weight dicts over the channels summing to 1.0 on a
     fixed lattice, in deterministic order."""
     names = list(channel_names)
     ticks = grid_ticks(step)
-
-    def parts(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining + 1):
-            for tail in parts(remaining - head, slots - 1):
-                yield (head,) + tail
-
-    for combo in parts(ticks, len(names)):
-        yield {name: k / ticks for name, k in zip(names, combo)}
+    for block in _lattice_blocks(ticks, len(names), _BLOCK_CELLS):
+        for combo in block.tolist():
+            yield {name: k / ticks for name, k in zip(names, combo)}
 
 
 def search_fusion_weights(channels: dict[str, ScoreSet], step: float = 0.05):
     """Grid-search fusion weights minimizing fused EER.
 
-    Returns (weights, fused ScoreSet, eer). Ties keep the first grid point.
+    Returns (weights, fused ScoreSet, eer). Ties keep the first grid point
+    of ``weight_grid``.
     """
     _, S, M, genuine = _align(channels)
-    impostor = ~genuine
+    names = sorted(channels)
+    ticks = grid_ticks(step)
+    columns = [names.index(c) for c in channels]
     best = None
-    for weights in weight_grid(sorted(channels), step):
-        fused, keep = _fuse_aligned(S, M, [weights[c] for c in channels])
-        gen, imp = fused[keep & genuine], fused[keep & impostor]
-        if len(gen) == 0 or len(imp) == 0:
+    for block in _lattice_blocks(ticks, len(names), max(1, _BLOCK_CELLS // len(S))):
+        fused, keep = _fuse_aligned(S, M, block[:, columns] / ticks)
+        values = _eer_rows(fused, genuine, keep)
+        scored = np.flatnonzero(~np.isnan(values))
+        if len(scored) == 0:
             continue
-        value = eer(gen, imp)
-        if best is None or value < best[1]:
-            best = (weights, value)
+        i = scored[np.argmin(values[scored])]   # the first minimum
+        if best is None or values[i] < best[1]:
+            best = (block[i].tolist(), float(values[i]))
     if best is None:
         raise VerifyError("no weighting produced a scored decision set")
-    weights, value = best
+    combo, value = best
+    weights = {name: k / ticks for name, k in zip(names, combo)}
     return weights, fuse_scoresets(channels, weights), value
 
 
@@ -263,23 +303,84 @@ def search_fusion_weights(channels: dict[str, ScoreSet], step: float = 0.05):
 # error rates
 # ---------------------------------------------------------------------------
 
-def _rates(genuine: np.ndarray, impostor: np.ndarray):
-    """FAR and FRR evaluated at each pooled distinct score."""
+def _one_row(genuine: np.ndarray, impostor: np.ndarray):
+    """(scores, genuine mask, keep) of the pooled scores as a one-row block."""
     genuine = np.asarray(genuine, dtype=np.float64)
     impostor = np.asarray(impostor, dtype=np.float64)
     if len(genuine) == 0 or len(impostor) == 0:
         raise VerifyError("eer needs nonempty genuine and impostor scores")
-    thresholds = np.unique(np.concatenate([genuine, impostor]))
-    g = np.sort(genuine)
-    i = np.sort(impostor)
-    far = np.searchsorted(i, thresholds, side="right") / len(i)
-    frr = 1.0 - np.searchsorted(g, thresholds, side="right") / len(g)
-    return thresholds, far, frr
+    scores = np.concatenate([genuine, impostor])
+    if not np.all(np.isfinite(scores)):
+        raise VerifyError("eer needs finite scores")
+    is_genuine = np.arange(len(scores)) < len(genuine)
+    return scores[None], is_genuine, np.ones((1, len(scores)), dtype=bool)
+
+
+def _rate_points(scores: np.ndarray, genuine: np.ndarray, keep: np.ndarray):
+    """FAR and FRR of each row of a block at each of its distinct kept scores.
+
+    ``scores`` and ``keep`` are (rows x decisions), ``genuine`` is the
+    (decisions,) genuine mask. Each row is sorted by score once and its kept
+    decisions taken in that order, which is a sort on (excluded, score) cut
+    to the kept decisions: an excluded decision is dropped by its mask and
+    never read as a score. The genuine and impostor decisions up to each
+    distinct score are counted, and FAR and FRR divide the counts as
+    ``searchsorted`` counts would be divided. Returns flat arrays (row,
+    threshold, far, frr), rows ascending and thresholds ascending within a
+    row; a row without both genuine and impostor decisions has no points.
+    """
+    order = np.argsort(scores, axis=1)
+    kept = np.take_along_axis(keep, order, axis=1)
+    value = np.take_along_axis(scores, order, axis=1)[kept]
+    cell = order[kept]
+    n_kept = keep.sum(axis=1)
+    row = np.repeat(np.arange(len(scores)), n_kept)
+    first = np.cumsum(n_kept) - n_kept          # flat index of each row's first kept decision
+    n_genuine_before = np.concatenate([[0], np.cumsum(genuine[cell])])
+    n_genuine = n_genuine_before[first + n_kept] - n_genuine_before[first]
+    n_impostor = n_kept - n_genuine
+    # the last decision of each run of equal scores in a row, in rows with both kinds
+    end = np.ones(len(value), dtype=bool)
+    end[:-1] = (value[1:] != value[:-1]) | (row[1:] != row[:-1])
+    end &= ((n_genuine > 0) & (n_impostor > 0))[row]
+    idx = np.flatnonzero(end)
+    row = row[idx]
+    start = first[row]
+    below = idx + 1 - start                     # kept decisions scoring <= the threshold
+    gen_below = n_genuine_before[idx + 1] - n_genuine_before[start]
+    far = (below - gen_below) / n_impostor[row]
+    frr = 1.0 - gen_below / n_genuine[row]
+    return row, value[idx], far, frr
+
+
+def _eer_rows(scores: np.ndarray, genuine: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """EER of each row of a block over its kept decisions (see ``_rate_points``).
+
+    A row without both genuine and impostor decisions reads nan. FAR - FRR
+    is nondecreasing along a row's thresholds and reads 1 at the last one,
+    where FAR is 1 and FRR 0, so every scored row crosses exactly once; the
+    virtual threshold below every score (FAR 0, FRR 1) precedes its first.
+    """
+    row, _, far, frr = _rate_points(scores, genuine, keep)
+    diff = far - frr
+    row_start = np.ones(len(row), dtype=bool)
+    row_start[1:] = row[1:] != row[:-1]
+    crossed = diff >= 0
+    k = np.flatnonzero(crossed & (row_start | ~np.roll(crossed, 1)))
+    far0 = np.where(row_start[k], 0.0, far[k - 1])
+    frr0 = np.where(row_start[k], 1.0, frr[k - 1])
+    d_far = far[k] - far0
+    d_frr = frr[k] - frr0
+    t = (frr0 - far0) / (d_far - d_frr)
+    values = np.full(len(scores), np.nan)
+    # a crossing on an exact FAR == FRR plateau reports that plateau value
+    values[row[k]] = np.where(diff[k] == 0.0, 0.5 * (far[k] + frr[k]), far0 + t * d_far)
+    return values
 
 
 def det_curve(genuine: np.ndarray, impostor: np.ndarray) -> np.ndarray:
     """(threshold, FAR, FRR) rows; FAR nondecreasing, FRR nonincreasing."""
-    thresholds, far, frr = _rates(genuine, impostor)
+    _, thresholds, far, frr = _rate_points(*_one_row(genuine, impostor))
     return np.column_stack([thresholds, far, frr])
 
 
@@ -292,21 +393,7 @@ def eer(genuine: np.ndarray, impostor: np.ndarray) -> float:
 
     FAR - FRR is nondecreasing along the threshold sweep; the EER is the
     common value where the interpolated polylines cross. A crossing on an
-    exact FAR == FRR plateau reports that plateau value.
+    exact FAR == FRR plateau reports that plateau value. The scores must be
+    finite.
     """
-    _, far, frr = _rates(genuine, impostor)
-    # virtual left endpoint: threshold below every score
-    far = np.concatenate([[0.0], far])
-    frr = np.concatenate([[1.0], frr])
-    diff = far - frr
-    k = int(np.searchsorted(diff >= 0, True))  # first index with FAR >= FRR
-    if k >= len(diff):
-        return float(0.5 * (far[-1] + frr[-1]))
-    if diff[k] == 0.0:
-        return float(0.5 * (far[k] + frr[k]))
-    if k == 0:
-        return float(0.5 * (far[0] + frr[0]))
-    d_far = far[k] - far[k - 1]
-    d_frr = frr[k] - frr[k - 1]
-    t = (frr[k - 1] - far[k - 1]) / (d_far - d_frr)
-    return float(far[k - 1] + t * d_far)
+    return float(_eer_rows(*_one_row(genuine, impostor))[0])

@@ -50,6 +50,37 @@ def eer_oracle(genuine, impostor) -> float:
     return 0.5 * (fars[-1] + frrs[-1])
 
 
+def rates_searchsorted_oracle(genuine, impostor):
+    """(thresholds, FAR, FRR) at each pooled distinct score, counted by
+    ``searchsorted`` on each kind's sorted scores."""
+    genuine = np.asarray(genuine, dtype=np.float64)
+    impostor = np.asarray(impostor, dtype=np.float64)
+    thresholds = np.unique(np.concatenate([genuine, impostor]))
+    far = np.searchsorted(np.sort(impostor), thresholds, side="right") / len(impostor)
+    frr = 1.0 - np.searchsorted(np.sort(genuine), thresholds, side="right") / len(genuine)
+    return thresholds, far, frr
+
+
+def eer_searchsorted_oracle(genuine, impostor) -> float:
+    """Equal error rate of one score set with the arithmetic every EER
+    hmogkit reports must reproduce bit for bit: first FAR >= FRR after a
+    virtual (FAR 0, FRR 1) point, a plateau's value on an exact tie, and
+    otherwise linear interpolation from the point before."""
+    _, far, frr = rates_searchsorted_oracle(genuine, impostor)
+    far = np.concatenate([[0.0], far])
+    frr = np.concatenate([[1.0], frr])
+    diff = far - frr
+    k = int(np.searchsorted(diff >= 0, True))
+    if k >= len(diff):
+        return float(0.5 * (far[-1] + frr[-1]))
+    if diff[k] == 0.0 or k == 0:
+        return float(0.5 * (far[k] + frr[k]))
+    d_far = far[k] - far[k - 1]
+    d_frr = frr[k] - frr[k - 1]
+    t = (frr[k - 1] - far[k - 1]) / (d_far - d_frr)
+    return float(far[k - 1] + t * d_far)
+
+
 def t_min_oracle(t_post, z_post, avg_before) -> int:
     """Settle time by brute suffix means: for every start index average the
     absolute deviations from avg_before over the rest of the window; the

@@ -195,6 +195,8 @@ def malformed_corpora(tmp_path_factory):
     (["eval", "--corpus", "{corpora}/meta_user_null"], None,
      3, "data error: {corpora}/meta_user_null/s1/meta.json: user_id None,"
         " expected a non-empty string or an integer"),
+    (["bkg", *SMALL, "--bkg-channels", "tap"], None,
+     4, "infeasible: tap: not enough features for the code length (11 features, code length 13)"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -423,6 +425,9 @@ def test_fuse_needs_two_channels(tmp_path):
     ("genuin,A,A,0,1.0", "unknown kind 'genuin'"),
     ("genuine,A,B,5,1.0", "kind genuine does not match"),
     ("impostor,A,A,5,1.0", "kind impostor does not match"),
+    ("impostor,A,B,0,nan", "score must be finite, got 'nan'"),
+    ("impostor,A,B,0,inf", "score must be finite, got 'inf'"),
+    ("genuine,A,A,5,-inf", "score must be finite, got '-inf'"),
 ])
 def test_fuse_bad_score_row_is_a_data_error(tmp_path, capsys, row, message):
     score_csv(tmp_path / "good.csv", [1.0, 2.0], [10.0, 11.0])

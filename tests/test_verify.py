@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hmogkit import verify
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import Template
 from hmogkit.verify import (
@@ -19,7 +20,13 @@ from hmogkit.verify import (
     sm_score,
     weight_grid,
 )
-from oracles import eer_oracle, fuse_scoresets_oracle, search_fusion_weights_oracle
+from oracles import (
+    eer_oracle,
+    eer_searchsorted_oracle,
+    fuse_scoresets_oracle,
+    rates_searchsorted_oracle,
+    search_fusion_weights_oracle,
+)
 
 
 def make_template(user="A", features=("f0", "f1"), mu=(0.0, 0.0),
@@ -263,6 +270,115 @@ def test_search_fusion_weights_tie_keeps_first_grid_point(tmp_path):
         assert_search_matches_oracle(channels, step, tmp_path)
 
 
+def test_search_fusion_weights_spans_blocks(tmp_path):
+    # two clean channels reach EER 0 in different blocks; the first block's
+    # point must win, and the search must agree with the oracle
+    rng = np.random.default_rng(13)
+    noisy = random_channels(404, ("b", "d"))
+    clean = score_set(rng.uniform(0, 1, 30), rng.uniform(10, 11, 30))
+    channels = {"d": noisy["d"], "c_good": clean, "a_good": clean, "b": noisy["b"]}
+    n_decisions = len(verify._align(channels)[1])
+    grid = list(weight_grid(sorted(channels), 0.05))
+    per_block = verify._BLOCK_CELLS // n_decisions
+    assert len(grid) > 2 * per_block
+    weights = search_fusion_weights(channels, 0.05)[0]
+    assert weights == {"a_good": 0.0, "b": 0.0, "c_good": 1.0, "d": 0.0}
+    assert grid.index({"a_good": 1.0, "b": 0.0, "c_good": 0.0, "d": 0.0}) >= per_block
+    assert_search_matches_oracle(channels, 0.05, tmp_path)
+
+
+def test_search_fusion_weights_memory_is_blocked():
+    import tracemalloc
+    rng = np.random.default_rng(19)
+    channels = {name: score_set(rng.gamma(2.0, 1.0, 20), rng.gamma(2.0, 1.8, 20))
+                for name in ("hmog", "tap", "keyhold", "digraph")}
+    # 176,851 grid points x 40 decisions: one float64 array over the whole
+    # grid would take 57 MB
+    tracemalloc.start()
+    try:
+        search_fusion_weights(channels, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+# ---------------------------------------------------------------- row-wise eer
+
+def grid_block(channels, step):
+    """(fused, keep, genuine) of every grid point of ``channels`` as one block;
+    each row is checked bit for bit against fusing its point alone."""
+    _, S, M, genuine = verify._align(channels)
+    W = np.array([[w[c] for c in channels] for w in weight_grid(sorted(channels), step)])
+    fused, keep = verify._fuse_aligned(S, M, W)
+    for p in range(0, len(W), 7):
+        one, one_keep = verify._fuse_aligned(S, M, W[p:p + 1])
+        assert one_keep[0].tolist() == keep[p].tolist()
+        assert one[0][keep[p]].tobytes() == fused[p][keep[p]].tobytes()
+    return fused, keep, genuine
+
+
+def assert_rows_match_eer(fused, keep, genuine):
+    """Each row's EER is repr-equal to eer and to the searchsorted oracle on
+    that row's kept decisions, and nan for a row lacking either kind."""
+    values = verify._eer_rows(fused, genuine, keep)
+    scored = 0
+    for p, value in enumerate(values.tolist()):
+        gen, imp = fused[p][keep[p] & genuine], fused[p][keep[p] & ~genuine]
+        if len(gen) and len(imp):
+            assert repr(value) == repr(eer(gen, imp)) == repr(eer_searchsorted_oracle(gen, imp))
+            scored += 1
+        else:
+            assert np.isnan(value)
+    return scored
+
+
+def test_eer_rows_random_overlapping_scores():
+    fused, keep, genuine = grid_block(random_channels(31, ("tap", "hmog", "keyhold")), 0.1)
+    assert keep.all(axis=1).any()
+    assert assert_rows_match_eer(fused, keep, genuine) == len(fused)
+
+
+def test_eer_rows_heavy_ties():
+    fused, keep, genuine = grid_block(random_channels(37, ("hmog", "tap")), 0.05)
+    fused = np.round(fused, 1)
+    assert len(np.unique(fused[keep])) <= 11
+    assert_rows_match_eer(fused, keep, genuine)
+
+
+def test_eer_rows_keep_differs_between_rows():
+    # only the first channel scores user D's decisions; where it weighs 0 they drop
+    fused, keep, genuine = grid_block(random_channels(41, ("digraph", "tap", "hmog")), 0.1)
+    assert len(np.unique(keep, axis=0)) > 1
+    want = verify._eer_rows(fused, genuine, keep)
+    assert_rows_match_eer(fused, keep, genuine)
+    # an excluded decision is never read as a score, whatever value it holds
+    for filler in (-np.inf, 0.0, 1.0, np.nan):
+        garbage = np.where(keep, fused, filler)
+        assert verify._eer_rows(garbage, genuine, keep).tobytes() == want.tobytes()
+
+
+def test_eer_rows_skip_rows_lacking_a_kind():
+    # "gen" scores only genuine decisions and "imp" only impostor ones, so
+    # the grid points that weigh one of them alone lack the other kind
+    both = random_channels(43, ("hmog",))["hmog"]
+    genuine = both.claimed == both.actual
+    channels = {
+        "gen": ScoreSet(both.claimed[genuine], both.actual[genuine], both.t_ms[genuine],
+                        both.score[genuine]),
+        "imp": ScoreSet(both.claimed[~genuine], both.actual[~genuine], both.t_ms[~genuine],
+                        both.score[~genuine]),
+        "hmog": both,
+    }
+    fused, keep, genuine = grid_block(channels, 0.25)
+    values = verify._eer_rows(fused, genuine, keep)
+    assert np.isnan(values).sum() == 2
+    assert assert_rows_match_eer(fused, keep, genuine) == len(fused) - 2
+    assert verify._eer_rows(fused[:0], genuine, keep[:0]).shape == (0,)
+    none = np.zeros_like(keep)
+    assert np.isnan(verify._eer_rows(fused, genuine, none)).all()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_fuse_scoresets_matches_oracle(k, tmp_path):
     for seed, names in enumerate(FUSION_NAMES[k]):
@@ -310,6 +426,43 @@ def test_eer_matches_oracle():
             g = rng.normal(0, 1, n_g)
             i = rng.normal(0.7, 1, n_i)
         assert eer(g, i) == pytest.approx(eer_oracle(g, i), abs=1e-9)
+
+
+def test_eer_and_det_match_searchsorted_oracle():
+    rng = np.random.default_rng(53)
+    for trial in range(300):
+        n_g = int(rng.integers(1, 40))
+        n_i = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            g = rng.integers(0, 12, n_g).astype(np.float64)
+            i = rng.integers(0, 12, n_i).astype(np.float64)
+        elif trial % 3 == 1:
+            g = np.round(rng.gamma(2.0, 1.0, n_g), 1)
+            i = np.round(rng.gamma(2.0, 1.8, n_i), 1)
+        else:
+            g = rng.normal(0, 1, n_g)
+            i = rng.normal(0.7, 1, n_i)
+        assert repr(eer(g, i)) == repr(eer_searchsorted_oracle(g, i))
+        assert det_curve(g, i).tobytes() == np.column_stack(
+            rates_searchsorted_oracle(g, i)).tobytes()
+
+
+def test_eer_plateau_crossing_reports_the_plateau():
+    # FAR == FRR == 5/6 exactly at threshold 6; interpolating from the point
+    # before would round to 0.8333333333333333
+    g = np.array([3.0, 5.0, 6.0, 7.0, 7.0, 7.0])
+    i = np.array([1.0, 2.0, 4.0, 4.0, 4.0, 6.0])
+    assert repr(eer(g, i)) == repr(eer_searchsorted_oracle(g, i)) == "0.8333333333333334"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eer_rejects_non_finite_scores(bad):
+    with pytest.raises(VerifyError, match="finite"):
+        eer(np.array([1.0, bad]), np.array([2.0]))
+    with pytest.raises(VerifyError, match="finite"):
+        eer(np.array([1.0]), np.array([bad, 2.0]))
+    with pytest.raises(VerifyError, match="finite"):
+        det_curve(np.array([1.0]), np.array([bad]))
 
 
 def test_eer_affine_invariance():
@@ -376,6 +529,16 @@ def test_scoreset_read_rejects_t_ms_beyond_64_bits(tmp_path):
                     "genuine,A,A,9223372036854775807,1.0\n"
                     "impostor,A,B,9223372036854775808,2.0\n")
     with pytest.raises(VerifyError, match=r"scores.csv:3: t_ms must be an integer"):
+        ScoreSet.read_csv(str(path))
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_scoreset_read_rejects_non_finite_scores(tmp_path, score):
+    path = tmp_path / "scores.csv"
+    path.write_text("kind,claimed,actual,t_ms,score\n"
+                    "genuine,A,A,0,1.0\n"
+                    f"impostor,A,B,0,{score}\n")
+    with pytest.raises(VerifyError, match=rf"scores.csv:3: score must be finite, got '{score}'"):
         ScoreSet.read_csv(str(path))
 
 
