@@ -14,11 +14,13 @@ import json
 import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 from .corpus.io import ParseError, id_problem, load_mapping, parse_session, save_corpus
 from .corpus.types import Condition, CorpusError
 from .experiments import (
+    _FIELD_TYPES,
     OUT_DIR_ENV,
     ConfigError,
     ExperimentConfig,
@@ -50,8 +52,8 @@ EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-_TUPLE_FIELDS = {"channels", "sensors", "scan_seconds", "downsample_factors",
-                 "bkg_channels"}
+_TUPLE_FIELDS = {name for name, hint in _FIELD_TYPES.items()
+                 if typing.get_origin(hint) is tuple}
 FUSION_STEP_HELP = (
     "fusion weight grid step; it must divide 1.0. For k channels the grid has "
     "C(1/step + k - 1, k - 1) points, each fused and scored once: for four "
@@ -83,6 +85,12 @@ def _csv_int(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _weight(value) -> float:
+    """A fusion weight as a float; -0 reads as 0.0, so it echoes and hashes
+    as 0 does."""
+    return float(value) + 0.0
+
+
 def _weights(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for part in _csv_str(text):
@@ -91,7 +99,7 @@ def _weights(text: str) -> dict[str, float]:
             raise argparse.ArgumentTypeError(
                 f"expected name=value, got {part!r}")
         try:
-            out[name.strip()] = float(value)
+            out[name.strip()] = _weight(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return out
@@ -190,7 +198,8 @@ def _coerce_field(name: str, value):
         if not isinstance(value, dict):
             raise ConfigError("fusion_weights must be an object")
         # anything not a number is left for validate to reject
-        return {str(k): float(v) if is_number(v) else v for k, v in value.items()}
+        return {str(k): _weight(v) if is_number(v) else v
+                for k, v in value.items()}
     return value
 
 
@@ -210,9 +219,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["selector"] = None
     if overrides.get("out_dir") is None:
         overrides["out_dir"] = os.environ.get(OUT_DIR_ENV) or None
-    config = ExperimentConfig(**overrides)
-    config.validate()
-    return config
+    return ExperimentConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +301,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise ConfigError("extract needs --corpus")
     # one channel and no fusion: eval's fusion weights name other channels
     config = dataclasses.replace(config, channels=(args.channel,), fusion_weights=None)
-    config.validate()
     sessions = build_sessions(config)
     fm = extract_channels(sessions, (args.channel,), config)[args.channel]
     if args.channel == "digraph":
@@ -311,7 +317,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("train needs --corpus")
     # one channel and no fusion: eval's fusion weights name other channels
     config = dataclasses.replace(config, channels=(args.channel,), fusion_weights=None)
-    config.validate()
     sessions = build_sessions(config)
     train_fm, _ = _channel_matrices(training_sessions(sessions), [], (args.channel,),
                                     config)[args.channel]

@@ -4,12 +4,14 @@ Every runner is a pure function of (config, corpus): templates come from
 each user's first two sessions, scores from the remaining ones, and all
 randomness descends from the master seed, so reruns are byte-identical.
 
-The four runners share one skeleton. _split validates the config and splits
-the corpus; test vectors are scored per scan window (pipeline.scan_aggregate,
-keyed by the test sessions' ordinals); every per-scan result is an
-{eer, n_genuine, n_impostor} cell from _cell; and _finish stamps the bundle
-with the config, its hash and the seed and writes the CSV tables and
-summary.json. Output files carry the config hash and seed in comment lines.
+A config checks itself when it is built, so every ExperimentConfig a
+runner sees is valid. The four runners share one skeleton. _split splits
+the corpus; test vectors are scored per scan window
+(pipeline.scan_aggregate, keyed by the test sessions' ordinals); every
+per-scan result is an {eer, n_genuine, n_impostor} cell from _cell; and
+_finish stamps the bundle with the config, its hash and the seed and
+writes the CSV tables and summary.json. Output files carry the config hash
+and seed in comment lines.
 """
 
 from __future__ import annotations
@@ -114,6 +116,10 @@ class ExperimentConfig:
     out_dir: str | None = None
     seed: int = 7
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        # every instance is checked, dataclasses.replace's included
+        self.validate()
 
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
@@ -454,9 +460,8 @@ def _write_scores(out: Path, name: str, scores: verify.ScoreSet,
 
 
 def _split(config: ExperimentConfig, sessions: list[Session] | None):
-    """(train sessions, test sessions, test session ordinals) of a validated
-    config, from the given sessions or else the ones it builds."""
-    config.validate()
+    """(train sessions, test sessions, test session ordinals), from the
+    given sessions or else the ones the config builds."""
     if sessions is None:
         sessions = build_sessions(config)
     train_s, test_s = split_train_test(sessions)
@@ -704,7 +709,6 @@ def run_bkg(config: ExperimentConfig,
     """Key-generation experiment: per-channel FAR/FRR at the binary open
     decision, guessing distance, and keyspace size."""
     # the code is checked before any corpus is built or synthesized
-    config.validate()
     try:
         params = grs_build(config.bkg_n, config.bkg_l, config.bkg_p)
     except ValueError as exc:

@@ -30,8 +30,8 @@ NumPy adds row by row in the same order as a (k, 4) window's mean(axis=0),
 and the -0.0 padding adds exactly nothing (x + -0.0 == x for every x, both
 zeros included); std is the mean of squared deviations from that mean, as
 NumPy computes it; max and argmax see -inf in the padding, the settle-time
-argmin +inf, so NaN and ties pick the same first index. The single-event
-helpers below run the same kernels with one event and no padding.
+argmin +inf, so NaN and ties pick the same first index. t_min_index and
+t_min run the settle-time kernel on one window, with no padding.
 """
 
 from __future__ import annotations
@@ -100,21 +100,18 @@ class _Windows(NamedTuple):
         return self.t[rows, np.arange(len(rows))[:, None]]
 
 
-def _single(values, t=None) -> _Windows:
-    """A (k,) or (k, channels) window as a batch of one event."""
+def _single(values) -> _Windows:
+    """A (k,) or (k, channels) window as a batch of one event, without
+    timestamps."""
     values = np.asarray(values, dtype=np.float64)
     shape = (len(values), 1) + (values.shape[1:] or (1,))
-    return _Windows(values.reshape(shape),
-                    None if t is None else np.asarray(t).reshape(-1, 1),
-                    np.array([len(values)]))
-
-
-def _unbatch(block: np.ndarray, like) -> np.ndarray:
-    """(families, 1, channels) back to (families,) + the input's channel shape."""
-    return block.reshape((len(block),) + np.shape(like)[1:])
+    return _Windows(values.reshape(shape), None, np.array([len(values)]))
 
 
 def _resistance(before: _Windows, during: _Windows, after100: _Windows) -> np.ndarray:
+    """(5, events, channels): mean and population std during the tap, then
+    avg100msAfter - avg100msBefore, avgTap - avg100msBefore and
+    maxTap - avg100msBefore."""
     avg_before = before.mean()
     avg_after = after100.mean()
     avg_tap = during.mean()
@@ -144,6 +141,10 @@ def _settle_index(post: _Windows, avg_before: np.ndarray) -> np.ndarray:
 
 def _stability(t_start: np.ndarray, t_end: np.ndarray, before: _Windows,
                during: _Windows, after100: _Windows, post: _Windows) -> np.ndarray:
+    """(3, events, channels): t_min - t_end over the 200 ms post-tap window,
+    (t_after_center - t_before_center) / (avg100msAfter - avg100msBefore) and
+    (t_after_center - t_max_in_tap) / (avg100msAfter - maxTap); a zero
+    denominator gives NaN for that feature only."""
     avg_before = before.mean()
     avg_after = after100.mean()
     lifted = during.masked(-np.inf)
@@ -158,20 +159,6 @@ def _stability(t_start: np.ndarray, t_end: np.ndarray, before: _Windows,
         s2 = np.where(den2 == 0, np.nan, (t_after_center - t_before_center) / den2)
         s3 = np.where(den3 == 0, np.nan, (t_after_center - t_max_in_tap) / den3)
     return np.stack([settle.astype(np.float64), s2, s3])
-
-
-def resistance_block(before: np.ndarray, during: np.ndarray,
-                     after100: np.ndarray) -> np.ndarray:
-    """Five resistance features; inputs are (k,) or (k, channels) value arrays.
-
-    1 mean during the tap
-    2 standard deviation during the tap (population form)
-    3 avg100msAfter - avg100msBefore
-    4 avgTap - avg100msBefore
-    5 maxTap - avg100msBefore
-    """
-    return _unbatch(_resistance(_single(before), _single(during), _single(after100)),
-                    before)
 
 
 def t_min_index(z_post: np.ndarray, avg_before) -> np.ndarray:
@@ -190,24 +177,6 @@ def t_min(t_post: np.ndarray, z_post: np.ndarray, avg_before: float) -> int:
     if len(t_post) == 0:
         raise ValueError("empty post-tap window")
     return int(t_post[t_min_index(z_post, avg_before)])
-
-
-def stability_block(t_start: int, t_end: int, before: np.ndarray,
-                    during: np.ndarray, t_during: np.ndarray,
-                    after100: np.ndarray, t_post: np.ndarray,
-                    z_post: np.ndarray) -> np.ndarray:
-    """Three stability features; value arrays are (k,) or (k, channels).
-
-    1 t_min - t_end over the 200 ms post-tap window
-    2 (t_after_center - t_before_center) / (avg100msAfter - avg100msBefore)
-    3 (t_after_center - t_max_in_tap) / (avg100msAfter - maxTap)
-
-    Zero denominators yield NaN for that feature only.
-    """
-    block = _stability(np.array([t_start]), np.array([t_end]), _single(before),
-                       _single(during, t_during), _single(after100),
-                       _single(z_post, t_post))
-    return _unbatch(block, before)
 
 
 def _between_bounds(starts: np.ndarray, ends: np.ndarray,

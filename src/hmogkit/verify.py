@@ -262,21 +262,13 @@ def _lattice_blocks(ticks: int, k: int, size: int):
         yield np.diff(edges, axis=1) - 1
 
 
-def weight_grid(channel_names, step: float = 0.05):
-    """All nonnegative weight dicts over the channels summing to 1.0 on a
-    fixed lattice, in deterministic order."""
-    names = list(channel_names)
-    ticks = grid_ticks(step)
-    for block in _lattice_blocks(ticks, len(names), _BLOCK_CELLS):
-        for combo in block.tolist():
-            yield {name: k / ticks for name, k in zip(names, combo)}
-
-
 def search_fusion_weights(channels: dict[str, ScoreSet], step: float = 0.05):
     """Grid-search fusion weights minimizing fused EER.
 
-    Returns (weights, fused ScoreSet, eer). Ties keep the first grid point
-    of ``weight_grid``.
+    The grid holds every split of 1.0 into ``1 / step`` equal ticks over the
+    channels in sorted name order. Returns (weights, fused ScoreSet, eer).
+    Ties keep the grid point whose tick counts come first in lexicographic
+    order.
     """
     _, S, M, genuine = _align(channels)
     names = sorted(channels)

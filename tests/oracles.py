@@ -1,11 +1,15 @@
 """Independent reference implementations used to check the package.
 
 Everything here recomputes results with a different algorithm (plain loops,
-explicit enumeration) so agreement with the library is meaningful.
+explicit enumeration) so agreement with the library is meaningful. The one
+exception is resistance_block and stability_block: they run hmog's batched
+kernels on a single tap, so the tests can check those kernels against hand
+values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,14 +18,14 @@ from hmogkit.corpus.types import (
     SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
-    FEATURE_NAMES, POST_MS)
+    FEATURE_NAMES, POST_MS, _resistance, _single, _stability)
 from hmogkit.corpus.synth import (
     _IMPULSE_TAIL_MS, _MIN_TAP_GAP_MS, _SESSION_LEAD_MS, KEY_ALPHABET, _key_hold_offset)
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import PipelineError, nanmean_columns
 from hmogkit.touchkeys import (
     HOLD_UNIVERSE, TAP_FEATURE_NAMES, digraph_feature_names)
-from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize, weight_grid
+from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize
 from tables import tap_rows
 
 
@@ -81,6 +85,34 @@ def eer_searchsorted_oracle(genuine, impostor) -> float:
     return float(far[k - 1] + t * d_far)
 
 
+def _unbatch(block: np.ndarray, like) -> np.ndarray:
+    """(families, 1, channels) back to (families,) + the input's channel shape."""
+    return block.reshape((len(block),) + np.shape(like)[1:])
+
+
+def resistance_block(before: np.ndarray, during: np.ndarray,
+                     after100: np.ndarray) -> np.ndarray:
+    """The five resistance features of one tap from hmog's batched kernel;
+    inputs are (k,) or (k, channels) value arrays."""
+    return _unbatch(_resistance(_single(before), _single(during), _single(after100)),
+                    before)
+
+
+def stability_block(t_start: int, t_end: int, before: np.ndarray,
+                    during: np.ndarray, t_during: np.ndarray,
+                    after100: np.ndarray, t_post: np.ndarray,
+                    z_post: np.ndarray) -> np.ndarray:
+    """The three stability features of one tap from hmog's batched kernel;
+    value arrays are (k,) or (k, channels)."""
+    def timed(values, t):
+        return _single(values)._replace(t=np.asarray(t).reshape(-1, 1))
+
+    block = _stability(np.array([t_start]), np.array([t_end]), _single(before),
+                       timed(during, t_during), _single(after100),
+                       timed(z_post, t_post))
+    return _unbatch(block, before)
+
+
 def t_min_oracle(t_post, z_post, avg_before) -> int:
     """Settle time by brute suffix means: for every start index average the
     absolute deviations from avg_before over the rest of the window; the
@@ -106,7 +138,6 @@ def lee_weight_oracle(vec, p: int) -> int:
 
 def codebook_oracle(generator: np.ndarray, p: int) -> list[tuple[int, ...]]:
     """Every codeword by explicit message enumeration."""
-    import itertools
     l, n = generator.shape
     words = []
     for msg in itertools.product(range(p), repeat=l):
@@ -437,6 +468,18 @@ def fuse_scoresets_oracle(channels, weights):
             continue
         rows.append((*key, sum(weights.get(c, 0.0) / wsum * s for c, s in per_channel.items())))
     return ScoreSet(*zip(*rows)) if rows else ScoreSet()
+
+
+def weight_grid(channel_names, step: float = 0.05):
+    """Every weight dict on the step lattice that sums to 1.0: all tuples of
+    tick counts, in lexicographic order, kept when they sum to 1 / step."""
+    ticks = round(1.0 / step) if step > 0 else 0
+    if ticks < 1 or abs(ticks * step - 1.0) > 1e-9:
+        raise VerifyError(f"fusion step must divide 1.0, got {step!r}")
+    names = list(channel_names)
+    for combo in itertools.product(range(ticks + 1), repeat=len(names)):
+        if sum(combo) == ticks:
+            yield {name: k / ticks for name, k in zip(names, combo)}
 
 
 def search_fusion_weights_oracle(channels, step: float = 0.05):

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from hmogkit.cli import build_config, main, make_parser
+from hmogkit.cli import _TUPLE_FIELDS, build_config, main, make_parser
 from hmogkit.corpus.io import load_corpus, save_corpus
 from hmogkit.experiments import (
     OUT_DIR_ENV,
@@ -23,12 +23,14 @@ from hmogkit.verify import ScoreSet
 from oracles import keystroke_features_oracle, latency_outlier_filter_oracle
 
 
+SYNTH_ARGS = ["synth", "--users", "2", "--sessions", "3",
+              "--session-seconds", "60", "--seed", "5"]
+
+
 @pytest.fixture(scope="module")
 def cli_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "corpus"
-    code = main(["synth", "--users", "2", "--sessions", "3",
-                 "--session-seconds", "60", "--seed", "5",
-                 "--corpus-out", str(out)])
+    code = main([*SYNTH_ARGS, "--corpus-out", str(out)])
     assert code == 0
     return out
 
@@ -36,6 +38,19 @@ def cli_corpus(tmp_path_factory):
 def eval_args(corpus, *extra):
     return ["eval", "--corpus", str(corpus), "--channels", "hmog,tap",
             "--scans", "20", "--min-vectors", "10", "--seed", "5", *extra]
+
+
+def tree_bytes(root):
+    """{path relative to root: bytes} of every file under root."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def csv_rows(path):
+    """(header, rows) of a CSV file, comment lines skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+    return header, rows
 
 
 # ---------------------------------------------------------------- exit codes
@@ -233,6 +248,20 @@ def test_synth_wrote_a_corpus(cli_corpus):
     assert len(load_corpus(str(cli_corpus))) == 6
 
 
+@pytest.mark.parametrize("condition", ["sitting", "walking"])
+def test_synth_writes_identical_bytes_twice(cli_corpus, tmp_path, condition):
+    # walking draws gait phases between each sensor's noise block and its
+    # impulse jitters, a draw order no benchmark workload reaches
+    def synth(name):
+        out = tmp_path / name
+        assert main([*SYNTH_ARGS, "--condition", condition, "--corpus-out", str(out)]) == 0
+        return tree_bytes(out)
+
+    # cli_corpus is the first sitting run
+    first = tree_bytes(cli_corpus) if condition == "sitting" else synth("first")
+    assert synth("again") == first
+
+
 def test_extract_writes_stamped_csv(cli_corpus, tmp_path):
     out = tmp_path / "tap.csv"
     code = main(["extract", "--corpus", str(cli_corpus), "--channel", "tap",
@@ -412,6 +441,29 @@ def test_fuse_fixed_weights(tmp_path, capsys):
     assert "eer=0.0000" in capsys.readouterr().out
 
 
+def test_negative_zero_fusion_weight_reads_as_zero(cli_corpus, tmp_path, monkeypatch,
+                                                   capsys):
+    # relative output paths, so the out_dir echoed in summary.json matches too
+    runs = []
+    for weight in ("0", "-0"):
+        work = tmp_path / f"weight{weight}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        weights = ["--weights", f"hmog={weight},tap=1"]
+        assert main(eval_args(cli_corpus, *weights, "--out-dir", "eval")) == 0
+        assert main(["fuse", "--scores", "hmog=eval/scores_hmog_20s.csv",
+                     "--scores", "tap=eval/scores_tap_20s.csv", *weights,
+                     "--out-dir", "fuse"]) == 0
+        runs.append((capsys.readouterr().out, tree_bytes(work)))
+    assert 'weights={"hmog": 0.0, "tap": 1.0}' in runs[0][0]
+    assert runs[1] == runs[0]
+
+
+def test_tuple_fields_follow_the_config_annotations():
+    assert _TUPLE_FIELDS == {"channels", "sensors", "scan_seconds",
+                             "downsample_factors", "bkg_channels"}
+
+
 def test_fuse_needs_two_channels(tmp_path):
     score_csv(tmp_path / "only.csv", [1.0], [2.0])
     assert main(["fuse", "--scores", f"only={tmp_path / 'only.csv'}"]) == 2
@@ -489,6 +541,60 @@ def test_bkg_command(cli_corpus, capsys):
     out = capsys.readouterr().out
     assert "code n=7 l=4 p=11 radius=2" in out
     assert "hmog" in out and "keys=" in out
+
+
+def assert_run_outputs(out, run):
+    """<run>.csv has rows, and it and summary.json carry the same config hash."""
+    summary = json.loads((out / "summary.json").read_text())
+    table = out / f"{run}.csv"
+    assert table.read_text().startswith(f"# config_hash={summary['config_hash']}\n")
+    header, rows = csv_rows(table)
+    assert rows and {len(row) for row in rows} == {len(header)}
+    return summary, header, rows
+
+
+BKG_ARGS = ["bkg", "--min-vectors", "10", "--bkg-scan", "20"]
+
+
+def test_bkg_zero_locator_code(cli_corpus, tmp_path, capsys):
+    # n == p puts locator 0 at the last position; radius n - l - 1 = 4
+    out = tmp_path / "bkg"
+    code = main([*BKG_ARGS, "--corpus", str(cli_corpus), "--code-length", "13",
+                 "--message-length", "8", "--field-prime", "13", "--out-dir", str(out)])
+    assert code == 0
+    assert "code n=13 l=8 p=13 radius=4" in capsys.readouterr().out
+    summary, _, rows = assert_run_outputs(out, "bkg")
+    assert summary["code"] == {"n": 13, "l": 8, "p": 13, "radius": 4}
+    assert [row[0] for row in rows] == ["hmog"]
+
+
+def test_bkg_writes_a_row_per_channel(cli_corpus, tmp_path):
+    # two channels, so two open tables; tap's 11 features are too few for
+    # the default code length 13, so its row is an error row
+    out = tmp_path / "bkg"
+    code = main([*BKG_ARGS, "--corpus", str(cli_corpus), "--bkg-channels", "hmog,tap",
+                 "--out-dir", str(out)])
+    assert code == 0
+    summary, header, rows = assert_run_outputs(out, "bkg")
+    assert [row[0] for row in rows] == ["hmog", "tap"]
+    hmog, tap = rows
+    assert hmog[header.index("key_generation")] in ("yes", "no")
+    reason = summary["channels"]["tap"]["error"]
+    assert reason.startswith("not enough features for the code length")
+    # no rates, and the reason somewhere in the row
+    assert tap[1:6] == [""] * 5 and reason in tap
+
+
+@pytest.mark.parametrize("run, flags", [
+    ("between", ["--scans", "20"]),
+    ("sweep", ["--factors", "1,2", "--scans", "20"]),
+])
+def test_runner_writes_table_and_summary(cli_corpus, tmp_path, run, flags):
+    out = tmp_path / run
+    code = main([run, *flags, "--corpus", str(cli_corpus), "--min-vectors", "10",
+                 "--out-dir", str(out)])
+    assert code == 0
+    assert_run_outputs(out, run)
 
 
 def test_sweep_command(cli_corpus, capsys):

@@ -101,6 +101,13 @@ def test_config_validate_rejects(overrides):
         ExperimentConfig(**overrides).validate()
 
 
+def test_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="two users"):
+        ExperimentConfig(n_users=1)
+    with pytest.raises(ConfigError, match="channels must not be empty"):
+        dataclasses.replace(ExperimentConfig(), channels=())
+
+
 def test_config_hash_ignores_result_neutral_fields():
     base = ExperimentConfig()
     moved = dataclasses.replace(base, out_dir="/tmp/elsewhere", workers=6)

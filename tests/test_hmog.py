@@ -14,12 +14,10 @@ from hmogkit.hmog import (
     _between_bounds,
     extract_hmog,
     feature_names_for,
-    resistance_block,
-    stability_block,
     t_min,
     t_min_index,
 )
-from oracles import extract_hmog_oracle, t_min_oracle
+from oracles import extract_hmog_oracle, resistance_block, stability_block, t_min_oracle
 from tables import tap_table
 
 

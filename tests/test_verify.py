@@ -18,7 +18,6 @@ from hmogkit.verify import (
     se_score,
     search_fusion_weights,
     sm_score,
-    weight_grid,
 )
 from oracles import (
     eer_oracle,
@@ -26,6 +25,7 @@ from oracles import (
     fuse_scoresets_oracle,
     rates_searchsorted_oracle,
     search_fusion_weights_oracle,
+    weight_grid,
 )
 
 
