@@ -26,7 +26,6 @@ from .commitment import (
     open_commitment,
 )
 from .field import (
-    centered,
     inv_mod,
     is_prime,
     lee_weight,
@@ -45,7 +44,6 @@ __all__ = [
     "OpenFailure",
     "P_LIMIT",
     "assign_d_range",
-    "centered",
     "codebook",
     "commit",
     "decode",

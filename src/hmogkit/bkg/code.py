@@ -1,25 +1,26 @@
 """Normalized generalized Reed-Solomon codes over a prime field, decoded in
 the Lee metric.
 
-The [n, l] code over Z_p uses locators 1..n. The parity matrix rows are
+The [n, l] code over Z_p uses locators 1..n with n < p, so every locator
+is nonzero mod p and has an inverse. The parity matrix rows are
 H[m][i] = i^m for m = 0..n-l-1; the generator rows are G[r][i] = v_i * i^r
 for r = 0..l-1 with column multipliers v_i = (prod_{j != i} (i - j))^-1,
 which makes G a basis of the null space of H^T. The minimum Lee distance
-is 2(n-l), so every error of Lee weight up to n-l-1 is uniquely
+is at least 2(n-l), so every error of Lee weight up to n-l-1 is uniquely
 correctable.
 
 Two decoders are provided: an exhaustive nearest-codeword search (the
 oracle, feasible for p^l up to about 1e6) and the production decoder built
 from syndrome power sums and one extended-Euclidean pass.
 
-The production decoder first rejects on the syndrome S_0 = sum e_i: an
-error of Lee weight <= tau has a centered sum within [-tau, tau], so a word
-with min(S_0, p - S_0) > tau has no codeword within the radius and fails
-after the syndrome product alone (on (13,10,29) that is 24 of the 29 values
-of S_0). A word that passes costs O(n^2) field operations: the power-sum
-series, the Euclidean pass, and per candidate pair of locator polynomials
-one product with the inverse-locator power table each, which finds every
-root at once.
+The production decoder first rejects on the syndrome S_0 = sum e_i: the
+symbols of an error of Lee weight <= tau, each read in (-p/2, p/2), sum to
+within [-tau, tau], so a word with min(S_0, p - S_0) > tau has no codeword
+within the radius and fails after the syndrome product alone (on
+(13,10,29) that is 24 of the 29 values of S_0). A word that passes costs
+O(n^2) field operations: the power-sum series, the Euclidean pass, and per
+candidate pair of locator polynomials one product with the inverse-locator
+power table each, which finds every root at once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
-    centered,
     inv_mod,
     is_prime,
     lee_weight_total,
@@ -59,17 +59,12 @@ class CodeParams:
     generator: np.ndarray         # (l, n)
     parity: np.ndarray            # (n - l, n)
     multipliers: np.ndarray       # (n,) column multipliers v_i
-    inverse_powers: np.ndarray    # (nonzero locators, n - l + 1): (1/alpha_k)^j
+    inverse_powers: np.ndarray    # (n, n - l + 1): (1/alpha_k)^j for locator k + 1
 
     @property
     def radius(self) -> int:
         """Guaranteed Lee-metric correction radius n - l - 1."""
         return self.n - self.l - 1
-
-    @property
-    def zero_locator(self) -> bool:
-        """True when n == p, where position n has locator 0 mod p."""
-        return self.n == self.p
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -101,8 +96,8 @@ def grs_build(n: int, l: int, p: int) -> CodeParams:
         raise CodeConstructionError(f"p = {p} is not prime")
     if not 1 <= l < n:
         raise CodeConstructionError(f"need 1 <= l < n, got l={l}, n={n}")
-    if n > p:
-        raise CodeConstructionError(f"need n <= p, got n={n}, p={p}")
+    if n >= p:
+        raise CodeConstructionError(f"need n < p, got n={n}, p={p}")
     r = n - l
     parity = np.array([[pow(i, m, p) for i in range(1, n + 1)] for m in range(r)],
                       dtype=np.int64)
@@ -120,10 +115,8 @@ def grs_build(n: int, l: int, p: int) -> CodeParams:
         raise CodeConstructionError("generator rows are not in the null space of H^T")
     if _rank_mod_p(generator, p) != l:
         raise CodeConstructionError("generator matrix is rank deficient")
-    # when n == p the last locator is 0 mod p and has no inverse
-    n_loc = n - 1 if n == p else n
     inverse_powers = np.array([[pow(i, -j, p) for j in range(r + 1)]
-                               for i in range(1, n_loc + 1)], dtype=np.int64)
+                               for i in range(1, n + 1)], dtype=np.int64)
     return CodeParams(n=n, l=l, p=p, generator=generator, parity=parity,
                       multipliers=multipliers, inverse_powers=inverse_powers)
 
@@ -234,10 +227,7 @@ def decode(word, params: CodeParams) -> np.ndarray:
     if min(syndromes[0], p - syndromes[0]) > tau:
         raise DecodeFailure(f"no codeword within Lee radius {tau}")
 
-    # when n == p the last position has locator 0, is absent from
-    # inverse_powers and is reconstructed from S_0 afterwards
     half = (p - 1) // 2
-
     a_poly = _power_sum_series(syndromes, r, p)
     for sigma, eta in _convergents(a_poly, r, p):
         if not sigma or not eta:
@@ -261,16 +251,10 @@ def decode(word, params: CodeParams) -> np.ndarray:
         if any(m > half for m in plus.values()) or any(m > half for m in minus.values()):
             continue
         error = np.zeros(params.n, dtype=np.int64)
-        signed_total = 0
         for idx, m in plus.items():
             error[idx] = (error[idx] + m) % p
-            signed_total += m
         for idx, m in minus.items():
             error[idx] = (error[idx] - m) % p
-            signed_total -= m
-        if params.zero_locator:
-            tail = centered(syndromes[0] - signed_total, p)
-            error[params.n - 1] = tail % p
         if lee_weight_total(error, p) > tau:
             continue
         if np.any((params.parity @ error - np.array(syndromes)) % p):

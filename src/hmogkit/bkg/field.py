@@ -37,12 +37,6 @@ def lee_weight_total(v, p: int) -> int:
     return int(np.sum(lee_weight(np.asarray(v, dtype=np.int64), p)))
 
 
-def centered(x: int, p: int) -> int:
-    """Representative of x mod p in (-(p-1)/2, ..., (p-1)/2]."""
-    xm = x % p
-    return xm if xm <= p // 2 else xm - p
-
-
 # -- polynomials -------------------------------------------------------------
 
 def poly_trim(a: list[int]) -> list[int]:

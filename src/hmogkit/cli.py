@@ -320,7 +320,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     sessions = build_sessions(config)
     train_fm, _ = _channel_matrices(training_sessions(sessions), [], (args.channel,),
                                     config)[args.channel]
-    _, templates, failures = _enroll_channel(args.channel, train_fm, config)
+    templates, failures = _enroll_channel(args.channel, train_fm, config)
     for failure in failures:
         print(f"skipped {failure['user_id']}: {failure['reason']}",
               file=sys.stderr)

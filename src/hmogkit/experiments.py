@@ -371,7 +371,7 @@ def _enroll_channel(channel: str, train_fm: FeatureMatrix,
         except EnrollmentError as exc:
             failures.append({"channel": channel, "user_id": user,
                              "reason": str(exc)})
-    return prep, templates, failures
+    return templates, failures
 
 
 def _channel_setup(config: ExperimentConfig, train_s: list[Session],
@@ -386,7 +386,7 @@ def _channel_setup(config: ExperimentConfig, train_s: list[Session],
             notes.append(f"{channel}: no usable training vectors")
             continue
         try:
-            prep, templates, fails = _enroll_channel(channel, train_fm, config)
+            templates, fails = _enroll_channel(channel, train_fm, config)
         except PipelineError as exc:
             notes.append(f"{channel}: {exc}")
             continue

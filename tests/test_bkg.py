@@ -29,7 +29,6 @@ from hmogkit.bkg.commitment import (
     open_commitment,
 )
 from hmogkit.bkg.field import (
-    centered,
     inv_mod,
     is_prime,
     lee_weight,
@@ -80,12 +79,6 @@ def test_lee_weight_values():
     assert lee_weight_total(vec, 5) == lee_weight_oracle(vec, 5) == 4
 
 
-def test_centered():
-    assert [centered(x, 5) for x in range(5)] == [0, 1, 2, -2, -1]
-    assert [centered(x, 7) for x in range(7)] == [0, 1, 2, 3, -3, -2, -1]
-    assert centered(-1, 5) == -1
-
-
 def test_poly_basic_ops():
     p = 5
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
@@ -127,7 +120,6 @@ def test_grs_frozen_4_2_5():
     assert params.parity.tolist() == [[1, 1, 1, 1], [1, 2, 3, 4]]
     assert not np.any((params.generator @ params.parity.T) % 5)
     assert params.radius == 1
-    assert not params.zero_locator
 
 
 def test_grs_construction_errors():
@@ -135,8 +127,11 @@ def test_grs_construction_errors():
         grs_build(4, 2, 6)
     with pytest.raises(CodeConstructionError, match="l < n"):
         grs_build(4, 4, 5)
-    with pytest.raises(CodeConstructionError, match="n <= p"):
+    with pytest.raises(CodeConstructionError, match="n < p"):
         grs_build(6, 2, 5)
+    # n == p would give the last position locator 0 mod p
+    with pytest.raises(CodeConstructionError, match="need n < p, got n=5, p=5"):
+        grs_build(5, 2, 5)
 
 
 def test_encode_linearity_and_shape():
@@ -206,26 +201,23 @@ def test_decoders_agree_on_random_words():
             assert np.array_equal(fast, slow)
 
 
-def test_zero_locator_code_roundtrip():
-    # n == p: the last position's locator is 0 and is recovered separately
-    params = grs_build(5, 2, 5)
-    assert params.zero_locator
-    assert params.radius == 2
-    rng = np.random.default_rng(4)
-    words = codebook(params)
-    patterns = [np.zeros(5, dtype=np.int64)] + [np.array(e) for e in lee_patterns(5, 5, 2)]
-    for e in patterns:
-        word = words[rng.integers(0, len(words))]
-        noisy = (word + e) % 5
-        assert np.array_equal(decode(noisy, params), word)
-    # errors concentrated on the zero-locator position
-    word = words[7]
-    for tail in (1, 2, 3, 4):
-        e = np.zeros(5, dtype=np.int64)
-        e[4] = tail
-        if lee_weight_total(e, 5) > params.radius:
-            continue
-        assert np.array_equal(decode((word + e) % 5, params), word)
+def test_every_small_code_corrects_its_radius():
+    # every accepted code with p <= 7 (p = 2 admits none), exhaustively:
+    # the minimum Lee distance backs the radius, and both decoders correct
+    # every error within it
+    codes = [(n, l, p) for p in (3, 5, 7) for n in range(2, p) for l in range(1, n)]
+    assert len(codes) == 22
+    checked = 0
+    for n, l, p in codes:
+        params = grs_build(n, l, p)
+        assert min_lee_distance_oracle(codebook_oracle(params.generator, p), p) >= 2 * (n - l)
+        word = encode(np.arange(1, l + 1), params)
+        for e in lee_patterns(n, p, params.radius):
+            noisy = (word + np.array(e)) % p
+            assert np.array_equal(decode(noisy, params), word), (n, l, p, e)
+            assert np.array_equal(decode_brute(noisy, params), word), (n, l, p, e)
+            checked += 1
+    assert checked == 2156
 
 
 def words_for_every_syndrome(params):
@@ -260,32 +252,13 @@ def test_decode_every_syndrome_13_10_29():
     assert decoded == 365
 
 
-def test_decode_every_syndrome_zero_locator_7_3_7():
-    params = grs_build(7, 3, 7)
-    assert params.zero_locator
-    assert len(codebook(params)) == 343
-    words, _ = words_for_every_syndrome(params)
-    decoded = 0
-    for word in words:
-        try:
-            expected = decode_brute(word, params)
-        except DecodeFailure:
-            with pytest.raises(DecodeFailure):
-                decode(word, params)
-            continue
-        assert np.array_equal(decode(word, params), expected)
-        decoded += 1
-    assert decoded > 0
-
-
-@pytest.mark.parametrize("n,l,p", [(7, 3, 7), (13, 10, 29)])
+@pytest.mark.parametrize("n,l,p", [(6, 3, 7), (13, 10, 29)])
 def test_inverse_powers_table(n, l, p):
     params = grs_build(n, l, p)
     table = params.inverse_powers
-    n_loc = n - 1 if params.zero_locator else n
-    assert table.shape == (n_loc, n - l + 1)
+    assert table.shape == (n, n - l + 1)
     assert table.dtype == np.int64
-    for k in range(n_loc):
+    for k in range(n):
         for j in range(n - l + 1):
             assert (int(table[k, j]) * pow(k + 1, j, p)) % p == 1
             assert 0 < table[k, j] < p

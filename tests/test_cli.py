@@ -212,6 +212,12 @@ def malformed_corpora(tmp_path_factory):
         " expected a non-empty string or an integer"),
     (["bkg", *SMALL, "--bkg-channels", "tap"], None,
      4, "infeasible: tap: not enough features for the code length (11 features, code length 13)"),
+    # n == p would put locator 0 at the last position, where the decoder
+    # cannot keep the radius n - l - 1
+    (["bkg", *SMALL, "--code-length", "7", "--message-length", "1", "--field-prime", "7"], None,
+     2, "config error: bkg code parameters rejected: need n < p"),
+    (["bkg", *SMALL, "--code-length", "13", "--message-length", "8", "--field-prime", "13"],
+     None, 2, "config error: bkg code parameters rejected: need n < p"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -360,7 +366,7 @@ def test_train_digraph_matches_oracle_path(cli_corpus, tmp_path, flags):
     dense = dense_keystrokes(training_sessions(build_sessions(config)), "digraph")
     train_fm = latency_outlier_filter_oracle(dense, config.latency_max_ms,
                                              config.latency_min_count)
-    _, templates, _ = _enroll_channel("digraph", train_fm, config)
+    templates, _ = _enroll_channel("digraph", train_fm, config)
     assert len(templates) == 2
     save_templates(str(want), templates,
                    params_echo={"channel": "digraph", "config_hash": config.config_hash(),
@@ -554,18 +560,6 @@ def assert_run_outputs(out, run):
 
 
 BKG_ARGS = ["bkg", "--min-vectors", "10", "--bkg-scan", "20"]
-
-
-def test_bkg_zero_locator_code(cli_corpus, tmp_path, capsys):
-    # n == p puts locator 0 at the last position; radius n - l - 1 = 4
-    out = tmp_path / "bkg"
-    code = main([*BKG_ARGS, "--corpus", str(cli_corpus), "--code-length", "13",
-                 "--message-length", "8", "--field-prime", "13", "--out-dir", str(out)])
-    assert code == 0
-    assert "code n=13 l=8 p=13 radius=4" in capsys.readouterr().out
-    summary, _, rows = assert_run_outputs(out, "bkg")
-    assert summary["code"] == {"n": 13, "l": 8, "p": 13, "radius": 4}
-    assert [row[0] for row in rows] == ["hmog"]
 
 
 def test_bkg_writes_a_row_per_channel(cli_corpus, tmp_path):

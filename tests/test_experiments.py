@@ -450,7 +450,7 @@ def bkg_opens(monkeypatch, config, sessions):
     return run_bkg(config, sessions)["channels"]["hmog"], passwords
 
 
-BKG_WIDE = dict(n_users=4, bkg_n=7, bkg_l=1, bkg_p=7, bkg_scan_seconds=5.0)
+BKG_WIDE = dict(n_users=4, bkg_n=3, bkg_l=1, bkg_p=5, bkg_scan_seconds=5.0)
 
 
 def test_run_bkg_opens_each_window_and_user_once(monkeypatch, close_sessions):
