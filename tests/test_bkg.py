@@ -220,6 +220,28 @@ def test_every_small_code_corrects_its_radius():
     assert checked == 2156
 
 
+def test_zero_locator_code_roundtrip():
+    # the n == p code (5,2,5) would give its last position locator 0 and is
+    # rejected; its n = p - 1 replacement (4,2,5) corrects every error within
+    # the radius, including errors on the last position
+    with pytest.raises(CodeConstructionError, match="need n < p, got n=5, p=5"):
+        grs_build(5, 2, 5)
+    params = grs_build(4, 2, 5)
+    assert params.radius == 1
+    rng = np.random.default_rng(4)
+    words = codebook(params)
+    patterns = [np.zeros(4, dtype=np.int64)] + [np.array(e) for e in lee_patterns(4, 5, 1)]
+    for e in patterns:
+        word = words[rng.integers(0, len(words))]
+        noisy = (word + e) % 5
+        assert np.array_equal(decode(noisy, params), word)
+    word = words[7]
+    for tail in (1, 4):
+        e = np.zeros(4, dtype=np.int64)
+        e[3] = tail
+        assert np.array_equal(decode((word + e) % 5, params), word)
+
+
 def words_for_every_syndrome(params):
     """One word per syndrome: the words supported on the first n - l
     positions, whose parity columns form an invertible Vandermonde block."""
@@ -250,6 +272,28 @@ def test_decode_every_syndrome_13_10_29():
             assert np.array_equal(decode(word, params), (word - e) % 29)
             decoded += 1
     assert decoded == 365
+
+
+def test_decode_every_syndrome_zero_locator_7_3_7():
+    # the n == p code (7,3,7) is rejected; on its n = p - 1 replacement
+    # (6,3,7) decode agrees with decode_brute on every syndrome
+    with pytest.raises(CodeConstructionError, match="need n < p, got n=7, p=7"):
+        grs_build(7, 3, 7)
+    params = grs_build(6, 3, 7)
+    assert len(codebook(params)) == 343
+    words, _ = words_for_every_syndrome(params)
+    assert len(words) == 343
+    decoded = 0
+    for word in words:
+        try:
+            expected = decode_brute(word, params)
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                decode(word, params)
+            continue
+        assert np.array_equal(decode(word, params), expected)
+        decoded += 1
+    assert decoded > 0
 
 
 @pytest.mark.parametrize("n,l,p", [(6, 3, 7), (13, 10, 29)])
