@@ -21,6 +21,7 @@ from .corpus.io import ParseError, id_problem, load_mapping, parse_session, save
 from .corpus.types import Condition, CorpusError
 from .experiments import (
     _FIELD_TYPES,
+    CHANNELS,
     OUT_DIR_ENV,
     ConfigError,
     ExperimentConfig,
@@ -54,10 +55,6 @@ EXIT_INFEASIBLE = 4
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _TUPLE_FIELDS = {name for name, hint in _FIELD_TYPES.items()
                  if typing.get_origin(hint) is tuple}
-FUSION_STEP_HELP = (
-    "fusion weight grid step; it must divide 1.0. For k channels the grid has "
-    "C(1/step + k - 1, k - 1) points, each fused and scored once: for four "
-    "channels 1,771 at 0.05 and 176,851 at 0.01")
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +155,14 @@ def _add_eval_flags(sp: argparse.ArgumentParser) -> None:
                     help="variance fraction kept by the PCA stage")
     sp.add_argument("--min-vectors", dest="min_vectors", type=int,
                     help="enrollment floor in training vectors per user")
-    sp.add_argument("--fusion-step", dest="fusion_step", type=float,
-                    help=FUSION_STEP_HELP)
+    _add_fusion_flags(sp)
+
+
+def _add_fusion_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--fusion-step", dest="fusion_step", type=float, help=(
+        "fusion weight grid step; it must divide 1.0. For k channels the grid has "
+        "C(1/step + k - 1, k - 1) points, each fused and scored once: for four "
+        "channels 1,771 at 0.05 and 176,851 at 0.01"))
     sp.add_argument("--weights", dest="fusion_weights", type=_weights,
                     help="fixed fusion weights, e.g. hmog=0.6,tap=0.4")
 
@@ -457,8 +460,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     _add_feature_flags(p)
     _add_common_flags(p)
-    p.add_argument("--channel", default="hmog",
-                   choices=("hmog", "tap", "keyhold", "digraph"))
+    p.add_argument("--channel", default="hmog", choices=CHANNELS)
     p.add_argument("--features-out", required=True,
                    help="CSV path for the extracted features")
     p.set_defaults(handler=cmd_extract)
@@ -468,8 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_feature_flags(p)
     _add_eval_flags(p)
     _add_common_flags(p)
-    p.add_argument("--channel", default="hmog",
-                   choices=("hmog", "tap", "keyhold", "digraph"))
+    p.add_argument("--channel", default="hmog", choices=CHANNELS)
     p.add_argument("--templates-out", required=True,
                    help="JSON path for the enrolled templates")
     p.set_defaults(handler=cmd_train)
@@ -485,10 +486,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--scores", action="append", metavar="NAME=PATH",
                    help="score CSV per channel; repeat per channel")
-    p.add_argument("--fusion-step", dest="fusion_step", type=float,
-                   help=FUSION_STEP_HELP)
-    p.add_argument("--weights", dest="fusion_weights", type=_weights,
-                   help="fixed fusion weights, e.g. hmog=0.6,tap=0.4")
+    _add_fusion_flags(p)
     p.set_defaults(handler=cmd_fuse)
 
     p = sub.add_parser("bkg", help="key-generation experiment")

@@ -308,8 +308,8 @@ def session_ordinals(sessions: list[Session]) -> dict[tuple[str, str], int]:
     return {key: i for i, key in enumerate(keys)}
 
 
-def extract_channels(sessions: list[Session], channels, config: ExperimentConfig,
-                     mode: str | None = None) -> dict[str, FeatureMatrix]:
+def extract_channels(sessions: list[Session], channels,
+                     config: ExperimentConfig) -> dict[str, FeatureMatrix]:
     """Feature matrices of the given channels in one pass over the sessions;
     keyhold and digraph share one keystroke_features call per session, and
     digraph latencies stay long-form events (see latency_outlier_filter)."""
@@ -319,7 +319,7 @@ def extract_channels(sessions: list[Session], channels, config: ExperimentConfig
     parts: dict[str, list[FeatureMatrix]] = {channel: [] for channel in channels}
     for s in sorted(sessions, key=lambda s: (s.user_id, s.session_id)):
         if "hmog" in parts:
-            fm = extract_hmog(s, mode or config.mode)
+            fm = extract_hmog(s, config.mode)
             if tuple(config.sensors) != tuple(x.value for x in Sensor):
                 fm = fm.select_columns(feature_names_for(config.sensors))
             parts["hmog"].append(fm)
@@ -338,11 +338,11 @@ def extract_channels(sessions: list[Session], channels, config: ExperimentConfig
 
 
 def _channel_matrices(train_s: list[Session], test_s: list[Session], channels,
-                      config: ExperimentConfig, mode: str | None = None):
+                      config: ExperimentConfig):
     """{channel: (train matrix, test matrix)} from one extraction per side;
     digraphs are filtered and widened over the columns training keeps."""
-    train = extract_channels(train_s, channels, config, mode)
-    test = extract_channels(test_s, channels, config, mode)
+    train = extract_channels(train_s, channels, config)
+    test = extract_channels(test_s, channels, config)
     if "digraph" in train:
         train["digraph"], test["digraph"] = latency_outlier_filter(
             train["digraph"], test["digraph"], config.latency_max_ms,
@@ -375,10 +375,10 @@ def _enroll_channel(channel: str, train_fm: FeatureMatrix,
 
 
 def _channel_setup(config: ExperimentConfig, train_s: list[Session],
-                   test_s: list[Session], channels, mode: str | None = None):
+                   test_s: list[Session], channels):
     """Extract, filter, and enroll every requested channel."""
     data, failures, notes = {}, [], []
-    matrices = _channel_matrices(train_s, test_s, channels, config, mode)
+    matrices = _channel_matrices(train_s, test_s, channels, config)
     for channel in channels:
         # popped, so each training matrix is freed once its channel enrolls
         train_fm, test_fm = matrices.pop(channel)
@@ -496,12 +496,11 @@ def _finish(config: ExperimentConfig, body: dict,
 
 
 def _hmog_scans(config: ExperimentConfig, train_s: list[Session],
-                test_s: list[Session], ordinals, mode: str | None = None):
+                test_s: list[Session], ordinals):
     """HMOG enrolled once and scored at every scan length: (templates,
     {scan key: (cell, scores)}, enrollment failures, notes). When nobody
     enrolls there are no scans and no per-scan notes."""
-    channel_data, failures, notes = _channel_setup(config, train_s, test_s,
-                                                   ("hmog",), mode)
+    channel_data, failures, notes = _channel_setup(config, train_s, test_s, ("hmog",))
     if not channel_data:
         return {}, {}, failures, notes
     scans = {}
@@ -571,8 +570,8 @@ def run_between(config: ExperimentConfig,
     rows: list[tuple] = []
     notes: list[str] = []
     for mode in ("during", "between"):
-        _, scans, failures, mode_notes = _hmog_scans(config, train_s, test_s,
-                                                     ordinals, mode)
+        _, scans, failures, mode_notes = _hmog_scans(
+            replace(config, mode=mode), train_s, test_s, ordinals)
         notes.extend(f"{mode}: {n}" for n in mode_notes)
         for scan_key, (cell, scores) in scans.items():
             rows.append(_row((mode, scan_key), cell))

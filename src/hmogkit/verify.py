@@ -9,6 +9,17 @@ A ScoreSet is columnar: four parallel arrays (claimed, actual, t_ms,
 score), one row per decision; a decision is genuine when claimed ==
 actual. Every stage after scoring works on these arrays.
 
+Scoring takes one block per template: the probe rows that share a finite
+cell with the template's input features are gathered at once, through one
+column map per call, then imputed and projected together, turned into
+scaled differences z = (w - mu) / sigma and reduced row by row with one
+kernel per metric, the sum of |z| (sm) or the root of the sum of z ** 2
+(se). Each row's score is bit-equal to scoring its vector alone: the
+elementwise steps do not depend on the block, a sum along axis 1 adds
+each row in the order of a one-vector sum, and PCA projects a block as a
+stack of one-row products (``PcaBasis.transform``), because one (rows x d)
+product lets BLAS split each row's sum differently.
+
 Fusion min-max normalizes each channel once and aligns the decisions
 (claimed, actual, t_ms) once, in sorted order, into a (decisions x
 channels) score matrix with a presence mask. The weight grid search then
@@ -52,19 +63,12 @@ class VerifyError(ValueError):
     pass
 
 
-def sm_score(template, v: np.ndarray) -> float:
-    """Scaled Manhattan distance in the template's prepared space."""
-    w = template.project(v)
-    return float(np.sum(np.abs(w - template.mu) / template.sigma))
-
-
-def se_score(template, v: np.ndarray) -> float:
-    """Scaled Euclidean distance in the template's prepared space."""
-    w = template.project(v)
-    return float(np.sqrt(np.sum(((w - template.mu) / template.sigma) ** 2)))
-
-
-_METRICS = {"sm": sm_score, "se": se_score}
+# each metric reduces the rows of a block of scaled differences
+# z = (w - mu) / sigma to one distance per row
+_METRICS = {
+    "sm": lambda z: np.abs(z).sum(axis=1),             # scaled Manhattan
+    "se": lambda z: np.sqrt((z ** 2).sum(axis=1)),     # scaled Euclidean
+}
 
 
 _CSV_HEADER = ["kind", "claimed", "actual", "t_ms", "score"]
@@ -134,24 +138,24 @@ def gen_scores(templates: dict, auth: FeatureMatrix, metric: str = "sm") -> Scor
     """Score every authentication vector against every enrolled template.
 
     A vector is skipped for a template when it shares no finite cell with
-    the template's input features (no evidence, no decision).
+    the template's input features (no evidence, no decision). A template
+    feature missing from ``auth`` raises KeyError with its name.
     """
     if metric not in _METRICS:
         raise VerifyError(f"unknown metric {metric!r}")
-    score_fn = _METRICS[metric]
-    claimed, rows, scores = [], [], []
-    col_cache: dict[tuple[str, ...], np.ndarray] = {}
+    reduce = _METRICS[metric]
+    index = {name: j for j, name in enumerate(auth.columns)}
+    # each list starts with an empty block, so no templates give an empty ScoreSet
+    claimed, rows, scores = [np.empty(0, object)], [np.empty(0, np.intp)], [np.empty(0)]
     for user, template in sorted(templates.items()):
-        feats = template.input_features
-        if feats not in col_cache:
-            col_cache[feats] = np.array([auth.col_index(name) for name in feats])
-        block = auth.values[:, col_cache[feats]]
-        hits = np.flatnonzero(np.any(np.isfinite(block), axis=1))
-        claimed += [user] * len(hits)
-        rows += hits.tolist()
-        scores += [score_fn(template, block[i]) for i in hits]
-    rows = np.array(rows, dtype=np.intp)
-    return ScoreSet(claimed, auth.user_ids[rows].astype(str), auth.t_ms[rows], scores)
+        block = auth.values[:, [index[name] for name in template.input_features]]
+        hits = np.flatnonzero(np.isfinite(block).any(axis=1))
+        claimed.append(np.full(len(hits), user, dtype=object))
+        rows.append(hits)
+        scores.append(reduce((template.project(block[hits]) - template.mu) / template.sigma))
+    rows = np.concatenate(rows)
+    return ScoreSet(np.concatenate(claimed), auth.user_ids[rows].astype(str), auth.t_ms[rows],
+                    np.concatenate(scores))
 
 
 # ---------------------------------------------------------------------------

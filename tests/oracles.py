@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from hmogkit.bkg.field import inv_mod
 from hmogkit.corpus.types import (
     SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
 from hmogkit.hmog import (
@@ -134,6 +135,30 @@ def lee_weight_oracle(vec, p: int) -> int:
         r = int(v) % p
         total += min(r, p - r)
     return total
+
+
+def rank_mod_p_oracle(matrix: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over Z_p by Gauss-Jordan elimination."""
+    m = matrix.astype(np.int64).copy() % p
+    rows, cols = m.shape
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for row in range(rank, rows):
+            if m[row, col] % p:
+                pivot = row
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = (m[rank] * inv_mod(int(m[rank, col]), p)) % p
+        for row in range(rows):
+            if row != rank and m[row, col]:
+                m[row] = (m[row] - m[row, col] * m[rank]) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 def codebook_oracle(generator: np.ndarray, p: int) -> list[tuple[int, ...]]:
@@ -468,6 +493,35 @@ def fuse_scoresets_oracle(channels, weights):
             continue
         rows.append((*key, sum(weights.get(c, 0.0) / wsum * s for c, s in per_channel.items())))
     return ScoreSet(*zip(*rows)) if rows else ScoreSet()
+
+
+def gen_scores_oracle(templates, auth: FeatureMatrix, metric: str = "sm") -> ScoreSet:
+    """gen_scores by a per-vector loop: each decision imputes one vector,
+    projects it with one vector-matrix product and reduces it alone."""
+    def project(template, v):
+        v = np.where(np.isfinite(v), v, template.raw_means)
+        pca = template.pca
+        return v if pca is None else ((v - pca.center) / pca.scale) @ pca.components.T
+
+    def sm_score(template, v):
+        w = project(template, v)
+        return float(np.sum(np.abs(w - template.mu) / template.sigma))
+
+    def se_score(template, v):
+        w = project(template, v)
+        return float(np.sqrt(np.sum(((w - template.mu) / template.sigma) ** 2)))
+
+    score_fn = {"sm": sm_score, "se": se_score}[metric]
+    claimed, rows, scores = [], [], []
+    for user, template in sorted(templates.items()):
+        block = auth.values[:, [auth.col_index(name) for name in template.input_features]]
+        for i, v in enumerate(block):
+            if np.any(np.isfinite(v)):
+                claimed.append(user)
+                rows.append(i)
+                scores.append(score_fn(template, v))
+    rows = np.array(rows, dtype=np.intp)
+    return ScoreSet(claimed, auth.user_ids[rows].astype(str), auth.t_ms[rows], scores)
 
 
 def weight_grid(channel_names, step: float = 0.05):

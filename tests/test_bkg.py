@@ -49,6 +49,7 @@ from oracles import (
     lee_patterns,
     lee_weight_oracle,
     min_lee_distance_oracle,
+    rank_mod_p_oracle,
 )
 
 
@@ -132,6 +133,16 @@ def test_grs_construction_errors():
     # n == p would give the last position locator 0 mod p
     with pytest.raises(CodeConstructionError, match="need n < p, got n=5, p=5"):
         grs_build(5, 2, 5)
+
+
+def test_every_code_up_to_p_31_has_full_rank():
+    # grs_build does not check the rank: for n < p the locators 1..n are
+    # distinct and nonzero, so G = V diag(v) with V Vandermonde and v_i != 0
+    codes = [(n, l, p) for p in range(3, 32) if is_prime(p)
+             for n in range(2, p) for l in range(1, n)]
+    assert len(codes) == 1450
+    for n, l, p in codes:
+        assert rank_mod_p_oracle(grs_build(n, l, p).generator, p) == l, (n, l, p)
 
 
 def test_encode_linearity_and_shape():

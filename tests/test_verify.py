@@ -1,12 +1,16 @@
 """Distance scores, fusion, and the EER reader."""
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hmogkit import verify
+from hmogkit.experiments import (
+    CHANNELS, ExperimentConfig, _channel_matrices, session_ordinals, split_train_test)
 from hmogkit.matrix import FeatureMatrix
-from hmogkit.pipeline import Template
+from hmogkit.pipeline import Template, build_template, fit_feature_prep, scan_aggregate
 from hmogkit.verify import (
     ScoreSet,
     VerifyError,
@@ -15,14 +19,13 @@ from hmogkit.verify import (
     fuse_scoresets,
     gen_scores,
     minmax_normalize,
-    se_score,
     search_fusion_weights,
-    sm_score,
 )
 from oracles import (
     eer_oracle,
     eer_searchsorted_oracle,
     fuse_scoresets_oracle,
+    gen_scores_oracle,
     rates_searchsorted_oracle,
     search_fusion_weights_oracle,
     weight_grid,
@@ -59,15 +62,15 @@ def score_set(genuine, impostor, claimed="A", actual_other="B"):
 # ---------------------------------------------------------------- metrics
 
 def test_sm_se_hand_values():
-    t = make_template()
-    v = np.array([1.0, 4.0])
-    assert sm_score(t, v) == pytest.approx(3.0)      # 1/1 + 4/2
-    assert se_score(t, v) == pytest.approx(np.sqrt(5.0))
+    templates = {"A": make_template()}
+    auth = make_auth([[1.0, 4.0]], ["A"])
+    assert gen_scores(templates, auth, "sm").score.tolist() == pytest.approx([3.0])  # 1/1 + 4/2
+    assert gen_scores(templates, auth, "se").score.tolist() == pytest.approx([np.sqrt(5.0)])
 
 
 def test_metrics_impute_from_template_means():
-    t = make_template()
-    assert sm_score(t, np.array([np.nan, 4.0])) == pytest.approx(2.0)
+    scores = gen_scores({"A": make_template()}, make_auth([[np.nan, 4.0]], ["A"]))
+    assert scores.score.tolist() == pytest.approx([2.0])
 
 
 # ---------------------------------------------------------------- gen_scores
@@ -110,6 +113,55 @@ def test_gen_scores_partial_overlap_per_template():
 def test_gen_scores_unknown_metric():
     with pytest.raises(VerifyError, match="metric"):
         gen_scores({"A": make_template()}, make_auth([[1.0, 1.0]], ["A"]), metric="xx")
+
+
+def test_gen_scores_missing_template_feature_raises():
+    templates = {"A": make_template(), "B": make_template("B", features=("f0", "f9"))}
+    with pytest.raises(KeyError, match="f9"):
+        gen_scores(templates, make_auth([[1.0, 1.0]], ["A"]))
+
+
+# (selector, selector value, PCA variance fraction)
+PREPS = [("fisher", 0.95, None), ("fisher", 0.95, 0.9), (None, 1.0, 0.8), ("mrmr", 0.0, None)]
+
+
+@pytest.fixture(scope="module")
+def enrolled(mini_sessions):
+    """enrolled(channel, prep) -> (templates, probe matrices): every user's
+    template and the test side's vectors, raw and in 10 s scan windows."""
+    train_s, test_s = split_train_test(mini_sessions)
+    matrices = _channel_matrices(train_s, test_s, CHANNELS, ExperimentConfig())
+    ordinals = session_ordinals(test_s)
+
+    @functools.cache
+    def enroll(channel, prep):
+        train_fm, test_fm = matrices[channel]
+        selector, value, pca = prep
+        if channel == "digraph" and selector == "fisher":
+            # no digraph column here has two users with two latencies each,
+            # so every Fisher score is 0 and only the whole ranking keeps any
+            value = 1.0
+        fitted = fit_feature_prep(train_fm, selector=selector, selector_value=value,
+                                  pca_fraction=pca)
+        templates = {user: build_template(user, train_fm.for_user(user), fitted, min_vectors=2)
+                     for user in train_fm.users()}
+        return templates, (test_fm, scan_aggregate(test_fm, 10.0, ordinals))
+    return enroll
+
+
+@pytest.mark.parametrize("prep", PREPS, ids=lambda p: "-".join(map(str, p)))
+@pytest.mark.parametrize("metric", ["sm", "se"])
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_gen_scores_matches_oracle(enrolled, channel, metric, prep):
+    templates, probes = enrolled(channel, prep)
+    for auth in probes:
+        got = gen_scores(templates, auth, metric)
+        want = gen_scores_oracle(templates, auth, metric)
+        assert len(got.genuine) and len(got.impostor)
+        assert got.score.tobytes() == want.score.tobytes()
+        assert got.claimed.tolist() == want.claimed.tolist()
+        assert got.actual.tolist() == want.actual.tolist()
+        assert got.t_ms.tobytes() == want.t_ms.tobytes()
 
 
 # ---------------------------------------------------------------- fusion
