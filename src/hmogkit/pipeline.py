@@ -198,13 +198,7 @@ class PcaBasis:
     variances: np.ndarray    # (k,) descending eigenvalues
 
     def transform(self, v: np.ndarray) -> np.ndarray:
-        """Project a vector, or each row of a block on its own."""
-        z = (np.asarray(v, dtype=np.float64) - self.center) / self.scale
-        # a stack of one-row products, so a row projects to the same bits
-        # alone or in a block: one (rows x d) product lets BLAS split each
-        # row's sum differently, and on most shapes it differs from the
-        # one-vector product in the last bits
-        return (z[..., None, :] @ self.components.T)[..., 0, :]
+        return ((np.asarray(v, dtype=np.float64) - self.center) / self.scale) @ self.components.T
 
 
 def pca_fit(x: np.ndarray, variance_fraction: float) -> PcaBasis:
@@ -291,11 +285,12 @@ class Template:
     pca: PcaBasis | None = None
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Impute missing input cells of a vector or a block of rows with
-        the template mean, then apply the projection the template was
-        built in."""
+        """Impute missing input cells with the template mean, then apply
+        the projection the template was built in."""
         v = fill_missing(v, self.raw_means)
-        return self.pca.transform(v) if self.pca is not None else v
+        # one-row products, so a row gets the same bits alone or in a block:
+        # one (rows x d) product lets BLAS split each row's sum differently
+        return self.pca.transform(v[..., None, :])[..., 0, :] if self.pca is not None else v
 
 
 def build_template(user_id: str, fm: FeatureMatrix, prep: FeaturePrep | None = None,
@@ -324,11 +319,7 @@ def build_template(user_id: str, fm: FeatureMatrix, prep: FeaturePrep | None = N
     else:
         raw_means = fill_missing(raw_means, prep.pooled_means)
     filled = fill_missing(values, raw_means)
-    # one (rows x d) product over the training block; transform's per-row
-    # products would change the last bits of mu and sigma, and so the bytes
-    # of every PCA template and score written before
-    projected = filled if pca is None else (
-        (filled - pca.center) / pca.scale) @ pca.components.T
+    projected = filled if pca is None else pca.transform(filled)
     mu = projected.mean(axis=0)
     sigma = np.maximum(projected.std(axis=0), SIGMA_FLOOR)
     return Template(user_id=user_id, input_features=tuple(columns),

@@ -9,16 +9,8 @@ A ScoreSet is columnar: four parallel arrays (claimed, actual, t_ms,
 score), one row per decision; a decision is genuine when claimed ==
 actual. Every stage after scoring works on these arrays.
 
-Scoring takes one block per template: the probe rows that share a finite
-cell with the template's input features are gathered at once, through one
-column map per call, then imputed and projected together, turned into
-scaled differences z = (w - mu) / sigma and reduced row by row with one
-kernel per metric, the sum of |z| (sm) or the root of the sum of z ** 2
-(se). Each row's score is bit-equal to scoring its vector alone: the
-elementwise steps do not depend on the block, a sum along axis 1 adds
-each row in the order of a one-vector sum, and PCA projects a block as a
-stack of one-row products (``PcaBasis.transform``), because one (rows x d)
-product lets BLAS split each row's sum differently.
+Scoring takes one block of probe rows per template; each row's score is
+bit-equal to scoring its vector alone (see ``Template.project``).
 
 Fusion min-max normalizes each channel once and aligns the decisions
 (claimed, actual, t_ms) once, in sorted order, into a (decisions x
@@ -63,12 +55,8 @@ class VerifyError(ValueError):
     pass
 
 
-# each metric reduces the rows of a block of scaled differences
-# z = (w - mu) / sigma to one distance per row
-_METRICS = {
-    "sm": lambda z: np.abs(z).sum(axis=1),             # scaled Manhattan
-    "se": lambda z: np.sqrt((z ** 2).sum(axis=1)),     # scaled Euclidean
-}
+# scaled Manhattan (sm) and Euclidean (se) distance of each row of z = (w - mu) / sigma
+_METRICS = {"sm": lambda z: np.abs(z).sum(axis=1), "se": lambda z: np.sqrt((z ** 2).sum(axis=1))}
 
 
 _CSV_HEADER = ["kind", "claimed", "actual", "t_ms", "score"]
