@@ -36,6 +36,7 @@ from .bkg import (
     ds,
     grs_build,
     guessing_distance,
+    lee_weight,
     open_commitment,
     OpenFailure,
 )
@@ -632,6 +633,30 @@ def run_rate_sweep(config: ExperimentConfig,
 # key generation
 # ---------------------------------------------------------------------------
 
+def _open_table(commitments, grids, probes: np.ndarray, users, params) -> np.ndarray:
+    """opened[w, k]: does probe window w open users[k]'s commitment, made
+    from grids[k] with users[k] as the password.
+
+    Only the pairs whose Lee distance D[w, k], the Lee weight of
+    (probes[w] - grids[k]) mod p, is within the code's radius are opened;
+    the others stay closed. That is exact: decode never returns a codeword
+    farther than the radius, and the code corrects every error within it,
+    so a pair beyond the radius could open only through an HMAC-SHA-256
+    collision. The pairs within still go through decode and the tag check.
+    """
+    opened = np.zeros((len(probes), len(users)), dtype=bool)
+    # one user column at a time keeps the distances (windows x n)
+    for k, (commitment, grid, user) in enumerate(zip(commitments, grids, users)):
+        near = lee_weight(probes - grid, params.p).sum(axis=1) <= params.radius
+        for w in np.flatnonzero(near).tolist():
+            try:
+                open_commitment(commitment, probes[w], user, params=params)
+                opened[w, k] = True
+            except OpenFailure:
+                pass
+    return opened
+
+
 def _bkg_channel(channel: str, config: ExperimentConfig, params,
                  train_fm: FeatureMatrix, test_fm: FeatureMatrix, ordinals) -> dict:
     report: dict = {"channel": channel, "log2_keyspace": config.bkg_l * math.log2(config.bkg_p)}
@@ -654,12 +679,13 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
         report["enroll_notes"] = []
         return report
     root = np.random.SeedSequence([config.seed, 0xB46])
-    commitments = []
+    grids, commitments = [], []
     for user, child in zip(users, root.spawn(len(users))):
         enrollment = fill_missing(nanmean_columns(train_sel.for_user(user).values), pooled)
         rng = np.random.default_rng(child)
+        grids.append(ds(enrollment, spec))
         # the user id is the password
-        commitments.append(commit(ds(enrollment, spec), user, params=params, rng=rng)[0])
+        commitments.append(commit(grids[-1], user, params=params, rng=rng)[0])
 
     # a probe per scan window of an enrolled user, claiming that user
     agg = scan_aggregate(test_sel, config.bkg_scan_seconds, ordinals)
@@ -675,15 +701,7 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
         report["enroll_notes"] = enroll_notes
         return report
 
-    # opened[w, k]: does probe window w open user k's commitment
-    opened = np.zeros((len(probes), len(users)), dtype=bool)
-    for w, grid in enumerate(probes):
-        for k, user in enumerate(users):
-            try:
-                open_commitment(commitments[k], grid, user, params=params)
-                opened[w, k] = True
-            except OpenFailure:
-                pass
+    opened = _open_table(commitments, grids, probes, users, params)
     genuine = claimant[:, None] == np.arange(len(users))
     n_genuine, n_impostor = int(genuine.sum()), int((~genuine).sum())
     genuine_opens = int(opened[genuine].sum())

@@ -210,14 +210,15 @@ def _fuse_aligned(S: np.ndarray, M: np.ndarray, W: np.ndarray):
 
 
 def fuse_scoresets(channels: dict[str, ScoreSet],
-                   weights: dict[str, float]) -> ScoreSet:
+                   weights: dict[str, float], *, aligned=None) -> ScoreSet:
     """Fuse per-channel score sets after min-max normalization.
 
     Decisions are aligned on (claimed, actual, t_ms); channels missing a
     decision are dropped from it and the remaining weights renormalized.
     Decisions whose present channels carry zero weight are excluded.
+    ``aligned`` is ``_align(channels)`` when the caller already holds it.
     """
-    (claimed, actual, t_ms), S, M, _ = _align(channels)
+    (claimed, actual, t_ms), S, M, _ = _align(channels) if aligned is None else aligned
     W = np.array([[float(weights.get(c, 0.0)) for c in channels]])
     fused, keep = (a[0] for a in _fuse_aligned(S, M, W))
     return ScoreSet(claimed[keep], actual[keep], t_ms[keep], fused[keep])
@@ -262,7 +263,8 @@ def search_fusion_weights(channels: dict[str, ScoreSet], step: float = 0.05):
     Ties keep the grid point whose tick counts come first in lexicographic
     order.
     """
-    _, S, M, genuine = _align(channels)
+    aligned = _align(channels)
+    _, S, M, genuine = aligned
     names = sorted(channels)
     ticks = grid_ticks(step)
     columns = [names.index(c) for c in channels]
@@ -280,7 +282,7 @@ def search_fusion_weights(channels: dict[str, ScoreSet], step: float = 0.05):
         raise VerifyError("no weighting produced a scored decision set")
     combo, value = best
     weights = {name: k / ticks for name, k in zip(names, combo)}
-    return weights, fuse_scoresets(channels, weights), value
+    return weights, fuse_scoresets(channels, weights, aligned=aligned), value
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from hmogkit.bkg.commitment import OpenFailure, open_commitment
 from hmogkit.bkg.field import inv_mod
 from hmogkit.corpus.types import (
     SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
@@ -225,6 +226,20 @@ def assign_d_range_oracle(sigma: float, s_min: float, s_max: float, p: int) -> i
         return p - 1
     scaled = (p - 1) / 2 * (sigma - s_min) / (s_max - s_min)
     return (p - 1) - math.floor(scaled + 0.5)
+
+
+def open_table_oracle(commitments, probes, users, params) -> np.ndarray:
+    """opened[w, k] by opening every (probe window, user) pair, with the
+    user id as the password."""
+    opened = np.zeros((len(probes), len(users)), dtype=bool)
+    for w, grid in enumerate(probes):
+        for k, user in enumerate(users):
+            try:
+                open_commitment(commitments[k], grid, user, params=params)
+                opened[w, k] = True
+            except OpenFailure:
+                pass
+    return opened
 
 
 # ---------------------------------------------------------------------------

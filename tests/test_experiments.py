@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hmogkit import experiments
-from hmogkit.bkg import guessing
+from hmogkit.bkg import commit, grs_build, guessing
 from hmogkit.corpus.synth import make_corpus, make_profiles
 from hmogkit.corpus.types import Condition, Session
 from hmogkit.experiments import (
@@ -34,7 +34,7 @@ from hmogkit.touchkeys import (
     latency_outlier_filter,
     widen,
 )
-from oracles import digraph_events
+from oracles import digraph_events, lee_weight_oracle, open_table_oracle
 
 
 def bare_session(user, session_id):
@@ -436,30 +436,47 @@ def close_sessions():
 
 
 def bkg_opens(monkeypatch, config, sessions):
-    """The hmog report, and the password of every open run_bkg made."""
-    passwords = []
-    real = experiments.open_commitment
+    """The hmog report, the (password, probe) of every open run_bkg made,
+    and every (password, probe) pair whose Lee distance from the grid that
+    password committed is within the code's radius."""
+    opens, near, committed = [], [], {}
+    real_commit, real_open = experiments.commit, experiments.open_commitment
+    real_table = experiments._open_table
+
+    def committing(x, z, *, params, rng):
+        committed[z] = np.asarray(x)
+        return real_commit(x, z, params=params, rng=rng)
 
     def recording(commitment, y, z, *, params):
-        passwords.append(z)
-        return real(commitment, y, z, params=params)
+        opens.append((z, tuple(y.tolist())))
+        return real_open(commitment, y, z, params=params)
 
+    def table(commitments, grids, probes, users, params):
+        for user in users:
+            for y in probes.tolist():
+                if lee_weight_oracle(np.subtract(y, committed[user]), params.p) <= params.radius:
+                    near.append((user, tuple(y)))
+        return real_table(commitments, grids, probes, users, params)
+
+    monkeypatch.setattr(experiments, "commit", committing)
+    monkeypatch.setattr(experiments, "_open_table", table)
     # the two names through which a runner can reach open_commitment
     monkeypatch.setattr(experiments, "open_commitment", recording)
     monkeypatch.setattr(guessing, "open_commitment", recording)
-    return run_bkg(config, sessions)["channels"]["hmog"], passwords
+    return run_bkg(config, sessions)["channels"]["hmog"], opens, near
 
 
 BKG_WIDE = dict(n_users=4, bkg_n=3, bkg_l=1, bkg_p=5, bkg_scan_seconds=5.0)
 
 
 def test_run_bkg_opens_each_window_and_user_once(monkeypatch, close_sessions):
-    report, passwords = bkg_opens(monkeypatch, auth_config(**BKG_WIDE), close_sessions)
+    report, opens, near = bkg_opens(monkeypatch, auth_config(**BKG_WIDE), close_sessions)
     windows = report["n_genuine"]
     assert windows > 0 and report["n_impostor"] == 3 * windows
-    # each window against each user's commitment once; the guessing
-    # distance reads the same table and opens nothing
-    assert sorted(passwords) == sorted(["u01", "u02", "u03", "u04"] * windows)
+    # each window against each user's commitment within the radius once,
+    # and no other pair; the guessing distance reads the same table and
+    # opens nothing
+    assert sorted(opens) == sorted(near)
     assert report["far"] > 0 and report["guessing_distances"]
     assert report["enroll_notes"] == []
 
@@ -469,10 +486,10 @@ def test_run_bkg_users_without_probes(monkeypatch, close_sessions):
     # neither claims nor joins the guessing distance
     sessions = [s for s in close_sessions if (s.user_id, s.session_id) != ("u03", "s03")]
     assert len(sessions) == len(close_sessions) - 1
-    report, passwords = bkg_opens(monkeypatch, auth_config(**BKG_WIDE), sessions)
+    report, opens, near = bkg_opens(monkeypatch, auth_config(**BKG_WIDE), sessions)
     windows = report["n_genuine"]
     assert report["n_impostor"] == 3 * windows
-    assert passwords.count("u03") == windows
+    assert sorted(opens) == sorted(near) and "u03" in {z for z, _ in opens}
     assert report["enroll_notes"] == ["no probes for u03"]
     assert "u03" not in report["guessing_distances"]
     assert report["non_guessed_pct"] + 100 * len(report["guessing_distances"]) / 3 == \
@@ -481,6 +498,33 @@ def test_run_bkg_users_without_probes(monkeypatch, close_sessions):
     alone = [s for s in sessions if s.user_id == "u01" or s.session_id != "s03"]
     with pytest.raises(InfeasibleError, match="hmog: fewer than two users have probe"):
         run_bkg(auth_config(**BKG_WIDE), alone)
+
+
+@pytest.mark.parametrize("n, l, p", [(13, 10, 29), (7, 2, 11), (6, 1, 7), (3, 1, 5)])
+def test_open_table_matches_oracle(n, l, p):
+    params = grs_build(n, l, p)
+    rng = np.random.default_rng(n * 100 + p)
+    users = ["u01", "u02", "u03", "u04"]
+    center = rng.integers(0, p, n)
+    grids = [(center + rng.integers(-1, 2, n)) % p for _ in users]
+    commitments = [commit(grid, user, params=params, rng=rng)[0]
+                   for grid, user in zip(grids, users)]
+    # each probe a random walk of up to 2 tau + 2 unit steps from one
+    # user's grid, so distances run from 0 to past the radius
+    probes = []
+    for _ in range(60):
+        probe = grids[rng.integers(len(users))].copy()
+        for i in rng.integers(0, n, rng.integers(0, 2 * params.radius + 3)):
+            probe[i] = (probe[i] + rng.choice([-1, 1])) % p
+        probes.append(probe)
+    probes = np.array(probes)
+    opened = experiments._open_table(commitments, grids, probes, users, params)
+    oracle = open_table_oracle(commitments, probes, users, params)
+    assert opened.dtype == oracle.dtype and np.array_equal(opened, oracle)
+    distance = np.array([[lee_weight_oracle(y - grid, p) for grid in grids] for y in probes])
+    # every pair within the radius opens, and both kinds occur
+    assert opened[distance <= params.radius].all()
+    assert opened.any() and not opened.all()
 
 
 def test_run_bkg_rejects_bad_code(mini_sessions):
