@@ -59,15 +59,9 @@ class SensorStream:
     def __len__(self) -> int:
         return len(self.t_ms)
 
-    def magnitudes(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values ** 2, axis=1))
 
-    def channel_matrix(self) -> np.ndarray:
-        """(n, 4) matrix with columns x, y, z, magnitude."""
-        return np.column_stack([self.values, self.magnitudes()])
-
-
-# Channel order inside channel_matrix and in feature names.
+# Channel order of the HMOG windows (the axes, then the magnitude) and in
+# feature names.
 CHANNELS: tuple[str, ...] = ("x", "y", "z", "m")
 
 

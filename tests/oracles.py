@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Everything here recomputes results with a different algorithm (plain loops,
-explicit enumeration) so agreement with the library is meaningful. The one
-exception is resistance_block and stability_block: they run hmog's batched
-kernels on a single tap, so the tests can check those kernels against hand
-values.
+explicit enumeration) so agreement with the library is meaningful. The
+exceptions are resistance_block, stability_block, t_min_index and t_min:
+they run hmog's batched kernels on a single tap or window, so the tests can
+check those kernels against hand values.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hmogkit.corpus.types import (
     SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
-    FEATURE_NAMES, POST_MS, _resistance, _single, _stability)
+    FEATURE_NAMES, POST_MS, _blocks, _gather, _settle_index)
 from hmogkit.corpus.synth import (
     _IMPULSE_TAIL_MS, _MIN_TAP_GAP_MS, _SESSION_LEAD_MS, KEY_ALPHABET, _key_hold_offset)
 from hmogkit.matrix import FeatureMatrix
@@ -87,32 +87,66 @@ def eer_searchsorted_oracle(genuine, impostor) -> float:
     return float(far[k - 1] + t * d_far)
 
 
-def _unbatch(block: np.ndarray, like) -> np.ndarray:
-    """(families, 1, channels) back to (families,) + the input's channel shape."""
-    return block.reshape((len(block),) + np.shape(like)[1:])
+def _single(values):
+    """A (k,) or (k, channels) window as a batch of one event, gathered by
+    hmog from the window's rows followed by a -0.0 row."""
+    values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
+    chans = np.concatenate([values, np.full((1, values.shape[1]), -0.0)])
+    return _gather(chans, np.array([0]), np.array([len(values)]))
+
+
+def _one_tap(t_start, t_end, before, during, t_during, after100, t_post,
+             z_post) -> np.ndarray:
+    """The eight feature families of one tap from hmog's fused kernel, the
+    four windows laid end to end in one padded channel block; value arrays
+    are (k,) or (k, channels), the result (families,) + their channel
+    shape."""
+    windows = [np.asarray(w, dtype=np.float64) for w in (before, during, after100, z_post)]
+    rows = [w.reshape(len(w), -1) for w in windows]
+    n = np.array([[len(w)] for w in rows])
+    start = np.cumsum(n, axis=0) - n
+    chans = np.concatenate(rows + [np.full((1, rows[0].shape[1]), -0.0)])
+    t = np.zeros(len(chans) - 1, dtype=np.int64)
+    t[start[1, 0]:start[1, 0] + n[1, 0]] = t_during
+    t[start[3, 0]:] = t_post
+    block = _blocks(t, chans, np.array([t_start]), np.array([t_end]), start, n)
+    return block.reshape((len(block),) + windows[0].shape[1:])
 
 
 def resistance_block(before: np.ndarray, during: np.ndarray,
                      after100: np.ndarray) -> np.ndarray:
-    """The five resistance features of one tap from hmog's batched kernel;
-    inputs are (k,) or (k, channels) value arrays."""
-    return _unbatch(_resistance(_single(before), _single(during), _single(after100)),
-                    before)
+    """The five resistance features of one tap from hmog's fused kernel;
+    inputs are (k,) or (k, channels) value arrays, after100 doubling as the
+    post-tap window."""
+    return _one_tap(0, 0, before, during, 0, after100, 0, after100)[:5]
 
 
 def stability_block(t_start: int, t_end: int, before: np.ndarray,
                     during: np.ndarray, t_during: np.ndarray,
                     after100: np.ndarray, t_post: np.ndarray,
                     z_post: np.ndarray) -> np.ndarray:
-    """The three stability features of one tap from hmog's batched kernel;
+    """The three stability features of one tap from hmog's fused kernel;
     value arrays are (k,) or (k, channels)."""
-    def timed(values, t):
-        return _single(values)._replace(t=np.asarray(t).reshape(-1, 1))
+    return _one_tap(t_start, t_end, before, during, t_during, after100,
+                    t_post, z_post)[5:]
 
-    block = _stability(np.array([t_start]), np.array([t_end]), _single(before),
-                       timed(during, t_during), _single(after100),
-                       timed(z_post, t_post))
-    return _unbatch(block, before)
+
+def t_min_index(z_post: np.ndarray, avg_before) -> np.ndarray:
+    """Index whose suffix mean of |z - avg100msBefore| is minimal, from
+    hmog's settle-time kernel.
+
+    avgDiffs[i] = mean over j >= i of |z[j] - avg_before|; ties resolve to
+    the earliest index.
+    """
+    avg = np.asarray(avg_before, dtype=np.float64).reshape(1, -1)
+    return _settle_index(_single(z_post), avg).reshape(np.shape(z_post)[1:])[()]
+
+
+def t_min(t_post: np.ndarray, z_post: np.ndarray, avg_before: float) -> int:
+    """Timestamp at which the post-tap signal is deemed settled."""
+    if len(t_post) == 0:
+        raise ValueError("empty post-tap window")
+    return int(t_post[t_min_index(z_post, avg_before)])
 
 
 def t_min_oracle(t_post, z_post, avg_before) -> int:
@@ -299,6 +333,12 @@ def slice_span(t_ms: np.ndarray, lo: int, hi: int,
     return slice(i0, max(i0, i1))
 
 
+def channel_matrix(values: np.ndarray) -> np.ndarray:
+    """(n, 4) matrix with columns x, y, z and the magnitude by NumPy's sum
+    of squares."""
+    return np.column_stack([values, np.sqrt(np.sum(values ** 2, axis=1))])
+
+
 def _hmog_event_oracle(t, chans, t_start, t_end):
     """(resistance, stability) blocks of one sensor for one event, or None
     when a window is empty or the context leaves the recording."""
@@ -331,7 +371,7 @@ def extract_hmog_oracle(session, mode: str = "during"):
             for k in range(max(0, (hi - lo) // BETWEEN_BLOCK_MS)):
                 events.append((lo + k * BETWEEN_BLOCK_MS,
                                lo + (k + 1) * BETWEEN_BLOCK_MS))
-    streams = {sensor: (stream.t_ms, stream.channel_matrix())
+    streams = {sensor: (stream.t_ms, channel_matrix(stream.values))
                for sensor, stream in session.streams.items() if len(stream) > 0}
     rows, ts, skipped = [], [], 0
     for t_start, t_end in events:

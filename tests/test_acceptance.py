@@ -15,12 +15,14 @@ import pytest
 
 from hmogkit.bkg.code import DecodeFailure, codebook, decode, decode_brute, grs_build
 from hmogkit.bkg.commitment import Commitment, OpenFailure, commit, open_commitment
+from hmogkit.corpus.types import Condition, Sensor, SensorStream, Session
 from hmogkit.experiments import ExperimentConfig, build_sessions, run_auth, run_bkg, run_rate_sweep
-from hmogkit.hmog import FEATURE_NAMES, t_min
+from hmogkit.hmog import FEATURE_NAMES, extract_hmog
 from hmogkit.touchkeys import TAP_FEATURE_NAMES, digraph_feature_names
 from hmogkit.verify import eer
 
 from oracles import eer_oracle, lee_patterns, min_lee_distance_oracle, t_min_oracle
+from tables import tap_table
 
 DATASET_ENV = "HMOGKIT_DATASET"
 
@@ -49,9 +51,31 @@ def test_criterion_1_feature_space_sizes():
     assert time.monotonic() - t0 < 1.0
 
 
+def settle_session(windows) -> Session:
+    """One acc stream with one tap per (t_post, z_post, avg_before) window:
+    a before sample at avg_before (a one-row mean is the value itself), a
+    during sample, then z_post on the x axis 10 ms apart, so that 20 samples
+    fit in the 200 ms post-tap window and stab1 is 10 * (settle index + 1)."""
+    t, x, taps = [0], [0.0], []
+    for k, (_, z_post, avg_before) in enumerate(windows):
+        t_start = 1000 * (k + 1)
+        t_end = t_start + 20
+        t += [t_start - 50, t_start] + [t_end + 10 * (j + 1) for j in range(len(z_post))]
+        x += [avg_before, avg_before] + list(z_post)
+        taps.append((k, t_start, t_end, [t_start, t_end], np.zeros((2, 2)), np.full(2, 0.1)))
+    t.append(t_end + 500)
+    x.append(0.0)
+    values = np.zeros((len(t), 3))
+    values[:, 0] = x
+    stream = SensorStream(sensor=Sensor.ACC, nominal_rate_hz=100.0, t_ms=t, values=values)
+    return Session(user_id="u", session_id="s", condition=Condition.SITTING,
+                   streams={Sensor.ACC: stream}, taps=tap_table(taps))
+
+
 def test_criterion_2_settle_time_matches_bruteforce():
     rng = np.random.default_rng(2024)
     t0 = time.monotonic()
+    windows = []
     for _ in range(1000):
         n = int(rng.integers(1, 21))
         t_post = np.cumsum(rng.integers(1, 40, size=n)) + 500
@@ -59,8 +83,13 @@ def test_criterion_2_settle_time_matches_bruteforce():
         if rng.integers(4) == 0:       # force suffix-mean ties
             z_post = np.round(z_post, 0)
         avg_before = float(rng.normal(9.8, 0.5))
-        assert t_min(t_post, z_post, avg_before) == \
-            t_min_oracle(t_post, z_post, avg_before)
+        windows.append((t_post, z_post, avg_before))
+    fm = extract_hmog(settle_session(windows))
+    assert fm.n_rows == len(windows)
+    stab1 = fm.values[:, FEATURE_NAMES.index("acc_x_stab1")]
+    for (t_post, z_post, avg_before), cell in zip(windows, stab1):
+        # the emitted settle time, mapped back to the window's own timestamps
+        assert t_post[int(cell) // 10 - 1] == t_min_oracle(t_post, z_post, avg_before)
     assert time.monotonic() - t0 < 5.0
 
 

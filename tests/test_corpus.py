@@ -23,6 +23,7 @@ from hmogkit.corpus.types import (
     TapTable,
     downsample,
 )
+from hmogkit.hmog import _channel_block
 from oracles import slice_span
 from tables import key_table, tap_table, table_equal
 
@@ -58,11 +59,22 @@ def test_stream_rejects_bad_shape_and_rate():
 
 
 def test_channel_matrix_magnitude():
+    # extraction's channel block: x, y, z, magnitude, then a -0.0 row
     s = make_stream([0, 10], [[3, 4, 0], [1, 2, 2]])
-    m = s.channel_matrix()
-    assert m.shape == (2, 4)
+    m = _channel_block(s.values)
+    assert m.shape == (3, 4)
     assert m[0, 3] == pytest.approx(5.0)
     assert m[1, 3] == pytest.approx(3.0)
+    assert np.array_equal(m[:2, :3], s.values)
+    assert np.all(m[2] == 0.0) and np.all(np.signbit(m[2]))
+
+
+def test_channel_block_magnitude_bit_equal_to_numpy_sum():
+    # the left-to-right sum of squares against NumPy's reduction over a row
+    rng = np.random.default_rng(12)
+    values = rng.normal(0, 1, (20_000, 3)) * 10.0 ** rng.integers(-8, 9, (20_000, 1))
+    expected = np.sqrt(np.sum(values ** 2, axis=1))
+    assert _channel_block(values)[:-1, 3].tobytes() == expected.tobytes()
 
 
 def test_slice_span_endpoint_modes():

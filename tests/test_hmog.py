@@ -14,10 +14,10 @@ from hmogkit.hmog import (
     _between_bounds,
     extract_hmog,
     feature_names_for,
-    t_min,
-    t_min_index,
 )
-from oracles import extract_hmog_oracle, resistance_block, stability_block, t_min_oracle
+from oracles import (
+    channel_matrix, extract_hmog_oracle, resistance_block, stability_block, t_min,
+    t_min_index, t_min_oracle)
 from tables import tap_table
 
 
@@ -251,7 +251,7 @@ def test_extract_valid_tap_matches_blocks():
 
     # recompute the acc block straight from the stream
     stream = session.streams[Sensor.ACC]
-    t, chans = stream.t_ms, stream.channel_matrix()
+    t, chans = stream.t_ms, channel_matrix(stream.values)
     before = chans[(t >= 400) & (t < 500)]
     during = chans[(t >= 500) & (t <= 630)]
     after1 = chans[(t > 630) & (t <= 730)]
@@ -386,6 +386,18 @@ def test_extract_bit_equal_to_oracle_edges(mode):
         assert fm.meta["n_skipped"] == 2
 
 
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_bit_equal_to_oracle_stream_ends(mode):
+    # the first tap's before window starts on stream row 0 and the last
+    # tap's post window ends on the last row, next to the -0.0 sentinel row
+    taps = [make_tap(0, 100, 230), make_tap(1, 900, 1010), make_tap(2, 1700, 1800)]
+    session = grid_session(10, 2000, taps, seed=8)
+    fm = assert_matches_oracle(session, mode)
+    if mode == "during":
+        assert list(fm.t_ms) == [100, 900, 1700]
+        assert np.isfinite(fm.values).all()
+
+
 def test_extract_bit_equal_to_oracle_no_taps():
     for mode in ("during", "between"):
         assert_matches_oracle(grid_session(10, 1000, []), mode).meta["n_events"] == 0
@@ -453,6 +465,19 @@ def test_extract_bit_equal_to_oracle_negative_zero():
     # tap, in a session whose widest window is a 600 ms tap: padding must
     # leave the all -0.0 sums exactly as NumPy returns them
     taps = [make_tap(0, 300, 350), make_tap(1, 1000, 1600)]
+    session = grid_session(10, 2000, taps, seed=2)
+    stream = session.streams[Sensor.ACC]
+    stream.values[(stream.t_ms >= 200) & (stream.t_ms <= 350), 0] = -0.0
+    fm = assert_matches_oracle(session, "during")
+    assert fm.values[0, FEATURE_NAMES.index("acc_x_res1")] == 0.0
+
+
+def test_extract_bit_equal_to_oracle_negative_zero_padded():
+    # as above, but the second tap's widest window (during, 21 rows) is
+    # within twice the first tap's (post, 20 rows), so both share a width
+    # group and the short tap's all -0.0 during window is padded from the
+    # sentinel row (above, the 600 ms tap has a group of its own)
+    taps = [make_tap(0, 300, 350), make_tap(1, 1000, 1200)]
     session = grid_session(10, 2000, taps, seed=2)
     stream = session.streams[Sensor.ACC]
     stream.values[(stream.t_ms >= 200) & (stream.t_ms <= 350), 0] = -0.0
