@@ -5,9 +5,7 @@ from .code import (
     CodeConstructionError,
     CodeParams,
     DecodeFailure,
-    codebook,
     decode,
-    decode_brute,
     encode,
     grs_build,
 )
@@ -44,10 +42,8 @@ __all__ = [
     "OpenFailure",
     "P_LIMIT",
     "assign_d_range",
-    "codebook",
     "commit",
     "decode",
-    "decode_brute",
     "derive_key",
     "derive_tag",
     "ds",

@@ -9,18 +9,17 @@ which makes G a basis of the null space of H^T. The minimum Lee distance
 is at least 2(n-l), so every error of Lee weight up to n-l-1 is uniquely
 correctable.
 
-Two decoders are provided: an exhaustive nearest-codeword search (the
-oracle, feasible for p^l up to about 1e6) and the production decoder built
-from syndrome power sums and one extended-Euclidean pass.
+The decoder is built from syndrome power sums and one extended-Euclidean
+pass; the tests check it against an exhaustive nearest-codeword search.
 
-The production decoder first rejects on the syndrome S_0 = sum e_i: the
-symbols of an error of Lee weight <= tau, each read in (-p/2, p/2), sum to
-within [-tau, tau], so a word with min(S_0, p - S_0) > tau has no codeword
-within the radius and fails after the syndrome product alone (on
-(13,10,29) that is 24 of the 29 values of S_0). A word that passes costs
-O(n^2) field operations: the power-sum series, the Euclidean pass, and per
-candidate pair of locator polynomials one product with the inverse-locator
-power table each, which finds every root at once.
+It first rejects on the syndrome S_0 = sum e_i: the symbols of an error of
+Lee weight <= tau, each read in (-p/2, p/2), sum to within [-tau, tau], so
+a word with min(S_0, p - S_0) > tau has no codeword within the radius and
+fails after the syndrome product alone (on (13,10,29) that is 24 of the 29
+values of S_0). A word that passes costs O(n^2) field operations: the
+power-sum series, the Euclidean pass, and per candidate pair of locator
+polynomials one product with the inverse-locator power table each, which
+finds every root at once.
 """
 
 from __future__ import annotations
@@ -103,39 +102,6 @@ def encode(message, params: CodeParams) -> np.ndarray:
     if message.shape != (params.l,):
         raise ValueError(f"message must have length {params.l}")
     return (message @ params.generator) % params.p
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle decoder
-# ---------------------------------------------------------------------------
-
-_BRUTE_LIMIT = 1_000_000
-_codebook_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def codebook(params: CodeParams) -> np.ndarray:
-    """All p^l codewords, cached per parameter set."""
-    key = (params.n, params.l, params.p)
-    if key not in _codebook_cache:
-        count = params.p ** params.l
-        if count > _BRUTE_LIMIT:
-            raise ValueError(f"codebook of {count} words is too large to enumerate")
-        grids = np.meshgrid(*[np.arange(params.p)] * params.l, indexing="ij")
-        messages = np.stack([g.ravel() for g in grids], axis=1)
-        _codebook_cache[key] = (messages @ params.generator) % params.p
-    return _codebook_cache[key]
-
-
-def decode_brute(word, params: CodeParams) -> np.ndarray:
-    """Nearest codeword within the correction radius by full enumeration."""
-    word = np.asarray(word, dtype=np.int64) % params.p
-    book = codebook(params)
-    diff = (word - book) % params.p
-    dist = np.minimum(diff, params.p - diff).sum(axis=1)
-    best = int(np.argmin(dist))
-    if int(dist[best]) > params.radius:
-        raise DecodeFailure(f"no codeword within Lee radius {params.radius}")
-    return book[best].copy()
 
 
 # ---------------------------------------------------------------------------

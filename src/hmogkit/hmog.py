@@ -11,24 +11,35 @@ computed from four windows relative to the tap interval [t_start, t_end]:
 Channels are the three axes plus the magnitude; sensors are accelerometer,
 gyroscope, magnetometer. 5 * 3 * 4 + 3 * 3 * 4 = 96 features per tap.
 
-Extraction is batched per (session, sensor); Python loops over sensors only:
+Extraction is batched per (session, sensor clock); Python loops over
+clocks, width groups and event chunks only:
 
-- block: the x, y, z columns and the magnitude sqrt(x*x + y*y + z*z) go
-  into one (n + 1, 4) block per sensor whose last row is -0.0, the
-  sentinel row;
+- clocks: sensors whose t_ms arrays are equal share one clock, and every
+  step below runs once per clock. Synthetic streams, downsampled ones
+  included, put acc, gyr and mag on one clock; a recorded sensor on a
+  clock of its own gets a pass of its own;
+- block: for each of the clock's k sensors in turn, the x, y, z columns
+  and the magnitude sqrt(x*x + y*y + z*z) go into one (n + 1, 4k) block
+  whose last row is -0.0, the sentinel row;
 - bounds: each window edge of every event is found by one searchsorted
   over the arrays of event starts and ends;
 - gather: usable events are sorted by their widest window and split into
-  groups whose widest windows lie within a factor of two; per group each
-  of the four windows is one take of (width, events) row indices from the
-  block, width the longest window of its kind in the group, every row
-  outside an event's window pointing at the sentinel row. Padding thus at
-  most doubles the rows an event needs, and one long press does not widen
-  the arrays of short taps. Timestamps are not gathered: the argmax and
-  argmin rows index the stream's t directly;
+  groups whose widest windows lie within a factor of two, so one long
+  press does not widen the arrays of short taps. Each group is taken in
+  chunks of events that keep every padded window array within 256 KiB:
+  larger temporaries are served by fresh mmaps that page-fault on every
+  call, which cost more than the shared pass saves. Per chunk each
+  of the four windows is one take of (width, events) row indices from
+  the block, width the longest window of its kind in the chunk. Before,
+  during and after100 start on row 0, every row past an event's window
+  pointing at the sentinel row, so padding at most doubles the rows an
+  event needs. The post window ends on the last row, the rows before it
+  reading the stream rows there (clipped at row 0). Timestamps are not
+  gathered: the argmax and argmin rows index the stream's t directly;
 - reduce: each window mean, the masked tap maximum with its argmax and each
-  inside mask are computed once per group, and all 8 families x 4 channels
-  come from array operations along the width axis.
+  inside mask are computed once per chunk, and all 8 families x 4k
+  channels come from array operations along the width axis; the result
+  is scattered into each member sensor's cells.
 
 The results are bit-identical to slicing each window out on its own and
 calling NumPy's mean/std/max on it. The magnitude adds the squares left to
@@ -37,7 +48,15 @@ axis, which NumPy adds row by row in the same order as a (k, 4) window's
 mean(axis=0), and the -0.0 padding adds exactly nothing (x + -0.0 == x for
 every x, both zeros included); std is the mean of squared deviations from
 that mean, as NumPy computes it; max and argmax see -inf in the padding,
-the settle-time argmin +inf, so NaN and ties pick the same first index.
+so NaN and ties pick the same first index. The settle time reverses the
+right-aligned post window, so its cumsum starts on the window's last row
+and adds the window's own rows in the same order as a cumsum over the
+reversed window alone; the rows before the window come later and touch no
+window suffix. Each suffix count W - i of the float array W, W-1, ..., 1
+equals the window's own count, so every suffix mean keeps its bits. The
+rows before the window read +inf in the argmin, so NaN and ties pick the
+same first row, and a window of +inf means only falls back on its first
+row.
 """
 
 from __future__ import annotations
@@ -55,6 +74,12 @@ POST_MS = 200              # stability search window after tap end
 CENTER_OFFSET_MS = 50      # window centers sit 50 ms outside the tap
 BETWEEN_BLOCK_MS = 91      # pseudo-tap length between taps
 BETWEEN_GUARD_MS = 300     # quiet margin after/before the surrounding taps
+
+# Bytes of one padded window array, at most: events are taken in chunks
+# that keep it about this size. Larger temporaries are served by fresh
+# mmaps that page-fault on every call, which made 12-column blocks slower
+# than the 4-column ones they replace, and they raise the peak memory.
+_WINDOW_BYTES = 1 << 18
 
 RESISTANCE_FAMILIES = tuple(f"res{i}" for i in range(1, 6))
 STABILITY_FAMILIES = tuple(f"stab{i}" for i in range(1, 4))
@@ -78,8 +103,10 @@ class _Windows(NamedTuple):
     """One kind of window for several events, padded to a common width.
 
     values is (width, events, channels); inside is the (width, events, 1)
-    mask of the rows inside each event's window, whose length is n; the
-    rows outside hold -0.0.
+    mask of the rows inside each event's window, whose length is n. A
+    window gathered by _gather starts on row 0 and the rows after it hold
+    -0.0; one gathered by _gather_tail ends on the last row and the rows
+    before it hold whatever the stream has there.
     """
 
     values: np.ndarray
@@ -96,16 +123,20 @@ class _Windows(NamedTuple):
 
 
 def _settle_index(post: _Windows, avg_before: np.ndarray) -> np.ndarray:
-    """(events, channels) row whose suffix mean of |z - avg_before| is
-    minimal, the earliest on ties.
+    """(events, channels) row of the right-aligned post windows whose suffix
+    mean of |z - avg_before| is minimal, the earliest on ties.
 
-    The suffix sums are a cumsum over the reversed width axis: the padding
-    of shorter windows comes first there and adds nothing.
+    The suffix sums are a cumsum over the reversed width axis, which starts
+    on each window's last row; the rows before a window come after it there
+    and are masked to +inf, and an all +inf window falls back on its
+    first row.
     """
-    diffs = np.where(post.inside, np.abs(post.values - avg_before), 0.0)
+    width = len(post.values)
+    diffs = np.abs(post.values - avg_before)
     suffix = np.cumsum(diffs[::-1], axis=0)[::-1]
-    counts = np.maximum(post.n - np.arange(len(diffs))[:, None], 1)
-    return np.argmin(np.where(post.inside, suffix / counts[..., None], np.inf), axis=0)
+    counts = np.arange(width, 0, -1, dtype=np.float64)[:, None, None]
+    index = np.argmin(np.where(post.inside, suffix / counts, np.inf), axis=0)
+    return np.maximum(index, (width - post.n)[:, None])
 
 
 def _between_bounds(starts: np.ndarray, ends: np.ndarray,
@@ -121,25 +152,55 @@ def _between_bounds(starts: np.ndarray, ends: np.ndarray,
     return block_starts, block_starts + duration_ms
 
 
-def _channel_block(values: np.ndarray) -> np.ndarray:
-    """(n + 1, 4) block with columns x, y, z and magnitude, and a last row
-    of -0.0 that _gather reads for every row outside a window."""
-    n = len(values)
-    block = np.empty((n + 1, len(CHANNELS)))
-    block[:n, :3] = values
-    x, y, z = values.T
-    np.sqrt(x * x + y * y + z * z, out=block[:n, 3])
+def _clock_groups(streams) -> list[tuple[np.ndarray, list[int]]]:
+    """(t_ms, sensor indices) of each distinct clock among the nonempty
+    streams, sensors in SENSOR_ORDER; streams with equal t_ms share one."""
+    groups: list[tuple[np.ndarray, list[int]]] = []
+    for s_idx, sensor in enumerate(SENSOR_ORDER):
+        stream = streams.get(sensor)
+        if stream is None or len(stream) == 0:
+            continue
+        for t, members in groups:
+            if np.array_equal(t, stream.t_ms):
+                members.append(s_idx)
+                break
+        else:
+            groups.append((stream.t_ms, [s_idx]))
+    return groups
+
+
+def _channel_block(*values: np.ndarray) -> np.ndarray:
+    """(n + 1, 4k) block with columns x, y, z and magnitude of each of the
+    k (n, 3) value arrays in turn, and a last row of -0.0 that _gather
+    reads for every row outside a window."""
+    n = len(values[0])
+    block = np.empty((n + 1, len(CHANNELS) * len(values)))
+    for j, sensor_values in enumerate(values):
+        cols = block[:n, len(CHANNELS) * j:len(CHANNELS) * (j + 1)]
+        cols[:, :3] = sensor_values
+        x, y, z = sensor_values.T
+        np.sqrt(x * x + y * y + z * z, out=cols[:, 3])
     block[n] = -0.0
     return block
 
 
 def _gather(chans: np.ndarray, start: np.ndarray, n: np.ndarray) -> _Windows:
-    """Windows chans[start[e]:start[e] + n[e]] of every event e; the rows
-    past n[e] take the -0.0 last row of chans, the exact additive
-    identity."""
+    """Windows chans[start[e]:start[e] + n[e]] of every event e, each
+    starting on row 0; the rows past n[e] take the -0.0 last row of chans,
+    the exact additive identity."""
     offsets = np.arange(n.max())[:, None]
     inside = offsets < n
     rows = np.where(inside, start + offsets, len(chans) - 1)
+    return _Windows(chans.take(rows, axis=0), inside[..., None], n)
+
+
+def _gather_tail(chans: np.ndarray, stop: np.ndarray, n: np.ndarray) -> _Windows:
+    """Windows chans[stop[e] - n[e]:stop[e]] of every event e, each ending
+    on the last row; the first width - n[e] rows take the stream rows
+    before the window, row indices below 0 clipped to 0."""
+    offsets = np.arange(n.max())
+    inside = offsets[:, None] >= len(offsets) - n
+    rows = np.maximum(stop + (offsets - len(offsets))[:, None], 0)
     return _Windows(chans.take(rows, axis=0), inside[..., None], n)
 
 
@@ -170,14 +231,17 @@ def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
     avg100msBefore) and (t_after_center - t_max_in_tap) / (avg100msAfter -
     maxTap); a zero denominator gives NaN for that feature only.
     """
-    before, during, after100, post = (_gather(chans, s, k) for s, k in zip(start, n))
+    before, during, after100 = (_gather(chans, s, k) for s, k in zip(start[:3], n[:3]))
+    stop = start[3] + n[3]
+    post = _gather_tail(chans, stop, n[3])
     avg_before = before.mean()
     avg_tap = during.mean()
     avg_after = after100.mean()
     lifted = np.where(during.inside, during.values, -np.inf)
     max_tap = lifted.max(axis=0)
     t_max_in_tap = t[start[1][:, None] + lifted.argmax(axis=0)]
-    settle = t[start[3][:, None] + _settle_index(post, avg_before)] - t_end[:, None]
+    settle_row = (stop - len(post.values))[:, None] + _settle_index(post, avg_before)
+    settle = t[settle_row] - t_end[:, None]
     t_before_center = (t_start - CENTER_OFFSET_MS)[:, None]
     t_after_center = (t_end + CENTER_OFFSET_MS)[:, None]
     den2 = avg_after - avg_before
@@ -189,31 +253,37 @@ def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
                      max_tap - avg_before, settle.astype(np.float64), s2, s3])
 
 
-def _sensor_blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
-                   t_end: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(usable, blocks): the events whose four windows are all nonempty and
-    whose 300 ms context lies inside this sensor's recording, and their
-    features as a (usable events, 8 families, channels) array; chans is
-    the sensor's padded channel block."""
+def _window_bounds(t: np.ndarray, t_start: np.ndarray,
+                   t_end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(usable, start, n): the events whose four windows are all nonempty
+    and whose 300 ms context lies inside the recording on clock t, and the
+    (4, usable events) row starts and lengths of their windows before,
+    during, after100 and post."""
     b0 = np.searchsorted(t, t_start - BEFORE_MS, side="left")
     d0 = np.searchsorted(t, t_start, side="left")
     a0 = np.searchsorted(t, t_end, side="right")
     a1 = np.searchsorted(t, t_end + AFTER_MS, side="right")
     p1 = np.searchsorted(t, t_end + POST_MS, side="right")
-    # row starts and lengths of before, during, after100 and post; post
-    # contains after100, so it is nonempty whenever after100 is
+    # post contains after100, so it is nonempty whenever after100 is
     start = np.stack([b0, d0, a0, a0])
     n = np.stack([d0 - b0, a0 - d0, a1 - a0, p1 - a0])
     usable = ((t_start - BEFORE_MS >= t[0]) & (t_end + POST_MS <= t[-1])
               & (n[:3] > 0).all(axis=0))
-    if not usable.any():
-        return usable, None
-    t_start, t_end, start, n = t_start[usable], t_end[usable], start[:, usable], n[:, usable]
-    blocks = np.empty((len(t_start), N_FAMILIES, chans.shape[1]))
-    for group in _width_groups(n.max(axis=0)):
-        blocks[group] = _blocks(t, chans, t_start[group], t_end[group],
-                                start[:, group], n[:, group]).transpose(1, 0, 2)
-    return usable, blocks
+    return usable, start[:, usable], n[:, usable]
+
+
+def _chunk_blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
+                  t_end: np.ndarray, start: np.ndarray, n: np.ndarray):
+    """Yield (chunk, features) per width group and event chunk: chunk
+    indexes the events, features is their (8 families, events, channels)
+    array from _blocks."""
+    widest = n.max(axis=0)
+    for group in _width_groups(widest):
+        step = max(1, _WINDOW_BYTES // (int(widest[group].max()) * chans[0].nbytes))
+        for first in range(0, len(group), step):
+            chunk = group[first:first + step]
+            yield chunk, _blocks(t, chans, t_start[chunk], t_end[chunk],
+                                 start[:, chunk], n[:, chunk])
 
 
 def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
@@ -234,15 +304,18 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
 
     cells = np.full((len(starts), N_FAMILIES, len(SENSOR_ORDER), len(CHANNELS)), np.nan)
     any_valid = np.zeros(len(starts), dtype=bool)
-    for s_idx, sensor in enumerate(SENSOR_ORDER):
-        stream = session.streams.get(sensor)
-        if stream is None or len(stream) == 0:
-            continue
-        usable, blocks = _sensor_blocks(stream.t_ms, _channel_block(stream.values),
-                                        starts, ends)
-        if blocks is not None:
-            cells[usable, :, s_idx] = blocks
+    for t, members in _clock_groups(session.streams):
+        usable, start, lengths = _window_bounds(t, starts, ends)
         any_valid |= usable
+        if not usable.any():
+            continue
+        chans = _channel_block(*(session.streams[SENSOR_ORDER[i]].values for i in members))
+        events = np.flatnonzero(usable)
+        for chunk, features in _chunk_blocks(t, chans, starts[events], ends[events],
+                                             start, lengths):
+            features = features.reshape(N_FAMILIES, len(chunk), len(members), len(CHANNELS))
+            for j, s_idx in enumerate(members):
+                cells[events[chunk], :, s_idx] = features[:, :, j].swapaxes(0, 1)
 
     rows = cells.reshape(len(starts), len(FEATURE_NAMES))[any_valid]
     n = len(rows)

@@ -14,13 +14,14 @@ import math
 
 import numpy as np
 
+from hmogkit.bkg.code import DecodeFailure
 from hmogkit.bkg.commitment import OpenFailure, open_commitment
 from hmogkit.bkg.field import inv_mod
 from hmogkit.corpus.types import (
     SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
-    FEATURE_NAMES, POST_MS, _blocks, _gather, _settle_index)
+    FEATURE_NAMES, POST_MS, _blocks, _gather_tail, _settle_index)
 from hmogkit.corpus.synth import (
     _IMPULSE_TAIL_MS, _MIN_TAP_GAP_MS, _SESSION_LEAD_MS, KEY_ALPHABET, _key_hold_offset)
 from hmogkit.matrix import FeatureMatrix
@@ -88,11 +89,10 @@ def eer_searchsorted_oracle(genuine, impostor) -> float:
 
 
 def _single(values):
-    """A (k,) or (k, channels) window as a batch of one event, gathered by
-    hmog from the window's rows followed by a -0.0 row."""
+    """A (k,) or (k, channels) post window as a batch of one event,
+    gathered by hmog's right-aligned take."""
     values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
-    chans = np.concatenate([values, np.full((1, values.shape[1]), -0.0)])
-    return _gather(chans, np.array([0]), np.array([len(values)]))
+    return _gather_tail(values, np.array([len(values)]), np.array([len(values)]))
 
 
 def _one_tap(t_start, t_end, before, during, t_during, after100, t_post,
@@ -196,21 +196,43 @@ def rank_mod_p_oracle(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def codebook_oracle(generator: np.ndarray, p: int) -> list[tuple[int, ...]]:
-    """Every codeword by explicit message enumeration."""
-    l, n = generator.shape
-    words = []
-    for msg in itertools.product(range(p), repeat=l):
-        word = tuple(
-            sum(msg[i] * int(generator[i, j]) for i in range(l)) % p
-            for j in range(n))
-        words.append(word)
-    return words
+_codebooks: dict[tuple[int, tuple[int, ...], bytes], np.ndarray] = {}
 
 
-def min_lee_distance_oracle(codebook: list[tuple[int, ...]], p: int) -> int:
+def codebook_oracle(generator: np.ndarray, p: int) -> np.ndarray:
+    """Every codeword by explicit message enumeration, as a read-only
+    (p^l, n) array in the order of itertools.product over the messages;
+    cached per generator."""
+    generator = np.asarray(generator, dtype=np.int64)
+    key = (p, generator.shape, generator.tobytes())
+    if key not in _codebooks:
+        l, n = generator.shape
+        words = []
+        for msg in itertools.product(range(p), repeat=l):
+            words.append([sum(msg[i] * int(generator[i, j]) for i in range(l)) % p
+                          for j in range(n)])
+        book = np.array(words, dtype=np.int64).reshape(p ** l, n)
+        book.flags.writeable = False
+        _codebooks[key] = book
+    return _codebooks[key]
+
+
+def decode_brute_oracle(word, params) -> np.ndarray:
+    """Nearest codeword within the correction radius by a scan of the full
+    codebook; DecodeFailure when none lies within it."""
+    word = np.asarray(word, dtype=np.int64) % params.p
+    book = codebook_oracle(params.generator, params.p)
+    diff = (word - book) % params.p
+    dist = np.minimum(diff, params.p - diff).sum(axis=1)
+    best = int(np.argmin(dist))
+    if int(dist[best]) > params.radius:
+        raise DecodeFailure(f"no codeword within Lee radius {params.radius}")
+    return book[best].copy()
+
+
+def min_lee_distance_oracle(codebook: np.ndarray, p: int) -> int:
     """Minimum pairwise Lee distance over the full codebook."""
-    arr = np.array(codebook, dtype=np.int64)
+    arr = np.asarray(codebook, dtype=np.int64)
     m = len(arr)
     best = None
     for i in range(m):

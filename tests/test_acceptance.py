@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from hmogkit.bkg.code import DecodeFailure, codebook, decode, decode_brute, grs_build
+from hmogkit.bkg.code import DecodeFailure, decode, grs_build
 from hmogkit.bkg.commitment import Commitment, OpenFailure, commit, open_commitment
 from hmogkit.corpus.types import Condition, Sensor, SensorStream, Session
 from hmogkit.experiments import ExperimentConfig, build_sessions, run_auth, run_bkg, run_rate_sweep
@@ -21,7 +21,9 @@ from hmogkit.hmog import FEATURE_NAMES, extract_hmog
 from hmogkit.touchkeys import TAP_FEATURE_NAMES, digraph_feature_names
 from hmogkit.verify import eer
 
-from oracles import eer_oracle, lee_patterns, min_lee_distance_oracle, t_min_oracle
+from oracles import (
+    codebook_oracle, decode_brute_oracle, eer_oracle, lee_patterns, min_lee_distance_oracle,
+    t_min_oracle)
 from tables import tap_table
 
 DATASET_ENV = "HMOGKIT_DATASET"
@@ -101,7 +103,7 @@ def test_criterion_3_code_distance_and_correction_radius():
         h = np.array(params.parity, dtype=np.int64)
         assert np.all(g @ h.T % p == 0), (n, l, p)
 
-        words = codebook(params)
+        words = codebook_oracle(params.generator, p)
         assert len(words) == CODEBOOK_SIZES[(n, l, p)]
         measured = min_lee_distance_oracle(words, p)
         assert measured >= 2 * (n - l), (n, l, p, measured)
@@ -131,7 +133,7 @@ def test_criterion_4_decoder_agreement_with_bruteforce():
             except DecodeFailure:
                 fast = None
             try:
-                slow = decode_brute(word, params=grs_build(n, l, p))
+                slow = decode_brute_oracle(word, grs_build(n, l, p))
             except DecodeFailure:
                 slow = None
             if fast is None:

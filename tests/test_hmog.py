@@ -12,6 +12,7 @@ from hmogkit.hmog import (
     RESISTANCE_FAMILIES,
     STABILITY_FAMILIES,
     _between_bounds,
+    _clock_groups,
     extract_hmog,
     feature_names_for,
 )
@@ -25,20 +26,25 @@ def make_tap(tap_id, t_start, t_end):
     return (tap_id, t_start, t_end, [t_start, t_end], np.zeros((2, 2)), np.full(2, 0.1))
 
 
-def grid_session(step_ms, total_ms, taps, seed=0, short_mag_ms=None):
-    """All three sensors on one timestamp grid; mag optionally truncated."""
+def clock_session(clocks, taps, seed=0, rate_hz=100.0):
+    """One stream per sensor on the t_ms array clocks[sensor]."""
     rng = np.random.default_rng(seed)
-    t = np.arange(0, total_ms + 1, step_ms, dtype=np.int64)
-    rate = 1000.0 / step_ms
     streams = {}
-    for sensor in SENSOR_ORDER:
-        tt = t
-        if sensor is Sensor.MAG and short_mag_ms is not None:
-            tt = t[t <= short_mag_ms]
-        streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=rate, t_ms=tt,
-                                       values=rng.normal(0, 1, (len(tt), 3)))
+    for sensor, t in clocks.items():
+        t = np.asarray(t, dtype=np.int64)
+        streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=rate_hz, t_ms=t,
+                                       values=rng.normal(0, 1, (len(t), 3)))
     return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
                    streams=streams, taps=tap_table(taps))
+
+
+def grid_session(step_ms, total_ms, taps, seed=0, short_mag_ms=None):
+    """All three sensors on one timestamp grid; mag optionally truncated."""
+    t = np.arange(0, total_ms + 1, step_ms, dtype=np.int64)
+    clocks = {sensor: t for sensor in SENSOR_ORDER}
+    if short_mag_ms is not None:
+        clocks[Sensor.MAG] = t[t <= short_mag_ms]
+    return clock_session(clocks, taps, seed, rate_hz=1000.0 / step_ms)
 
 
 # ---------------------------------------------------------------- names
@@ -483,3 +489,105 @@ def test_extract_bit_equal_to_oracle_negative_zero_padded():
     stream.values[(stream.t_ms >= 200) & (stream.t_ms <= 350), 0] = -0.0
     fm = assert_matches_oracle(session, "during")
     assert fm.values[0, FEATURE_NAMES.index("acc_x_res1")] == 0.0
+
+
+# ---------------------------------------------------------------- sensor clocks
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_bit_equal_to_oracle_mixed_clocks(mode):
+    # acc and gyr share a 10 ms grid and one 8-column pass; mag reads a
+    # 20 ms grid offset by 5 ms and gets a pass of its own
+    grid = np.arange(0, 6001, 10)
+    clocks = {Sensor.ACC: grid, Sensor.GYR: grid.copy(), Sensor.MAG: np.arange(5, 6001, 20)}
+    taps = [make_tap(0, 500, 630), make_tap(1, 1800, 1900),
+            make_tap(2, 3000, 3250), make_tap(3, 4700, 4780)]
+    session = clock_session(clocks, taps, seed=11)
+    assert [members for _, members in _clock_groups(session.streams)] == [[0, 1], [2]]
+    fm = assert_matches_oracle(session, mode)
+    assert fm.n_rows > 0
+    assert np.isfinite(fm.values).all()
+
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_bit_equal_to_oracle_equal_clock_copies(mode):
+    # downsample gives every stream its own copy of the same timestamps;
+    # equal arrays share one pass over a 12-column block
+    session = short_taps_session(20, seed=12)
+    for sensor in SENSOR_ORDER:
+        session.streams[sensor] = downsample(session.streams[sensor], 2)
+    acc, gyr, mag = (session.streams[s].t_ms for s in SENSOR_ORDER)
+    assert acc is not gyr and gyr is not mag
+    assert [members for _, members in _clock_groups(session.streams)] == [[0, 1, 2]]
+    fm = assert_matches_oracle(session, mode)
+    if mode == "during":
+        assert fm.n_rows > 0
+
+
+# ---------------------------------------------------------------- right-aligned post window
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_extract_bit_equal_to_oracle_settle_after_nonfinite_rows():
+    # six samples are missing after the first tap, so its post window (14
+    # rows) is shorter than the second tap's (20) in the same chunk, and it
+    # reads the 6 stream rows before it: the end of the tap, which holds a
+    # NaN (acc x) and a +inf (acc y). A +inf in the first tap's before
+    # window (gyr x) makes every suffix mean of its post window +inf, so
+    # the settle time falls back on the window's first row.
+    t = np.arange(0, 3001, 10)
+    t = t[(t < 1100) | (t > 1150)]
+    taps = [make_tap(0, 900, 1030), make_tap(1, 2000, 2100)]
+    session = clock_session({sensor: t for sensor in SENSOR_ORDER}, taps, seed=13)
+    assert np.count_nonzero((t > 1030) & (t <= 1230)) == 14
+    assert np.count_nonzero((t > 2100) & (t <= 2300)) == 20
+    acc = session.streams[Sensor.ACC].values
+    acc[np.searchsorted(t, 1030), 0] = np.nan
+    acc[np.searchsorted(t, 1020), 1] = np.inf
+    session.streams[Sensor.GYR].values[np.searchsorted(t, 850), 0] = np.inf
+    row = assert_matches_oracle(session, "during").values[0]
+    for name in ("acc_x_stab1", "acc_y_stab1", "acc_z_stab1", "acc_m_stab1"):
+        assert np.isfinite(row[FEATURE_NAMES.index(name)])
+    assert np.isnan(row[FEATURE_NAMES.index("acc_x_res1")])
+    assert row[FEATURE_NAMES.index("acc_y_res1")] == np.inf
+    assert row[FEATURE_NAMES.index("gyr_x_stab1")] == 10.0
+
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_bit_equal_to_oracle_settle_window_clipped_at_row_0(mode):
+    # the first tap's post window is sampled every 2 ms (100 rows) and
+    # starts on row 16; a 1 ms burst after the second tap gives it a
+    # 200-row post window in the same width group, so the first tap's
+    # right-aligned window reaches 84 rows before row 0
+    t = np.concatenate([np.arange(0, 151, 10), np.arange(152, 351, 2),
+                        np.arange(360, 2101, 10), np.arange(2101, 2301, 1),
+                        np.arange(2310, 4001, 10)])
+    taps = [make_tap(0, 100, 150), make_tap(1, 2000, 2100)]
+    session = clock_session({sensor: t for sensor in SENSOR_ORDER}, taps, seed=14)
+    assert np.searchsorted(t, 150, side="right") == 16
+    assert np.count_nonzero((t > 150) & (t <= 350)) == 100
+    assert np.count_nonzero((t > 2100) & (t <= 2300)) == 200
+    fm = assert_matches_oracle(session, mode)
+    if mode == "during":
+        assert fm.n_rows == 2
+        assert np.isfinite(fm.values).all()
+
+
+def test_extract_peak_memory_bounded_by_event_chunks():
+    # events are taken in chunks of bounded size, so apart from the channel
+    # block, which grows with the stream, the peak memory of 1,000 taps
+    # stays close to that of 250
+    import tracemalloc
+
+    def peak_beyond_block(n_taps):
+        taps = [make_tap(i, 500 + 700 * i, 600 + 700 * i) for i in range(n_taps)]
+        session = grid_session(10, 700 * n_taps + 1000, taps, seed=15)
+        block_bytes = (len(session.streams[Sensor.ACC]) + 1) * 3 * len(CHANNELS) * 8
+        tracemalloc.start()
+        try:
+            fm = extract_hmog(session)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.n_rows == n_taps
+        return peak - block_bytes
+
+    assert peak_beyond_block(1000) < 1.5 * peak_beyond_block(250)
