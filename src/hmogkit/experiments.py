@@ -163,6 +163,12 @@ class ExperimentConfig:
             raise ConfigError(f"session_seconds must be positive, got {self.session_seconds}")
         if not math.isfinite(self.session_seconds):
             raise ConfigError(f"session_seconds must be finite, got {self.session_seconds}")
+        if self.session_seconds * 1000 >= 2 ** 63:  # int64 timestamps
+            raise ConfigError(
+                f"session_seconds must be below 2**63 ms, got {self.session_seconds}")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            raise ConfigError(
+                f"separation must be finite and nonnegative, got {self.separation}")
         _check_scan_length("bkg_scan_seconds", self.bkg_scan_seconds)
         if self.latency_min_count < 0:
             raise ConfigError(
@@ -220,11 +226,14 @@ def is_number(value) -> bool:
 
 def _check_scan_length(name: str, scan_s: float) -> None:
     """Scan windows are whole milliseconds wide (``int(scan_s * 1000)``), so
-    a length under 1 ms would make each session one window."""
+    a length under 1 ms would make each session one window, and one of
+    2**63 ms or more would not fit the int64 timestamps."""
     if scan_s <= 0:
         raise ConfigError(f"{name} must be positive, got {scan_s}")
-    if not math.isfinite(scan_s) or int(scan_s * 1000) < 1:
+    if not math.isfinite(scan_s) or scan_s * 1000 < 1:
         raise ConfigError(f"{name} must be finite and at least 0.001 s, got {scan_s}")
+    if scan_s * 1000 >= 2 ** 63:
+        raise ConfigError(f"{name} must be below 2**63 ms, got {scan_s}")
 
 
 def _fits(value, hint) -> bool:

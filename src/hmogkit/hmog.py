@@ -12,7 +12,7 @@ Channels are the three axes plus the magnitude; sensors are accelerometer,
 gyroscope, magnetometer. 5 * 3 * 4 + 3 * 3 * 4 = 96 features per tap.
 
 Extraction is batched per (session, sensor clock); Python loops over
-clocks, width groups and event chunks only:
+clocks and event chunks only:
 
 - clocks: sensors whose t_ms arrays are equal share one clock, and every
   step below runs once per clock. Synthetic streams, downsampled ones
@@ -23,19 +23,19 @@ clocks, width groups and event chunks only:
   whose last row is -0.0, the sentinel row;
 - bounds: each window edge of every event is found by one searchsorted
   over the arrays of event starts and ends;
-- gather: usable events are sorted by their widest window and split into
-  groups whose widest windows lie within a factor of two, so one long
-  press does not widen the arrays of short taps. Each group is taken in
-  chunks of events that keep every padded window array within 256 KiB:
-  larger temporaries are served by fresh mmaps that page-fault on every
-  call, which cost more than the shared pass saves. Per chunk each
-  of the four windows is one take of (width, events) row indices from
-  the block, width the longest window of its kind in the chunk. Before,
+- gather: usable events are sorted by their widest window and cut
+  greedily into chunks that keep every padded window array within
+  256 KiB: larger temporaries are served by fresh mmaps that page-fault
+  on every call. Sorted, at most log2(max / min) chunks span more than a
+  factor of two in width, each padding at most one cap's worth, so one
+  long press does not widen the arrays of short taps. Per chunk each of
+  the four windows is one take of (width, events) row indices from the
+  block, width the longest window of its kind in the chunk. Before,
   during and after100 start on row 0, every row past an event's window
-  pointing at the sentinel row, so padding at most doubles the rows an
-  event needs. The post window ends on the last row, the rows before it
-  reading the stream rows there (clipped at row 0). Timestamps are not
-  gathered: the argmax and argmin rows index the stream's t directly;
+  pointing at the sentinel row; the post window ends on the last row,
+  the rows before it reading the stream rows there (clipped at row 0).
+  Timestamps are not gathered: the argmax and argmin rows index the
+  stream's t directly;
 - reduce: each window mean, the masked tap maximum with its argmax and each
   inside mask are computed once per chunk, and all 8 families x 4k
   channels come from array operations along the width axis; the result
@@ -204,20 +204,6 @@ def _gather_tail(chans: np.ndarray, stop: np.ndarray, n: np.ndarray) -> _Windows
     return _Windows(chans.take(rows, axis=0), inside[..., None], n)
 
 
-def _width_groups(width: np.ndarray) -> list[np.ndarray]:
-    """Indices of the events, sorted by width and split into groups whose
-    widths lie within a factor of two of the group's narrowest; widths are
-    >= 1, so there are at most log2(max / min) + 1 groups."""
-    order = np.argsort(width, kind="stable")
-    sorted_width = width[order]
-    groups, first = [], 0
-    while first < len(order):
-        last = int(np.searchsorted(sorted_width, 2 * sorted_width[first], side="right"))
-        groups.append(order[first:last])
-        first = last
-    return groups
-
-
 def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
             t_end: np.ndarray, start: np.ndarray, n: np.ndarray) -> np.ndarray:
     """(8 families, events, channels) features of each event's windows
@@ -272,18 +258,23 @@ def _window_bounds(t: np.ndarray, t_start: np.ndarray,
     return usable, start[:, usable], n[:, usable]
 
 
-def _chunk_blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
-                  t_end: np.ndarray, start: np.ndarray, n: np.ndarray):
-    """Yield (chunk, features) per width group and event chunk: chunk
-    indexes the events, features is their (8 families, events, channels)
-    array from _blocks."""
-    widest = n.max(axis=0)
-    for group in _width_groups(widest):
-        step = max(1, _WINDOW_BYTES // (int(widest[group].max()) * chans[0].nbytes))
-        for first in range(0, len(group), step):
-            chunk = group[first:first + step]
-            yield chunk, _blocks(t, chans, t_start[chunk], t_end[chunk],
-                                 start[:, chunk], n[:, chunk])
+def _event_chunks(widest: np.ndarray, row_bytes: int) -> list[np.ndarray]:
+    """Indices of the events, sorted by their widest window and cut greedily
+    into chunks whose events x widest window x row_bytes stay within
+    _WINDOW_BYTES, at least one event each. No later event is narrower
+    than a chunk's first, so only the next cap // widest[first] can fit."""
+    order = np.argsort(widest, kind="stable")
+    sorted_widest = widest[order]
+    cap = _WINDOW_BYTES // row_bytes
+    chunks, first = [], 0
+    while first < len(order):
+        ahead = sorted_widest[first:first + max(1, cap // int(sorted_widest[first]))]
+        # events x widest grows with the events taken, so the fits are a prefix
+        fits = np.arange(1, len(ahead) + 1) * ahead <= cap
+        last = first + max(1, np.count_nonzero(fits))
+        chunks.append(order[first:last])
+        first = last
+    return chunks
 
 
 def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
@@ -311,11 +302,13 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
             continue
         chans = _channel_block(*(session.streams[SENSOR_ORDER[i]].values for i in members))
         events = np.flatnonzero(usable)
-        for chunk, features in _chunk_blocks(t, chans, starts[events], ends[events],
-                                             start, lengths):
+        for chunk in _event_chunks(lengths.max(axis=0), chans[0].nbytes):
+            ids = events[chunk]
+            features = _blocks(t, chans, starts[ids], ends[ids],
+                               start[:, chunk], lengths[:, chunk])
             features = features.reshape(N_FAMILIES, len(chunk), len(members), len(CHANNELS))
             for j, s_idx in enumerate(members):
-                cells[events[chunk], :, s_idx] = features[:, :, j].swapaxes(0, 1)
+                cells[ids, :, s_idx] = features[:, :, j].swapaxes(0, 1)
 
     rows = cells.reshape(len(starts), len(FEATURE_NAMES))[any_valid]
     n = len(rows)

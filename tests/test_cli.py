@@ -218,6 +218,21 @@ def malformed_corpora(tmp_path_factory):
      2, "config error: bkg code parameters rejected: need n < p"),
     (["bkg", *SMALL, "--code-length", "13", "--message-length", "8", "--field-prime", "13"],
      None, 2, "config error: bkg code parameters rejected: need n < p"),
+    # scan spans and session lengths are int64 milliseconds
+    (["eval", *SMALL, "--scans", "1e16"], None,
+     2, "config error: scan_seconds must be below 2**63 ms, got 1e+16"),
+    (["eval", *SMALL, "--scans", "1e300"], None,
+     2, "config error: scan_seconds must be below 2**63 ms, got 1e+300"),
+    (["eval", *SMALL, "--scans", "1e308"], None,
+     2, "config error: scan_seconds must be below 2**63 ms, got 1e+308"),
+    (["bkg", *SMALL, "--bkg-scan", "1e308"], None,
+     2, "config error: bkg_scan_seconds must be below 2**63 ms, got 1e+308"),
+    (["synth", *SMALL[:4], "--session-seconds", "1e308", "--corpus-out", "{corpora}/big"], None,
+     2, "config error: session_seconds must be below 2**63 ms, got 1e+308"),
+    (["eval", *SMALL, "--separation", "-1"], None,
+     2, "config error: separation must be finite and nonnegative, got -1.0"),
+    (["eval", *SMALL, "--separation", "inf"], None,
+     2, "config error: separation must be finite and nonnegative, got inf"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):

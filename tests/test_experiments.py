@@ -61,6 +61,12 @@ def test_config_validate_accepts_one_ms_scans():
     ExperimentConfig(scan_seconds=(0.001,), bkg_scan_seconds=0.001).validate()
 
 
+def test_config_validate_accepts_zero_separation_and_longest_spans():
+    # 9.2e18 ms is just below 2**63, the int64 timestamp limit
+    ExperimentConfig(separation=0.0, session_seconds=9.2e15, scan_seconds=(9.2e15,),
+                     bkg_scan_seconds=9.2e15).validate()
+
+
 @pytest.mark.parametrize("overrides", [
     {"channels": ("sonar",)},
     {"channels": ()},
@@ -95,6 +101,11 @@ def test_config_validate_accepts_one_ms_scans():
     {"bkg_scan_seconds": 0.0005},
     {"bkg_scan_seconds": math.inf},
     {"session_seconds": math.inf},
+    {"session_seconds": 1e308},
+    {"scan_seconds": (1e16,)},
+    {"bkg_scan_seconds": 1e308},
+    {"separation": -1.0},
+    {"separation": math.inf},
 ])
 def test_config_validate_rejects(overrides):
     with pytest.raises(ConfigError):

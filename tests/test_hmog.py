@@ -11,8 +11,11 @@ from hmogkit.hmog import (
     FEATURE_NAMES,
     RESISTANCE_FAMILIES,
     STABILITY_FAMILIES,
+    _WINDOW_BYTES,
     _between_bounds,
     _clock_groups,
+    _event_chunks,
+    _window_bounds,
     extract_hmog,
     feature_names_for,
 )
@@ -426,17 +429,22 @@ def test_extract_bit_equal_to_oracle_nan_sample(nan_ms):
         assert np.isfinite(mean_tap) and settle == 10.0
 
 
+def lengths_session(lengths, seed):
+    """Taps of the given ms lengths, 450 ms apart, at 100 Hz."""
+    taps, t0 = [], 500
+    for i, length in enumerate(lengths):
+        taps.append(make_tap(i, t0, t0 + int(length)))
+        t0 += int(length) + 450
+    return grid_session(10, t0 + 500, taps, seed=seed)
+
+
 def short_taps_session(n_taps, press_ms=None, seed=5):
     """n_taps taps of 30-330 ms at 100 Hz, one press_ms press among them."""
     rng = np.random.default_rng(seed)
     lengths = list(rng.integers(30, 340, n_taps))
     if press_ms is not None:
         lengths.insert(n_taps // 2, press_ms)
-    taps, t0 = [], 500
-    for i, length in enumerate(lengths):
-        taps.append(make_tap(i, t0, t0 + int(length)))
-        t0 += int(length) + 450
-    return grid_session(10, t0 + 500, taps, seed=seed)
+    return lengths_session(lengths, seed)
 
 
 @pytest.mark.parametrize("mode", ["during", "between"])
@@ -449,8 +457,8 @@ def test_extract_bit_equal_to_oracle_long_press(mode):
 
 
 def test_extract_long_press_does_not_widen_short_windows():
-    # events are padded only up to their width group, so one 20 s press
-    # adds about its own windows to the peak memory, not 20 s per tap
+    # events are chunked in order of their widest window, so one 20 s
+    # press adds about its own windows to the peak memory, not 20 s per tap
     import tracemalloc
 
     def peak(session):
@@ -479,10 +487,10 @@ def test_extract_bit_equal_to_oracle_negative_zero():
 
 
 def test_extract_bit_equal_to_oracle_negative_zero_padded():
-    # as above, but the second tap's widest window (during, 21 rows) is
-    # within twice the first tap's (post, 20 rows), so both share a width
-    # group and the short tap's all -0.0 during window is padded from the
-    # sentinel row (above, the 600 ms tap has a group of its own)
+    # as above, with a 200 ms second tap whose widest window (during, 21
+    # rows) is close to the first tap's (post, 20 rows): both share a
+    # chunk, and the short tap's all -0.0 during window is padded from the
+    # sentinel row
     taps = [make_tap(0, 300, 350), make_tap(1, 1000, 1200)]
     session = grid_session(10, 2000, taps, seed=2)
     stream = session.streams[Sensor.ACC]
@@ -555,7 +563,7 @@ def test_extract_bit_equal_to_oracle_settle_after_nonfinite_rows():
 def test_extract_bit_equal_to_oracle_settle_window_clipped_at_row_0(mode):
     # the first tap's post window is sampled every 2 ms (100 rows) and
     # starts on row 16; a 1 ms burst after the second tap gives it a
-    # 200-row post window in the same width group, so the first tap's
+    # 200-row post window in the same chunk, so the first tap's
     # right-aligned window reaches 84 rows before row 0
     t = np.concatenate([np.arange(0, 151, 10), np.arange(152, 351, 2),
                         np.arange(360, 2101, 10), np.arange(2101, 2301, 1),
@@ -591,3 +599,50 @@ def test_extract_peak_memory_bounded_by_event_chunks():
         return peak - block_bytes
 
     assert peak_beyond_block(1000) < 1.5 * peak_beyond_block(250)
+
+
+# ---------------------------------------------------------------- event chunks
+
+def check_chunks(widest, row_bytes):
+    """The chunks of _event_chunks: each event once, in width order, each
+    within the cap unless it holds one event, and each as long as it can
+    be."""
+    chunks = _event_chunks(widest, row_bytes)
+    assert sorted(np.concatenate(chunks).tolist()) == list(range(len(widest)))
+    for chunk, after in zip(chunks, chunks[1:]):
+        assert widest[chunk].max() <= widest[after].min()
+        assert (len(chunk) + 1) * widest[after[0]] * row_bytes > _WINDOW_BYTES
+    for chunk in chunks:
+        if len(chunk) > 1:
+            assert len(chunk) * widest[chunk].max() * row_bytes <= _WINDOW_BYTES
+    return chunks
+
+
+def test_event_chunks_skewed_widths():
+    rng = np.random.default_rng(16)
+    widest = rng.permutation(np.repeat([1, 40, 2000], [300, 10, 1]))
+    # 12-column rows: the cap cuts only between widths
+    chunks = check_chunks(widest, 3 * len(CHANNELS) * 8)
+    assert [widest[c].max() for c in chunks] == [1, 40, 2000]
+    # 1 KiB rows, 256 to the cap: it cuts the narrow events too, and the
+    # widest event takes a chunk of its own, over the cap
+    chunks = check_chunks(widest, 1 << 10)
+    assert [len(c) for c in chunks] == [256, 44, 6, 4, 1]
+    # widths spread evenly: the cap cuts chunks of mixed widths
+    check_chunks(rng.integers(1, 300, 500), 3 * len(CHANNELS) * 8)
+
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_bit_equal_to_oracle_chunk_spans_widths(mode):
+    # 30 ms and 340 ms taps and 0.6 s and 1.5 s presses, few enough to share
+    # one chunk whose widest window is over 7 times its narrowest
+    lengths = np.random.default_rng(17).permutation(np.repeat([30, 340, 600, 1500], [6, 6, 2, 2]))
+    session = lengths_session(lengths, seed=17)
+    t = session.streams[Sensor.ACC].t_ms
+    _, _, n = _window_bounds(t, session.taps.t_start_ms, session.taps.t_end_ms)
+    widest = n.max(axis=0)
+    assert any(widest[c].max() > 2 * widest[c].min()
+               for c in _event_chunks(widest, 3 * len(CHANNELS) * 8))
+    fm = assert_matches_oracle(session, mode)
+    if mode == "during":
+        assert fm.n_rows == len(lengths)
