@@ -321,20 +321,22 @@ def session_ordinals(sessions: list[Session]) -> dict[tuple[str, str], int]:
 def extract_channels(sessions: list[Session], channels,
                      config: ExperimentConfig) -> dict[str, FeatureMatrix]:
     """Feature matrices of the given channels in one pass over the sessions;
-    keyhold and digraph share one keystroke_features call per session, and
-    digraph latencies stay long-form events (see latency_outlier_filter)."""
+    tap features come from one call over all of them, keyhold and digraph
+    share one keystroke_features call per session, and digraph latencies
+    stay long-form events (see latency_outlier_filter)."""
     for channel in channels:
         if channel not in CHANNELS:
             raise ConfigError(f"unknown channel {channel!r}")
     parts: dict[str, list[FeatureMatrix]] = {channel: [] for channel in channels}
-    for s in sorted(sessions, key=lambda s: (s.user_id, s.session_id)):
+    ordered = sorted(sessions, key=lambda s: (s.user_id, s.session_id))
+    if "tap" in parts and ordered:
+        parts["tap"].append(tap_features(*ordered))
+    for s in ordered:
         if "hmog" in parts:
             fm = extract_hmog(s, config.mode)
             if tuple(config.sensors) != tuple(x.value for x in Sensor):
                 fm = fm.select_columns(feature_names_for(config.sensors))
             parts["hmog"].append(fm)
-        if "tap" in parts:
-            parts["tap"].append(tap_features(s))
         if "keyhold" in parts or "digraph" in parts:
             for channel, fm in zip(KEYSTROKE_CHANNELS, keystroke_features(s)):
                 if channel in parts:
@@ -674,19 +676,22 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
                            f"features, code length {params.n})")
         return report
 
-    scores = fisher_scores(train_fm)
+    users = train_fm.users()
+    if len(users) < 2:
+        report["error"] = "fewer than two users could enroll"
+        report["enroll_notes"] = []
+        return report
+    try:
+        scores = fisher_scores(train_fm)
+    except PipelineError as exc:
+        report["error"] = str(exc)
+        return report
     order = np.argsort(-scores, kind="stable")[:params.n]
     selected = [train_fm.columns[i] for i in order]
     train_sel = train_fm.select_columns(selected)
     test_sel = test_fm.select_columns(selected)
     pooled = fill_missing(nanmean_columns(train_sel.values), 0.0)
     spec = fit_discretization(train_sel.values, config.bkg_p)
-
-    users = train_sel.users()
-    if len(users) < 2:
-        report["error"] = "fewer than two users could enroll"
-        report["enroll_notes"] = []
-        return report
     root = np.random.SeedSequence([config.seed, 0xB46])
     grids, commitments = [], []
     for user, child in zip(users, root.spawn(len(users))):

@@ -31,6 +31,11 @@ SESSION_STRIDE_MS = 1 << 44
 # equal-frequency bins per feature for mRMR's mutual information
 MRMR_BINS = 10
 
+# fisher_scores copies one user's rows at a time, a chunk of features of at
+# most this many bytes (at least one feature), so its peak does not grow
+# with the training matrix
+_FISHER_BYTES = 1 << 18
+
 
 class PipelineError(ValueError):
     """Bad pipeline input (too few users/vectors, unusable parameters)."""
@@ -66,28 +71,49 @@ def fisher_scores(fm: FeatureMatrix) -> np.ndarray:
     """Between-user variance of per-user means over mean within-user
     variance, per feature. Variances are population form; the denominator
     is floored at SIGMA_FLOOR**2. Features with fewer than two users
-    contributing two finite values each score 0."""
-    users = fm.users()
+    contributing two finite values each score 0.
+
+    Each user's rows are reduced as contiguous (features x rows) chunks of
+    at most _FISHER_BYTES, one user at a time: a contiguous row adds up in
+    the order a 1-D column does, so every moment has the per-column bits."""
+    users, user_of = np.unique(fm.user_ids, return_inverse=True)
     if len(users) < 2:
         raise PipelineError("fisher scores need at least two users")
-    per_user = [fm.for_user(u).values for u in users]
-    if any(len(block) < 2 for block in per_user):
+    counts = np.bincount(user_of)
+    if counts.min() < 2:
         raise PipelineError("fisher scores need at least two vectors per user")
+    order = np.argsort(user_of, kind="stable")
+    ends = np.cumsum(counts)
     d = fm.n_features
+    # (features x users) moments; has[j, k]: user k has two finite values in j
+    means = np.zeros((d, len(users)))
+    variances = np.zeros((d, len(users)))
+    has = np.zeros((d, len(users)), dtype=bool)
+    for k, (start, end) in enumerate(zip(ends - counts, ends)):
+        rows = order[start:end]
+        step = max(1, _FISHER_BYTES // (8 * len(rows)))
+        for a in range(0, d, step):
+            block = np.ascontiguousarray(fm.values[rows, a:a + step].T)
+            dense = np.isfinite(block).all(axis=1)
+            finite = block if dense.all() else block[dense]
+            means[a:a + step, k][dense] = finite.mean(axis=1)
+            variances[a:a + step, k][dense] = finite.var(axis=1)
+            has[a:a + step, k] = dense
+            # a feature with a non-finite cell for this user: its finite cells
+            for j in np.flatnonzero(~dense).tolist():
+                col = block[j][np.isfinite(block[j])]
+                if len(col) >= 2:
+                    means[a + j, k] = col.mean()
+                    variances[a + j, k] = col.var()
+                    has[a + j, k] = True
     scores = np.zeros(d)
-    for j in range(d):
-        means, variances = [], []
-        for block in per_user:
-            col = block[:, j]
-            col = col[np.isfinite(col)]
-            if len(col) < 2:
-                continue
-            means.append(col.mean())
-            variances.append(col.var())
-        if len(means) < 2:
-            continue
-        between = np.var(means)
-        within = np.mean(variances)
+    full = has.all(axis=1)
+    scores[full] = (means[full].var(axis=1)
+                    / np.maximum(variances[full].mean(axis=1), SIGMA_FLOOR ** 2))
+    # features to which only some users contribute
+    for j in np.flatnonzero(~full & (has.sum(axis=1) >= 2)).tolist():
+        between = np.var(means[j, has[j]])
+        within = np.mean(variances[j, has[j]])
         scores[j] = between / max(within, SIGMA_FLOOR ** 2)
     return scores
 

@@ -1,9 +1,11 @@
 """Tap geometry features and keystroke timing features.
 
 Tap features (11): duration, nine contact-size statistics, and the
-point-to-point velocity between consecutive taps. Taps whose contact arrays
-have the same length are reduced together as one (taps, length) array, and
-every row is byte-equal to per-tap NumPy calls on that tap.
+point-to-point velocity between consecutive taps of a session. One call
+takes all the sessions of a side: taps whose contact arrays have the same
+length are reduced together as one (taps, length) array, whichever session
+they come from, and every row is byte-equal to per-tap NumPy calls on that
+tap.
 
 Key features come out in long form: one row per event holding its column
 index and its value (``EVENT_COLUMNS``), labelled with user, session and
@@ -58,19 +60,24 @@ def digraph_feature_names() -> tuple[str, ...]:
     return tuple(f"dig_{a}_{b}" for a in KEY_ALPHABET for b in KEY_ALPHABET)
 
 
-def tap_features(session: Session) -> FeatureMatrix:
-    """One row per tap. The first tap has no velocity (NaN)."""
-    taps = session.taps
-    n = len(taps)
+def tap_features(*sessions: Session) -> FeatureMatrix:
+    """One row per tap of one or more sessions, the rows of each session in
+    the given order. The first tap of each session has no velocity (NaN)."""
+    tables = [s.taps for s in sessions]
+    counts = [len(t) for t in tables]
+    n = sum(counts)
     values = np.empty((n, len(TAP_FEATURE_NAMES)))
-    lengths = np.diff(taps.offsets)
-    values[:, 0] = taps.t_end_ms - taps.t_start_ms
+    t_start = np.concatenate([t.t_start_ms for t in tables])
+    values[:, 0] = np.concatenate([t.t_end_ms for t in tables]) - t_start
+    lengths = np.concatenate([np.diff(t.offsets) for t in tables])
+    first = np.cumsum(lengths) - lengths          # each tap's first sample
+    contact = np.concatenate([t.contact_size for t in tables])
     # each row of a contiguous (taps, length) block is reduced along axis 1
     # in the order a 1-D array of that length is, so equal-length groups
     # keep the per-tap bytes; padding to a common length would not
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
-        block = taps.contact_size[taps.offsets[rows, None] + np.arange(length)]
+        block = contact[first[rows, None] + np.arange(length)]
         values[rows, 1] = block.mean(axis=1)
         values[rows, 2] = np.median(block, axis=1)
         values[rows, 3] = block.std(axis=1)
@@ -78,15 +85,19 @@ def tap_features(session: Session) -> FeatureMatrix:
         values[rows, 7] = block[:, 0]
         values[rows, 8] = block.min(axis=1)
         values[rows, 9] = block.max(axis=1)
-    dx, dy = np.diff(taps.xy_px[taps.offsets[:-1]], axis=0).T
-    values[:1, 10] = np.nan
-    values[1:, 10] = np.hypot(dx, dy) / (np.diff(taps.t_start_ms) / 1000.0)
+    # velocity from the previous tap of the same session only
+    xy = np.concatenate([t.xy_px[t.offsets[:-1]] for t in tables])
+    session = np.repeat(np.arange(len(tables)), counts)
+    later = np.flatnonzero(session[1:] == session[:-1]) + 1
+    dx, dy = (xy[later] - xy[later - 1]).T
+    values[:, 10] = np.nan
+    values[later, 10] = np.hypot(dx, dy) / ((t_start[later] - t_start[later - 1]) / 1000.0)
     return FeatureMatrix(
         TAP_FEATURE_NAMES,
         values,
-        np.full(n, session.user_id, dtype=object),
-        np.full(n, session.session_id, dtype=object),
-        taps.t_start_ms,
+        np.repeat(np.array([s.user_id for s in sessions], dtype=object), counts),
+        np.repeat(np.array([s.session_id for s in sessions], dtype=object), counts),
+        t_start,
     )
 
 

@@ -25,7 +25,7 @@ from hmogkit.hmog import (
 from hmogkit.corpus.synth import (
     _IMPULSE_TAIL_MS, _MIN_TAP_GAP_MS, _SESSION_LEAD_MS, KEY_ALPHABET, _key_hold_offset)
 from hmogkit.matrix import FeatureMatrix
-from hmogkit.pipeline import PipelineError, nanmean_columns
+from hmogkit.pipeline import SIGMA_FLOOR, PipelineError, nanmean_columns
 from hmogkit.touchkeys import (
     HOLD_UNIVERSE, TAP_FEATURE_NAMES, digraph_feature_names)
 from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize
@@ -626,6 +626,38 @@ def search_fusion_weights_oracle(channels, step: float = 0.05):
     if best is None:
         raise VerifyError("no weighting produced a scored decision set")
     return best
+
+
+# ---------------------------------------------------------------------------
+# fisher scores, one feature and one user at a time
+# ---------------------------------------------------------------------------
+
+def fisher_scores_oracle(fm: FeatureMatrix) -> np.ndarray:
+    """fisher_scores by a loop over features and, in each, over users: the
+    finite cells of one user's column as a 1-D array, two at least."""
+    users = fm.users()
+    if len(users) < 2:
+        raise PipelineError("fisher scores need at least two users")
+    per_user = [fm.for_user(u).values for u in users]
+    if any(len(block) < 2 for block in per_user):
+        raise PipelineError("fisher scores need at least two vectors per user")
+    d = fm.n_features
+    scores = np.zeros(d)
+    for j in range(d):
+        means, variances = [], []
+        for block in per_user:
+            col = block[:, j]
+            col = col[np.isfinite(col)]
+            if len(col) < 2:
+                continue
+            means.append(col.mean())
+            variances.append(col.var())
+        if len(means) < 2:
+            continue
+        between = np.var(means)
+        within = np.mean(variances)
+        scores[j] = between / max(within, SIGMA_FLOOR ** 2)
+    return scores
 
 
 # ---------------------------------------------------------------------------

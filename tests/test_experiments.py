@@ -34,7 +34,9 @@ from hmogkit.touchkeys import (
     latency_outlier_filter,
     widen,
 )
+from hmogkit.table import read_rows
 from oracles import digraph_events, lee_weight_oracle, open_table_oracle
+from tables import tap_rows, tap_table
 
 
 def bare_session(user, session_id):
@@ -509,6 +511,31 @@ def test_run_bkg_users_without_probes(monkeypatch, close_sessions):
     alone = [s for s in sessions if s.user_id == "u01" or s.session_id != "s03"]
     with pytest.raises(InfeasibleError, match="hmog: fewer than two users have probe"):
         run_bkg(auth_config(**BKG_WIDE), alone)
+
+
+def test_run_bkg_channel_without_fisher_scores_reports_error(mini_sessions, tmp_path):
+    # u01 keeps one training tap: its tap matrix has a single row, so the
+    # tap channel has no fisher scores, while keyhold still reports
+    def cut(s):
+        if s.user_id != "u01" or s.session_id == "s03":
+            return s
+        keep = 1 if s.session_id == "s01" else 0
+        return dataclasses.replace(s, taps=tap_table(list(tap_rows(s.taps))[:keep]))
+
+    sessions = [cut(s) for s in mini_sessions]
+    config = auth_config(**BKG_WIDE, bkg_channels=("tap", "keyhold"), out_dir=str(tmp_path))
+    reports = run_bkg(config, sessions)["channels"]
+    assert reports["tap"]["error"] == "fisher scores need at least two vectors per user"
+    assert "error" not in reports["keyhold"] and reports["keyhold"]["n_genuine"] > 0
+    rows = [fields for _, fields in read_rows(tmp_path / "bkg.csv")]
+    assert [row[0] for row in rows] == ["channel", "tap", "keyhold"]
+    assert rows[1][-1] == reports["tap"]["error"]
+    assert rows[2][-1] in ("yes", "no")
+    # with one user left the check ahead of the scores reports it
+    alone = [s for s in sessions if s.user_id == "u02"]
+    with pytest.raises(InfeasibleError, match="tap: fewer than two users could enroll; "
+                                              "keyhold: fewer than two users could enroll"):
+        run_bkg(config, alone)
 
 
 @pytest.mark.parametrize("n, l, p", [(13, 10, 29), (7, 2, 11), (6, 1, 7), (3, 1, 5)])

@@ -1,6 +1,7 @@
 """Selection, PCA, templates, scan aggregation, template serialization."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmogkit import pipeline
-from hmogkit.experiments import CHANNELS, ExperimentConfig, extract_channels, session_ordinals
+from hmogkit.corpus.synth import make_corpus, make_profiles
+from hmogkit.experiments import (
+    CHANNELS, ExperimentConfig, extract_channels, session_ordinals, training_sessions)
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import (
     MIN_TEMPLATE_VECTORS,
@@ -28,7 +31,7 @@ from hmogkit.pipeline import (
     select_by_fisher,
 )
 from hmogkit.touchkeys import digraph_feature_names, widen
-from oracles import scan_aggregate_oracle
+from oracles import fisher_scores_oracle, scan_aggregate_oracle
 
 
 def fm_of(values, users, sessions=None, t=None, columns=None):
@@ -94,6 +97,93 @@ def test_fisher_scores_input_errors():
         fisher_scores(fm_of([[1.0], [2.0]], ["A", "A"]))
     with pytest.raises(PipelineError, match="two vectors"):
         fisher_scores(fm_of([[1.0], [2.0], [3.0]], ["A", "A", "B"]))
+
+
+def assert_fisher_matches_oracle(fm):
+    got = fisher_scores(fm)
+    assert got.tobytes() == fisher_scores_oracle(fm).tobytes()
+    return got
+
+
+# the benchmark's workloads: users drawn with seed 7, recordings with seed 0
+WORKLOADS = {
+    "auth": dict(n_users=3),
+    "sweep": dict(n_users=2),
+    "keygen": dict(n_users=12, session_seconds=60.0, bkg_scan_seconds=2.0),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_fisher_scores_bit_equal_to_oracle_workloads(workload):
+    config = ExperimentConfig(seed=0, **WORKLOADS[workload])
+    profiles = make_profiles(config.n_users, config.condition, 7, sessions=config.sessions,
+                             session_seconds=config.session_seconds)
+    train = training_sessions(make_corpus(profiles, config.seed))
+    fm = extract_channels(train, ("hmog",), config)["hmog"]
+    assert fm.n_rows > 1000 and fm.n_features == 96
+    assert np.all(assert_fisher_matches_oracle(fm) > 0)
+
+
+def test_fisher_scores_bit_equal_to_oracle_special_columns():
+    rng = np.random.default_rng(24)
+    users = np.repeat(["u3", "u1", "u4", "u2"], 40)
+    values = rng.normal(0.0, 1.0, (160, 8)) + rng.normal(0.0, 3.0, 4).repeat(40)[:, None]
+    # NaN and +-inf cells spread over column 0
+    values[rng.choice(160, 30, replace=False), 0] = np.nan
+    values[rng.choice(160, 5, replace=False), 0] = np.inf
+    values[rng.choice(160, 5, replace=False), 0] = -np.inf
+    # one user with a single finite value: three users contribute
+    values[users == "u1", 1] = np.nan
+    values[np.flatnonzero(users == "u1")[7], 1] = 2.5
+    # one user with exactly two finite values, the fewest that contribute
+    values[np.flatnonzero(users == "u3")[2:], 6] = np.nan
+    values[np.flatnonzero(users == "u3")[0], 6] = 40.0
+    # one user contributes: score 0
+    values[users != "u2", 2] = np.nan
+    # constant everywhere: 0 / floor
+    values[:, 3] = 4.0
+    # constant per user: between variance over the floored within variance
+    values[:, 4] = (users == "u4") * 1.5
+    # no finite cell at all
+    values[:, 5] = np.nan
+    # rows shuffled, so each user's rows are scattered
+    order = rng.permutation(160)
+    scores = assert_fisher_matches_oracle(fm_of(values[order], users[order]))
+    assert np.isfinite(scores[0]) and scores[0] > 0
+    assert scores[1] > 0
+    assert scores[2] == scores[3] == scores[5] == 0.0
+    assert scores[4] == np.var([0.0, 0.0, 1.5, 0.0]) / SIGMA_FLOOR ** 2
+
+
+def test_fisher_scores_bit_equal_to_oracle_chunks():
+    rng = np.random.default_rng(5)
+    # 2,000 rows a user: a chunk holds 16 of the 40 features
+    users = rng.choice(["a", "b", "c"], 6000)
+    values = rng.normal(0.0, 1.0, (6000, 40)) * rng.uniform(0.5, 2.0, 40)
+    values[rng.choice(6000, 50), rng.choice(40, 50)] = np.nan
+    assert 8 * np.bincount(np.unique(users, return_inverse=True)[1]).min() * 40 \
+        > 2 * pipeline._FISHER_BYTES
+    assert_fisher_matches_oracle(fm_of(values, users))
+    # one feature of one user is wider than the cap: one feature a chunk
+    users = np.repeat(["a", "b"], 40000)
+    values = rng.normal(0.0, 1.0, (80000, 3)) + (users == "b")[:, None]
+    values[::1000, 1] = np.nan
+    assert 8 * 40000 > pipeline._FISHER_BYTES
+    assert_fisher_matches_oracle(fm_of(values, users))
+
+
+def test_fisher_scores_peak_memory_within_matrix_bytes():
+    rng = np.random.default_rng(8)
+    fm = fm_of(rng.normal(0.0, 1.0, (2000, 96)), np.repeat(["a", "b", "c", "d"], 500))
+    fisher_scores(fm)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fisher_scores(fm)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= fm.values.nbytes
 
 
 def test_select_by_fisher_prefix():

@@ -116,8 +116,8 @@ def test_tap_velocity_uses_start_to_start_time():
     assert_allclose(fm.values[1][-1], 100.0 / 0.5)
 
 
-def tap_session(taps):
-    return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
+def tap_session(taps, user="u1", session_id="s01"):
+    return Session(user_id=user, session_id=session_id, condition=Condition.SITTING,
                    streams={}, taps=tap_table(taps))
 
 
@@ -178,6 +178,58 @@ def test_tap_features_bit_equal_to_oracle_mixed_lengths():
         t += 10 * k + int(rng.integers(50, 400))
     assert lengths != sorted(lengths)
     assert_taps_match_oracle(tap_session(taps))
+
+
+def assert_sessions_match_one_by_one(sessions):
+    got = tap_features(*sessions)
+    assert_same_matrix(got, FeatureMatrix.vstack([tap_features(s) for s in sessions]))
+    return got
+
+
+def taps_of(lengths, rng, t0=0):
+    taps, t = [], t0
+    for i, k in enumerate(lengths):
+        taps.append(make_tap(i, t, t + 10 * k, rng.uniform(0.1, 0.9, size=k),
+                             first_xy=rng.uniform(0.0, 1000.0, 2)))
+        t += 10 * k + int(rng.integers(50, 400))
+    return taps
+
+
+def test_tap_features_sessions_equal_one_by_one_synthetic(mini_sessions):
+    fm = assert_sessions_match_one_by_one(mini_sessions)
+    # every session's first tap, and only those, has no velocity
+    first = np.r_[True, fm.session_ids[1:] != fm.session_ids[:-1]] | \
+        np.r_[True, fm.user_ids[1:] != fm.user_ids[:-1]]
+    assert np.array_equal(np.isnan(fm.values[:, -1]), first)
+
+
+@pytest.mark.parametrize("empty_at", [0, 1, 2])
+def test_tap_features_sessions_equal_one_by_one_empty_session(empty_at):
+    rng = np.random.default_rng(20 + empty_at)
+    sessions = [tap_session(taps_of([12, 15, 12, 9], rng), "u1", f"s0{i}")
+                for i in range(2)]
+    sessions.insert(empty_at, tap_session([], "u2", "s09"))
+    fm = assert_sessions_match_one_by_one(sessions)
+    assert fm.n_rows == 8 and np.isnan(fm.values[[0, 4], -1]).all()
+
+
+def test_tap_features_sessions_equal_one_by_one_one_tap_sessions():
+    rng = np.random.default_rng(6)
+    sessions = [tap_session(taps_of([int(k)], rng, t0=1000), f"u{i % 2}", f"s0{i}")
+                for i, k in enumerate(rng.integers(1, 5, 5))]
+    fm = assert_sessions_match_one_by_one(sessions)
+    assert fm.n_rows == 5 and np.isnan(fm.values[:, -1]).all()
+    assert_sessions_match_one_by_one(sessions[:1])
+
+
+def test_tap_features_sessions_equal_one_by_one_lengths_span_sessions():
+    # each contact length occurs in several sessions, in shuffled order,
+    # and the sessions restart their clocks at 0
+    rng = np.random.default_rng(13)
+    sessions = [tap_session(taps_of(rng.permutation([1, 3, 3, 14, 14, 14, 30, 3000]), rng),
+                            "u1" if i < 2 else "u2", f"s0{i}")
+                for i in range(4)]
+    assert_sessions_match_one_by_one(sessions)
 
 
 # ---------------------------------------------------------------- keystrokes
