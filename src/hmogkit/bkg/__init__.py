@@ -10,7 +10,6 @@ from .code import (
     grs_build,
 )
 from .commitment import (
-    DEFAULT_CONTEXT,
     P_LIMIT,
     Commitment,
     DiscretizationSpec,
@@ -32,7 +31,6 @@ from .field import (
 from .guessing import GuessingReport, guessing_distance
 
 __all__ = [
-    "DEFAULT_CONTEXT",
     "CodeConstructionError",
     "CodeParams",
     "Commitment",

@@ -28,9 +28,6 @@ _LABEL_TAG = b"\x01"
 # p < P_LIMIT: every codeword coordinate is hashed as two big-endian bytes
 P_LIMIT = 1 << 16
 
-# context string when no second authentication factor is supplied
-DEFAULT_CONTEXT = "hmogkit-bkg-1"
-
 
 class OpenFailure(Exception):
     """The probe or the password was rejected; no detail on purpose."""
@@ -146,14 +143,13 @@ def _check_grid(x, params: CodeParams) -> np.ndarray:
     return x
 
 
-def commit(x, z: str | None = None, *, params: CodeParams,
+def commit(x, z: str, *, params: CodeParams,
            rng: np.random.Generator) -> tuple[Commitment, bytes]:
-    """Bind a discretized vector x and context z to a fresh random key.
+    """Bind a discretized vector x and password z to a fresh random key.
 
     Returns the public commitment (offset + tag) and the secret key.
     """
     x = _check_grid(x, params)
-    z = DEFAULT_CONTEXT if z is None else z
     message = rng.integers(0, params.p, size=params.l)
     codeword = encode(message, params)
     delta = (x - codeword) % params.p
@@ -163,7 +159,7 @@ def commit(x, z: str | None = None, *, params: CodeParams,
                       delta=delta, tag=tag), key
 
 
-def open_commitment(commitment: Commitment, y, z: str | None = None, *,
+def open_commitment(commitment: Commitment, y, z: str, *,
                     params: CodeParams) -> bytes:
     """Recover the key from a discretized probe, or raise OpenFailure.
 
@@ -173,7 +169,6 @@ def open_commitment(commitment: Commitment, y, z: str | None = None, *,
                                           commitment.params_p):
         raise ValueError("commitment was made under different code parameters")
     y = _check_grid(y, params)
-    z = DEFAULT_CONTEXT if z is None else z
     shifted = (y - commitment.delta) % params.p
     try:
         codeword = decode(shifted, params)

@@ -1,9 +1,11 @@
-"""Command line entry points.
+"""Command line entry points, which parse and print: apart from ingest and
+synth, each subcommand calls one of the seven runners in
+hmogkit.experiments, and that runner writes every output file.
 
-Every subcommand uses long-form flags only.  A JSON config file passed via
-``--config`` holds experiment-field overrides that take precedence over
-flags; flags in turn override built-in defaults.  Exit codes: 0 success,
-2 configuration error, 3 data error, 4 infeasible experiment.
+Flags are long-form only. A JSON config file passed via ``--config`` holds
+experiment-field overrides that take precedence over flags; flags in turn
+override built-in defaults. Exit codes: 0 success, 2 configuration error,
+3 data error, 4 infeasible experiment.
 """
 
 from __future__ import annotations
@@ -14,38 +16,28 @@ import json
 import math
 import os
 import sys
-import typing
 from pathlib import Path
 
 from .corpus.io import ParseError, id_problem, load_mapping, parse_session, save_corpus
 from .corpus.types import Condition, CorpusError
 from .experiments import (
-    _FIELD_TYPES,
     CHANNELS,
     OUT_DIR_ENV,
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
-    _channel_matrices,
-    _enroll_channel,
-    _ensure_out,
-    _fuse,
-    _stamp,
-    _write_json,
-    _write_scores,
     build_sessions,
-    check_fusion_weights,
-    extract_channels,
     is_number,
     run_auth,
     run_between,
     run_bkg,
+    run_extract,
+    run_fuse,
     run_rate_sweep,
-    training_sessions,
+    run_train,
 )
-from .pipeline import PipelineError, save_templates
-from .touchkeys import digraph_feature_names, widen
-from .verify import ScoreSet, VerifyError
+from .pipeline import PipelineError
+from .verify import VerifyError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,8 +45,6 @@ EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-_TUPLE_FIELDS = {name for name, hint in _FIELD_TYPES.items()
-                 if typing.get_origin(hint) is tuple}
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +58,14 @@ def _csv_str(text: str) -> tuple[str, ...]:
     return items
 
 
-def _csv_float(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in _csv_str(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _csv_int(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in _csv_str(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _weight(value) -> float:
-    """A fusion weight as a float; -0 reads as 0.0, so it echoes and hashes
-    as 0 does."""
-    return float(value) + 0.0
+def _csv_of(cast):
+    """A flag type reading a comma list of cast values as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(part) for part in _csv_str(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _weights(text: str) -> dict[str, float]:
@@ -96,7 +76,7 @@ def _weights(text: str) -> dict[str, float]:
             raise argparse.ArgumentTypeError(
                 f"expected name=value, got {part!r}")
         try:
-            out[name.strip()] = _weight(value)
+            out[name.strip()] = float(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return out
@@ -140,12 +120,15 @@ def _add_feature_flags(sp: argparse.ArgumentParser) -> None:
                     help="minimum finite latencies to keep a digraph column")
 
 
-def _add_eval_flags(sp: argparse.ArgumentParser) -> None:
+def _add_run_flags(sp: argparse.ArgumentParser) -> None:
+    """The corpus, feature, evaluation and fusion flags of a run."""
+    _add_corpus_flags(sp)
+    _add_feature_flags(sp)
     sp.add_argument("--channels", dest="channels", type=_csv_str,
                     help="comma list of channels (hmog,tap,keyhold,digraph)")
     sp.add_argument("--metric", dest="metric",
                     help="distance metric: sm or se")
-    sp.add_argument("--scans", dest="scan_seconds", type=_csv_float,
+    sp.add_argument("--scans", dest="scan_seconds", type=_csv_of(float),
                     help="comma list of scan lengths in seconds")
     sp.add_argument("--selector", dest="selector",
                     help="feature selector: fisher, mrmr, or none")
@@ -194,28 +177,15 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _coerce_field(name: str, value):
-    if name in _TUPLE_FIELDS and isinstance(value, list):
-        return tuple(value)
-    if name == "fusion_weights" and value is not None:
-        if not isinstance(value, dict):
-            raise ConfigError("fusion_weights must be an object")
-        # anything not a number is left for validate to reject
-        return {str(k): _weight(v) if is_number(v) else v
-                for k, v in value.items()}
-    return value
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, overridden by flags, overridden by the --config file."""
     overrides = {k: v for k, v in vars(args).items()
                  if k in _CONFIG_FIELDS and v is not None}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in _load_config_file(config_path).items():
+    if args.config:
+        for key, value in _load_config_file(args.config).items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"unknown config field {key!r}")
-            overrides[key] = _coerce_field(key, value)
+            overrides[key] = value
     # "none" on the command line or in the file means no selector at all;
     # a bare None would be eaten by the flag filter above.
     if overrides.get("selector") == "none":
@@ -302,13 +272,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.corpus_dir is None:
         raise ConfigError("extract needs --corpus")
-    # one channel and no fusion: eval's fusion weights name other channels
-    config = dataclasses.replace(config, channels=(args.channel,), fusion_weights=None)
-    sessions = build_sessions(config)
-    fm = extract_channels(sessions, (args.channel,), config)[args.channel]
-    if args.channel == "digraph":
-        fm = widen(fm, digraph_feature_names())
-    fm.write_csv(args.features_out, _stamp(config))
+    fm = run_extract(config, args.channel, args.features_out)
     print(f"{args.channel}: {fm.n_rows} rows x {fm.n_features} features"
           f" -> {args.features_out}")
     return EXIT_OK
@@ -318,26 +282,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.corpus_dir is None:
         raise ConfigError("train needs --corpus")
-    # one channel and no fusion: eval's fusion weights name other channels
-    config = dataclasses.replace(config, channels=(args.channel,), fusion_weights=None)
-    sessions = build_sessions(config)
-    train_fm, _ = _channel_matrices(training_sessions(sessions), [], (args.channel,),
-                                    config)[args.channel]
-    templates, failures = _enroll_channel(args.channel, train_fm, config)
+    templates, failures = run_train(config, args.channel, args.templates_out)
     for failure in failures:
-        print(f"skipped {failure['user_id']}: {failure['reason']}",
-              file=sys.stderr)
+        print(f"skipped {failure['user_id']}: {failure['reason']}", file=sys.stderr)
     if not templates:
         raise InfeasibleError("no user met the enrollment floor")
-    save_templates(args.templates_out, templates,
-                   params_echo={"channel": args.channel,
-                                "config_hash": config.config_hash(),
-                                "seed": config.seed})
     print(f"enrolled {len(templates)} users -> {args.templates_out}")
     return EXIT_OK
 
 
-def _print_auth(bundle: dict) -> None:
+def cmd_eval(args: argparse.Namespace) -> int:
+    bundle = run_auth(build_config(args))
     for scan_key in sorted(bundle["scans"], key=float):
         entry = bundle["scans"][scan_key]
         for channel in sorted(entry["channels"]):
@@ -347,11 +302,6 @@ def _print_auth(bundle: dict) -> None:
         fused = entry["fused"]
         print(f"scan {scan_key}s  fused    eer={fused['eer']:.4f}"
               f"  weights={json.dumps(fused['weights'], sort_keys=True)}")
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    bundle = run_auth(build_config(args))
-    _print_auth(bundle)
     return EXIT_OK
 
 
@@ -396,36 +346,24 @@ def cmd_bkg(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fuse(args: argparse.Namespace) -> int:
-    # fuse weights name score files rather than experiment channels, so
-    # they stay out of the config and its channel validation
-    fixed = args.fusion_weights
-    args.fusion_weights = None
-    config = build_config(args)
-    if fixed is not None:
-        check_fusion_weights(fixed)
-    channels: dict[str, ScoreSet] = {}
-    for item in args.scores or []:
+def _score_paths(items):
+    """(name, path) of each --scores item, parsed only as run_fuse reads
+    them, so that it checks the weights first."""
+    for item in items:
         name, sep, path = item.partition("=")
         if not sep:
             raise ConfigError(f"--scores expects name=path, got {item!r}")
-        channels[name.strip()] = ScoreSet.read_csv(path)
-    if len(channels) < 2:
-        raise ConfigError("fuse needs at least two --scores channels")
-    weights, fused, value = _fuse(channels, fixed, config.fusion_step)
-    out = _ensure_out(config)
-    if out is not None:
-        _write_scores(out, "fused", fused, _stamp(config))
-        _write_json(out / "fusion.json", {
-            "config_hash": config.config_hash(),
-            "seed": config.seed,
-            "eer": value,
-            "weights": weights,
-            "n_genuine": len(fused.genuine),
-            "n_impostor": len(fused.impostor),
-        })
-    print(f"fused eer={value:.4f}"
-          f"  weights={json.dumps(weights, sort_keys=True)}")
+        yield name.strip(), path
+
+
+def cmd_fuse(args: argparse.Namespace) -> int:
+    # fuse weights name score files rather than experiment channels, so
+    # they stay out of the config and its channel validation
+    weights = args.fusion_weights
+    args.fusion_weights = None
+    report = run_fuse(build_config(args), _score_paths(args.scores or []), weights)
+    print(f"fused eer={report['eer']:.4f}"
+          f"  weights={json.dumps(report['weights'], sort_keys=True)}")
     return EXIT_OK
 
 
@@ -466,9 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("train", help="enroll templates from training sessions")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_eval_flags(p)
+    _add_run_flags(p)
     _add_common_flags(p)
     p.add_argument("--channel", default="hmog", choices=CHANNELS)
     p.add_argument("--templates-out", required=True,
@@ -476,9 +412,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("eval", help="verification experiment with fusion")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_eval_flags(p)
+    _add_run_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_eval)
 
@@ -490,26 +424,20 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_fuse)
 
     p = sub.add_parser("bkg", help="key-generation experiment")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_eval_flags(p)
+    _add_run_flags(p)
     _add_bkg_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_bkg)
 
     p = sub.add_parser("sweep", help="sample-rate sweep on the hmog channel")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_eval_flags(p)
+    _add_run_flags(p)
     _add_common_flags(p)
-    p.add_argument("--factors", dest="downsample_factors", type=_csv_int,
+    p.add_argument("--factors", dest="downsample_factors", type=_csv_of(int),
                    help="comma list of downsample factors, e.g. 1,2,6,20")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("between", help="during-tap vs between-tap comparison")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_eval_flags(p)
+    _add_run_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_between)
 

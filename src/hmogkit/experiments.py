@@ -1,15 +1,18 @@
-"""End-to-end experiment runners behind the command line.
+"""End-to-end runners behind the command line.
 
-Every runner is a pure function of (config, corpus): templates come from
-each user's first two sessions, scores from the remaining ones, and all
-randomness descends from the master seed, so reruns are byte-identical.
+Every file a run writes comes from one of seven runners: run_extract,
+run_train, run_fuse, and the four experiments run_auth, run_between,
+run_rate_sweep and run_bkg. Each is a pure function of its inputs:
+templates come from each user's first two sessions, scores from the
+remaining ones, and all randomness descends from the master seed, so
+reruns are byte-identical.
 
-A config checks itself when it is built, so every ExperimentConfig a
-runner sees is valid. The four runners share one skeleton. _split splits
-the corpus; test vectors are scored per scan window
-(pipeline.scan_aggregate, keyed by the test sessions' ordinals); every
-per-scan result is an {eer, n_genuine, n_impostor} cell from _cell; and
-_finish stamps the bundle with the config, its hash and the seed and
+A config gives each value one form and checks itself when it is built, so
+every ExperimentConfig a runner sees is valid. The four experiments share
+one skeleton. _split splits the corpus; test vectors are scored per scan
+window (pipeline.scan_aggregate, keyed by the test sessions' ordinals);
+every per-scan result is an {eer, n_genuine, n_impostor} cell from _cell;
+and _finish stamps the bundle with the config, its hash and the seed and
 writes the CSV tables and summary.json. Output files carry the config hash
 and seed in comment lines.
 """
@@ -60,11 +63,13 @@ from .pipeline import (
     fisher_scores,
     fit_feature_prep,
     nanmean_columns,
+    save_templates,
     scan_aggregate,
 )
 from .table import write_table
 from .touchkeys import (
     EVENT_COLUMNS,
+    digraph_feature_names,
     hold_feature_names,
     keystroke_features,
     latency_outlier_filter,
@@ -119,6 +124,17 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # one form per value: a list becomes a tuple, and a numeric fusion
+        # weight a float with -0 read as 0, so it echoes and hashes as 0 does
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list) and typing.get_origin(_FIELD_TYPES[f.name]) is tuple:
+                object.__setattr__(self, f.name, tuple(value))
+        if self.fusion_weights is not None:
+            if not isinstance(self.fusion_weights, dict):
+                raise ConfigError("fusion_weights must be an object")
+            object.__setattr__(self, "fusion_weights", {  # validate rejects the rest
+                k: float(w) + 0.0 if is_number(w) else w for k, w in self.fusion_weights.items()})
         # every instance is checked, dataclasses.replace's included
         self.validate()
 
@@ -169,6 +185,15 @@ class ExperimentConfig:
         if not (math.isfinite(self.separation) and self.separation >= 0):
             raise ConfigError(
                 f"separation must be finite and nonnegative, got {self.separation}")
+        if self.tap_rate_hz is not None and not 0 <= self.tap_rate_hz < math.inf:
+            raise ConfigError(
+                f"tap_rate_hz must be finite and nonnegative, got {self.tap_rate_hz}")
+        if self.latency_max_ms <= 0:  # inf is no cap
+            raise ConfigError(f"latency_max_ms must be positive, got {self.latency_max_ms}")
+        if not math.isfinite(self.selector_value):
+            raise ConfigError(f"selector_value must be finite, got {self.selector_value}")
+        if self.selector == "fisher" and self.selector_value <= 0:
+            raise ConfigError(f"fisher selector_value must be positive, got {self.selector_value}")
         _check_scan_length("bkg_scan_seconds", self.bkg_scan_seconds)
         if self.latency_min_count < 0:
             raise ConfigError(
@@ -238,13 +263,12 @@ def _check_scan_length(name: str, scan_s: float) -> None:
 
 def _fits(value, hint) -> bool:
     """Whether a config value has its field's annotated type. An integer
-    fits a float field and a list a tuple field; a bool fits no number, and
-    NaN no float."""
+    fits a float field; a bool fits no number, and NaN no float."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is types.UnionType:
         return any(_fits(value, arg) for arg in args)
     if typing.get_origin(hint) is tuple:
-        return isinstance(value, (tuple, list)) and all(_fits(v, args[0]) for v in value)
+        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
     if hint is float:
         return is_number(value) and not math.isnan(value)
     if hint is int:
@@ -425,10 +449,10 @@ def _scan_eval(channel_data, ordinals, scan_s: float, config: ExperimentConfig):
 
 def _fuse(per_channel: dict[str, verify.ScoreSet], weights: dict | None, step: float):
     """(weights, fused ScoreSet, eer): the fixed weights when given (a channel
-    they omit weighs 0), else the grid search's best."""
+    they omit weighs 0, and -0 reads as 0), else the grid search's best."""
     if weights is None:
         return verify.search_fusion_weights(per_channel, step)
-    weights = {c: float(weights.get(c, 0.0)) for c in per_channel}
+    weights = {c: float(weights.get(c, 0.0)) + 0.0 for c in per_channel}
     fused = verify.fuse_scoresets(per_channel, weights)
     if not len(fused.genuine) or not len(fused.impostor):
         raise InfeasibleError("fixed fusion weights left no decisions")
@@ -638,6 +662,54 @@ def run_rate_sweep(config: ExperimentConfig,
     return _finish(config, {"factors": factors}, {"sweep.csv": (
         ("factor", "rate_hz", "scan_s", "eer", "n_enrolled", "n_genuine", "n_impostor"),
         rows)})
+
+
+# ---------------------------------------------------------------------------
+# single-channel runs and fusion of earlier scores
+# ---------------------------------------------------------------------------
+
+def run_extract(config: ExperimentConfig, channel: str, path) -> FeatureMatrix:
+    """One channel's features over every session, written to path as a
+    stamped CSV; digraphs hold all 1,225 columns, unfiltered."""
+    # one channel and no fusion: eval's fusion weights name other channels
+    config = replace(config, channels=(channel,), fusion_weights=None)
+    fm = extract_channels(build_sessions(config), (channel,), config)[channel]
+    if channel == "digraph":
+        fm = widen(fm, digraph_feature_names())
+    fm.write_csv(path, _stamp(config))
+    return fm
+
+
+def run_train(config: ExperimentConfig, channel: str, path):
+    """(templates, failures) of one channel from each user's training
+    sessions; the templates are saved to path if any user enrolled."""
+    config = replace(config, channels=(channel,), fusion_weights=None)
+    sessions = training_sessions(build_sessions(config))
+    train_fm, _ = _channel_matrices(sessions, [], (channel,), config)[channel]
+    templates, failures = _enroll_channel(channel, train_fm, config)
+    if templates:
+        save_templates(path, templates, params_echo={
+            "channel": channel, "config_hash": config.config_hash(), "seed": config.seed})
+    return templates, failures
+
+
+def run_fuse(config: ExperimentConfig, paths, weights: dict | None) -> dict:
+    """The fusion.json report of the score files named by (name, path) pairs,
+    fused with fixed weights or, when weights is None, the grid search's
+    best; with an output directory, also the fused scores and DET curve."""
+    if weights is not None:  # checked before any file is read
+        check_fusion_weights(weights)
+    channels = {name: verify.ScoreSet.read_csv(path) for name, path in paths}
+    if len(channels) < 2:
+        raise ConfigError("fuse needs at least two --scores channels")
+    weights, fused, value = _fuse(channels, weights, config.fusion_step)
+    report = {"config_hash": config.config_hash(), "seed": config.seed,
+              **_cell(fused, value), "weights": weights}
+    out = _ensure_out(config)
+    if out is not None:
+        _write_scores(out, "fused", fused, _stamp(config))
+        _write_json(out / "fusion.json", report)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hmogkit.bkg.code import (
     grs_build,
 )
 from hmogkit.bkg.commitment import (
-    DEFAULT_CONTEXT,
     Commitment,
     DiscretizationSpec,
     OpenFailure,
@@ -432,7 +431,7 @@ def test_prf_frozen_vectors():
         "d8cc39aff08cb337a85b08985cba5585c9182dd7a2e020e44ac43a100f8ef7b6"
     assert derive_tag(cw, "alice", 29).hex() == \
         "e39bd0151f5441b65bfce3a872ef9957309992bec3350c5f81de0b38eff6f8b1"
-    assert derive_key(cw, DEFAULT_CONTEXT, 29).hex() == \
+    assert derive_key(cw, "hmogkit-bkg-1", 29).hex() == \
         "49bf62a4c898e68094d341e4907090d1ae19c767ce596a0ffc196b316df51a1d"
 
 
@@ -468,14 +467,6 @@ def test_commit_open_roundtrip(code637):
     for e in lee_patterns(6, 7, code637.radius):
         y = (x + np.array(e)) % 7
         assert open_commitment(commitment, y, "secret", params=code637) == key
-
-
-def test_commit_default_context(code637):
-    rng = np.random.default_rng(21)
-    x = rng.integers(0, 7, 6)
-    commitment, key = commit(x, None, params=code637, rng=rng)
-    assert open_commitment(commitment, x, None, params=code637) == key
-    assert open_commitment(commitment, x, DEFAULT_CONTEXT, params=code637) == key
 
 
 def test_commit_deterministic_under_seeded_rng(code637):

@@ -8,13 +8,17 @@ import shutil
 
 import pytest
 
-from hmogkit.cli import _TUPLE_FIELDS, build_config, main, make_parser
+from hmogkit.cli import build_config, main, make_parser
 from hmogkit.corpus.io import load_corpus, save_corpus
 from hmogkit.experiments import (
     OUT_DIR_ENV,
+    ExperimentConfig,
     _enroll_channel,
     _stamp,
     build_sessions,
+    run_extract,
+    run_fuse,
+    run_train,
     training_sessions,
 )
 from hmogkit.matrix import FeatureMatrix
@@ -233,6 +237,16 @@ def malformed_corpora(tmp_path_factory):
      2, "config error: separation must be finite and nonnegative, got -1.0"),
     (["eval", *SMALL, "--separation", "inf"], None,
      2, "config error: separation must be finite and nonnegative, got inf"),
+    (["eval", *SMALL, "--tap-rate", "-1"], None,
+     2, "config error: tap_rate_hz must be finite and nonnegative, got -1.0"),
+    (["eval", *SMALL, "--tap-rate", "inf"], None,
+     2, "config error: tap_rate_hz must be finite and nonnegative, got inf"),
+    (["eval", *SMALL, "--latency-max", "-5"], None,
+     2, "config error: latency_max_ms must be positive, got -5.0"),
+    (["eval", *SMALL, "--selector-value", "-1"], None,
+     2, "config error: fisher selector_value must be positive, got -1.0"),
+    (["eval", *SMALL, "--selector", "mrmr", "--selector-value", "inf"], None,
+     2, "config error: selector_value must be finite, got inf"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -478,11 +492,6 @@ def test_negative_zero_fusion_weight_reads_as_zero(cli_corpus, tmp_path, monkeyp
         runs.append((capsys.readouterr().out, tree_bytes(work)))
     assert 'weights={"hmog": 0.0, "tap": 1.0}' in runs[0][0]
     assert runs[1] == runs[0]
-
-
-def test_tuple_fields_follow_the_config_annotations():
-    assert _TUPLE_FIELDS == {"channels", "sensors", "scan_seconds",
-                             "downsample_factors", "bkg_channels"}
 
 
 def test_fuse_needs_two_channels(tmp_path):
@@ -750,3 +759,72 @@ def test_ingest_key_code_with_cr_is_a_data_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"data error: {tmp_path / 'keys.csv'}:4: key code 'x\\ry' contains CR")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- library runners
+
+@pytest.mark.parametrize("channel", ["hmog", "tap", "keyhold", "digraph"])
+def test_run_extract_writes_what_extract_writes(cli_corpus, tmp_path, channel):
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    cli.mkdir(), lib.mkdir()
+    assert main(["extract", "--corpus", str(cli_corpus), "--channel", channel,
+                 "--seed", "5", "--features-out", str(cli / "x.csv")]) == 0
+    fm = run_extract(ExperimentConfig(corpus_dir=str(cli_corpus), seed=5), channel,
+                     str(lib / "x.csv"))
+    assert fm.n_rows > 0
+    assert tree_bytes(lib) == tree_bytes(cli)
+
+
+def test_run_train_writes_what_train_writes(cli_corpus, tmp_path):
+    cli, lib = tmp_path / "cli" / "t.json", tmp_path / "lib" / "t.json"
+    cli.parent.mkdir(), lib.parent.mkdir()
+    assert main(["train", "--corpus", str(cli_corpus), "--channel", "hmog",
+                 "--min-vectors", "10", "--templates-out", str(cli)]) == 0
+    templates, failures = run_train(
+        ExperimentConfig(corpus_dir=str(cli_corpus), min_vectors=10), "hmog", str(lib))
+    assert sorted(templates) == ["u01", "u02"] and failures == []
+    assert tree_bytes(lib.parent) == tree_bytes(cli.parent)
+
+
+def test_run_train_writes_nothing_when_nobody_enrolls(cli_corpus, tmp_path):
+    path = tmp_path / "t.json"
+    templates, failures = run_train(
+        ExperimentConfig(corpus_dir=str(cli_corpus), min_vectors=100000), "tap", str(path))
+    assert templates == {} and [f["user_id"] for f in failures] == ["u01", "u02"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags, weights", [
+    (["--fusion-step", "0.5"], None),
+    (["--weights", "good=1,bad=-0"], {"good": 1, "bad": -0.0}),
+    (["--weights", "good=0.25"], {"good": 0.25}),
+])
+def test_run_fuse_writes_what_fuse_writes(tmp_path, capsys, flags, weights):
+    score_csv(tmp_path / "good.csv", [1.0, 2.0, 4.0], [3.0, 10.0, 11.0])
+    score_csv(tmp_path / "bad.csv", [10.0, 11.0, 5.0], [1.0, 2.0, 6.0])
+    paths = [("good", str(tmp_path / "good.csv")), ("bad", str(tmp_path / "bad.csv"))]
+    assert main(["fuse", *[f"--scores={name}={path}" for name, path in paths], *flags,
+                 "--out-dir", str(tmp_path / "cli")]) == 0
+    step = {"fusion_step": 0.5} if weights is None else {}
+    report = run_fuse(ExperimentConfig(out_dir=str(tmp_path / "lib"), **step), paths, weights)
+    assert tree_bytes(tmp_path / "lib") == tree_bytes(tmp_path / "cli")
+    assert capsys.readouterr().out == (f"fused eer={report['eer']:.4f}  weights="
+                                       f"{json.dumps(report['weights'], sort_keys=True)}\n")
+    assert math.copysign(1.0, report["weights"]["bad"]) == 1.0
+
+
+def test_config_file_lists_and_negative_zero_build_the_flag_config(tmp_path):
+    flags = ["eval", "--channels", "hmog,tap", "--scans", "20,60", "--sensors", "acc,gyr",
+             "--weights", "hmog=0,tap=1"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channels": ["hmog", "tap"], "scan_seconds": [20.0, 60.0],
+                               "sensors": ["acc", "gyr"],
+                               "fusion_weights": {"hmog": -0.0, "tap": 1}}))
+    want = build_config(make_parser().parse_args(flags))
+    got = build_config(make_parser().parse_args(["eval", "--config", str(cfg)]))
+    assert got == want
+    assert (got.channels, got.scan_seconds, got.sensors) == \
+        (("hmog", "tap"), (20.0, 60.0), ("acc", "gyr"))
+    assert got.fusion_weights == {"hmog": 0.0, "tap": 1.0}
+    assert math.copysign(1.0, got.fusion_weights["hmog"]) == 1.0
+    assert got.config_hash() == want.config_hash()

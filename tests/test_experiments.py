@@ -108,10 +108,44 @@ def test_config_validate_accepts_zero_separation_and_longest_spans():
     {"bkg_scan_seconds": 1e308},
     {"separation": -1.0},
     {"separation": math.inf},
+    {"tap_rate_hz": -1.0},
+    {"tap_rate_hz": math.inf},
+    {"latency_max_ms": -5.0},
+    {"latency_max_ms": 0.0},
+    {"selector_value": -1.0},
+    {"selector_value": 0.0},
+    {"selector": "mrmr", "selector_value": math.inf},
+    {"selector": None, "selector_value": -math.inf},
 ])
 def test_config_validate_rejects(overrides):
     with pytest.raises(ConfigError):
         ExperimentConfig(**overrides).validate()
+
+
+def test_config_validate_accepts_value_range_edges():
+    # no tap rate, no latency cap, and a negative mrmr threshold are runs
+    ExperimentConfig(tap_rate_hz=0.0, latency_max_ms=math.inf).validate()
+    ExperimentConfig(selector="mrmr", selector_value=-1.0).validate()
+    ExperimentConfig(selector=None, selector_value=-1.0).validate()
+
+
+def test_config_gives_each_value_one_form():
+    config = ExperimentConfig(channels=["hmog", "tap"], scan_seconds=[20.0, 60.0],
+                              fusion_weights={"hmog": -0.0, "tap": 1})
+    assert config.channels == ("hmog", "tap") and config.scan_seconds == (20.0, 60.0)
+    assert config.fusion_weights == {"hmog": 0.0, "tap": 1.0}
+    assert math.copysign(1.0, config.fusion_weights["hmog"]) == 1.0
+    assert isinstance(config.fusion_weights["tap"], float)
+    assert config == ExperimentConfig(channels=("hmog", "tap"), scan_seconds=(20.0, 60.0),
+                                      fusion_weights={"hmog": 0.0, "tap": 1.0})
+    # a list no longer fits a tuple field; only the conversion above admits it
+    assert not experiments._fits(["hmog"], experiments._FIELD_TYPES["channels"])
+    with pytest.raises(ConfigError, match="fusion_weights must be an object"):
+        ExperimentConfig(fusion_weights=[1.0])
+
+
+def test_default_config_hash_is_pinned():
+    assert ExperimentConfig().config_hash() == "ab8f4e50556f76b3"
 
 
 def test_config_is_checked_when_built():
