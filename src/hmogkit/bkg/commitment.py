@@ -113,7 +113,10 @@ def fit_discretization(values: np.ndarray, p: int) -> DiscretizationSpec:
 def _prf(codeword: np.ndarray, password: str, label: bytes, p: int) -> bytes:
     if p >= P_LIMIT:
         raise ValueError("p must fit in two bytes")
-    key = b"".join(int(c).to_bytes(2, "big") for c in codeword)
+    coords = np.asarray(codeword, dtype=np.int64)
+    if coords.size and (coords.min() < 0 or coords.max() >= P_LIMIT):
+        raise OverflowError("codeword coordinates must fit in two bytes")
+    key = coords.astype(">u2").tobytes()
     return hmac.new(key, password.encode("utf-8") + label, hashlib.sha256).digest()
 
 

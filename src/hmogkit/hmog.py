@@ -34,12 +34,14 @@ clocks and event chunks only:
   during and after100 start on row 0, every row past an event's window
   pointing at the sentinel row; the post window ends on the last row,
   the rows before it reading the stream rows there (clipped at row 0).
-  Timestamps are not gathered: the argmax and argmin rows index the
-  stream's t directly;
-- reduce: each window mean, the masked tap maximum with its argmax and each
-  inside mask are computed once per chunk, and all 8 families x 4k
-  channels come from array operations along the width axis; the result
-  is scattered into each member sensor's cells.
+  Timestamps are not gathered: the rows of the tap maximum and of the
+  settle time index the stream's t directly;
+- reduce: each window mean, the masked tap maximum with the row it sits
+  on, the settle row and each inside mask are computed once per chunk, and
+  all 8 families x 4k channels come from whole-block array operations
+  along the width axis: no reduction copies a window array transposed and
+  the settle time's suffix sums are built in place. The result is
+  scattered into each member sensor's cells.
 
 The results are bit-identical to slicing each window out on its own and
 calling NumPy's mean/std/max on it. The magnitude adds the squares left to
@@ -47,16 +49,18 @@ right, as NumPy's sum over a row of three does. Sums run along the outer
 axis, which NumPy adds row by row in the same order as a (k, 4) window's
 mean(axis=0), and the -0.0 padding adds exactly nothing (x + -0.0 == x for
 every x, both zeros included); std is the mean of squared deviations from
-that mean, as NumPy computes it; max and argmax see -inf in the padding,
-so NaN and ties pick the same first index. The settle time reverses the
-right-aligned post window, so its cumsum starts on the window's last row
-and adds the window's own rows in the same order as a cumsum over the
+that mean, as NumPy computes it. The tap maximum sees -inf in the padding,
+and its row is the first row equal to the maximum or the first NaN, which
+is the row argmax picks, so NaN and ties pick the same first index. The
+settle time's suffix sums add the right-aligned post window's rows from
+its last row back, one row at a time, in the order of a cumsum over the
 reversed window alone; the rows before the window come later and touch no
 window suffix. Each suffix count W - i of the float array W, W-1, ..., 1
 equals the window's own count, so every suffix mean keeps its bits. The
-rows before the window read +inf in the argmin, so NaN and ties pick the
-same first row, and a window of +inf means only falls back on its first
-row.
+rows before the window read +inf, and the settle row is the first row
+equal to the least suffix mean or the first NaN, as argmin picks, so NaN
+and ties pick the same first row, and a window of +inf means only falls
+back on its first row.
 """
 
 from __future__ import annotations
@@ -118,24 +122,40 @@ class _Windows(NamedTuple):
 
     def std(self, mean: np.ndarray) -> np.ndarray:
         """Population form, from the window mean as numpy.std computes it."""
-        dev = np.where(self.inside, self.values - mean, -0.0)
-        return np.sqrt((dev * dev).sum(axis=0) / self.n[:, None])
+        dev = self.values - mean
+        np.copyto(dev, -0.0, where=~self.inside)
+        dev *= dev
+        return np.sqrt(dev.sum(axis=0) / self.n[:, None])
+
+
+def _first_match(values: np.ndarray, extreme: np.ndarray) -> np.ndarray:
+    """(events, channels) first row of each column of the (width, events,
+    channels) values that equals extreme, its max or min along the width
+    axis, or that is NaN: the row argmax or argmin picks. Along the outer
+    axis argmax and argmin first copy their input transposed; here only the
+    one-byte mask of hits is copied."""
+    hit = values == extreme
+    hit |= np.isnan(values)
+    return hit.argmax(axis=0)
 
 
 def _settle_index(post: _Windows, avg_before: np.ndarray) -> np.ndarray:
     """(events, channels) row of the right-aligned post windows whose suffix
     mean of |z - avg_before| is minimal, the earliest on ties.
 
-    The suffix sums are a cumsum over the reversed width axis, which starts
-    on each window's last row; the rows before a window come after it there
-    and are masked to +inf, and an all +inf window falls back on its
-    first row.
+    The suffix sums add the rows from the last one back, in place, as a
+    cumsum over the reversed width axis would; the rows before a window
+    come after it there and are masked to +inf, and an all +inf window
+    falls back on its first row.
     """
     width = len(post.values)
-    diffs = np.abs(post.values - avg_before)
-    suffix = np.cumsum(diffs[::-1], axis=0)[::-1]
-    counts = np.arange(width, 0, -1, dtype=np.float64)[:, None, None]
-    index = np.argmin(np.where(post.inside, suffix / counts, np.inf), axis=0)
+    suffix = post.values - avg_before
+    np.abs(suffix, out=suffix)
+    for w in range(width - 2, -1, -1):
+        np.add(suffix[w + 1], suffix[w], out=suffix[w])
+    suffix /= np.arange(width, 0, -1, dtype=np.float64)[:, None, None]
+    np.copyto(suffix, np.inf, where=~post.inside)
+    index = _first_match(suffix, suffix.min(axis=0))
     return np.maximum(index, (width - post.n)[:, None])
 
 
@@ -225,7 +245,7 @@ def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
     avg_after = after100.mean()
     lifted = np.where(during.inside, during.values, -np.inf)
     max_tap = lifted.max(axis=0)
-    t_max_in_tap = t[start[1][:, None] + lifted.argmax(axis=0)]
+    t_max_in_tap = t[start[1][:, None] + _first_match(lifted, max_tap)]
     settle_row = (stop - len(post.values))[:, None] + _settle_index(post, avg_before)
     settle = t[settle_row] - t_end[:, None]
     t_before_center = (t_start - CENTER_OFFSET_MS)[:, None]

@@ -32,8 +32,9 @@ SESSION_STRIDE_MS = 1 << 44
 MRMR_BINS = 10
 
 # fisher_scores copies one user's rows at a time, a chunk of features of at
-# most this many bytes (at least one feature), so its peak does not grow
-# with the training matrix
+# most this many bytes (at least one feature), and scan_aggregate copies
+# windows of one length at most this many bytes at a time (at least one
+# window), so neither peak grows with the matrix
 _FISHER_BYTES = 1 << 18
 
 
@@ -47,12 +48,13 @@ class EnrollmentError(PipelineError):
 
 def nanmean_columns(values: np.ndarray) -> np.ndarray:
     """Column means over finite cells; NaN where a column has none.
-    Unlike np.nanmean this stays silent on empty columns."""
+    Unlike np.nanmean this stays silent on empty columns. A stack of
+    (rows, columns) matrices gives one row of means per matrix."""
     values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
-    counts = finite.sum(axis=0)
-    sums = np.where(finite, values, 0.0).sum(axis=0)
-    return np.divide(sums, counts, out=np.full(values.shape[1], np.nan),
+    counts = finite.sum(axis=-2)
+    sums = np.where(finite, values, 0.0).sum(axis=-2)
+    return np.divide(sums, counts, out=np.full(sums.shape, np.nan),
                      where=counts > 0)
 
 
@@ -368,6 +370,14 @@ def scan_aggregate(fm: FeatureMatrix, scan_s: float,
     its (user, session); rows of a session with no ordinal are dropped.
     Windows come out in key order; a window whose mean has no finite cell
     is dropped.
+
+    Windows with the same row count are reduced together: nanmean_columns
+    takes one (windows, rows, features) gather of at most _FISHER_BYTES (at
+    least one window), so no gather copies the whole matrix. NumPy adds each
+    window of such a stack in the order it adds the window alone, so every
+    mean keeps the bits of a window-by-window reduction. np.add.reduceat
+    would not: it adds rows one after another, where NumPy sums a
+    contiguous run pairwise, and tap means then differ in the last bit.
     """
     if scan_s <= 0:
         raise PipelineError("scan length must be positive")
@@ -383,9 +393,16 @@ def scan_aggregate(fm: FeatureMatrix, scan_s: float,
     order = rows[np.lexsort((fm.t_ms[rows], ordinal[rows]))]
     key = ordinal[order] * SESSION_STRIDE_MS + fm.t_ms[order] // span * span
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    # one window's rows copied at a time, never the whole matrix
-    means = np.array([nanmean_columns(fm.values[order[a:b]])
-                      for a, b in zip(starts, np.r_[starts[1:], len(key)])])
+    lengths = np.diff(starts, append=len(key))
+    means = np.empty((len(starts), fm.n_features))
+    row_bytes = 8 * max(1, fm.n_features)
+    for length in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == length)
+        step = max(1, _FISHER_BYTES // (length * row_bytes))
+        for a in range(0, len(group), step):
+            windows = group[a:a + step]
+            members = order[starts[windows][:, None] + np.arange(length)]
+            means[windows] = nanmean_columns(fm.values.take(members, axis=0))
     keep = np.isfinite(means).any(axis=1)
     first = order[starts[keep]]
     return FeatureMatrix(fm.columns, means[keep], fm.user_ids[first],

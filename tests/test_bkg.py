@@ -450,6 +450,14 @@ def test_prf_rejects_wide_primes():
         derive_key(np.array([1, 2]), "pw", 65537)
 
 
+@pytest.mark.parametrize("coordinate", [-1, 1 << 16])
+def test_prf_rejects_coordinates_outside_two_bytes(coordinate):
+    with pytest.raises(OverflowError):
+        derive_key(np.array([1, coordinate, 2]), "pw", 13)
+    with pytest.raises(OverflowError):
+        derive_tag(np.array([coordinate]), "pw", 13)
+
+
 # ---------------------------------------------------------------- commitments
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from hmogkit.hmog import (
     _between_bounds,
     _clock_groups,
     _event_chunks,
+    _first_match,
     _window_bounds,
     extract_hmog,
     feature_names_for,
@@ -153,6 +154,16 @@ def test_t_min_index_per_channel():
     z = np.array([[4.0, 1.0], [1.0, 4.0]])
     idx = t_min_index(z, np.array([1.0, 1.0]))
     assert list(idx) == [1, 0]
+
+
+def test_first_match_is_argmax_and_argmin():
+    # values from a small set, so columns tie, with NaN, inf and -inf cells
+    rng = np.random.default_rng(12)
+    values = rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf, np.nan],
+                        (9, 40, 5), p=[0.1, 0.2, 0.15, 0.15, 0.2, 0.1, 0.1])
+    assert np.isnan(values.max(axis=0)).any() and not np.isnan(values.max(axis=0)).all()
+    assert (_first_match(values, values.max(axis=0)) == values.argmax(axis=0)).all()
+    assert (_first_match(values, values.min(axis=0)) == values.argmin(axis=0)).all()
 
 
 # ---------------------------------------------------------------- stability
@@ -427,6 +438,49 @@ def test_extract_bit_equal_to_oracle_nan_sample(nan_ms):
         assert np.isnan(mean_tap) and np.isfinite(settle)
     else:
         assert np.isfinite(mean_tap) and settle == 10.0
+
+
+def tap_at_900_session():
+    """One 900-1030 ms tap at 100 Hz: before reads rows 800-890, during
+    900-1030, after100 1040-1130 and post 1040-1230."""
+    session = grid_session(10, 2000, [make_tap(0, 900, 1030)], seed=9)
+    stream = session.streams[Sensor.ACC]
+    return session, stream.t_ms, stream.values
+
+
+def test_extract_first_match_tap_maximum_tie():
+    # acc x peaks at 5.0 twice during the tap: t_max_in_tap is the first
+    session, t, values = tap_at_900_session()
+    values[(t == 940) | (t == 1000), 0] = 5.0
+    row = assert_matches_oracle(session, "during").values[0]
+    avg_after = values[(t > 1030) & (t <= 1130)].mean(axis=0)[0]
+    stab3 = row[FEATURE_NAMES.index("acc_x_stab3")]
+    assert stab3 == pytest.approx((1080 - 940) / (avg_after - 5.0), rel=1e-12)
+    assert stab3 != pytest.approx((1080 - 1000) / (avg_after - 5.0), rel=1e-12)
+
+
+def test_extract_first_match_settle_tie():
+    # avg_before of acc x is 0.0 and the post window reads |z| = 5 on its
+    # first 8 rows and |z| = 1 on its last 12: every suffix starting in the
+    # last 12 rows has mean 1.0 exactly, and the earliest, 1120 ms, wins
+    session, t, values = tap_at_900_session()
+    values[(t >= 800) & (t < 900), 0] = 0.0
+    post = (t > 1030) & (t <= 1230)
+    signs = np.where(np.arange(20) % 2, -1.0, 1.0)
+    values[post, 0] = signs * np.where(np.arange(20) < 8, 5.0, 1.0)
+    row = assert_matches_oracle(session, "during").values[0]
+    assert row[FEATURE_NAMES.index("acc_x_stab1")] == 1120 - 1030
+
+
+def test_extract_first_match_all_minus_inf_during():
+    # every max ties at -inf: the during window's first row, as argmax picks
+    session, t, values = tap_at_900_session()
+    values[(t >= 900) & (t <= 1030), 0] = -np.inf
+    with np.errstate(invalid="ignore"):    # -inf - -inf in the std
+        row = assert_matches_oracle(session, "during").values[0]
+    assert row[FEATURE_NAMES.index("acc_x_res1")] == -np.inf
+    assert np.isnan(row[FEATURE_NAMES.index("acc_x_res2")])
+    assert row[FEATURE_NAMES.index("acc_x_stab3")] == 0.0
 
 
 def lengths_session(lengths, seed):

@@ -510,6 +510,97 @@ def test_scan_aggregate_matches_oracle(mini_sessions, scan_s):
         assert "s02" not in got.session_ids[got.user_ids == "u02"].tolist()
 
 
+# three sessions with ordinals; random_scan_matrix also deals windows to
+# ("C", "s09"), which has none
+SCAN_ORDINALS = {("A", "s01"): 0, ("A", "s02"): 1, ("B", "s01"): 2}
+
+
+def random_scan_matrix(rng, n_columns, lengths):
+    """Windows of the given row counts on a 2 s scan, dealt in turn to the
+    sessions of SCAN_ORDINALS and ("C", "s09"), rows shuffled. Cells are
+    NaN or inf at random, every seventh window is NaN throughout, and with
+    more than one column the last is NaN throughout. Returns the matrix
+    and the number of windows scan_aggregate keeps."""
+    keys = list(SCAN_ORDINALS) + [("C", "s09")]
+    blocks, labels, kept = [], [], 0
+    for w, length in enumerate(lengths):
+        block = rng.normal(0.0, 1.0, (length, n_columns)) * 10.0 ** rng.integers(-3, 4)
+        block[rng.random(block.shape) < 0.1] = np.nan
+        block[rng.random(block.shape) < 0.02] = np.inf
+        if n_columns > 1:
+            block[:, -1] = np.nan
+        if w % 7 == 0:
+            block[:] = np.nan
+        key = keys[w % len(keys)]
+        kept += key in SCAN_ORDINALS and bool(np.isfinite(block).any())
+        blocks.append(block)
+        t = w // len(keys) * 2000 + rng.integers(0, 2000, length)
+        labels += [(*key, ms) for ms in t.tolist()]
+    order = rng.permutation(len(labels))
+    users, sessions, t = zip(*(labels[i] for i in order))
+    return fm_of(np.vstack(blocks)[order], users, sessions, t), kept
+
+
+def assert_scan_matches_oracle(fm):
+    got = scan_aggregate(fm, 2.0, SCAN_ORDINALS)
+    want = scan_aggregate_oracle(fm, 2.0, SCAN_ORDINALS)
+    assert got.columns == want.columns
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.user_ids.tolist() == want.user_ids.tolist()
+    assert got.session_ids.tolist() == want.session_ids.tolist()
+    assert got.t_ms.tobytes() == want.t_ms.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("n_columns", [1, 3, 11, 96])
+def test_scan_aggregate_bit_equal_to_oracle_random(n_columns):
+    # every length from 1 to 40 rows, past the 8 rows at which NumPy starts
+    # summing a contiguous run pairwise, four times each
+    rng = np.random.default_rng(n_columns)
+    lengths = rng.permutation(np.repeat(np.arange(1, 41), 4))
+    fm, kept = random_scan_matrix(rng, n_columns, lengths)
+    got = assert_scan_matches_oracle(fm)
+    assert 0 < got.n_rows == kept < len(lengths)
+    assert "C" not in got.user_ids.tolist()
+
+
+def test_scan_aggregate_bit_equal_to_oracle_split_group():
+    # 30 windows of 40 rows x 96 columns, 30,720 bytes each: the byte cap
+    # cuts the one length group into several gathers
+    rng = np.random.default_rng(40)
+    assert 30 * 40 * 96 * 8 > 3 * pipeline._FISHER_BYTES
+    fm, kept = random_scan_matrix(rng, 96, np.full(30, 40))
+    assert assert_scan_matches_oracle(fm).n_rows == kept
+
+
+def test_scan_aggregate_peak_memory_bounded_by_window_groups():
+    # windows of one length are gathered at most _FISHER_BYTES at a time,
+    # never the whole matrix: 8x the windows raise the peak by the larger
+    # output and the per-row sort keys, far less than the 12 MB matrix
+    def fm_windows(n_windows, length=20, n_columns=96):
+        n = n_windows * length
+        t = np.arange(n) // length * 2000 + np.arange(n) % length * 50
+        values = np.random.default_rng(4).normal(0.0, 1.0, (n, n_columns))
+        return fm_of(values, ["A"] * n, t=t)
+
+    def peak(fm):
+        scan_aggregate(fm, 2.0, ONE_SESSION)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = scan_aggregate(fm, 2.0, ONE_SESSION)
+            return tracemalloc.get_traced_memory()[1] - base, out
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(fm_windows(100))
+    big_fm = fm_windows(800)
+    big, big_out = peak(big_fm)
+    assert big_out.n_rows == 800
+    assert big - small < big_out.values.nbytes + 64 * big_fm.n_rows
+    assert big_out.values.nbytes + 64 * big_fm.n_rows < big_fm.values.nbytes / 4
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_template_roundtrip(tmp_path):
