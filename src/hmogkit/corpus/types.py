@@ -66,14 +66,22 @@ CHANNELS: tuple[str, ...] = ("x", "y", "z", "m")
 
 
 def downsample(stream: SensorStream, k: int) -> SensorStream:
-    """Keep every k-th reading starting at index 0; rate divides by k."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    """Keep every k-th reading starting at index 0; rate divides by k.
+
+    The values are a read-only strided view of the stream's values, so
+    they keep the full-rate buffer alive; a caller who needs a buffer of
+    its own copies them. The timestamps are a contiguous copy: searchsorted
+    copies a strided array on every call.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise CorpusError(f"downsample factor must be a positive integer, got {k!r}")
+    values = stream.values[::k]
+    values.flags.writeable = False
     return SensorStream(
         sensor=stream.sensor,
         nominal_rate_hz=stream.nominal_rate_hz / k,
         t_ms=stream.t_ms[::k].copy(),
-        values=stream.values[::k].copy(),
+        values=values,
     )
 
 

@@ -315,20 +315,25 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
 
     cells = np.full((len(starts), N_FAMILIES, len(SENSOR_ORDER), len(CHANNELS)), np.nan)
     any_valid = np.zeros(len(starts), dtype=bool)
-    for t, members in _clock_groups(session.streams):
-        usable, start, lengths = _window_bounds(t, starts, ends)
-        any_valid |= usable
-        if not usable.any():
-            continue
-        chans = _channel_block(*(session.streams[SENSOR_ORDER[i]].values for i in members))
-        events = np.flatnonzero(usable)
-        for chunk in _event_chunks(lengths.max(axis=0), chans[0].nbytes):
-            ids = events[chunk]
-            features = _blocks(t, chans, starts[ids], ends[ids],
-                               start[:, chunk], lengths[:, chunk])
-            features = features.reshape(N_FAMILIES, len(chunk), len(members), len(CHANNELS))
-            for j, s_idx in enumerate(members):
-                cells[ids, :, s_idx] = features[:, :, j].swapaxes(0, 1)
+    # a reading of ±inf or near the float maximum gives inf - inf and
+    # overflowing squares; the NaN and inf cells they leave are the features
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t, members in _clock_groups(session.streams):
+            usable, start, lengths = _window_bounds(t, starts, ends)
+            any_valid |= usable
+            if not usable.any():
+                continue
+            chans = _channel_block(*(session.streams[SENSOR_ORDER[i]].values
+                                     for i in members))
+            events = np.flatnonzero(usable)
+            for chunk in _event_chunks(lengths.max(axis=0), chans[0].nbytes):
+                ids = events[chunk]
+                features = _blocks(t, chans, starts[ids], ends[ids],
+                                   start[:, chunk], lengths[:, chunk])
+                features = features.reshape(N_FAMILIES, len(chunk), len(members),
+                                            len(CHANNELS))
+                for j, s_idx in enumerate(members):
+                    cells[ids, :, s_idx] = features[:, :, j].swapaxes(0, 1)
 
     rows = cells.reshape(len(starts), len(FEATURE_NAMES))[any_valid]
     n = len(rows)

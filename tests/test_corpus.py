@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,9 +108,36 @@ def test_downsample_composition():
 
 def test_downsample_rejects_bad_factor():
     s = make_stream([0, 10], np.zeros((2, 3)))
-    for k in (0, -1, 1.5):
+    for k in (0, -1, 1.5, True):
         with pytest.raises(CorpusError):
             downsample(s, k)
+
+
+def test_downsample_values_are_a_read_only_view():
+    s = make_stream(np.arange(0, 100, 10), np.arange(30).reshape(10, 3))
+    d = downsample(s, 3)
+    assert np.shares_memory(d.values, s.values)
+    with pytest.raises(ValueError):
+        d.values[0, 0] = 1.0
+    assert s.values.flags.writeable
+    # the timestamps are a contiguous array of their own
+    assert not np.shares_memory(d.t_ms, s.t_ms)
+    assert d.t_ms.flags.c_contiguous and d.t_ms.flags.owndata
+
+
+def test_downsample_allocates_only_the_timestamps():
+    # a 60 s stream at 100 Hz: what downsample leaves allocated is its
+    # 24 kB of timestamps; a copy of the values would add 72 kB
+    t = np.arange(0, 60_000, 10)
+    s = make_stream(t, np.random.default_rng(0).normal(size=(len(t), 3)))
+    tracemalloc.start()
+    try:
+        d = downsample(s, 2)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    slack = 4096
+    assert live < d.t_ms.nbytes + slack < d.t_ms.nbytes + d.values.nbytes
 
 
 def test_tap_table_validation():

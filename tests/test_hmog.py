@@ -1,5 +1,7 @@
 """Tap-window features: resistance, stability, between-tap blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -481,6 +483,26 @@ def test_extract_first_match_all_minus_inf_during():
     assert row[FEATURE_NAMES.index("acc_x_res1")] == -np.inf
     assert np.isnan(row[FEATURE_NAMES.index("acc_x_res2")])
     assert row[FEATURE_NAMES.index("acc_x_stab3")] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["during", "between"])
+def test_extract_nonfinite_and_huge_readings_do_not_warn(mode):
+    # -inf, +inf and 1e200 readings inside tap and between-tap windows (10
+    # taps of 100-280 ms, 1 s apart) give inf - inf and overflowing
+    # squares; extraction prints no NumPy warning and keeps the oracle's bits
+    taps = [make_tap(i, 500 + 1000 * i, 600 + 1020 * i) for i in range(10)]
+    session = grid_session(10, 11_000, taps, seed=14)
+    t = session.streams[Sensor.ACC].t_ms
+    session.streams[Sensor.ACC].values[(t >= 900) & (t < 1400), 0] = -np.inf
+    session.streams[Sensor.GYR].values[(t >= 1500) & (t < 4000), 1] = 1e200
+    session.streams[Sensor.MAG].values[t % 700 == 0, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = extract_hmog(session, mode)
+    with np.errstate(all="ignore"):
+        want = assert_matches_oracle(session, mode)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.n_rows > 0 and not np.isfinite(got.values).all()
 
 
 def lengths_session(lengths, seed):
