@@ -10,11 +10,11 @@ reruns are byte-identical.
 A config gives each value one form and checks itself when it is built, so
 every ExperimentConfig a runner sees is valid. The four experiments share
 one skeleton. _split splits the corpus; test vectors are scored per scan
-window (pipeline.scan_aggregate, keyed by the test sessions' ordinals);
-every per-scan result is an {eer, n_genuine, n_impostor} cell from _cell;
-and _finish stamps the bundle with the config, its hash and the seed and
-writes the CSV tables and summary.json. Output files carry the config hash
-and seed in comment lines.
+window (pipeline.scan_aggregate, keyed by session code); every per-scan
+result is an {eer, n_genuine, n_impostor} cell from _cell; and _finish
+stamps the bundle with the config, its hash and the seed and writes the CSV
+tables and summary.json. Output files carry the config hash and seed in
+comment lines.
 """
 
 from __future__ import annotations
@@ -124,12 +124,22 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # one form per value: a list becomes a tuple, and a numeric fusion
+        # one form per value: a list becomes a tuple, a number in a float
+        # field a float (so 60 hashes as 60.0 does), and a numeric fusion
         # weight a float with -0 read as 0, so it echoes and hashes as 0 does
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, list) and typing.get_origin(_FIELD_TYPES[f.name]) is tuple:
-                object.__setattr__(self, f.name, tuple(value))
+            value, hint = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if isinstance(value, list) and typing.get_origin(hint) is tuple:
+                value = tuple(value)
+            if float in (hint, *typing.get_args(hint)):  # validate rejects the rest
+                try:
+                    if isinstance(value, tuple):
+                        value = tuple(float(v) if is_number(v) else v for v in value)
+                    elif is_number(value):
+                        value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"{f.name} must be {f.type}, got {value!r}") from None
+            object.__setattr__(self, f.name, value)
         if self.fusion_weights is not None:
             if not isinstance(self.fusion_weights, dict):
                 raise ConfigError("fusion_weights must be an object")
@@ -316,14 +326,8 @@ def build_sessions(config: ExperimentConfig) -> list[Session]:
 
 def training_sessions(sessions: list[Session]) -> list[Session]:
     """The first two sessions of every user, by session id."""
-    by_user: dict[str, list[Session]] = {}
-    for s in sessions:
-        by_user.setdefault(s.user_id, []).append(s)
-    train = []
-    for user in sorted(by_user):
-        ordered = sorted(by_user[user], key=lambda s: s.session_id)
-        train.extend(ordered[:2])
-    return train
+    ordered = sorted(sessions, key=lambda s: (s.user_id, s.session_id))
+    return [s for i, s in enumerate(ordered) if i < 2 or ordered[i - 2].user_id != s.user_id]
 
 
 def split_train_test(sessions: list[Session]) -> tuple[list[Session], list[Session]]:
@@ -337,17 +341,13 @@ def split_train_test(sessions: list[Session]) -> tuple[list[Session], list[Sessi
     return train, test
 
 
-def session_ordinals(sessions: list[Session]) -> dict[tuple[str, str], int]:
-    keys = sorted({(s.user_id, s.session_id) for s in sessions})
-    return {key: i for i, key in enumerate(keys)}
-
-
 def extract_channels(sessions: list[Session], channels,
                      config: ExperimentConfig) -> dict[str, FeatureMatrix]:
     """Feature matrices of the given channels in one pass over the sessions;
     tap features come from one call over all of them, keyhold and digraph
     share one keystroke_features call per session, and digraph latencies
-    stay long-form events (see latency_outlier_filter)."""
+    stay long-form events (see latency_outlier_filter). Every matrix holds
+    the table of all the given sessions."""
     for channel in channels:
         if channel not in CHANNELS:
             raise ConfigError(f"unknown channel {channel!r}")
@@ -400,9 +400,10 @@ def _enroll_channel(channel: str, train_fm: FeatureMatrix,
                                 selector_value=config.selector_value,
                                 pca_fraction=config.pca_fraction)
     templates, failures = {}, []
-    for user in train_fm.users():
+    for code in train_fm.users():
+        user = train_fm.user_names[code]
         try:
-            templates[user] = build_template(user, train_fm.for_user(user), prep,
+            templates[user] = build_template(user, train_fm.for_user(code), prep,
                                              min_vectors=config.min_vectors)
         except EnrollmentError as exc:
             failures.append({"channel": channel, "user_id": user,
@@ -434,11 +435,11 @@ def _channel_setup(config: ExperimentConfig, train_s: list[Session],
     return data, failures, notes
 
 
-def _scan_eval(channel_data, ordinals, scan_s: float, config: ExperimentConfig):
+def _scan_eval(channel_data, scan_s: float, config: ExperimentConfig):
     """Per-channel score sets for one scan length."""
     out = {}
     for channel, (templates, test_fm) in channel_data.items():
-        agg = scan_aggregate(test_fm, scan_s, ordinals)
+        agg = scan_aggregate(test_fm, scan_s)
         if agg.n_rows == 0:
             continue
         scores = verify.gen_scores(templates, agg, config.metric)
@@ -496,12 +497,11 @@ def _write_scores(out: Path, name: str, scores: verify.ScoreSet,
 
 
 def _split(config: ExperimentConfig, sessions: list[Session] | None):
-    """(train sessions, test sessions, test session ordinals), from the
-    given sessions or else the ones the config builds."""
+    """(train sessions, test sessions), from the given sessions or else the
+    ones the config builds."""
     if sessions is None:
         sessions = build_sessions(config)
-    train_s, test_s = split_train_test(sessions)
-    return train_s, test_s, session_ordinals(test_s)
+    return split_train_test(sessions)
 
 
 def _cell(scores: verify.ScoreSet, eer: float | None = None) -> dict:
@@ -532,7 +532,7 @@ def _finish(config: ExperimentConfig, body: dict,
 
 
 def _hmog_scans(config: ExperimentConfig, train_s: list[Session],
-                test_s: list[Session], ordinals):
+                test_s: list[Session]):
     """HMOG enrolled once and scored at every scan length: (templates,
     {scan key: (cell, scores)}, enrollment failures, notes). When nobody
     enrolls there are no scans and no per-scan notes."""
@@ -541,7 +541,7 @@ def _hmog_scans(config: ExperimentConfig, train_s: list[Session],
         return {}, {}, failures, notes
     scans = {}
     for scan_s in config.scan_seconds:
-        scores = _scan_eval(channel_data, ordinals, scan_s, config).get("hmog")
+        scores = _scan_eval(channel_data, scan_s, config).get("hmog")
         if scores is None:
             notes.append(f"{scan_s:g}s produced no decisions")
             continue
@@ -552,7 +552,7 @@ def _hmog_scans(config: ExperimentConfig, train_s: list[Session],
 def run_auth(config: ExperimentConfig,
              sessions: list[Session] | None = None) -> dict:
     """Verification experiment: per-channel and fused EER per scan length."""
-    train_s, test_s, ordinals = _split(config, sessions)
+    train_s, test_s = _split(config, sessions)
     channel_data, failures, notes = _channel_setup(config, train_s, test_s,
                                                    config.channels)
     if not channel_data:
@@ -564,7 +564,7 @@ def run_auth(config: ExperimentConfig,
     eer_rows: list[tuple] = []
 
     def eval_scan(scan_s: float):
-        return scan_s, _scan_eval(channel_data, ordinals, scan_s, config)
+        return scan_s, _scan_eval(channel_data, scan_s, config)
 
     for scan_s, per_channel in _map(eval_scan, config.scan_seconds, config.workers):
         if not per_channel:
@@ -599,7 +599,7 @@ def run_auth(config: ExperimentConfig,
 def run_between(config: ExperimentConfig,
                 sessions: list[Session] | None = None) -> dict:
     """During-tap vs between-tap comparison on the HMOG channel."""
-    train_s, test_s, ordinals = _split(config, sessions)
+    train_s, test_s = _split(config, sessions)
     out = _ensure_out(config)
     comments = _stamp(config)
     modes: dict[str, dict] = {}
@@ -607,7 +607,7 @@ def run_between(config: ExperimentConfig,
     notes: list[str] = []
     for mode in ("during", "between"):
         _, scans, failures, mode_notes = _hmog_scans(
-            replace(config, mode=mode), train_s, test_s, ordinals)
+            replace(config, mode=mode), train_s, test_s)
         notes.extend(f"{mode}: {n}" for n in mode_notes)
         for scan_key, (cell, scores) in scans.items():
             rows.append(_row((mode, scan_key), cell))
@@ -631,7 +631,7 @@ def _downsample_session(session: Session, factor: int) -> Session:
 def run_rate_sweep(config: ExperimentConfig,
                    sessions: list[Session] | None = None) -> dict:
     """HMOG-only EER after downsampling the sensor streams per factor."""
-    train_s, test_s, ordinals = _split(config, sessions)
+    train_s, test_s = _split(config, sessions)
     # each factor reports the first training stream's rate, divided as
     # downsample divides it
     base = next((stream for s in train_s for stream in s.streams.values()), None)
@@ -641,7 +641,7 @@ def run_rate_sweep(config: ExperimentConfig,
     def eval_factor(factor: int):
         train = [_downsample_session(s, factor) for s in train_s]
         test = [_downsample_session(s, factor) for s in test_s]
-        templates, scans, failures, notes = _hmog_scans(config, train, test, ordinals)
+        templates, scans, failures, notes = _hmog_scans(config, train, test)
         return factor, {
             "rate_hz": base.nominal_rate_hz / factor,
             "scans": {k: {**cell, "n_enrolled": len(templates)}
@@ -701,7 +701,7 @@ def run_fuse(config: ExperimentConfig, paths, weights: dict | None) -> dict:
         check_fusion_weights(weights)
     channels = {name: verify.ScoreSet.read_csv(path) for name, path in paths}
     if len(channels) < 2:
-        raise ConfigError("fuse needs at least two --scores channels")
+        raise ConfigError(f"fuse needs score files of at least two channels, got {len(channels)}")
     weights, fused, value = _fuse(channels, weights, config.fusion_step)
     report = {"config_hash": config.config_hash(), "seed": config.seed,
               **_cell(fused, value), "weights": weights}
@@ -741,14 +741,15 @@ def _open_table(commitments, grids, probes: np.ndarray, users, params) -> np.nda
 
 
 def _bkg_channel(channel: str, config: ExperimentConfig, params,
-                 train_fm: FeatureMatrix, test_fm: FeatureMatrix, ordinals) -> dict:
+                 train_fm: FeatureMatrix, test_fm: FeatureMatrix) -> dict:
     report: dict = {"channel": channel, "log2_keyspace": config.bkg_l * math.log2(config.bkg_p)}
     if train_fm.n_rows == 0 or train_fm.n_features < params.n:
         report["error"] = (f"not enough features for the code length ({train_fm.n_features} "
                            f"features, code length {params.n})")
         return report
 
-    users = train_fm.users()
+    codes = train_fm.users()
+    users = [train_fm.user_names[k] for k in codes]
     if len(users) < 2:
         report["error"] = "fewer than two users could enroll"
         report["enroll_notes"] = []
@@ -766,17 +767,17 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
     spec = fit_discretization(train_sel.values, config.bkg_p)
     root = np.random.SeedSequence([config.seed, 0xB46])
     grids, commitments = [], []
-    for user, child in zip(users, root.spawn(len(users))):
-        enrollment = fill_missing(nanmean_columns(train_sel.for_user(user).values), pooled)
+    for code, user, child in zip(codes, users, root.spawn(len(users))):
+        enrollment = fill_missing(nanmean_columns(train_sel.for_user(code).values), pooled)
         rng = np.random.default_rng(child)
         grids.append(ds(enrollment, spec))
         # the user id is the password
         commitments.append(commit(grids[-1], user, params=params, rng=rng)[0])
 
     # a probe per scan window of an enrolled user, claiming that user
-    agg = scan_aggregate(test_sel, config.bkg_scan_seconds, ordinals)
+    agg = scan_aggregate(test_sel, config.bkg_scan_seconds)
     column = {u: k for k, u in enumerate(users)}
-    claimant = np.array([column.get(u, -1) for u in agg.user_ids.tolist()], dtype=np.int64)
+    claimant = np.array([column.get(u, -1) for u in agg.user_names], dtype=np.int64)[agg.user]
     probes = ds(fill_missing(agg.values[claimant >= 0], pooled), spec)
     claimant = claimant[claimant >= 0]
     probed, first = np.unique(claimant, return_index=True)
@@ -816,9 +817,9 @@ def run_bkg(config: ExperimentConfig,
         params = grs_build(config.bkg_n, config.bkg_l, config.bkg_p)
     except ValueError as exc:
         raise ConfigError(f"bkg code parameters rejected: {exc}") from None
-    train_s, test_s, ordinals = _split(config, sessions)
+    train_s, test_s = _split(config, sessions)
     matrices = _channel_matrices(train_s, test_s, config.bkg_channels, config)
-    reports = [_bkg_channel(channel, config, params, *matrices.pop(channel), ordinals)
+    reports = [_bkg_channel(channel, config, params, *matrices.pop(channel))
                for channel in config.bkg_channels]
     if all("error" in r for r in reports):
         raise InfeasibleError("; ".join(f"{r['channel']}: {r['error']}"

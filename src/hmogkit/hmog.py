@@ -337,13 +337,8 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
 
     rows = cells.reshape(len(starts), len(FEATURE_NAMES))[any_valid]
     n = len(rows)
-    fm = FeatureMatrix(
-        FEATURE_NAMES,
-        rows,
-        np.full(n, session.user_id, dtype=object),
-        np.full(n, session.session_id, dtype=object),
-        starts[any_valid],
-    )
+    fm = FeatureMatrix(FEATURE_NAMES, rows, np.zeros(n, dtype=np.int32), starts[any_valid],
+                       ((session.user_id, session.session_id),))
     fm.meta = {"mode": mode, "n_events": len(starts), "n_skipped": len(starts) - n,
                "n_context_overlap": overlap}
     return fm

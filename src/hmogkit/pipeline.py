@@ -7,8 +7,8 @@ imputed with template means at scoring time.
 
 Test vectors are scored as scan windows: scan_aggregate averages each
 session's vectors over fixed windows anchored at the session's zero, and
-keys every window by its session ordinal and start, so one key names the
-same stretch of recording in every channel.
+keys every window by its session code and start, so one key names the same
+stretch of recording in every channel extracted from the same sessions.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ SIGMA_FLOOR = 1e-6
 MIN_TEMPLATE_VECTORS = 80
 
 # keeps the scan windows of different sessions apart: a session's window
-# keys start at its ordinal times this stride (2**44 ms is about 557 years)
+# keys start at its code times this stride (2**44 ms is about 557 years)
 SESSION_STRIDE_MS = 1 << 44
 
 # equal-frequency bins per feature for mRMR's mutual information
@@ -78,19 +78,18 @@ def fisher_scores(fm: FeatureMatrix) -> np.ndarray:
     Each user's rows are reduced as contiguous (features x rows) chunks of
     at most _FISHER_BYTES, one user at a time: a contiguous row adds up in
     the order a 1-D column does, so every moment has the per-column bits."""
-    users, user_of = np.unique(fm.user_ids, return_inverse=True)
-    if len(users) < 2:
+    counts = np.unique(fm.user, return_counts=True)[1]
+    if len(counts) < 2:
         raise PipelineError("fisher scores need at least two users")
-    counts = np.bincount(user_of)
     if counts.min() < 2:
         raise PipelineError("fisher scores need at least two vectors per user")
-    order = np.argsort(user_of, kind="stable")
+    order = np.argsort(fm.user, kind="stable")
     ends = np.cumsum(counts)
     d = fm.n_features
     # (features x users) moments; has[j, k]: user k has two finite values in j
-    means = np.zeros((d, len(users)))
-    variances = np.zeros((d, len(users)))
-    has = np.zeros((d, len(users)), dtype=bool)
+    means = np.zeros((d, len(counts)))
+    variances = np.zeros((d, len(counts)))
+    has = np.zeros((d, len(counts)), dtype=bool)
     for k, (start, end) in enumerate(zip(ends - counts, ends)):
         rows = order[start:end]
         step = max(1, _FISHER_BYTES // (8 * len(rows)))
@@ -181,10 +180,9 @@ def mrmr_select(fm: FeatureMatrix, threshold: float) -> list[str]:
 
     Candidate score = I(feature; user) - mean I(feature; already selected);
     stops when the best score drops to the threshold or below. Features are
-    discretized into equal-frequency bins; user labels are the classes.
+    discretized into equal-frequency bins; user codes are the classes.
     """
-    users = {u: i for i, u in enumerate(fm.users())}
-    labels = np.array([users[u] for u in fm.user_ids], dtype=np.int64)
+    labels = fm.user
     codes = [_discretize_column(fm.values[:, j]) for j in range(fm.n_features)]
     relevance = np.array([_mutual_information(codes[j], labels)
                           for j in range(fm.n_features)])
@@ -359,17 +357,15 @@ def build_template(user_id: str, fm: FeatureMatrix, prep: FeaturePrep | None = N
 # scan aggregation
 # ---------------------------------------------------------------------------
 
-def scan_aggregate(fm: FeatureMatrix, scan_s: float,
-                   ordinals: dict[tuple[str, str], int]) -> FeatureMatrix:
+def scan_aggregate(fm: FeatureMatrix, scan_s: float) -> FeatureMatrix:
     """Feature-wise mean over consecutive non-overlapping scan windows.
 
     Windows are scan_s long and start at multiples of scan_s from each
     session's zero, so the same window lines up across channels. A row's
     window key, which is also its output timestamp, is
-    ordinal * SESSION_STRIDE_MS + t_ms // span * span, with the ordinal of
-    its (user, session); rows of a session with no ordinal are dropped.
-    Windows come out in key order; a window whose mean has no finite cell
-    is dropped.
+    session * SESSION_STRIDE_MS + t_ms // span * span, with the row's
+    session code. Windows come out in key order; a window whose mean has no
+    finite cell is dropped.
 
     Windows with the same row count are reduced together: nanmean_columns
     takes one (windows, rows, features) gather of at most _FISHER_BYTES (at
@@ -382,16 +378,12 @@ def scan_aggregate(fm: FeatureMatrix, scan_s: float,
     if scan_s <= 0:
         raise PipelineError("scan length must be positive")
     span = int(scan_s * 1000)
-    ordinal = np.array([ordinals.get(key, -1)
-                        for key in zip(fm.user_ids.tolist(), fm.session_ids.tolist())],
-                       dtype=np.int64)
-    rows = np.flatnonzero(ordinal >= 0)
-    if len(rows) == 0:
+    if fm.n_rows == 0:
         return FeatureMatrix.empty(fm.columns)
-    # stable, so rows with equal (ordinal, t_ms) keep their input order and
+    # stable, so rows with equal (session, t_ms) keep their input order and
     # each window's mean adds its rows in the same order as the oracle
-    order = rows[np.lexsort((fm.t_ms[rows], ordinal[rows]))]
-    key = ordinal[order] * SESSION_STRIDE_MS + fm.t_ms[order] // span * span
+    order = np.lexsort((fm.t_ms, fm.session))
+    key = fm.session[order].astype(np.int64) * SESSION_STRIDE_MS + fm.t_ms[order] // span * span
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     lengths = np.diff(starts, append=len(key))
     means = np.empty((len(starts), fm.n_features))
@@ -405,8 +397,8 @@ def scan_aggregate(fm: FeatureMatrix, scan_s: float,
             means[windows] = nanmean_columns(fm.values.take(members, axis=0))
     keep = np.isfinite(means).any(axis=1)
     first = order[starts[keep]]
-    return FeatureMatrix(fm.columns, means[keep], fm.user_ids[first],
-                         fm.session_ids[first], key[starts[keep]])
+    return FeatureMatrix(fm.columns, means[keep], fm.session[first], key[starts[keep]],
+                         fm.sessions)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ they come from, and every row is byte-equal to per-tap NumPy calls on that
 tap.
 
 Key features come out in long form: one row per event holding its column
-index and its value (``EVENT_COLUMNS``), labelled with user, session and
-press time. Events are one hold time per key press over the 89-key hold
+index and its value (``EVENT_COLUMNS``), labelled with session and press
+time. Events are one hold time per key press over the 89-key hold
 universe, and one down-down latency per consecutive key pair over the
 canonical 35-key alphabet (35 * 35 = 1225 digraphs). ``widen`` turns events
 into the dense matrix the pipeline scores, NaN outside each event's cell.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus.synth import KEY_ALPHABET
 from .corpus.types import Session
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, encode
 
 TAP_FEATURE_NAMES: tuple[str, ...] = (
     "tap_duration",
@@ -92,24 +92,15 @@ def tap_features(*sessions: Session) -> FeatureMatrix:
     dx, dy = (xy[later] - xy[later - 1]).T
     values[:, 10] = np.nan
     values[later, 10] = np.hypot(dx, dy) / ((t_start[later] - t_start[later - 1]) / 1000.0)
-    return FeatureMatrix(
-        TAP_FEATURE_NAMES,
-        values,
-        np.repeat(np.array([s.user_id for s in sessions], dtype=object), counts),
-        np.repeat(np.array([s.session_id for s in sessions], dtype=object), counts),
-        t_start,
-    )
+    table, (code,) = encode([(s.user_id, s.session_id) for s in sessions])
+    return FeatureMatrix(TAP_FEATURE_NAMES, values, np.repeat(code, counts), t_start, table)
 
 
 def _events(session: Session, t_ms: np.ndarray, column: np.ndarray,
             value: np.ndarray) -> FeatureMatrix:
-    n = len(t_ms)
-    return FeatureMatrix(
-        EVENT_COLUMNS, np.column_stack([column, value]),
-        np.full(n, session.user_id, dtype=object),
-        np.full(n, session.session_id, dtype=object),
-        t_ms,
-    )
+    return FeatureMatrix(EVENT_COLUMNS, np.column_stack([column, value]),
+                         np.zeros(len(t_ms), dtype=np.int32), t_ms,
+                         ((session.user_id, session.session_id),))
 
 
 def _codes(keys: np.ndarray, universe: tuple[str, ...]) -> np.ndarray:
@@ -149,8 +140,8 @@ def widen(events: FeatureMatrix, columns: tuple[str, ...], keep=None) -> Feature
     rows = np.flatnonzero(cell >= 0)
     values = np.full((events.n_rows, len(keep)), np.nan)
     values[rows, cell[rows]] = events.values[rows, 1]
-    return FeatureMatrix(tuple(columns[i] for i in keep), values,
-                         events.user_ids, events.session_ids, events.t_ms)
+    return FeatureMatrix(tuple(columns[i] for i in keep), values, events.session,
+                         events.t_ms, events.sessions)
 
 
 def latency_outlier_filter(train: FeatureMatrix, test: FeatureMatrix, l_ms: float,

@@ -6,8 +6,9 @@ above th. The EER is read off the piecewise-linear FAR/FRR polyline over
 the pooled score values.
 
 A ScoreSet is columnar: four parallel arrays (claimed, actual, t_ms,
-score), one row per decision; a decision is genuine when claimed ==
-actual. Every stage after scoring works on these arrays.
+score), one row per decision, with claimed and actual int32 codes into its
+sorted user names; a decision is genuine when claimed == actual. Every
+stage after scoring works on these arrays.
 
 Scoring takes one block of probe rows per template; each row's score is
 bit-equal to scoring its vector alone (see ``Template.project``).
@@ -42,12 +43,12 @@ keeps the first grid point with the smallest EER.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, islice, repeat
 
 import numpy as np
 
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, encode
 from .table import read_rows, write_table
 
 
@@ -66,14 +67,15 @@ _CSV_HEADER = ["kind", "claimed", "actual", "t_ms", "score"]
 class ScoreSet:
     """Scored decisions; ``genuine`` and ``impostor`` are each kind's scores."""
 
-    claimed: np.ndarray = ()   # (n,) object
-    actual: np.ndarray = ()    # (n,) object
+    claimed: np.ndarray = ()   # (n,) int32 code in users
+    actual: np.ndarray = ()    # (n,) int32 code in users
     t_ms: np.ndarray = ()      # (n,) int64
     score: np.ndarray = ()     # (n,) float64
+    users: tuple[str, ...] = ()  # sorted distinct user names
 
     def __post_init__(self) -> None:
-        self.claimed = np.asarray(self.claimed, dtype=object)
-        self.actual = np.asarray(self.actual, dtype=object)
+        self.claimed = np.asarray(self.claimed, dtype=np.int32)
+        self.actual = np.asarray(self.actual, dtype=np.int32)
         self.t_ms = np.asarray(self.t_ms, dtype=np.int64)
         self.score = np.asarray(self.score, dtype=np.float64)
         if not len(self.claimed) == len(self.actual) == len(self.t_ms) == len(self.score):
@@ -89,8 +91,9 @@ class ScoreSet:
 
     def write_csv(self, path: str, header_comments=()) -> None:
         genuine = self.claimed == self.actual
+        names = np.array(self.users, dtype=object)
         write_table(path, _CSV_HEADER, chain.from_iterable(
-            zip(repeat(kind), self.claimed[rows].tolist(), self.actual[rows].tolist(),
+            zip(repeat(kind), names[self.claimed[rows]].tolist(), names[self.actual[rows]].tolist(),
                 self.t_ms[rows].tolist(), self.score[rows].tolist())
             for kind, rows in (("genuine", genuine), ("impostor", ~genuine))),
             header_comments)
@@ -119,7 +122,8 @@ class ScoreSet:
                 raise VerifyError(f"{path}:{n}: score must be finite, got {score!r}")
             for column, value in zip(columns, row):
                 column.append(value)
-        return cls(*columns)
+        users, (claimed, actual) = encode(columns[0], columns[1])
+        return cls(claimed, actual, columns[2], columns[3], users)
 
 
 def gen_scores(templates: dict, auth: FeatureMatrix, metric: str = "sm") -> ScoreSet:
@@ -133,17 +137,18 @@ def gen_scores(templates: dict, auth: FeatureMatrix, metric: str = "sm") -> Scor
         raise VerifyError(f"unknown metric {metric!r}")
     reduce = _METRICS[metric]
     index = {name: j for j, name in enumerate(auth.columns)}
+    users, (claimants, actual) = encode(sorted(templates), auth.user_names)
     # each list starts with an empty block, so no templates give an empty ScoreSet
-    claimed, rows, scores = [np.empty(0, object)], [np.empty(0, np.intp)], [np.empty(0)]
-    for user, template in sorted(templates.items()):
+    claimed, rows, scores = [np.empty(0, np.int32)], [np.empty(0, np.intp)], [np.empty(0)]
+    for code, (_, template) in zip(claimants, sorted(templates.items())):
         block = auth.values[:, [index[name] for name in template.input_features]]
         hits = np.flatnonzero(np.isfinite(block).any(axis=1))
-        claimed.append(np.full(len(hits), user, dtype=object))
+        claimed.append(np.full(len(hits), code, dtype=np.int32))
         rows.append(hits)
         scores.append(reduce((template.project(block[hits]) - template.mu) / template.sigma))
     rows = np.concatenate(rows)
-    return ScoreSet(np.concatenate(claimed), auth.user_ids[rows].astype(str), auth.t_ms[rows],
-                    np.concatenate(scores))
+    return ScoreSet(np.concatenate(claimed), actual[auth.user[rows]], auth.t_ms[rows],
+                    np.concatenate(scores), users)
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +162,25 @@ def minmax_normalize(scores: ScoreSet) -> tuple[ScoreSet, tuple[float, float]]:
     lo, hi = float(scores.score.min()), float(scores.score.max())
     span = hi - lo
     normalized = (scores.score - lo) / span if span > 0 else np.zeros(len(scores.score))
-    return ScoreSet(scores.claimed, scores.actual, scores.t_ms, normalized), (lo, hi)
+    return replace(scores, score=normalized), (lo, hi)
 
 
 def _align(channels: dict[str, ScoreSet]):
     """Normalize each channel once and align the decisions of all channels.
 
     Returns (keys, S, M, genuine): the claimed, actual and t_ms arrays of the
-    decisions in sorted (claimed, actual, t_ms) order; their normalized
-    scores, one column per channel in the order of ``channels``, 0.0 where a
-    channel has no score; the presence mask of S; and the genuine mask. A
-    channel that scores one decision twice keeps the later score.
+    decisions in sorted (claimed, actual, t_ms) order, and the users their
+    codes index; their normalized scores, one column per channel in the
+    order of ``channels``, 0.0 where a channel has no score; the presence
+    mask of S; and the genuine mask. A channel that scores one decision twice
+    keeps the later score.
     """
     normalized = [minmax_normalize(scores)[0] for scores in channels.values()]
-    claimed, actual, t_ms = (np.concatenate([getattr(s, name) for s in normalized])
-                             for name in ("claimed", "actual", "t_ms"))
-    # users coded by rank in string order sort as the (claimed, actual, t_ms) tuples
-    names, codes = np.unique(np.concatenate([claimed, actual]), return_inverse=True)
-    (c, a, t), row = np.unique(np.stack([codes[:len(claimed)], codes[len(claimed):], t_ms]),
-                               axis=1, return_inverse=True)
+    users, codes = encode(*(s.users for s in normalized))
+    # codes are ranks in string order, so they sort as the names do
+    keys = np.concatenate([np.stack([code[s.claimed], code[s.actual], s.t_ms])
+                           for code, s in zip(codes, normalized)], axis=1)
+    (c, a, t), row = np.unique(keys, axis=1, return_inverse=True)
     row = row.reshape(-1)
     # column-major, so that each channel's column is contiguous
     S = np.zeros((len(t), len(normalized)), order="F")
@@ -186,7 +191,7 @@ def _align(channels: dict[str, ScoreSet]):
         last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
         S[rows[last], j] = scores.score[last]
         M[rows[last], j] = True
-    return (names[c], names[a], t), S, M, c == a
+    return (c, a, t, users), S, M, c == a
 
 
 def _fuse_aligned(S: np.ndarray, M: np.ndarray, W: np.ndarray):
@@ -218,10 +223,10 @@ def fuse_scoresets(channels: dict[str, ScoreSet],
     Decisions whose present channels carry zero weight are excluded.
     ``aligned`` is ``_align(channels)`` when the caller already holds it.
     """
-    (claimed, actual, t_ms), S, M, _ = _align(channels) if aligned is None else aligned
+    (claimed, actual, t_ms, users), S, M, _ = _align(channels) if aligned is None else aligned
     W = np.array([[float(weights.get(c, 0.0)) for c in channels]])
     fused, keep = (a[0] for a in _fuse_aligned(S, M, W))
-    return ScoreSet(claimed[keep], actual[keep], t_ms[keep], fused[keep])
+    return ScoreSet(claimed[keep], actual[keep], t_ms[keep], fused[keep], users)
 
 
 def grid_ticks(step: float) -> int:

@@ -29,6 +29,7 @@ from hmogkit.pipeline import SIGMA_FLOOR, PipelineError, nanmean_columns
 from hmogkit.touchkeys import (
     HOLD_UNIVERSE, TAP_FEATURE_NAMES, digraph_feature_names)
 from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize
+from labels import actual_ids, claimed_ids, labelled, scores_of, session_ids, user_ids
 from tables import tap_rows
 
 
@@ -418,12 +419,11 @@ def extract_hmog_oracle(session, mode: str = "during"):
                   if nxt_start - prev_end < BETWEEN_GUARD_MS) \
         if mode == "during" else 0
     n = len(rows)
-    fm = FeatureMatrix(
+    fm = labelled(
         FEATURE_NAMES,
         np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES))),
-        np.full(n, session.user_id, dtype=object),
-        np.full(n, session.session_id, dtype=object),
-        np.array(ts, dtype=np.int64))
+        [session.user_id] * n, [session.session_id] * n,
+        np.array(ts, dtype=np.int64), [(session.user_id, session.session_id)])
     fm.meta = {"mode": mode, "n_events": len(events), "n_skipped": skipped,
                "n_context_overlap": overlap}
     return fm
@@ -453,13 +453,11 @@ def tap_features_oracle(session) -> FeatureMatrix:
         prev_xy = xy[0]
         prev_t = t_start
     n = len(rows)
-    return FeatureMatrix(
+    return labelled(
         TAP_FEATURE_NAMES,
         np.array(rows) if rows else np.empty((0, len(TAP_FEATURE_NAMES))),
-        np.full(n, session.user_id, dtype=object),
-        np.full(n, session.session_id, dtype=object),
-        np.array(ts, dtype=np.int64),
-    )
+        [session.user_id] * n, [session.session_id] * n,
+        np.array(ts, dtype=np.int64), [(session.user_id, session.session_id)])
 
 
 def _sparse_matrix(session, columns: tuple[str, ...],
@@ -470,12 +468,8 @@ def _sparse_matrix(session, columns: tuple[str, ...],
     for i, (t, col, value) in enumerate(entries):
         values[i, col] = value
         ts[i] = t
-    return FeatureMatrix(
-        columns, values,
-        np.full(n, session.user_id, dtype=object),
-        np.full(n, session.session_id, dtype=object),
-        ts,
-    )
+    return labelled(columns, values, [session.user_id] * n, [session.session_id] * n, ts,
+                    [(session.user_id, session.session_id)])
 
 
 def keystroke_features_oracle(session, hold_universe=HOLD_UNIVERSE):
@@ -508,8 +502,8 @@ def digraph_events(fm: FeatureMatrix) -> FeatureMatrix:
     names = digraph_feature_names()
     rows, cols = np.nonzero(np.isfinite(fm.values))
     values = [[names.index(fm.columns[j]), fm.values[i, j]] for i, j in zip(rows, cols)]
-    return FeatureMatrix(("column", "value"), np.array(values).reshape(len(rows), 2),
-                         fm.user_ids[rows], fm.session_ids[rows], fm.t_ms[rows])
+    return labelled(("column", "value"), np.array(values).reshape(len(rows), 2),
+                    user_ids(fm)[rows], session_ids(fm)[rows], fm.t_ms[rows])
 
 
 def dense_digraphs(events: FeatureMatrix) -> FeatureMatrix:
@@ -518,8 +512,8 @@ def dense_digraphs(events: FeatureMatrix) -> FeatureMatrix:
     values = np.full((events.n_rows, len(digraph_feature_names())), np.nan)
     for i, (col, value) in enumerate(events.values):
         values[i, int(col)] = value
-    return FeatureMatrix(digraph_feature_names(), values, events.user_ids,
-                         events.session_ids, events.t_ms)
+    return labelled(digraph_feature_names(), values, user_ids(events),
+                    session_ids(events), events.t_ms)
 
 
 def latency_outlier_filter_oracle(fm: FeatureMatrix, l_ms: float, m_min: int) -> FeatureMatrix:
@@ -536,8 +530,8 @@ def latency_outlier_filter_oracle(fm: FeatureMatrix, l_ms: float, m_min: int) ->
     values = fm.values[np.ix_(keep_rows, keep_cols)]
     with np.errstate(invalid="ignore"):
         values[values > l_ms] = np.nan
-    return FeatureMatrix(columns, values, fm.user_ids[keep_rows],
-                         fm.session_ids[keep_rows], fm.t_ms[keep_rows])
+    return labelled(columns, values, user_ids(fm)[keep_rows],
+                    session_ids(fm)[keep_rows], fm.t_ms[keep_rows])
 
 
 def filter_digraphs_oracle(train: FeatureMatrix, test: FeatureMatrix, l_ms: float,
@@ -560,8 +554,8 @@ def fuse_scoresets_oracle(channels, weights):
     normalized = {name: minmax_normalize(s)[0] for name, s in channels.items()}
     keyed: dict[tuple[str, str, int], dict[str, float]] = {}
     for name, scores in normalized.items():
-        for key, score in zip(zip(scores.claimed, scores.actual, scores.t_ms.tolist()),
-                              scores.score.tolist()):
+        for key, score in zip(zip(claimed_ids(scores), actual_ids(scores),
+                                  scores.t_ms.tolist()), scores.score.tolist()):
             keyed.setdefault(key, {})[name] = score
     rows = []
     for key, per_channel in sorted(keyed.items()):
@@ -569,7 +563,7 @@ def fuse_scoresets_oracle(channels, weights):
         if wsum <= 0:
             continue
         rows.append((*key, sum(weights.get(c, 0.0) / wsum * s for c, s in per_channel.items())))
-    return ScoreSet(*zip(*rows)) if rows else ScoreSet()
+    return scores_of(*zip(*rows)) if rows else ScoreSet()
 
 
 def gen_scores_oracle(templates, auth: FeatureMatrix, metric: str = "sm") -> ScoreSet:
@@ -598,7 +592,7 @@ def gen_scores_oracle(templates, auth: FeatureMatrix, metric: str = "sm") -> Sco
                 rows.append(i)
                 scores.append(score_fn(template, v))
     rows = np.array(rows, dtype=np.intp)
-    return ScoreSet(claimed, auth.user_ids[rows].astype(str), auth.t_ms[rows], scores)
+    return scores_of(claimed, user_ids(auth)[rows], auth.t_ms[rows], scores)
 
 
 def weight_grid(channel_names, step: float = 0.05):
@@ -635,10 +629,11 @@ def search_fusion_weights_oracle(channels, step: float = 0.05):
 def fisher_scores_oracle(fm: FeatureMatrix) -> np.ndarray:
     """fisher_scores by a loop over features and, in each, over users: the
     finite cells of one user's column as a 1-D array, two at least."""
-    users = fm.users()
+    names = user_ids(fm)
+    users = sorted(set(names.tolist()))
     if len(users) < 2:
         raise PipelineError("fisher scores need at least two users")
-    per_user = [fm.for_user(u).values for u in users]
+    per_user = [fm.values[names == u] for u in users]
     if any(len(block) < 2 for block in per_user):
         raise PipelineError("fisher scores need at least two vectors per user")
     d = fm.n_features
@@ -688,13 +683,12 @@ def _scan_aggregate_one_session(fm: FeatureMatrix, t_seconds: float,
             continue
         rows.append(agg)
         where = np.flatnonzero(idx == w)[0]
-        users.append(fm.user_ids[where])
-        sessions.append(fm.session_ids[where])
+        users.append(user_ids(fm)[where])
+        sessions.append(session_ids(fm)[where])
         ts.append(anchor + int(w) * span)
     if not rows:
         return FeatureMatrix.empty(fm.columns)
-    return FeatureMatrix(fm.columns, np.array(rows), np.array(users, dtype=object),
-                         np.array(sessions, dtype=object), np.array(ts, dtype=np.int64))
+    return labelled(fm.columns, np.array(rows), users, sessions, np.array(ts, dtype=np.int64))
 
 
 def scan_aggregate_oracle(fm: FeatureMatrix, scan_s: float,
@@ -704,15 +698,14 @@ def scan_aggregate_oracle(fm: FeatureMatrix, scan_s: float,
     session ordinal."""
     parts = []
     for (user, session), ordinal in sorted(ordinals.items()):
-        mask = (fm.user_ids == user) & (fm.session_ids == session)
+        mask = (user_ids(fm) == user) & (session_ids(fm) == session)
         if not mask.any():
             continue
         agg = _scan_aggregate_one_session(fm.take(mask), scan_s, anchor_ms=0)
         if agg.n_rows == 0:
             continue
-        parts.append(FeatureMatrix(agg.columns, agg.values, agg.user_ids,
-                                   agg.session_ids,
-                                   agg.t_ms + ordinal * _SESSION_STRIDE_MS))
+        parts.append(labelled(agg.columns, agg.values, user_ids(agg), session_ids(agg),
+                              agg.t_ms + ordinal * _SESSION_STRIDE_MS))
     if not parts:
         return FeatureMatrix.empty(fm.columns)
     return FeatureMatrix.vstack(parts)

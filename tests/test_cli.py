@@ -24,6 +24,7 @@ from hmogkit.experiments import (
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import save_templates
 from hmogkit.verify import ScoreSet
+from labels import actual_ids, claimed_ids, scores_of
 from oracles import keystroke_features_oracle, latency_outlier_filter_oracle
 
 
@@ -443,7 +444,7 @@ def test_out_dir_env_default(cli_corpus, tmp_path, monkeypatch):
 # ---------------------------------------------------------------- fuse
 
 def score_csv(path, genuine, impostor):
-    scores = ScoreSet(["A"] * (len(genuine) + len(impostor)),
+    scores = scores_of(["A"] * (len(genuine) + len(impostor)),
                       ["A"] * len(genuine) + ["B"] * len(impostor),
                       [*range(len(genuine)), *range(len(impostor))],
                       [*genuine, *impostor])
@@ -494,9 +495,13 @@ def test_negative_zero_fusion_weight_reads_as_zero(cli_corpus, tmp_path, monkeyp
     assert runs[1] == runs[0]
 
 
-def test_fuse_needs_two_channels(tmp_path):
+def test_fuse_needs_two_channels(tmp_path, capsys):
     score_csv(tmp_path / "only.csv", [1.0], [2.0])
     assert main(["fuse", "--scores", f"only={tmp_path / 'only.csv'}"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "config error: fuse needs score files of at least two channels, got 1"]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -529,27 +534,57 @@ def test_fuse_bad_score_row_is_a_data_error(tmp_path, capsys, row, message):
 
 
 def test_user_ids_with_csv_specials_reach_fuse(cli_corpus, tmp_path, capsys):
-    # ingest accepts these ids; every table they land in must split back
-    names = dict(zip(sorted({s.user_id for s in load_corpus(str(cli_corpus))}),
-                     ["a,b", 'c"d']))
+    # ingest accepts these ids; every table they land in must split back.
+    # Each user's sessions are copied under several ids, among them ids whose
+    # string order is not their numeric (u10 < u9), case (B < a) or locale
+    # (z < é) order
+    sessions = load_corpus(str(cli_corpus))
+    users = sorted({s.user_id for s in sessions})
+    names = {users[0]: ["a,b", "u10", "B"], users[1]: ['c"d', "u9", "a", "é"]}
+    everyone = {name for copies in names.values() for name in copies}
     corpus = tmp_path / "corpus"
-    save_corpus([dataclasses.replace(s, user_id=names[s.user_id])
-                 for s in load_corpus(str(cli_corpus))], str(corpus))
+    save_corpus([dataclasses.replace(s, user_id=name)
+                 for s in sessions for name in names[s.user_id]], str(corpus))
     out = tmp_path / "results"
     assert main(eval_args(corpus, "--out-dir", str(out))) == 0
     scores = ScoreSet.read_csv(str(out / "scores_hmog_20s.csv"))
-    assert set(scores.claimed) == set(scores.actual) == set(names.values())
+    assert set(claimed_ids(scores)) == set(actual_ids(scores)) == everyone
     assert main(["fuse", "--scores", f"hmog={out / 'scores_hmog_20s.csv'}",
                  "--scores", f"tap={out / 'scores_tap_20s.csv'}",
                  "--out-dir", str(tmp_path / "fused")]) == 0
     assert (tmp_path / "fused" / "fusion.json").exists()
+    # each kind's decisions in (claimed, actual, t_ms) order as Python
+    # compares the names, in every score file, the fused ones included
+    paths = sorted(out.glob("scores_*.csv")) + [tmp_path / "fused" / "scores_fused.csv"]
+    assert len(paths) == 4
+    for path in paths:
+        _, rows = csv_rows(path)
+        assert {row[1] for row in rows} == {row[2] for row in rows} == everyone
+        for kind in ("genuine", "impostor"):
+            keys = [(claimed, actual, int(t)) for k, claimed, actual, t, _ in rows if k == kind]
+            assert keys and keys == sorted(keys), (path.name, kind)
     features = tmp_path / "hmog.csv"
     assert main(["extract", "--corpus", str(corpus), "--channel", "hmog",
                  "--features-out", str(features)]) == 0
     with open(features, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
     assert rows and {len(row) for row in rows} == {len(header)}
-    assert {row[0] for row in rows} == set(names.values())
+    assert {row[0] for row in rows} == everyone
+
+
+def test_integer_user_ids_score_genuine_decisions(cli_corpus, tmp_path):
+    # read_session accepts an integer user_id; a user's probes must still
+    # be scored as genuine against that user's template
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, corpus)
+    for meta in corpus.glob("*/meta.json"):
+        blob = json.loads(meta.read_text())
+        blob["user_id"] = int(blob["user_id"].lstrip("u"))
+        meta.write_text(json.dumps(blob))
+    assert main(eval_args(corpus, "--out-dir", str(tmp_path / "out"))) == 0
+    scores = ScoreSet.read_csv(str(tmp_path / "out" / "scores_hmog_20s.csv"))
+    assert scores.users == ("1", "2")
+    assert len(scores.genuine) and len(scores.impostor)
 
 
 # ---------------------------------------------------------------- experiments
@@ -828,3 +863,19 @@ def test_config_file_lists_and_negative_zero_build_the_flag_config(tmp_path):
     assert got.fusion_weights == {"hmog": 0.0, "tap": 1.0}
     assert math.copysign(1.0, got.fusion_weights["hmog"]) == 1.0
     assert got.config_hash() == want.config_hash()
+
+
+def test_config_file_ints_in_float_fields(tmp_path, capsys):
+    # an int in a float field stamps the run as its float does; one too
+    # large for a float is a config error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scan_seconds": [20, 60], "session_seconds": 120}))
+    want = build_config(make_parser().parse_args(
+        ["eval", "--scans", "20,60", "--session-seconds", "120"]))
+    got = build_config(make_parser().parse_args(["eval", "--config", str(cfg)]))
+    assert got.config_hash() == want.config_hash()
+    cfg.write_text('{"session_seconds": 1' + "0" * 400 + "}")
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("config error: session_seconds must be float, got 1000")

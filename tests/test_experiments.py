@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from hmogkit.experiments import (
     run_auth,
     run_between,
     run_bkg,
+    run_fuse,
     run_rate_sweep,
-    session_ordinals,
     split_train_test,
     training_sessions,
 )
@@ -35,6 +36,7 @@ from hmogkit.touchkeys import (
     widen,
 )
 from hmogkit.table import read_rows
+from labels import labelled, scores_of, session_ids, user_ids
 from oracles import digraph_events, lee_weight_oracle, open_table_oracle
 from tables import tap_rows, tap_table
 
@@ -44,11 +46,8 @@ def bare_session(user, session_id):
                    condition=Condition.SITTING)
 
 
-def fm_of(values, users, sessions, t, columns):
-    return FeatureMatrix(tuple(columns), np.asarray(values, dtype=np.float64),
-                         np.asarray(users, dtype=object),
-                         np.asarray(sessions, dtype=object),
-                         np.asarray(t, dtype=np.int64))
+def fm_of(values, users, sessions, t, columns, table=()):
+    return labelled(columns, values, users, sessions, np.asarray(t, dtype=np.int64), table)
 
 
 # ---------------------------------------------------------------- config
@@ -148,6 +147,35 @@ def test_default_config_hash_is_pinned():
     assert ExperimentConfig().config_hash() == "ab8f4e50556f76b3"
 
 
+def test_float_fields_hash_alike_as_int_and_float():
+    ints = {"session_seconds": 300, "separation": 2, "tap_rate_hz": 1,
+            "scan_seconds": (60, 20), "selector_value": 1, "pca_fraction": 1,
+            "latency_max_ms": 900, "fusion_step": 1, "bkg_scan_seconds": 30}
+    hints = experiments._FIELD_TYPES
+    assert set(ints) == {name for name, hint in hints.items()
+                         if float in (hint, *typing.get_args(hint))}
+    for name, value in ints.items():
+        floats = tuple(map(float, value)) if isinstance(value, tuple) else float(value)
+        as_int = ExperimentConfig(**{name: value})
+        assert as_int.config_hash() == ExperimentConfig(**{name: floats}).config_hash(), name
+        assert repr(getattr(as_int, name)) == repr(floats), name
+    assert ExperimentConfig(scan_seconds=(60,)).config_hash() == "ab8f4e50556f76b3"
+
+
+@pytest.mark.parametrize("overrides", [
+    {"separation": True}, {"scan_seconds": (60.0, False)}, {"pca_fraction": True}])
+def test_float_fields_reject_bools(overrides):
+    with pytest.raises(ConfigError, match="must be"):
+        ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("name", ["session_seconds", "tap_rate_hz", "scan_seconds"])
+def test_float_fields_reject_ints_beyond_float(name):
+    value = (10 ** 400,) if name == "scan_seconds" else 10 ** 400
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        ExperimentConfig(**{name: value})
+
+
 def test_config_is_checked_when_built():
     with pytest.raises(ConfigError, match="two users"):
         ExperimentConfig(n_users=1)
@@ -195,10 +223,12 @@ def test_split_requires_leftover_sessions():
         split_train_test(sessions)
 
 
-def test_session_ordinals_sorted():
-    ordinals = session_ordinals(split_fixture())
-    assert ordinals == {("A", "s01"): 0, ("A", "s02"): 1, ("A", "s03"): 2,
-                        ("B", "s01"): 3, ("B", "s02"): 4, ("B", "s03"): 5}
+def test_session_table_sorted():
+    # every channel holds every session, rows or not, in (user, session) order
+    config = ExperimentConfig()
+    for fm in extract_channels(split_fixture(), config.channels, config).values():
+        assert fm.sessions == (("A", "s01"), ("A", "s02"), ("A", "s03"),
+                               ("B", "s01"), ("B", "s02"), ("B", "s03"))
 
 
 # ---------------------------------------------------------------- extraction
@@ -223,7 +253,7 @@ def test_extract_channel_shapes(mini_sessions):
 def test_extract_channel_orders_sessions(mini_sessions):
     config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0)
     fm = extract_channels(list(reversed(mini_sessions)), ("tap",), config)["tap"]
-    labels = list(zip(fm.user_ids, fm.session_ids))
+    labels = list(zip(user_ids(fm), session_ids(fm)))
     assert labels == sorted(labels)
 
 
@@ -308,12 +338,12 @@ def test_filter_digraphs_train_decides_columns():
 # ---------------------------------------------------------------- scans
 
 def test_aggregate_scans_aligns_channels():
-    ordinals = {("u1", "s01"): 0, ("u1", "s02"): 1}
+    table = [("u1", "s01"), ("u1", "s02")]
     wide = fm_of([[1.0], [3.0], [5.0], [7.0]], ["u1"] * 4,
                  ["s01", "s01", "s02", "s02"], [10000, 70000, 0, 65000], ["a"])
-    narrow = fm_of([[2.0]], ["u1"], ["s01"], [30000], ["b"])
-    agg_wide = scan_aggregate(wide, 60.0, ordinals)
-    agg_narrow = scan_aggregate(narrow, 60.0, ordinals)
+    narrow = fm_of([[2.0]], ["u1"], ["s01"], [30000], ["b"], table)
+    agg_wide = scan_aggregate(wide, 60.0)
+    agg_narrow = scan_aggregate(narrow, 60.0)
     stride = SESSION_STRIDE_MS
     assert list(agg_wide.t_ms) == [0, 60000, stride, 60000 + stride]
     # the narrow channel's one window lands on the same key as the wide one
@@ -323,11 +353,10 @@ def test_aggregate_scans_aligns_channels():
 
 
 def test_aggregate_scans_skips_absent_pairs():
-    ordinals = {("u1", "s01"): 0, ("u2", "s01"): 1}
-    fm = fm_of([[1.0]], ["u1"], ["s01"], [0], ["a"])
-    agg = scan_aggregate(fm, 60.0, ordinals)
+    fm = fm_of([[1.0]], ["u1"], ["s01"], [0], ["a"], [("u2", "s01")])
+    agg = scan_aggregate(fm, 60.0)
     assert agg.n_rows == 1
-    empty = scan_aggregate(FeatureMatrix.empty(("a",)), 60.0, ordinals)
+    empty = scan_aggregate(FeatureMatrix.empty(("a",)), 60.0)
     assert empty.n_rows == 0
 
 
@@ -603,3 +632,12 @@ def test_run_bkg_rejects_bad_code(mini_sessions):
     config = auth_config(bkg_n=6, bkg_l=4, bkg_p=5)  # n > p
     with pytest.raises(ConfigError, match="code parameters"):
         run_bkg(config, mini_sessions)
+
+
+def test_run_fuse_needs_two_channels(tmp_path):
+    path = tmp_path / "only.csv"
+    scores_of(["A", "A"], ["A", "B"], [0, 0], [1.0, 2.0]).write_csv(str(path))
+    for paths in ([("only", str(path))], [("a", str(path)), ("a", str(path))]):
+        with pytest.raises(ConfigError) as raised:
+            run_fuse(ExperimentConfig(), paths, None)
+        assert str(raised.value) == "fuse needs score files of at least two channels, got 1"

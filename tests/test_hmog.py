@@ -25,6 +25,7 @@ from hmogkit.hmog import (
 from oracles import (
     channel_matrix, extract_hmog_oracle, resistance_block, stability_block, t_min,
     t_min_index, t_min_oracle)
+from labels import session_ids, user_ids
 from tables import tap_table
 
 
@@ -377,8 +378,9 @@ def assert_matches_oracle(session, mode):
     assert got.values.tobytes() == want.values.tobytes()
     assert got.t_ms.dtype == want.t_ms.dtype
     assert got.t_ms.tobytes() == want.t_ms.tobytes()
-    assert list(got.user_ids) == list(want.user_ids)
-    assert list(got.session_ids) == list(want.session_ids)
+    assert list(user_ids(got)) == list(user_ids(want))
+    assert list(session_ids(got)) == list(session_ids(want))
+    assert got.sessions == want.sessions == ((session.user_id, session.session_id),)
     assert got.meta == want.meta
     return got
 

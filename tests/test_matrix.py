@@ -3,17 +3,18 @@ import csv
 import numpy as np
 import pytest
 
-from hmogkit.matrix import FeatureMatrix
+from hmogkit.matrix import FeatureMatrix, encode
+from labels import labelled, session_ids, user_ids
 
 
 def make_fm(values, users=None, sessions=None, t=None, columns=None):
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    return FeatureMatrix(
+    return labelled(
         columns or tuple(f"f{i}" for i in range(values.shape[1])),
         values,
-        np.array(users or ["u1"] * n, dtype=object),
-        np.array(sessions or ["s1"] * n, dtype=object),
+        users or ["u1"] * n,
+        sessions or ["s1"] * n,
         np.array(t if t is not None else range(n), dtype=np.int64),
     )
 
@@ -38,14 +39,35 @@ def test_take_bool_and_index():
     fm = make_fm([[1.0], [2.0], [3.0]], users=["u1", "u2", "u1"])
     np.testing.assert_array_equal(fm.take([2, 0]).values[:, 0], [3.0, 1.0])
     np.testing.assert_array_equal(
-        fm.take(fm.user_ids == "u1").values[:, 0], [1.0, 3.0])
-    assert fm.for_user("u2").n_rows == 1
+        fm.take(user_ids(fm) == "u1").values[:, 0], [1.0, 3.0])
+    assert fm.for_user(fm.user_names.index("u2")).n_rows == 1
 
 
 def test_users_sessions_sorted():
     fm = make_fm([[1.0]] * 4, users=["b", "a", "b", "a"],
                  sessions=["s2", "s1", "s1", "s2"])
-    assert fm.users() == ["a", "b"]
+    assert fm.sessions == (("a", "s1"), ("a", "s2"), ("b", "s1"), ("b", "s2"))
+    assert fm.user_names == ("a", "b")
+    assert fm.session.tolist() == [3, 0, 2, 1]
+    assert fm.user.tolist() == [1, 0, 1, 0]
+    assert fm.users() == [0, 1]
+    assert fm.session.dtype == fm.user.dtype == np.int32
+
+
+def test_users_lists_only_users_with_rows():
+    fm = labelled(("f0",), [[1.0]], ["b"], ["s1"], [0], table=[("a", "s1")])
+    assert fm.user_names == ("a", "b")
+    assert fm.users() == [1]
+    assert fm.for_user(0).n_rows == 0
+
+
+def test_codes_sort_as_names():
+    # string order, not numeric or case order; a non-ASCII name sorts last
+    names = ["u9", "u10", "a", "B", "é"]
+    table, (codes,) = encode(names)
+    assert table == ("B", "a", "u10", "u9", "é")
+    assert [table[k] for k in codes.tolist()] == names
+    assert np.argsort(codes).tolist() == sorted(range(5), key=names.__getitem__)
 
 
 def test_vstack():
@@ -53,9 +75,18 @@ def test_vstack():
     b = make_fm([[3.0, 4.0]], users=["u2"])
     out = FeatureMatrix.vstack([a, b])
     assert out.n_rows == 2
-    assert list(out.user_ids) == ["u1", "u2"]
+    assert list(user_ids(out)) == ["u1", "u2"]
     with pytest.raises(ValueError):
         FeatureMatrix.vstack([])
+
+
+def test_vstack_merges_session_tables():
+    a = make_fm([[1.0], [2.0]], users=["u2", "u1"], sessions=["s1", "s2"])
+    b = make_fm([[3.0], [4.0]], users=["u1", "u3"], sessions=["s1", "s1"])
+    out = FeatureMatrix.vstack([a, b])
+    assert out.sessions == (("u1", "s1"), ("u1", "s2"), ("u2", "s1"), ("u3", "s1"))
+    assert list(user_ids(out)) == ["u2", "u1", "u1", "u3"]
+    assert list(session_ids(out)) == ["s1", "s2", "s1", "s1"]
 
 
 def test_vstack_rejects_column_mismatch():
@@ -78,7 +109,7 @@ def test_zero_columns_take_rows_from_labels():
     assert fm.n_rows == 3 and fm.values.shape == (3, 0)
     assert fm.take([2]).n_rows == 1
     with pytest.raises(ValueError, match="disagree"):
-        FeatureMatrix((), np.empty((3, 0)), ["u1"] * 3, ["s1"] * 2, [0, 1, 2])
+        FeatureMatrix((), np.empty((3, 0)), [0] * 3, [0, 1], (("u1", "s1"),))
 
 
 def read_back(path):

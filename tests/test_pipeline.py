@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from hmogkit import pipeline
 from hmogkit.corpus.synth import make_corpus, make_profiles
 from hmogkit.experiments import (
-    CHANNELS, ExperimentConfig, extract_channels, session_ordinals, training_sessions)
+    CHANNELS, ExperimentConfig, extract_channels, training_sessions)
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import (
     MIN_TEMPLATE_VECTORS,
@@ -31,6 +31,7 @@ from hmogkit.pipeline import (
     select_by_fisher,
 )
 from hmogkit.touchkeys import digraph_feature_names, widen
+from labels import labelled, session_ids, user_ids
 from oracles import fisher_scores_oracle, scan_aggregate_oracle
 
 
@@ -41,10 +42,7 @@ def fm_of(values, users, sessions=None, t=None, columns=None):
         columns = tuple(f"f{j}" for j in range(values.shape[1]))
     sessions = sessions if sessions is not None else ["s01"] * n
     t = t if t is not None else np.arange(n) * 1000
-    return FeatureMatrix(tuple(columns), values,
-                         np.asarray(users, dtype=object),
-                         np.asarray(sessions, dtype=object),
-                         np.asarray(t, dtype=np.int64))
+    return labelled(columns, values, users, sessions, np.asarray(t, dtype=np.int64))
 
 
 # ---------------------------------------------------------------- nan means
@@ -438,33 +436,33 @@ def scan_fixture():
                  t=[0, 5000, 10000, 65000])
 
 
-ONE_SESSION = {("A", "s01"): 0}
-
-
 def test_scan_aggregate_hand_windows():
-    out = scan_aggregate(scan_fixture(), 60.0, ONE_SESSION)
+    out = scan_aggregate(scan_fixture(), 60.0)
     assert out.values.shape == (2, 2)
     assert list(out.t_ms) == [0, 60000]
     assert_allclose(out.values[0], [2.0, 15.0])
     assert_allclose(out.values[1], [7.0, 70.0])
-    assert list(out.user_ids) == ["A", "A"]
+    assert list(user_ids(out)) == ["A", "A"]
 
 
 def test_scan_aggregate_anchor():
     fm = fm_of([[1.0], [5.0]], ["A", "A"], t=[65000, 70000])
-    out = scan_aggregate(fm, 60.0, ONE_SESSION)
+    out = scan_aggregate(fm, 60.0)
     # both rows fall in the second window anchored at zero
     assert list(out.t_ms) == [60000]
     assert_allclose(out.values[0], [3.0])
-    # a later session's windows are anchored at its own zero
-    out = scan_aggregate(fm, 60.0, {("A", "s01"): 3})
+    # a later session's windows are anchored at its own zero: ("A", "s01")
+    # is the fourth session of this table
+    fm = labelled(fm.columns, fm.values, ["A", "A"], ["s01", "s01"], fm.t_ms,
+                  table=[(user, "s01") for user in "012"])
+    out = scan_aggregate(fm, 60.0)
     assert list(out.t_ms) == [3 * SESSION_STRIDE_MS + 60000]
 
 
 def test_scan_aggregate_sorts_input():
     fm = scan_fixture()
     shuffled = fm.take(np.array([3, 0, 2, 1]))
-    out = scan_aggregate(shuffled, 60.0, ONE_SESSION)
+    out = scan_aggregate(shuffled, 60.0)
     assert list(out.t_ms) == [0, 60000]
     assert_allclose(out.values[0], [2.0, 15.0])
 
@@ -472,15 +470,15 @@ def test_scan_aggregate_sorts_input():
 def test_scan_aggregate_drops_empty_windows():
     values = [[1.0], [np.nan], [5.0]]
     fm = fm_of(values, ["A"] * 3, t=[0, 61000, 122000])
-    out = scan_aggregate(fm, 60.0, ONE_SESSION)
+    out = scan_aggregate(fm, 60.0)
     assert list(out.t_ms) == [0, 120000]
 
 
 def test_scan_aggregate_edge_inputs():
     empty = FeatureMatrix.empty(("f0",))
-    assert scan_aggregate(empty, 60.0, ONE_SESSION).n_rows == 0
+    assert scan_aggregate(empty, 60.0).n_rows == 0
     with pytest.raises(PipelineError):
-        scan_aggregate(empty, 0.0, ONE_SESSION)
+        scan_aggregate(empty, 0.0)
 
 
 @pytest.mark.parametrize("scan_s", [2.0, 60.0])
@@ -493,35 +491,33 @@ def test_scan_aggregate_matches_oracle(mini_sessions, scan_s):
     hmog = matrices["hmog"]
     shuffled = hmog.take(np.random.default_rng(3).permutation(hmog.n_rows))
     matrices["hmog_tied"] = FeatureMatrix(
-        shuffled.columns, shuffled.values, shuffled.user_ids,
-        shuffled.session_ids, shuffled.t_ms // 1000 * 1000)
+        shuffled.columns, shuffled.values, shuffled.session,
+        shuffled.t_ms // 1000 * 1000, shuffled.sessions)
     assert len(np.unique(matrices["hmog_tied"].t_ms)) < hmog.n_rows
-    ordinals = session_ordinals(mini_sessions)
-    del ordinals[("u02", "s02")]  # a session with no ordinal is dropped
+    table = sorted({(s.user_id, s.session_id) for s in mini_sessions})
     for name, fm in matrices.items():
-        got = scan_aggregate(fm, scan_s, ordinals)
-        want = scan_aggregate_oracle(fm, scan_s, ordinals)
+        assert fm.sessions == tuple(table), name
+        got = scan_aggregate(fm, scan_s)
+        want = scan_aggregate_oracle(fm, scan_s, {key: i for i, key in enumerate(table)})
         assert got.n_rows > 0, name
         assert got.columns == want.columns, name
         assert got.values.tobytes() == want.values.tobytes(), name
-        assert got.user_ids.tolist() == want.user_ids.tolist(), name
-        assert got.session_ids.tolist() == want.session_ids.tolist(), name
+        assert user_ids(got).tolist() == user_ids(want).tolist(), name
+        assert session_ids(got).tolist() == session_ids(want).tolist(), name
         assert got.t_ms.tobytes() == want.t_ms.tobytes(), name
-        assert "s02" not in got.session_ids[got.user_ids == "u02"].tolist()
 
 
-# three sessions with ordinals; random_scan_matrix also deals windows to
-# ("C", "s09"), which has none
-SCAN_ORDINALS = {("A", "s01"): 0, ("A", "s02"): 1, ("B", "s01"): 2}
+# the sessions random_scan_matrix deals windows to, in table order
+SCAN_SESSIONS = (("A", "s01"), ("A", "s02"), ("B", "s01"), ("C", "s09"))
 
 
 def random_scan_matrix(rng, n_columns, lengths):
     """Windows of the given row counts on a 2 s scan, dealt in turn to the
-    sessions of SCAN_ORDINALS and ("C", "s09"), rows shuffled. Cells are
-    NaN or inf at random, every seventh window is NaN throughout, and with
-    more than one column the last is NaN throughout. Returns the matrix
-    and the number of windows scan_aggregate keeps."""
-    keys = list(SCAN_ORDINALS) + [("C", "s09")]
+    sessions of SCAN_SESSIONS, rows shuffled. Cells are NaN or inf at
+    random, every seventh window is NaN throughout, and with more than one
+    column the last is NaN throughout. Returns the matrix and the number of
+    windows scan_aggregate keeps."""
+    keys = SCAN_SESSIONS
     blocks, labels, kept = [], [], 0
     for w, length in enumerate(lengths):
         block = rng.normal(0.0, 1.0, (length, n_columns)) * 10.0 ** rng.integers(-3, 4)
@@ -532,7 +528,7 @@ def random_scan_matrix(rng, n_columns, lengths):
         if w % 7 == 0:
             block[:] = np.nan
         key = keys[w % len(keys)]
-        kept += key in SCAN_ORDINALS and bool(np.isfinite(block).any())
+        kept += bool(np.isfinite(block).any())
         blocks.append(block)
         t = w // len(keys) * 2000 + rng.integers(0, 2000, length)
         labels += [(*key, ms) for ms in t.tolist()]
@@ -542,12 +538,12 @@ def random_scan_matrix(rng, n_columns, lengths):
 
 
 def assert_scan_matches_oracle(fm):
-    got = scan_aggregate(fm, 2.0, SCAN_ORDINALS)
-    want = scan_aggregate_oracle(fm, 2.0, SCAN_ORDINALS)
+    got = scan_aggregate(fm, 2.0)
+    want = scan_aggregate_oracle(fm, 2.0, {key: i for i, key in enumerate(SCAN_SESSIONS)})
     assert got.columns == want.columns
     assert got.values.tobytes() == want.values.tobytes()
-    assert got.user_ids.tolist() == want.user_ids.tolist()
-    assert got.session_ids.tolist() == want.session_ids.tolist()
+    assert user_ids(got).tolist() == user_ids(want).tolist()
+    assert session_ids(got).tolist() == session_ids(want).tolist()
     assert got.t_ms.tobytes() == want.t_ms.tobytes()
     return got
 
@@ -561,7 +557,6 @@ def test_scan_aggregate_bit_equal_to_oracle_random(n_columns):
     fm, kept = random_scan_matrix(rng, n_columns, lengths)
     got = assert_scan_matches_oracle(fm)
     assert 0 < got.n_rows == kept < len(lengths)
-    assert "C" not in got.user_ids.tolist()
 
 
 def test_scan_aggregate_bit_equal_to_oracle_split_group():
@@ -584,11 +579,11 @@ def test_scan_aggregate_peak_memory_bounded_by_window_groups():
         return fm_of(values, ["A"] * n, t=t)
 
     def peak(fm):
-        scan_aggregate(fm, 2.0, ONE_SESSION)
+        scan_aggregate(fm, 2.0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = scan_aggregate(fm, 2.0, ONE_SESSION)
+            out = scan_aggregate(fm, 2.0)
             return tracemalloc.get_traced_memory()[1] - base, out
         finally:
             tracemalloc.stop()
@@ -608,8 +603,8 @@ def test_template_roundtrip(tmp_path):
     fm = fm_of(rng.normal(0, 1, (30, 4)), ["A"] * 15 + ["B"] * 15)
     prep = fit_feature_prep(fm, pca_fraction=1.0)
     templates = {
-        "A": build_template("A", fm.for_user("A"), prep, min_vectors=5),
-        "B": build_template("B", fm.for_user("B"), min_vectors=5),
+        "A": build_template("A", fm.for_user(0), prep, min_vectors=5),
+        "B": build_template("B", fm.for_user(1), min_vectors=5),
     }
     path = tmp_path / "templates.json"
     save_templates(str(path), templates, params_echo={"channel": "hmog"})

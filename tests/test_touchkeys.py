@@ -27,6 +27,7 @@ from oracles import (
     keystroke_features_oracle,
     tap_features_oracle,
 )
+from labels import labelled, session_ids, user_ids
 from tables import key_table, tap_table
 
 
@@ -127,8 +128,8 @@ def assert_same_matrix(got, want):
     assert got.values.tobytes() == want.values.tobytes()
     assert got.t_ms.dtype == want.t_ms.dtype == np.int64
     assert got.t_ms.tobytes() == want.t_ms.tobytes()
-    assert list(got.user_ids) == list(want.user_ids)
-    assert list(got.session_ids) == list(want.session_ids)
+    assert list(user_ids(got)) == list(user_ids(want))
+    assert list(session_ids(got)) == list(session_ids(want))
 
 
 def assert_taps_match_oracle(session):
@@ -198,8 +199,7 @@ def taps_of(lengths, rng, t0=0):
 def test_tap_features_sessions_equal_one_by_one_synthetic(mini_sessions):
     fm = assert_sessions_match_one_by_one(mini_sessions)
     # every session's first tap, and only those, has no velocity
-    first = np.r_[True, fm.session_ids[1:] != fm.session_ids[:-1]] | \
-        np.r_[True, fm.user_ids[1:] != fm.user_ids[:-1]]
+    first = np.r_[True, fm.session[1:] != fm.session[:-1]]
     assert np.array_equal(np.isnan(fm.values[:, -1]), first)
 
 
@@ -328,10 +328,10 @@ def filter_fixture():
         [200.0, np.nan, 50.0],
         [np.nan, np.nan, 75.0],
     ])
-    ids = np.array(["u1", "u1", "u2", "u2"], dtype=object)
-    sess = np.array(["s01", "s01", "s01", "s02"], dtype=object)
+    ids = ["u1", "u1", "u2", "u2"]
+    sess = ["s01", "s01", "s01", "s02"]
     t = np.array([10, 20, 30, 40], dtype=np.int64)
-    return FeatureMatrix(columns, values, ids, sess, t)
+    return labelled(columns, values, ids, sess, t)
 
 
 def filter_events():
@@ -360,7 +360,7 @@ def test_latency_filter_drops_outliers_sparse_columns_empty_rows():
     assert out.columns == ("dig_a_a", "dig_a_c")
     assert out.values.shape == (4, 2)
     assert list(out.t_ms) == [10, 30, 30, 40]
-    assert list(out.user_ids) == ["u1", "u2", "u2", "u2"]
+    assert list(user_ids(out)) == ["u1", "u2", "u2", "u2"]
     assert_allclose(out.values[1:3], [[200.0, np.nan], [np.nan, 50.0]])
     assert_filtered(out, 500.0, 2)
     assert test.columns == out.columns

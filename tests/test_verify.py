@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose
 
 from hmogkit import verify
 from hmogkit.experiments import (
-    CHANNELS, ExperimentConfig, _channel_matrices, session_ordinals, split_train_test)
-from hmogkit.matrix import FeatureMatrix
+    CHANNELS, ExperimentConfig, _channel_matrices, split_train_test)
 from hmogkit.pipeline import Template, build_template, fit_feature_prep, scan_aggregate
 from hmogkit.verify import (
     ScoreSet,
@@ -21,6 +20,7 @@ from hmogkit.verify import (
     minmax_normalize,
     search_fusion_weights,
 )
+from labels import actual_ids, claimed_ids, labelled, scores_of
 from oracles import (
     eer_oracle,
     eer_searchsorted_oracle,
@@ -44,14 +44,11 @@ def make_auth(values, users, t=None):
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     t = t if t is not None else np.arange(n) * 1000
-    return FeatureMatrix(("f0", "f1"), values,
-                         np.asarray(users, dtype=object),
-                         np.asarray(["s01"] * n, dtype=object),
-                         np.asarray(t, dtype=np.int64))
+    return labelled(("f0", "f1"), values, users, ["s01"] * n, np.asarray(t, dtype=np.int64))
 
 
 def score_set(genuine, impostor, claimed="A", actual_other="B"):
-    return ScoreSet(
+    return scores_of(
         [claimed] * (len(genuine) + len(impostor)),
         [claimed] * len(genuine) + [actual_other] * len(impostor),
         [1000 * i for i in range(len(genuine))] + [1000 * i for i in range(len(impostor))],
@@ -83,8 +80,10 @@ def test_gen_scores_split_and_order():
     assert len(scores.impostor) == 2
     genuine = scores.claimed == scores.actual
     # claimed users iterate in sorted order
-    assert scores.claimed[genuine].tolist() == ["A", "B"]
-    assert scores.actual[genuine][0] == "A"
+    assert scores.users == ("A", "B")
+    assert scores.claimed.dtype == scores.actual.dtype == np.int32
+    assert claimed_ids(scores)[genuine].tolist() == ["A", "B"]
+    assert actual_ids(scores)[genuine][0] == "A"
     assert scores.t_ms[genuine][0] == 0
     assert scores.t_ms.dtype == np.int64
     # A's template: v=[0,0], mu=[1,1], sigma=[1,2] -> 1 + 0.5
@@ -131,7 +130,6 @@ def enrolled(mini_sessions):
     template and the test side's vectors, raw and in 10 s scan windows."""
     train_s, test_s = split_train_test(mini_sessions)
     matrices = _channel_matrices(train_s, test_s, CHANNELS, ExperimentConfig())
-    ordinals = session_ordinals(test_s)
 
     @functools.cache
     def enroll(channel, prep):
@@ -143,9 +141,11 @@ def enrolled(mini_sessions):
             value = 1.0
         fitted = fit_feature_prep(train_fm, selector=selector, selector_value=value,
                                   pca_fraction=pca)
-        templates = {user: build_template(user, train_fm.for_user(user), fitted, min_vectors=2)
-                     for user in train_fm.users()}
-        return templates, (test_fm, scan_aggregate(test_fm, 10.0, ordinals))
+        users = train_fm.user_names
+        templates = {users[k]: build_template(users[k], train_fm.for_user(k), fitted,
+                                              min_vectors=2)
+                     for k in train_fm.users()}
+        return templates, (test_fm, scan_aggregate(test_fm, 10.0))
     return enroll
 
 
@@ -159,8 +159,8 @@ def test_gen_scores_matches_oracle(enrolled, channel, metric, prep):
         want = gen_scores_oracle(templates, auth, metric)
         assert len(got.genuine) and len(got.impostor)
         assert got.score.tobytes() == want.score.tobytes()
-        assert got.claimed.tolist() == want.claimed.tolist()
-        assert got.actual.tolist() == want.actual.tolist()
+        assert claimed_ids(got).tolist() == claimed_ids(want).tolist()
+        assert actual_ids(got).tolist() == actual_ids(want).tolist()
         assert got.t_ms.tobytes() == want.t_ms.tobytes()
 
 
@@ -191,11 +191,11 @@ def test_minmax_normalize_degenerate_and_empty():
 
 
 def test_fuse_scoresets_alignment():
-    ch1 = ScoreSet(["A", "A"], ["A", "B"], [0, 0], [0.0, 10.0])
-    ch2 = ScoreSet(["A", "A", "A"], ["A", "B", "B"], [0, 0, 1], [5.0, 5.0, 15.0])
+    ch1 = scores_of(["A", "A"], ["A", "B"], [0, 0], [0.0, 10.0])
+    ch2 = scores_of(["A", "A", "A"], ["A", "B", "B"], [0, 0, 1], [5.0, 5.0, 15.0])
     fused = fuse_scoresets({"c1": ch1, "c2": ch2}, {"c1": 0.5, "c2": 0.5})
     assert len(fused.genuine) == 1 and len(fused.impostor) == 2
-    by_key = dict(zip(zip(fused.claimed, fused.actual, fused.t_ms.tolist()),
+    by_key = dict(zip(zip(claimed_ids(fused), actual_ids(fused), fused.t_ms.tolist()),
                       fused.score.tolist()))
     assert by_key[("A", "A", 0)] == pytest.approx(0.0)
     assert by_key[("A", "B", 0)] == pytest.approx(0.5)   # 1.0 and 0.0, equal weight
@@ -203,8 +203,8 @@ def test_fuse_scoresets_alignment():
 
 
 def test_fuse_scoresets_drops_zero_weight_decisions():
-    ch1 = ScoreSet(["A", "A"], ["A", "B"], [0, 0], [0.0, 10.0])
-    ch2 = ScoreSet(["A", "A"], ["B", "B"], [1, 2], [15.0, 1.0])
+    ch1 = scores_of(["A", "A"], ["A", "B"], [0, 0], [0.0, 10.0])
+    ch2 = scores_of(["A", "A"], ["B", "B"], [1, 2], [15.0, 1.0])
     fused = fuse_scoresets({"c1": ch1, "c2": ch2}, {"c1": 1.0, "c2": 0.0})
     assert len(fused.genuine) == 1
     assert fused.t_ms[fused.claimed != fused.actual].tolist() == [0]
@@ -251,14 +251,15 @@ def random_channels(seed, names, users=("A", "B", "C"), n_times=6):
             rows.append((claimed, actual, t_ms, score))
             if rng.random() < 0.05:
                 rows.append((claimed, actual, t_ms, score * 1.5))
-        channels[name] = ScoreSet(*zip(*rows))
+        channels[name] = scores_of(*zip(*rows))
     return channels
 
 
 def degenerate_channel(channels):
     """A channel scoring every decision of ``channels`` with one value."""
     first = next(iter(channels.values()))
-    return ScoreSet(first.claimed, first.actual, first.t_ms, np.full(len(first.score), 3.0))
+    return ScoreSet(first.claimed, first.actual, first.t_ms, np.full(len(first.score), 3.0),
+                    first.users)
 
 
 def csv_bytes(scores, path):
@@ -417,9 +418,9 @@ def test_eer_rows_skip_rows_lacking_a_kind():
     genuine = both.claimed == both.actual
     channels = {
         "gen": ScoreSet(both.claimed[genuine], both.actual[genuine], both.t_ms[genuine],
-                        both.score[genuine]),
+                        both.score[genuine], both.users),
         "imp": ScoreSet(both.claimed[~genuine], both.actual[~genuine], both.t_ms[~genuine],
-                        both.score[~genuine]),
+                        both.score[~genuine], both.users),
         "hmog": both,
     }
     fused, keep, genuine = grid_block(channels, 0.25)
@@ -553,13 +554,13 @@ def test_scoreset_csv_roundtrip(tmp_path):
     assert back.genuine.tolist() == scores.genuine.tolist()
     assert back.impostor.tolist() == scores.impostor.tolist()
     genuine = back.claimed == back.actual
-    assert back.claimed[genuine][0] == "A"
-    assert back.actual[~genuine][0] == "B"
+    assert claimed_ids(back)[genuine][0] == "A"
+    assert actual_ids(back)[~genuine][0] == "B"
 
 
 def test_scoreset_write_csv_genuine_rows_first(tmp_path):
     # rows interleave the kinds, as gen_scores leaves them
-    scores = ScoreSet(["A", "A", "B", "B"], ["B", "A", "B", "A"], [5, 1, 2, 7],
+    scores = scores_of(["A", "A", "B", "B"], ["B", "A", "B", "A"], [5, 1, 2, 7],
                       [0.5, 0.25, np.float64(1.0) / 3.0, 2.0])
     path = tmp_path / "scores.csv"
     scores.write_csv(str(path))
