@@ -2,27 +2,41 @@
 synth, each subcommand calls one of the seven runners in
 hmogkit.experiments, and that runner writes every output file.
 
-Flags are long-form only. A JSON config file passed via ``--config`` holds
-experiment-field overrides that take precedence over flags; flags in turn
-override built-in defaults. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 infeasible experiment.
+Flags are long-form only. A subcommand takes a flag for exactly the config
+fields its runner reads (the runner's *_FIELDS tuple; CORPUS_FIELDS for
+synth), and argparse rejects any other with exit 2. A JSON config file
+passed via ``--config`` holds experiment-field overrides that take
+precedence over flags; flags in turn override built-in defaults. The file
+may name any config field: one the subcommand does not read is reset by
+the runner, so it changes neither the outputs nor the config_hash. Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 infeasible
+experiment.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 from .corpus.io import ParseError, id_problem, load_mapping, parse_session, save_corpus
 from .corpus.types import Condition, CorpusError
 from .experiments import (
+    AUTH_FIELDS,
+    BETWEEN_FIELDS,
+    BKG_FIELDS,
     CHANNELS,
+    CORPUS_FIELDS,
+    EXTRACT_FIELDS,
+    FUSE_FIELDS,
     OUT_DIR_ENV,
+    SWEEP_FIELDS,
+    TRAIN_FIELDS,
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
@@ -44,25 +58,19 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-
 
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 # ---------------------------------------------------------------------------
 
-def _csv_str(text: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    return items
-
-
 def _csv_of(cast):
     """A flag type reading a comma list of cast values as a tuple."""
     def parse(text: str) -> tuple:
+        items = [part.strip() for part in text.split(",") if part.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("expected a comma-separated list")
         try:
-            return tuple(cast(part) for part in _csv_str(text))
+            return tuple(cast(part) for part in items)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -70,7 +78,7 @@ def _csv_of(cast):
 
 def _weights(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    for part in _csv_str(text):
+    for part in _csv_of(str)(text):
         name, sep, value = part.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(
@@ -82,85 +90,58 @@ def _weights(text: str) -> dict[str, float]:
     return out
 
 
-def _add_corpus_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--corpus", dest="corpus_dir",
-                    help="read sessions from this corpus directory")
-    sp.add_argument("--users", dest="n_users", type=int,
-                    help="number of synthetic users when no corpus is given")
-    sp.add_argument("--sessions", dest="sessions", type=int,
-                    help="synthetic sessions per user")
-    sp.add_argument("--session-seconds", dest="session_seconds", type=float,
-                    help="synthetic session length in seconds")
-    sp.add_argument("--condition", dest="condition",
-                    help="recording condition to keep (sitting or walking)")
-    sp.add_argument("--separation", dest="separation", type=float,
-                    help="between-user separation of the synthetic profiles")
-    sp.add_argument("--tap-rate", dest="tap_rate_hz", type=float,
-                    help="synthetic tap rate in Hz")
-
-
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", dest="config",
-                    help="JSON file with config overrides (beats flags)")
-    sp.add_argument("--out-dir", dest="out_dir",
-                    help=f"output directory (default ${OUT_DIR_ENV})")
-    sp.add_argument("--seed", dest="seed", type=int, help="master seed")
-    sp.add_argument("--workers", dest="workers", type=int,
-                    help="parallel workers; results stay in submission order")
-
-
-def _add_feature_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--sensors", dest="sensors", type=_csv_str,
-                    help="comma list of sensors (acc,gyr,mag)")
-    sp.add_argument("--mode", dest="mode",
-                    help="tap window mode: during or between")
-    sp.add_argument("--latency-max", dest="latency_max_ms", type=float,
-                    help="digraph latency outlier ceiling in ms")
-    sp.add_argument("--latency-min-count", dest="latency_min_count", type=int,
-                    help="minimum finite latencies to keep a digraph column")
-
-
-def _add_run_flags(sp: argparse.ArgumentParser) -> None:
-    """The corpus, feature, evaluation and fusion flags of a run."""
-    _add_corpus_flags(sp)
-    _add_feature_flags(sp)
-    sp.add_argument("--channels", dest="channels", type=_csv_str,
-                    help="comma list of channels (hmog,tap,keyhold,digraph)")
-    sp.add_argument("--metric", dest="metric",
-                    help="distance metric: sm or se")
-    sp.add_argument("--scans", dest="scan_seconds", type=_csv_of(float),
-                    help="comma list of scan lengths in seconds")
-    sp.add_argument("--selector", dest="selector",
-                    help="feature selector: fisher, mrmr, or none")
-    sp.add_argument("--selector-value", dest="selector_value", type=float,
-                    help="score-mass fraction (fisher) or threshold (mrmr)")
-    sp.add_argument("--pca-fraction", dest="pca_fraction", type=float,
-                    help="variance fraction kept by the PCA stage")
-    sp.add_argument("--min-vectors", dest="min_vectors", type=int,
-                    help="enrollment floor in training vectors per user")
-    _add_fusion_flags(sp)
-
-
-def _add_fusion_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--fusion-step", dest="fusion_step", type=float, help=(
+# (config field, flag, help) of every field; a subcommand takes the rows
+# of the fields its runner reads
+_FLAGS = (
+    ("corpus_dir", "--corpus", "read sessions from this corpus directory"),
+    ("n_users", "--users", "number of synthetic users when no corpus is given"),
+    ("sessions", "--sessions", "synthetic sessions per user"),
+    ("session_seconds", "--session-seconds", "synthetic session length in seconds"),
+    ("condition", "--condition", "recording condition to keep (sitting or walking)"),
+    ("separation", "--separation", "between-user separation of the synthetic profiles"),
+    ("tap_rate_hz", "--tap-rate", "synthetic tap rate in Hz"),
+    ("sensors", "--sensors", "comma list of sensors (acc,gyr,mag)"),
+    ("mode", "--mode", "tap window mode: during or between"),
+    ("latency_max_ms", "--latency-max", "digraph latency outlier ceiling in ms"),
+    ("latency_min_count", "--latency-min-count",
+     "minimum finite latencies to keep a digraph column"),
+    ("channels", "--channels", "comma list of channels (hmog,tap,keyhold,digraph)"),
+    ("metric", "--metric", "distance metric: sm or se"),
+    ("scan_seconds", "--scans", "comma list of scan lengths in seconds"),
+    ("selector", "--selector", "feature selector: fisher, mrmr, or none"),
+    ("selector_value", "--selector-value",
+     "score-mass fraction (fisher) or threshold (mrmr)"),
+    ("pca_fraction", "--pca-fraction", "variance fraction kept by the PCA stage"),
+    ("min_vectors", "--min-vectors", "enrollment floor in training vectors per user"),
+    ("fusion_step", "--fusion-step", (
         "fusion weight grid step; it must divide 1.0. For k channels the grid has "
         "C(1/step + k - 1, k - 1) points, each fused and scored once: for four "
-        "channels 1,771 at 0.05 and 176,851 at 0.01"))
-    sp.add_argument("--weights", dest="fusion_weights", type=_weights,
-                    help="fixed fusion weights, e.g. hmog=0.6,tap=0.4")
+        "channels 1,771 at 0.05 and 176,851 at 0.01")),
+    ("fusion_weights", "--weights", "fixed fusion weights, e.g. hmog=0.6,tap=0.4"),
+    ("bkg_n", "--code-length", "code length n (number of committed features)"),
+    ("bkg_l", "--message-length", "message length l (key is l field symbols)"),
+    ("bkg_p", "--field-prime", "prime field size p"),
+    ("bkg_scan_seconds", "--bkg-scan", "probe scan length in seconds"),
+    ("bkg_channels", "--bkg-channels", "comma list of channels to commit"),
+    ("downsample_factors", "--factors", "comma list of downsample factors, e.g. 1,2,6,20"),
+    ("out_dir", "--out-dir", f"output directory (default ${OUT_DIR_ENV})"),
+    ("seed", "--seed", "master seed"),
+    ("workers", "--workers", "parallel workers; results stay in submission order"),
+)
 
 
-def _add_bkg_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--code-length", dest="bkg_n", type=int,
-                    help="code length n (number of committed features)")
-    sp.add_argument("--message-length", dest="bkg_l", type=int,
-                    help="message length l (key is l field symbols)")
-    sp.add_argument("--field-prime", dest="bkg_p", type=int,
-                    help="prime field size p")
-    sp.add_argument("--bkg-scan", dest="bkg_scan_seconds", type=float,
-                    help="probe scan length in seconds")
-    sp.add_argument("--bkg-channels", dest="bkg_channels", type=_csv_str,
-                    help="comma list of channels to commit")
+def _flag_type(hint):
+    """The flag type of a config field's annotation: its own type, a comma
+    list of a tuple's element type, or name=value weights for a dict."""
+    if typing.get_origin(hint) is types.UnionType:
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return _csv_of(typing.get_args(hint)[0])
+    return _weights if hint is dict else hint
+
+
+_FLAG_TYPES = {name: _flag_type(hint)
+               for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def _load_config_file(path: str) -> dict:
@@ -180,10 +161,10 @@ def _load_config_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, overridden by flags, overridden by the --config file."""
     overrides = {k: v for k, v in vars(args).items()
-                 if k in _CONFIG_FIELDS and v is not None}
+                 if k in _FLAG_TYPES and v is not None}
     if args.config:
         for key, value in _load_config_file(args.config).items():
-            if key not in _CONFIG_FIELDS:
+            if key not in _FLAG_TYPES:
                 raise ConfigError(f"unknown config field {key!r}")
             overrides[key] = value
     # "none" on the command line or in the file means no selector at all;
@@ -258,7 +239,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = build_config(args)
+    config = build_config(args).narrow(CORPUS_FIELDS)
     if config.corpus_dir is not None:
         raise ConfigError("synth generates a corpus; --corpus is not accepted")
     sessions = build_sessions(config)
@@ -357,11 +338,7 @@ def _score_paths(items):
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    # fuse weights name score files rather than experiment channels, so
-    # they stay out of the config and its channel validation
-    weights = args.fusion_weights
-    args.fusion_weights = None
-    report = run_fuse(build_config(args), _score_paths(args.scores or []), weights)
+    report = run_fuse(build_config(args), _score_paths(args.scores or []), args.weights)
     print(f"fused eer={report['eer']:.4f}"
           f"  weights={json.dumps(report['weights'], sort_keys=True)}")
     return EXIT_OK
@@ -387,60 +364,33 @@ def make_parser() -> argparse.ArgumentParser:
                    help="directory for the parsed corpus")
     p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_corpus_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--corpus-out", required=True,
-                   help="directory for the generated corpus")
-    p.set_defaults(handler=cmd_synth)
-
-    p = sub.add_parser("extract", help="write a feature matrix CSV")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--channel", default="hmog", choices=CHANNELS)
-    p.add_argument("--features-out", required=True,
-                   help="CSV path for the extracted features")
-    p.set_defaults(handler=cmd_extract)
-
-    p = sub.add_parser("train", help="enroll templates from training sessions")
-    _add_run_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--channel", default="hmog", choices=CHANNELS)
-    p.add_argument("--templates-out", required=True,
-                   help="JSON path for the enrolled templates")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("eval", help="verification experiment with fusion")
-    _add_run_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("fuse", help="fuse score files from earlier runs")
-    _add_common_flags(p)
-    p.add_argument("--scores", action="append", metavar="NAME=PATH",
-                   help="score CSV per channel; repeat per channel")
-    _add_fusion_flags(p)
-    p.set_defaults(handler=cmd_fuse)
-
-    p = sub.add_parser("bkg", help="key-generation experiment")
-    _add_run_flags(p)
-    _add_bkg_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_bkg)
-
-    p = sub.add_parser("sweep", help="sample-rate sweep on the hmog channel")
-    _add_run_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--factors", dest="downsample_factors", type=_csv_of(int),
-                   help="comma list of downsample factors, e.g. 1,2,6,20")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("between", help="during-tap vs between-tap comparison")
-    _add_run_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_between)
-
+    runs = {}
+    for name, text, handler, names in [
+            ("synth", "generate a synthetic corpus", cmd_synth, CORPUS_FIELDS),
+            ("extract", "write a feature matrix CSV", cmd_extract, EXTRACT_FIELDS),
+            ("train", "enroll templates from training sessions", cmd_train, TRAIN_FIELDS),
+            ("eval", "verification experiment with fusion", cmd_eval, AUTH_FIELDS),
+            ("fuse", "fuse score files from earlier runs", cmd_fuse, FUSE_FIELDS),
+            ("bkg", "key-generation experiment", cmd_bkg, BKG_FIELDS),
+            ("sweep", "sample-rate sweep on the hmog channel", cmd_sweep, SWEEP_FIELDS),
+            ("between", "during-tap vs between-tap comparison", cmd_between,
+             BETWEEN_FIELDS)]:
+        p = runs[name] = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON file with config overrides (beats flags)")
+        for field, flag, flag_help in _FLAGS:
+            if field in names:
+                p.add_argument(flag, dest=field, type=_FLAG_TYPES[field], help=flag_help)
+        p.set_defaults(handler=handler)
+    runs["synth"].add_argument("--corpus-out", required=True,
+                               help="directory for the generated corpus")
+    for name, out, text in [("extract", "--features-out", "CSV path for the extracted features"),
+                            ("train", "--templates-out", "JSON path for the enrolled templates")]:
+        runs[name].add_argument("--channel", default="hmog", choices=CHANNELS)
+        runs[name].add_argument(out, required=True, help=text)
+    runs["fuse"].add_argument("--scores", action="append", metavar="NAME=PATH",
+                              help="score CSV per channel; repeat per channel")
+    runs["fuse"].add_argument("--weights", type=_weights,
+                              help="fixed weights per --scores name, e.g. hmog=0.6,tap=0.4")
     return parser
 
 

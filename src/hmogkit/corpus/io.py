@@ -330,8 +330,9 @@ def read_session(directory: str) -> Session:
         os.path.join(directory, "touch.csv"),
         os.path.join(directory, "keys.csv"),
         taps_path=os.path.join(directory, "taps.csv"),
-        user_id=meta["user_id"],
-        session_id=meta["session_id"],
+        # an integer id reads as its string, as ingest writes it
+        user_id=str(meta["user_id"]),
+        session_id=str(meta["session_id"]),
         condition=condition,
         nominal_rate_hz=rate,
     )

@@ -8,13 +8,16 @@ remaining ones, and all randomness descends from the master seed, so
 reruns are byte-identical.
 
 A config gives each value one form and checks itself when it is built, so
-every ExperimentConfig a runner sees is valid. The four experiments share
-one skeleton. _split splits the corpus; test vectors are scored per scan
-window (pipeline.scan_aggregate, keyed by session code); every per-scan
-result is an {eer, n_genuine, n_impostor} cell from _cell; and _finish
-stamps the bundle with the config, its hash and the seed and writes the CSV
-tables and summary.json. Output files carry the config hash and seed in
-comment lines.
+every ExperimentConfig a runner sees is valid. Each runner first narrows
+its config to the fields it reads, named in the tuple next to it
+(AUTH_FIELDS and so on), so a field it does not read changes neither its
+outputs nor their stamps; the command line offers exactly these fields as
+flags. The four experiments share one skeleton. _split splits the corpus;
+test vectors are scored per scan window (pipeline.scan_aggregate, keyed by
+session code); every per-scan result is an {eer, n_genuine, n_impostor}
+cell from _cell; and _finish stamps the bundle with the config, its hash
+and the seed and writes the CSV tables and summary.json. Output files carry
+the config hash and seed in comment lines.
 """
 
 from __future__ import annotations
@@ -243,6 +246,12 @@ class ExperimentConfig:
                 blob[key] = list(value)
         return blob
 
+    def narrow(self, names, **changes) -> "ExperimentConfig":
+        """This config with every field outside names at its default, then
+        changes applied: what a runner writes from it depends on names only."""
+        return replace(self, **{**{f.name: f.default for f in fields(self)
+                                   if f.name not in names}, **changes})
+
     def config_hash(self) -> str:
         # out_dir and workers never change results, so the hash that stamps
         # output files ignores them: reruns into another directory match.
@@ -306,6 +315,11 @@ def _map(fn, items, workers: int):
 # ---------------------------------------------------------------------------
 # corpus plumbing
 # ---------------------------------------------------------------------------
+
+# the fields build_sessions reads, the seed included; synth reads these only
+CORPUS_FIELDS = ("corpus_dir", "n_users", "sessions", "session_seconds", "condition",
+                 "separation", "tap_rate_hz", "seed")
+
 
 def build_sessions(config: ExperimentConfig) -> list[Session]:
     if config.corpus_dir is not None:
@@ -549,9 +563,16 @@ def _hmog_scans(config: ExperimentConfig, train_s: list[Session],
     return channel_data["hmog"][0], scans, failures, notes
 
 
+AUTH_FIELDS = (*CORPUS_FIELDS, "channels", "sensors", "mode", "latency_max_ms",
+               "latency_min_count", "metric", "scan_seconds", "selector",
+               "selector_value", "pca_fraction", "min_vectors", "fusion_step",
+               "fusion_weights", "out_dir", "workers")
+
+
 def run_auth(config: ExperimentConfig,
              sessions: list[Session] | None = None) -> dict:
     """Verification experiment: per-channel and fused EER per scan length."""
+    config = config.narrow(AUTH_FIELDS)
     train_s, test_s = _split(config, sessions)
     channel_data, failures, notes = _channel_setup(config, train_s, test_s,
                                                    config.channels)
@@ -596,9 +617,14 @@ def run_auth(config: ExperimentConfig,
                            [(f["channel"], f["user_id"], f["reason"]) for f in failures])})
 
 
+BETWEEN_FIELDS = (*CORPUS_FIELDS, "sensors", "metric", "scan_seconds", "selector",
+                  "selector_value", "pca_fraction", "min_vectors", "out_dir")
+
+
 def run_between(config: ExperimentConfig,
                 sessions: list[Session] | None = None) -> dict:
     """During-tap vs between-tap comparison on the HMOG channel."""
+    config = config.narrow(BETWEEN_FIELDS)
     train_s, test_s = _split(config, sessions)
     out = _ensure_out(config)
     comments = _stamp(config)
@@ -628,9 +654,15 @@ def _downsample_session(session: Session, factor: int) -> Session:
                                      for sensor, stream in session.streams.items()})
 
 
+SWEEP_FIELDS = (*CORPUS_FIELDS, "sensors", "mode", "metric", "scan_seconds", "selector",
+                "selector_value", "pca_fraction", "min_vectors", "downsample_factors",
+                "out_dir", "workers")
+
+
 def run_rate_sweep(config: ExperimentConfig,
                    sessions: list[Session] | None = None) -> dict:
     """HMOG-only EER after downsampling the sensor streams per factor."""
+    config = config.narrow(SWEEP_FIELDS)
     train_s, test_s = _split(config, sessions)
     # each factor reports the first training stream's rate, divided as
     # downsample divides it
@@ -668,11 +700,14 @@ def run_rate_sweep(config: ExperimentConfig,
 # single-channel runs and fusion of earlier scores
 # ---------------------------------------------------------------------------
 
+EXTRACT_FIELDS = (*CORPUS_FIELDS, "sensors", "mode")
+
+
 def run_extract(config: ExperimentConfig, channel: str, path) -> FeatureMatrix:
     """One channel's features over every session, written to path as a
     stamped CSV; digraphs hold all 1,225 columns, unfiltered."""
-    # one channel and no fusion: eval's fusion weights name other channels
-    config = replace(config, channels=(channel,), fusion_weights=None)
+    # the stamp names the channel
+    config = config.narrow(EXTRACT_FIELDS, channels=(channel,))
     fm = extract_channels(build_sessions(config), (channel,), config)[channel]
     if channel == "digraph":
         fm = widen(fm, digraph_feature_names())
@@ -680,10 +715,14 @@ def run_extract(config: ExperimentConfig, channel: str, path) -> FeatureMatrix:
     return fm
 
 
+TRAIN_FIELDS = (*CORPUS_FIELDS, "sensors", "mode", "latency_max_ms", "latency_min_count",
+                "selector", "selector_value", "pca_fraction", "min_vectors")
+
+
 def run_train(config: ExperimentConfig, channel: str, path):
     """(templates, failures) of one channel from each user's training
     sessions; the templates are saved to path if any user enrolled."""
-    config = replace(config, channels=(channel,), fusion_weights=None)
+    config = config.narrow(TRAIN_FIELDS, channels=(channel,))
     sessions = training_sessions(build_sessions(config))
     train_fm, _ = _channel_matrices(sessions, [], (channel,), config)[channel]
     templates, failures = _enroll_channel(channel, train_fm, config)
@@ -693,10 +732,14 @@ def run_train(config: ExperimentConfig, channel: str, path):
     return templates, failures
 
 
+FUSE_FIELDS = ("fusion_step", "out_dir", "seed")
+
+
 def run_fuse(config: ExperimentConfig, paths, weights: dict | None) -> dict:
     """The fusion.json report of the score files named by (name, path) pairs,
     fused with fixed weights or, when weights is None, the grid search's
     best; with an output directory, also the fused scores and DET curve."""
+    config = config.narrow(FUSE_FIELDS)
     if weights is not None:  # checked before any file is read
         check_fusion_weights(weights)
     channels = {name: verify.ScoreSet.read_csv(path) for name, path in paths}
@@ -808,10 +851,15 @@ def _bkg_channel(channel: str, config: ExperimentConfig, params,
     return report
 
 
+BKG_FIELDS = (*CORPUS_FIELDS, "sensors", "mode", "latency_max_ms", "latency_min_count",
+              "bkg_n", "bkg_l", "bkg_p", "bkg_scan_seconds", "bkg_channels", "out_dir")
+
+
 def run_bkg(config: ExperimentConfig,
             sessions: list[Session] | None = None) -> dict:
     """Key-generation experiment: per-channel FAR/FRR at the binary open
     decision, guessing distance, and keyspace size."""
+    config = config.narrow(BKG_FIELDS)
     # the code is checked before any corpus is built or synthesized
     try:
         params = grs_build(config.bkg_n, config.bkg_l, config.bkg_p)

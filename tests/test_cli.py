@@ -1,5 +1,6 @@
 """End-to-end command line coverage, including exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -11,7 +12,15 @@ import pytest
 from hmogkit.cli import build_config, main, make_parser
 from hmogkit.corpus.io import load_corpus, save_corpus
 from hmogkit.experiments import (
+    AUTH_FIELDS,
+    BETWEEN_FIELDS,
+    BKG_FIELDS,
+    CORPUS_FIELDS,
+    EXTRACT_FIELDS,
+    FUSE_FIELDS,
     OUT_DIR_ENV,
+    SWEEP_FIELDS,
+    TRAIN_FIELDS,
     ExperimentConfig,
     _enroll_channel,
     _stamp,
@@ -254,7 +263,8 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora
     argv = [arg.format(corpora=malformed_corpora) for arg in argv]
     message = message.format(corpora=malformed_corpora)
     out = tmp_path / "out"
-    argv = [*argv, "--out-dir", str(out)]
+    if argv[0] != "synth":  # synth writes no output directory
+        argv = [*argv, "--out-dir", str(out)]
     if argv[0] == "fuse":
         score_csv(tmp_path / "good.csv", [1.0, 2.0], [10.0, 11.0])
         score_csv(tmp_path / "bad.csv", [10.0, 11.0], [1.0, 2.0])
@@ -587,6 +597,19 @@ def test_integer_user_ids_score_genuine_decisions(cli_corpus, tmp_path):
     assert len(scores.genuine) and len(scores.impostor)
 
 
+def test_mixed_integer_and_string_user_ids_evaluate(cli_corpus, tmp_path):
+    # one user named by an integer, the other by a string: every id reads
+    # as a string, so the users sort together
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, corpus)
+    for meta in corpus.glob("u01_*/meta.json"):
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "user_id": 1}))
+    assert main(eval_args(corpus, "--out-dir", str(tmp_path / "out"))) == 0
+    scores = ScoreSet.read_csv(str(tmp_path / "out" / "scores_hmog_20s.csv"))
+    assert scores.users == ("1", "u02")
+    assert len(scores.genuine) and len(scores.impostor)
+
+
 # ---------------------------------------------------------------- experiments
 
 def test_between_command(capsys):
@@ -599,7 +622,7 @@ def test_between_command(capsys):
 
 
 def test_bkg_command(cli_corpus, capsys):
-    code = main(["bkg", "--corpus", str(cli_corpus), "--min-vectors", "10",
+    code = main(["bkg", "--corpus", str(cli_corpus),
                  "--code-length", "7", "--message-length", "4",
                  "--field-prime", "11", "--bkg-scan", "30"])
     assert code == 0
@@ -618,7 +641,7 @@ def assert_run_outputs(out, run):
     return summary, header, rows
 
 
-BKG_ARGS = ["bkg", "--min-vectors", "10", "--bkg-scan", "20"]
+BKG_ARGS = ["bkg", "--bkg-scan", "20"]
 
 
 def test_bkg_writes_a_row_per_channel(cli_corpus, tmp_path):
@@ -879,3 +902,130 @@ def test_config_file_ints_in_float_fields(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith("config error: session_seconds must be float, got 1000")
+
+
+# ---------------------------------------------------------------- flags per runner
+
+RUNNER_FIELDS = {"synth": CORPUS_FIELDS, "extract": EXTRACT_FIELDS, "train": TRAIN_FIELDS,
+                 "eval": AUTH_FIELDS, "fuse": FUSE_FIELDS, "bkg": BKG_FIELDS,
+                 "sweep": SWEEP_FIELDS, "between": BETWEEN_FIELDS}
+
+FLAG_OF = {
+    "corpus_dir": "--corpus", "n_users": "--users", "sessions": "--sessions",
+    "session_seconds": "--session-seconds", "condition": "--condition",
+    "separation": "--separation", "tap_rate_hz": "--tap-rate", "channels": "--channels",
+    "sensors": "--sensors", "mode": "--mode", "metric": "--metric", "scan_seconds": "--scans",
+    "selector": "--selector", "selector_value": "--selector-value",
+    "pca_fraction": "--pca-fraction", "min_vectors": "--min-vectors",
+    "latency_max_ms": "--latency-max", "latency_min_count": "--latency-min-count",
+    "fusion_step": "--fusion-step", "fusion_weights": "--weights",
+    "downsample_factors": "--factors", "bkg_n": "--code-length", "bkg_l": "--message-length",
+    "bkg_p": "--field-prime", "bkg_scan_seconds": "--bkg-scan", "bkg_channels": "--bkg-channels",
+    "out_dir": "--out-dir", "seed": "--seed", "workers": "--workers",
+}
+
+
+def test_each_subcommand_takes_the_flags_its_runner_reads():
+    assert set(FLAG_OF) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    action = next(a for a in make_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert set(action.choices) == {*RUNNER_FIELDS, "ingest"}
+    for command, parser in action.choices.items():
+        flags = {a.dest: a.option_strings for a in parser._actions if a.dest in FLAG_OF}
+        names = RUNNER_FIELDS.get(command, ())
+        assert flags == {name: [FLAG_OF[name]] for name in names}, command
+
+
+REMOVED_FLAGS = {
+    "synth": ["--out-dir", "--workers"],
+    "extract": ["--latency-max", "--latency-min-count", "--out-dir", "--workers"],
+    "train": ["--channels", "--scans", "--metric", "--fusion-step", "--weights",
+              "--out-dir", "--workers"],
+    "fuse": ["--workers"],
+    "bkg": ["--channels", "--scans", "--metric", "--selector", "--selector-value",
+            "--pca-fraction", "--min-vectors", "--fusion-step", "--weights", "--workers"],
+    "sweep": ["--channels", "--latency-max", "--latency-min-count", "--fusion-step",
+              "--weights"],
+    "between": ["--channels", "--mode", "--latency-max", "--latency-min-count",
+                "--fusion-step", "--weights", "--workers"],
+}
+REQUIRED_ARGS = {"synth": ["--corpus-out", "corpus"], "extract": ["--features-out", "f.csv"],
+                 "train": ["--templates-out", "t.json"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags])
+def test_flag_its_runner_does_not_read_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED_ARGS.get(command, []), flag, "1"])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+# a valid value other than its default for every config field
+OTHER_VALUES = {
+    "corpus_dir": "elsewhere", "n_users": 3, "sessions": 5, "session_seconds": 30,
+    "condition": "walking", "separation": 0.5, "tap_rate_hz": 1.5,
+    "channels": ["hmog", "tap"], "sensors": ["acc"], "mode": "between", "metric": "se",
+    "scan_seconds": [30], "selector": "mrmr", "selector_value": 0.5, "pca_fraction": 0.9,
+    "min_vectors": 5, "latency_max_ms": 900, "latency_min_count": 1, "fusion_step": 0.25,
+    "fusion_weights": {"hmog": 1}, "downsample_factors": [1, 3], "bkg_n": 7, "bkg_l": 4,
+    "bkg_p": 11, "bkg_scan_seconds": 30, "bkg_channels": ["tap"], "out_dir": "stray",
+    "seed": 3, "workers": 2,
+}
+
+# a small run of each subcommand with flags it reads, writing under the
+# working directory
+SMALL_RUNS = {
+    "synth": "--users 2 --sessions 3 --session-seconds 20 --corpus-out corpus",
+    "extract": "--corpus {corpus} --features-out features.csv",
+    "train": "--corpus {corpus} --min-vectors 10 --templates-out templates.json",
+    "eval": "--corpus {corpus} --channels hmog,tap --scans 5 --min-vectors 10"
+            " --fusion-step 0.25 --out-dir out",
+    "fuse": "--scores good={good} --scores bad={bad} --fusion-step 0.5 --out-dir out",
+    "bkg": "--corpus {corpus} --code-length 7 --message-length 4 --field-prime 11"
+           " --bkg-scan 5 --out-dir out",
+    "sweep": "--corpus {corpus} --factors 1,2 --scans 5 --min-vectors 10 --out-dir out",
+    "between": "--corpus {corpus} --scans 5 --min-vectors 10 --out-dir out",
+}
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """{corpus, good, bad}: a corpus of 2 users x 3 sessions x 20 s and two
+    score files."""
+    root = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--users", "2", "--sessions", "3", "--session-seconds", "20",
+                 "--seed", "5", "--corpus-out", str(root / "corpus")]) == 0
+    score_csv(root / "good.csv", [1.0, 2.0, 4.0], [3.0, 10.0, 11.0])
+    score_csv(root / "bad.csv", [10.0, 11.0, 5.0], [1.0, 2.0, 6.0])
+    return {"corpus": str(root / "corpus"), "good": str(root / "good.csv"),
+            "bad": str(root / "bad.csv")}
+
+
+@pytest.fixture(scope="module")
+def small_run_outputs():
+    """{command: (stdout, stderr, files)} of each small run, filled on first use."""
+    return {}
+
+
+@pytest.mark.parametrize("command, field", [
+    (command, f.name) for command, names in RUNNER_FIELDS.items()
+    for f in dataclasses.fields(ExperimentConfig) if f.name not in names])
+def test_config_field_its_runner_does_not_read_changes_no_output_byte(
+        command, field, small_inputs, small_run_outputs, tmp_path, monkeypatch, capsys):
+    assert ExperimentConfig(**{field: OTHER_VALUES[field]}) != ExperimentConfig()
+    argv = [command, *(arg.format(**small_inputs) for arg in SMALL_RUNS[command].split())]
+
+    def run(work, *extra):
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert main([*argv, *extra]) == 0
+        return (*capsys.readouterr(), tree_bytes(work))
+
+    if command not in small_run_outputs:
+        small_run_outputs[command] = run(tmp_path / "want")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: OTHER_VALUES[field]}))
+    assert run(tmp_path / "got", "--config", str(cfg)) == small_run_outputs[command]
