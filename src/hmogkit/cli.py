@@ -328,8 +328,7 @@ def cmd_bkg(args: argparse.Namespace) -> int:
 
 
 def _score_paths(items):
-    """(name, path) of each --scores item, parsed only as run_fuse reads
-    them, so that it checks the weights first."""
+    """(name, path) of each --scores item."""
     for item in items:
         name, sep, path = item.partition("=")
         if not sep:

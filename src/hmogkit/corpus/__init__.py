@@ -13,7 +13,7 @@ from .io import (
 )
 from .synth import KEY_ALPHABET, SynthProfile, make_corpus, make_profiles, synthesize_user
 from .types import (
-    CHANNELS,
+    AXES,
     Condition,
     CorpusError,
     KeyTable,
@@ -26,7 +26,7 @@ from .types import (
 )
 
 __all__ = [
-    "CHANNELS",
+    "AXES",
     "Condition",
     "CorpusError",
     "DEFAULT_RATE_HZ",

@@ -60,9 +60,9 @@ class SensorStream:
         return len(self.t_ms)
 
 
-# Channel order of the HMOG windows (the axes, then the magnitude) and in
+# Column order of the HMOG windows (the axes, then the magnitude) and in
 # feature names.
-CHANNELS: tuple[str, ...] = ("x", "y", "z", "m")
+AXES: tuple[str, ...] = ("x", "y", "z", "m")
 
 
 def downsample(stream: SensorStream, k: int) -> SensorStream:

@@ -71,7 +71,6 @@ from .pipeline import (
 )
 from .table import write_table
 from .touchkeys import (
-    EVENT_COLUMNS,
     digraph_feature_names,
     hold_feature_names,
     keystroke_features,
@@ -83,7 +82,6 @@ from .touchkeys import (
 OUT_DIR_ENV = "HMOGKIT_OUT"
 
 CHANNELS = ("hmog", "tap", "keyhold", "digraph")
-KEYSTROKE_CHANNELS = ("keyhold", "digraph")  # both from one keystroke_features call
 
 
 class ConfigError(ValueError):
@@ -233,10 +231,7 @@ class ExperimentConfig:
             raise ConfigError(f"field prime must be below {P_LIMIT}, as each code "
                               f"symbol is hashed as two bytes; got {self.bkg_p}")
         if self.fusion_weights is not None:
-            bad = set(self.fusion_weights) - set(self.channels)
-            if bad:
-                raise ConfigError(f"fusion weights name unknown channels {sorted(bad)}")
-            check_fusion_weights(self.fusion_weights)
+            check_fusion_weights(self.fusion_weights, self.channels)
         return self
 
     def canonical(self) -> dict:
@@ -295,8 +290,12 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def check_fusion_weights(weights: dict) -> None:
-    """Fixed fusion weights must be finite nonnegative numbers."""
+def check_fusion_weights(weights: dict, channels) -> None:
+    """Fixed fusion weights must name channels among the given ones and be
+    finite nonnegative numbers."""
+    bad = set(weights) - set(channels)
+    if bad:
+        raise ConfigError(f"fusion weights name unknown channels {sorted(bad)}")
     for name, w in weights.items():
         if not (is_number(w) and math.isfinite(w) and w >= 0):
             raise ConfigError(f"fusion weight {name}={w!r} must be a finite "
@@ -357,34 +356,27 @@ def split_train_test(sessions: list[Session]) -> tuple[list[Session], list[Sessi
 
 def extract_channels(sessions: list[Session], channels,
                      config: ExperimentConfig) -> dict[str, FeatureMatrix]:
-    """Feature matrices of the given channels in one pass over the sessions;
-    tap features come from one call over all of them, keyhold and digraph
-    share one keystroke_features call per session, and digraph latencies
-    stay long-form events (see latency_outlier_filter). Every matrix holds
-    the table of all the given sessions."""
+    """Feature matrices of the given channels, each extractor called once
+    over all the sessions in (user, session) order; keyhold and digraph
+    share one keystroke_features call, and digraph latencies stay
+    long-form events (see latency_outlier_filter). Every matrix holds the
+    table of all the given sessions."""
     for channel in channels:
         if channel not in CHANNELS:
             raise ConfigError(f"unknown channel {channel!r}")
-    parts: dict[str, list[FeatureMatrix]] = {channel: [] for channel in channels}
     ordered = sorted(sessions, key=lambda s: (s.user_id, s.session_id))
-    if "tap" in parts and ordered:
-        parts["tap"].append(tap_features(*ordered))
-    for s in ordered:
-        if "hmog" in parts:
-            fm = extract_hmog(s, config.mode)
-            if tuple(config.sensors) != tuple(x.value for x in Sensor):
-                fm = fm.select_columns(feature_names_for(config.sensors))
-            parts["hmog"].append(fm)
-        if "keyhold" in parts or "digraph" in parts:
-            for channel, fm in zip(KEYSTROKE_CHANNELS, keystroke_features(s)):
-                if channel in parts:
-                    parts[channel].append(fm)
-    out = {channel: FeatureMatrix.vstack(fms) if fms else FeatureMatrix.empty(
-               EVENT_COLUMNS if channel in KEYSTROKE_CHANNELS else ())
-           for channel, fms in parts.items()}
-    if "keyhold" in out:
-        out["keyhold"] = widen(out["keyhold"], hold_feature_names())
-    return out
+    out = {}
+    if "hmog" in channels:
+        out["hmog"] = extract_hmog(*ordered, mode=config.mode)
+        if tuple(config.sensors) != tuple(x.value for x in Sensor):
+            out["hmog"] = out["hmog"].select_columns(feature_names_for(config.sensors))
+    if "tap" in channels:
+        out["tap"] = tap_features(*ordered)
+    if "keyhold" in channels or "digraph" in channels:
+        holds, out["digraph"] = keystroke_features(*ordered)
+        if "keyhold" in channels:
+            out["keyhold"] = widen(holds, hold_feature_names())
+    return {channel: out[channel] for channel in channels}
 
 
 def _channel_matrices(train_s: list[Session], test_s: list[Session], channels,
@@ -740,8 +732,13 @@ def run_fuse(config: ExperimentConfig, paths, weights: dict | None) -> dict:
     fused with fixed weights or, when weights is None, the grid search's
     best; with an output directory, also the fused scores and DET curve."""
     config = config.narrow(FUSE_FIELDS)
-    if weights is not None:  # checked before any file is read
-        check_fusion_weights(weights)
+    # names and weights are checked before any file is read
+    paths = list(paths)
+    names = [name for name, _ in paths]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"score names must not repeat an entry, got {names}")
+    if weights is not None:
+        check_fusion_weights(weights, names)
     channels = {name: verify.ScoreSet.read_csv(path) for name, path in paths}
     if len(channels) < 2:
         raise ConfigError(f"fuse needs score files of at least two channels, got {len(channels)}")

@@ -8,11 +8,12 @@ computed from four windows relative to the tap interval [t_start, t_end]:
   after100  (t_end, t_end + 100 ms]
   after200  (t_end, t_end + 200 ms]
 
-Channels are the three axes plus the magnitude; sensors are accelerometer,
-gyroscope, magnetometer. 5 * 3 * 4 + 3 * 3 * 4 = 96 features per tap.
+Channels (AXES) are the three axes plus the magnitude; sensors are
+accelerometer, gyroscope, magnetometer: 5 * 3 * 4 + 3 * 3 * 4 = 96 features.
 
-Extraction is batched per (session, sensor clock); Python loops over
-clocks and event chunks only:
+One call takes all the sessions of a side, their rows in the given order.
+Within a session, extraction is batched per sensor clock; Python loops over
+sessions, clocks and event chunks only:
 
 - clocks: sensors whose t_ms arrays are equal share one clock, and every
   step below runs once per clock. Synthetic streams, downsampled ones
@@ -69,8 +70,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus.types import CHANNELS, Sensor, SENSOR_ORDER, Session
-from .matrix import FeatureMatrix
+from .corpus.types import AXES, Sensor, SENSOR_ORDER, Session
+from .matrix import FeatureMatrix, encode
 
 BEFORE_MS = 100
 AFTER_MS = 100
@@ -90,10 +91,10 @@ STABILITY_FAMILIES = tuple(f"stab{i}" for i in range(1, 4))
 N_FAMILIES = len(RESISTANCE_FAMILIES) + len(STABILITY_FAMILIES)
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
-    f"{sensor.value}_{channel}_{family}"
+    f"{sensor.value}_{axis}_{family}"
     for family in RESISTANCE_FAMILIES + STABILITY_FAMILIES
     for sensor in SENSOR_ORDER
-    for channel in CHANNELS
+    for axis in AXES
 )
 
 
@@ -194,9 +195,9 @@ def _channel_block(*values: np.ndarray) -> np.ndarray:
     k (n, 3) value arrays in turn, and a last row of -0.0 that _gather
     reads for every row outside a window."""
     n = len(values[0])
-    block = np.empty((n + 1, len(CHANNELS) * len(values)))
+    block = np.empty((n + 1, len(AXES) * len(values)))
     for j, sensor_values in enumerate(values):
-        cols = block[:n, len(CHANNELS) * j:len(CHANNELS) * (j + 1)]
+        cols = block[:n, len(AXES) * j:len(AXES) * (j + 1)]
         cols[:, :3] = sensor_values
         x, y, z = sensor_values.T
         np.sqrt(x * x + y * y + z * z, out=cols[:, 3])
@@ -297,23 +298,17 @@ def _event_chunks(widest: np.ndarray, row_bytes: int) -> list[np.ndarray]:
     return chunks
 
 
-def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
-    """One 96-feature row per valid tap (or per between-tap block).
-
-    A tap is skipped only when every sensor lacks usable context; a sensor
-    without usable context contributes NaN cells. meta records counts of
-    skipped events and of taps whose 300 ms contexts overlap a neighbour.
-    """
+def _session_features(session: Session, mode: str):
+    """(rows, t_ms, counts) of one session: its 96-feature rows, their event
+    starts, and its (events, skipped events, overlapping tap contexts)."""
     starts, ends = session.taps.t_start_ms, session.taps.t_end_ms
     if mode == "during":
         overlap = int(np.count_nonzero(starts[1:] - ends[:-1] < BETWEEN_GUARD_MS))
-    elif mode == "between":
+    else:
         starts, ends = _between_bounds(starts, ends, BETWEEN_BLOCK_MS)
         overlap = 0
-    else:
-        raise ValueError(f"unknown extraction mode {mode!r}")
 
-    cells = np.full((len(starts), N_FAMILIES, len(SENSOR_ORDER), len(CHANNELS)), np.nan)
+    cells = np.full((len(starts), N_FAMILIES, len(SENSOR_ORDER), len(AXES)), np.nan)
     any_valid = np.zeros(len(starts), dtype=bool)
     # a reading of ±inf or near the float maximum gives inf - inf and
     # overflowing squares; the NaN and inf cells they leave are the features
@@ -331,14 +326,29 @@ def extract_hmog(session: Session, mode: str = "during") -> FeatureMatrix:
                 features = _blocks(t, chans, starts[ids], ends[ids],
                                    start[:, chunk], lengths[:, chunk])
                 features = features.reshape(N_FAMILIES, len(chunk), len(members),
-                                            len(CHANNELS))
+                                            len(AXES))
                 for j, s_idx in enumerate(members):
                     cells[ids, :, s_idx] = features[:, :, j].swapaxes(0, 1)
 
     rows = cells.reshape(len(starts), len(FEATURE_NAMES))[any_valid]
-    n = len(rows)
-    fm = FeatureMatrix(FEATURE_NAMES, rows, np.zeros(n, dtype=np.int32), starts[any_valid],
-                       ((session.user_id, session.session_id),))
-    fm.meta = {"mode": mode, "n_events": len(starts), "n_skipped": len(starts) - n,
-               "n_context_overlap": overlap}
+    return rows, starts[any_valid], (len(starts), len(starts) - len(rows), overlap)
+
+
+def extract_hmog(*sessions: Session, mode: str = "during") -> FeatureMatrix:
+    """One 96-feature row per valid tap (or per between-tap block) of each
+    session, in the given order. A tap is skipped only when every sensor
+    lacks usable context; a sensor without usable context contributes NaN
+    cells. meta holds the mode and, summed over the sessions, n_events,
+    n_skipped and n_context_overlap (taps whose 300 ms contexts overlap a
+    neighbour)."""
+    if mode not in ("during", "between"):
+        raise ValueError(f"unknown extraction mode {mode!r}")
+    # a zero-row part first, so that no sessions give an empty matrix
+    empty = (np.empty((0, len(FEATURE_NAMES))), np.empty(0, dtype=np.int64), (0, 0, 0))
+    rows, t_ms, counts = zip(empty, *(_session_features(s, mode) for s in sessions))
+    table, (code,) = encode([(s.user_id, s.session_id) for s in sessions])
+    fm = FeatureMatrix(FEATURE_NAMES, np.concatenate(rows),
+                       np.repeat(code, [len(t) for t in t_ms[1:]]), np.concatenate(t_ms), table)
+    fm.meta = {"mode": mode, **dict(zip(("n_events", "n_skipped", "n_context_overlap"),
+                                        map(sum, zip(*counts))))}
     return fm

@@ -88,24 +88,6 @@ class FeatureMatrix:
         return cls(columns, np.empty((0, len(columns))), np.empty(0, dtype=np.int32),
                    np.empty(0, dtype=np.int64))
 
-    @classmethod
-    def vstack(cls, parts: list["FeatureMatrix"]) -> "FeatureMatrix":
-        """The rows of every part in order, over the union of their tables."""
-        if not parts:
-            raise ValueError("nothing to stack")
-        columns = parts[0].columns
-        for part in parts[1:]:
-            if part.columns != columns:
-                raise ValueError("column mismatch in vstack")
-        sessions, codes = encode(*(p.sessions for p in parts))
-        return cls(
-            columns,
-            np.vstack([p.values for p in parts]),
-            np.concatenate([code[p.session] for code, p in zip(codes, parts)]),
-            np.concatenate([p.t_ms for p in parts]),
-            sessions,
-        )
-
     # -- CSV ---------------------------------------------------------------
 
     def write_csv(self, path: str, header_comments=()) -> None:

@@ -1,21 +1,24 @@
 """Tap geometry features and keystroke timing features.
 
+Each extractor takes all the sessions of a side in one call, their rows in
+the given order.
+
 Tap features (11): duration, nine contact-size statistics, and the
-point-to-point velocity between consecutive taps of a session. One call
-takes all the sessions of a side: taps whose contact arrays have the same
-length are reduced together as one (taps, length) array, whichever session
-they come from, and every row is byte-equal to per-tap NumPy calls on that
-tap.
+point-to-point velocity between consecutive taps of a session. Taps whose
+contact arrays have the same length are reduced together as one (taps,
+length) array, whichever session they come from, and every row is
+byte-equal to per-tap NumPy calls on that tap.
 
 Key features come out in long form: one row per event holding its column
 index and its value (``EVENT_COLUMNS``), labelled with session and press
 time. Events are one hold time per key press over the 89-key hold
-universe, and one down-down latency per consecutive key pair over the
-canonical 35-key alphabet (35 * 35 = 1225 digraphs). ``widen`` turns events
-into the dense matrix the pipeline scores, NaN outside each event's cell.
-Hold times are widened over all 89 columns; digraph latencies are widened
-by ``latency_outlier_filter``, only over the digraphs the training side
-keeps, so no 1,225-column matrix is built on the way.
+universe, and one down-down latency per consecutive key pair of a session
+over the canonical 35-key alphabet (35 * 35 = 1225 digraphs). ``widen``
+turns events into the dense matrix the pipeline scores, NaN outside each
+event's cell. Hold times are widened over all 89 columns; digraph
+latencies are widened by ``latency_outlier_filter``, only over the
+digraphs the training side keeps, so no 1,225-column matrix is built on
+the way.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ def digraph_feature_names() -> tuple[str, ...]:
 def tap_features(*sessions: Session) -> FeatureMatrix:
     """One row per tap of one or more sessions, the rows of each session in
     the given order. The first tap of each session has no velocity (NaN)."""
+    if not sessions:
+        return FeatureMatrix.empty(TAP_FEATURE_NAMES)
     tables = [s.taps for s in sessions]
     counts = [len(t) for t in tables]
     n = sum(counts)
@@ -96,36 +101,42 @@ def tap_features(*sessions: Session) -> FeatureMatrix:
     return FeatureMatrix(TAP_FEATURE_NAMES, values, np.repeat(code, counts), t_start, table)
 
 
-def _events(session: Session, t_ms: np.ndarray, column: np.ndarray,
-            value: np.ndarray) -> FeatureMatrix:
-    return FeatureMatrix(EVENT_COLUMNS, np.column_stack([column, value]),
-                         np.zeros(len(t_ms), dtype=np.int32), t_ms,
-                         ((session.user_id, session.session_id),))
-
-
 def _codes(keys: np.ndarray, universe: tuple[str, ...]) -> np.ndarray:
     """Index of every key in universe, -1 for a key outside it."""
     index = {key: i for i, key in enumerate(universe)}
     return np.fromiter((index.get(key, -1) for key in keys), dtype=np.intp, count=len(keys))
 
 
-def keystroke_features(session: Session) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """(hold events, digraph events) in long form: one row per event.
+def keystroke_features(*sessions: Session) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """(hold events, digraph events) of one or more sessions in long form:
+    one row per event, the rows of each session in the given order.
 
     Keys outside the hold universe carry no hold feature; digraph pairs
-    containing a key outside the canonical alphabet are skipped.
+    containing a key outside the canonical alphabet are skipped, and no
+    pair spans two sessions.
     """
-    keys = session.keys
-    hold = _codes(keys.key, HOLD_UNIVERSE)
-    held = hold >= 0
-    holds = _events(session, keys.t_press_ms[held], hold[held],
-                    (keys.t_release_ms - keys.t_press_ms)[held])
+    if not sessions:
+        return FeatureMatrix.empty(EVENT_COLUMNS), FeatureMatrix.empty(EVENT_COLUMNS)
+    counts = [len(s.keys) for s in sessions]
+    key = np.concatenate([s.keys.key for s in sessions])
+    press = np.concatenate([s.keys.t_press_ms for s in sessions])
+    release = np.concatenate([s.keys.t_release_ms for s in sessions])
+    table, (code,) = encode([(s.user_id, s.session_id) for s in sessions])
+    session = np.repeat(code, counts)
 
-    letter = _codes(keys.key, KEY_ALPHABET)
-    pair = (letter[:-1] >= 0) & (letter[1:] >= 0)
-    column = letter[:-1] * len(KEY_ALPHABET) + letter[1:]
-    digraphs = _events(session, keys.t_press_ms[:-1][pair], column[pair],
-                       np.diff(keys.t_press_ms)[pair])
+    def events(rows, column, value):
+        return FeatureMatrix(EVENT_COLUMNS, np.column_stack([column[rows], value[rows]]),
+                             session[rows], press[rows], table)
+
+    hold = _codes(key, HOLD_UNIVERSE)
+    holds = events(np.flatnonzero(hold >= 0), hold, release - press)
+
+    letter = _codes(key, KEY_ALPHABET)
+    # by position, not code: a session given twice pairs no key across copies
+    position = np.repeat(np.arange(len(sessions)), counts)
+    pair = (letter[:-1] >= 0) & (letter[1:] >= 0) & (position[:-1] == position[1:])
+    digraphs = events(np.flatnonzero(pair), letter[:-1] * len(KEY_ALPHABET) + letter[1:],
+                      np.diff(press))
     return holds, digraphs
 
 

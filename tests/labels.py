@@ -15,6 +15,16 @@ def labelled(columns, values, users, sessions, t_ms, table=()) -> FeatureMatrix:
                          t_ms, table)
 
 
+def stacked(parts) -> FeatureMatrix:
+    """The rows of every matrix in order, labelled by name, over the union
+    of their session tables."""
+    return labelled(parts[0].columns, np.concatenate([p.values for p in parts]),
+                    np.concatenate([user_ids(p) for p in parts]),
+                    np.concatenate([session_ids(p) for p in parts]),
+                    np.concatenate([p.t_ms for p in parts]),
+                    [pair for p in parts for pair in p.sessions])
+
+
 def user_ids(fm: FeatureMatrix) -> np.ndarray:
     """(n,) object array of each row's user name."""
     return np.array(fm.user_names, dtype=object)[fm.user]

@@ -29,7 +29,8 @@ from hmogkit.pipeline import SIGMA_FLOOR, PipelineError, nanmean_columns
 from hmogkit.touchkeys import (
     HOLD_UNIVERSE, TAP_FEATURE_NAMES, digraph_feature_names)
 from hmogkit.verify import ScoreSet, VerifyError, eer, minmax_normalize
-from labels import actual_ids, claimed_ids, labelled, scores_of, session_ids, user_ids
+from labels import (
+    actual_ids, claimed_ids, labelled, scores_of, session_ids, stacked, user_ids)
 from tables import tap_rows
 
 
@@ -708,7 +709,7 @@ def scan_aggregate_oracle(fm: FeatureMatrix, scan_s: float,
                               agg.t_ms + ordinal * _SESSION_STRIDE_MS))
     if not parts:
         return FeatureMatrix.empty(fm.columns)
-    return FeatureMatrix.vstack(parts)
+    return stacked(parts)
 
 
 def _tap_times_oracle(profile, duration_ms: int, rng):

@@ -30,10 +30,9 @@ from hmogkit.experiments import (
     run_train,
     training_sessions,
 )
-from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import save_templates
 from hmogkit.verify import ScoreSet
-from labels import actual_ids, claimed_ids, scores_of
+from labels import actual_ids, claimed_ids, scores_of, stacked
 from oracles import keystroke_features_oracle, latency_outlier_filter_oracle
 
 
@@ -257,6 +256,14 @@ def malformed_corpora(tmp_path_factory):
      2, "config error: fisher selector_value must be positive, got -1.0"),
     (["eval", *SMALL, "--selector", "mrmr", "--selector-value", "inf"], None,
      2, "config error: selector_value must be finite, got inf"),
+    # the good and bad score files come last; a name must not repeat, and a
+    # weight must name one of them, before any file is read
+    (["fuse", "--scores", "good=missing.csv"], None,
+     2, "config error: score names must not repeat an entry, got ['good', 'good', 'bad']"),
+    (["fuse", "--weights", "hmgo=1,good=0.5"], None,
+     2, "config error: fusion weights name unknown channels ['hmgo']"),
+    (["fuse", "--weights", "hmgo=1"], None,
+     2, "config error: fusion weights name unknown channels ['hmgo']"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
                                               config, code, message):
@@ -374,8 +381,8 @@ def cli_config(argv, channel):
 def dense_keystrokes(sessions, channel):
     """The channel's dense matrix built by the per-event oracle."""
     pick = ("keyhold", "digraph").index(channel)
-    return FeatureMatrix.vstack([keystroke_features_oracle(s)[pick] for s in
-                                 sorted(sessions, key=lambda s: (s.user_id, s.session_id))])
+    return stacked([keystroke_features_oracle(s)[pick] for s in
+                    sorted(sessions, key=lambda s: (s.user_id, s.session_id))])
 
 
 @pytest.mark.parametrize("channel", ["keyhold", "digraph"])

@@ -10,7 +10,7 @@ import pytest
 
 from hmogkit import experiments
 from hmogkit.bkg import commit, grs_build, guessing
-from hmogkit.corpus.synth import make_corpus, make_profiles
+from hmogkit.corpus.synth import KEY_ALPHABET, make_corpus, make_profiles
 from hmogkit.corpus.types import Condition, Session
 from hmogkit.experiments import (
     ConfigError,
@@ -27,16 +27,19 @@ from hmogkit.experiments import (
     split_train_test,
     training_sessions,
 )
+from hmogkit.hmog import extract_hmog
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.pipeline import SESSION_STRIDE_MS, scan_aggregate
 from hmogkit.touchkeys import (
     EVENT_COLUMNS,
     digraph_feature_names,
+    keystroke_features,
     latency_outlier_filter,
+    tap_features,
     widen,
 )
 from hmogkit.table import read_rows
-from labels import labelled, scores_of, session_ids, user_ids
+from labels import labelled, scores_of, session_ids, stacked, user_ids
 from oracles import digraph_events, lee_weight_oracle, open_table_oracle
 from tables import tap_rows, tap_table
 
@@ -257,27 +260,69 @@ def test_extract_channel_orders_sessions(mini_sessions):
     assert labels == sorted(labels)
 
 
-def test_extract_channels_one_keystroke_pass_per_session(mini_sessions, monkeypatch):
+BATCHED = {
+    "hmog_during": extract_hmog,
+    "hmog_between": lambda *sessions: extract_hmog(*sessions, mode="between"),
+    "tap": tap_features,
+    "keyhold": lambda *sessions: keystroke_features(*sessions)[0],
+    "digraph": lambda *sessions: keystroke_features(*sessions)[1],
+}
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_batched_extractor_equals_one_call_per_session(mini_sessions, name):
+    extract = BATCHED[name]
+    # given order, not sorted; an empty session; one session twice in a
+    # row; every session starts and ends on an alphabet key, so a digraph
+    # spanning two sessions would add a row the per-session calls do not have
+    sessions = [mini_sessions[4], bare_session("u09", "s01"), mini_sessions[0],
+                mini_sessions[8], mini_sessions[8]]
+    assert all(s.keys.key[0] in KEY_ALPHABET and s.keys.key[-1] in KEY_ALPHABET
+               for s in sessions if len(s.keys))
+    got = extract(*sessions)
+    parts = [extract(s) for s in sessions]
+    want = stacked(parts)
+    assert got.columns == want.columns
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.t_ms.tobytes() == want.t_ms.tobytes()
+    assert list(user_ids(got)) == list(user_ids(want))
+    assert list(session_ids(got)) == list(session_ids(want))
+    assert got.sessions == tuple(sorted({(s.user_id, s.session_id) for s in sessions}))
+    if name.startswith("hmog"):
+        assert got.meta == {"mode": name.split("_")[1], **{
+            key: sum(p.meta[key] for p in parts)
+            for key in ("n_events", "n_skipped", "n_context_overlap")}}
+    empty = extract()
+    assert empty.columns == got.columns and empty.n_rows == 0
+
+
+def test_extract_channels_one_keystroke_pass_per_side(mini_sessions, monkeypatch):
     from hmogkit import experiments
-    original, calls = experiments.keystroke_features, []
+    calls = {name: [] for name in ("extract_hmog", "tap_features", "keystroke_features")}
 
-    def counting(session):
-        calls.append(session.session_id)
-        return original(session)
+    def counting(name):
+        original = getattr(experiments, name)
 
-    monkeypatch.setattr(experiments, "keystroke_features", counting)
+        def extractor(*sessions, **kwargs):
+            calls[name].append([(s.user_id, s.session_id) for s in sessions])
+            return original(*sessions, **kwargs)
+        return extractor
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counting(name))
     config = ExperimentConfig(n_users=3, sessions=3, session_seconds=120.0)
     both = extract_channels(mini_sessions[:2], ("keyhold", "digraph"), config)
-    assert len(calls) == 2
+    assert len(calls["keystroke_features"]) == 1
     for channel in ("keyhold", "digraph"):
         single = extract_channels(mini_sessions[:2], (channel,), config)[channel]
         assert both[channel].columns == single.columns
         assert both[channel].values.tobytes() == single.values.tobytes()
     # channel set-up: one extraction per side covering every channel, so
-    # one keystroke pass per session even with a channel in between
-    del calls[:]
+    # one call of each extractor per side, with every session of that side
+    for seen in calls.values():
+        del seen[:]
     train_s, test_s = mini_sessions[:2], mini_sessions[2:3]
-    channels = ("keyhold", "tap", "digraph")
+    channels = ("keyhold", "tap", "digraph", "hmog")
     extract_calls = []
 
     def counting_extract(sessions, chans, *args):
@@ -287,9 +332,10 @@ def test_extract_channels_one_keystroke_pass_per_session(mini_sessions, monkeypa
     monkeypatch.setattr(experiments, "extract_channels", counting_extract)
     matrices = experiments._channel_matrices(train_s, test_s, channels, config)
     assert extract_calls == [channels, channels]
-    assert len(calls) == 3
+    sides = [sorted((s.user_id, s.session_id) for s in side) for side in (train_s, test_s)]
+    assert calls == {name: sides for name in calls}
     assert list(matrices) == list(channels)
-    for channel in ("keyhold", "tap"):
+    for channel in ("keyhold", "tap", "hmog"):
         train_fm, test_fm = matrices[channel]
         for got, side in ((train_fm, train_s), (test_fm, test_s)):
             want = extract_channels(side, (channel,), config)[channel]
@@ -639,7 +685,11 @@ def test_run_bkg_rejects_bad_code(mini_sessions):
 def test_run_fuse_needs_two_channels(tmp_path):
     path = tmp_path / "only.csv"
     scores_of(["A", "A"], ["A", "B"], [0, 0], [1.0, 2.0]).write_csv(str(path))
-    for paths in ([("only", str(path))], [("a", str(path)), ("a", str(path))]):
+    for paths, message in (
+            ([("only", str(path))], "fuse needs score files of at least two channels, got 1"),
+            # a repeated name would drop a file
+            ([("a", str(path)), ("a", str(path))],
+             "score names must not repeat an entry, got ['a', 'a']")):
         with pytest.raises(ConfigError) as raised:
             run_fuse(ExperimentConfig(), paths, None)
-        assert str(raised.value) == "fuse needs score files of at least two channels, got 1"
+        assert str(raised.value) == message

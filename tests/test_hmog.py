@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmogkit.corpus.types import (
-    CHANNELS, Condition, SENSOR_ORDER, Sensor, SensorStream, Session, downsample)
+    AXES, Condition, SENSOR_ORDER, Sensor, SensorStream, Session, downsample)
 from hmogkit.hmog import (
     BETWEEN_BLOCK_MS,
     FEATURE_NAMES,
@@ -76,8 +76,8 @@ def test_feature_name_order_family_major():
     idx = 0
     for family in families:
         for sensor in SENSOR_ORDER:
-            for channel in CHANNELS:
-                assert FEATURE_NAMES[idx] == f"{sensor.value}_{channel}_{family}"
+            for axis in AXES:
+                assert FEATURE_NAMES[idx] == f"{sensor.value}_{axis}_{family}"
                 idx += 1
 
 
@@ -281,15 +281,15 @@ def test_extract_valid_tap_matches_blocks():
     res = resistance_block(before, during, after1)
     row = fm.values[0]
     for f_idx, family in enumerate(RESISTANCE_FAMILIES):
-        for c_idx, channel in enumerate(CHANNELS):
-            assert row[fm.col_index(f"acc_{channel}_{family}")] == pytest.approx(res[f_idx, c_idx])
+        for c_idx, axis in enumerate(AXES):
+            assert row[fm.col_index(f"acc_{axis}_{family}")] == pytest.approx(res[f_idx, c_idx])
 
     post = (t > 630) & (t <= 830)
     stab = stability_block(500, 630, before, during, t[(t >= 500) & (t <= 630)],
                            after1, t[post], chans[post])
     for f_idx, family in enumerate(STABILITY_FAMILIES):
-        for c_idx, channel in enumerate(CHANNELS):
-            assert row[fm.col_index(f"acc_{channel}_{family}")] == pytest.approx(stab[f_idx, c_idx])
+        for c_idx, axis in enumerate(AXES):
+            assert row[fm.col_index(f"acc_{axis}_{family}")] == pytest.approx(stab[f_idx, c_idx])
 
 
 def test_extract_skips_taps_without_context():
@@ -372,7 +372,7 @@ def test_extract_no_taps_empty_matrix():
 # ---------------------------------------------------------------- batched vs per-event
 
 def assert_matches_oracle(session, mode):
-    got = extract_hmog(session, mode)
+    got = extract_hmog(session, mode=mode)
     want = extract_hmog_oracle(session, mode)
     assert got.values.shape == want.values.shape
     assert got.values.tobytes() == want.values.tobytes()
@@ -500,7 +500,7 @@ def test_extract_nonfinite_and_huge_readings_do_not_warn(mode):
     session.streams[Sensor.MAG].values[t % 700 == 0, 2] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = extract_hmog(session, mode)
+        got = extract_hmog(session, mode=mode)
     with np.errstate(all="ignore"):
         want = assert_matches_oracle(session, mode)
     assert got.values.tobytes() == want.values.tobytes()
@@ -666,7 +666,7 @@ def test_extract_peak_memory_bounded_by_event_chunks():
     def peak_beyond_block(n_taps):
         taps = [make_tap(i, 500 + 700 * i, 600 + 700 * i) for i in range(n_taps)]
         session = grid_session(10, 700 * n_taps + 1000, taps, seed=15)
-        block_bytes = (len(session.streams[Sensor.ACC]) + 1) * 3 * len(CHANNELS) * 8
+        block_bytes = (len(session.streams[Sensor.ACC]) + 1) * 3 * len(AXES) * 8
         tracemalloc.start()
         try:
             fm = extract_hmog(session)
@@ -700,14 +700,14 @@ def test_event_chunks_skewed_widths():
     rng = np.random.default_rng(16)
     widest = rng.permutation(np.repeat([1, 40, 2000], [300, 10, 1]))
     # 12-column rows: the cap cuts only between widths
-    chunks = check_chunks(widest, 3 * len(CHANNELS) * 8)
+    chunks = check_chunks(widest, 3 * len(AXES) * 8)
     assert [widest[c].max() for c in chunks] == [1, 40, 2000]
     # 1 KiB rows, 256 to the cap: it cuts the narrow events too, and the
     # widest event takes a chunk of its own, over the cap
     chunks = check_chunks(widest, 1 << 10)
     assert [len(c) for c in chunks] == [256, 44, 6, 4, 1]
     # widths spread evenly: the cap cuts chunks of mixed widths
-    check_chunks(rng.integers(1, 300, 500), 3 * len(CHANNELS) * 8)
+    check_chunks(rng.integers(1, 300, 500), 3 * len(AXES) * 8)
 
 
 @pytest.mark.parametrize("mode", ["during", "between"])
@@ -720,7 +720,7 @@ def test_extract_bit_equal_to_oracle_chunk_spans_widths(mode):
     _, _, n = _window_bounds(t, session.taps.t_start_ms, session.taps.t_end_ms)
     widest = n.max(axis=0)
     assert any(widest[c].max() > 2 * widest[c].min()
-               for c in _event_chunks(widest, 3 * len(CHANNELS) * 8))
+               for c in _event_chunks(widest, 3 * len(AXES) * 8))
     fm = assert_matches_oracle(session, mode)
     if mode == "during":
         assert fm.n_rows == len(lengths)

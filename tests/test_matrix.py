@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmogkit.matrix import FeatureMatrix, encode
-from labels import labelled, session_ids, user_ids
+from labels import labelled, user_ids
 
 
 def make_fm(values, users=None, sessions=None, t=None, columns=None):
@@ -68,32 +68,6 @@ def test_codes_sort_as_names():
     assert table == ("B", "a", "u10", "u9", "é")
     assert [table[k] for k in codes.tolist()] == names
     assert np.argsort(codes).tolist() == sorted(range(5), key=names.__getitem__)
-
-
-def test_vstack():
-    a = make_fm([[1.0, 2.0]])
-    b = make_fm([[3.0, 4.0]], users=["u2"])
-    out = FeatureMatrix.vstack([a, b])
-    assert out.n_rows == 2
-    assert list(user_ids(out)) == ["u1", "u2"]
-    with pytest.raises(ValueError):
-        FeatureMatrix.vstack([])
-
-
-def test_vstack_merges_session_tables():
-    a = make_fm([[1.0], [2.0]], users=["u2", "u1"], sessions=["s1", "s2"])
-    b = make_fm([[3.0], [4.0]], users=["u1", "u3"], sessions=["s1", "s1"])
-    out = FeatureMatrix.vstack([a, b])
-    assert out.sessions == (("u1", "s1"), ("u1", "s2"), ("u2", "s1"), ("u3", "s1"))
-    assert list(user_ids(out)) == ["u2", "u1", "u1", "u3"]
-    assert list(session_ids(out)) == ["s1", "s2", "s1", "s1"]
-
-
-def test_vstack_rejects_column_mismatch():
-    a = make_fm([[1.0]], columns=("a",))
-    b = make_fm([[1.0]], columns=("b",))
-    with pytest.raises(ValueError):
-        FeatureMatrix.vstack([a, b])
 
 
 def test_empty():

@@ -27,7 +27,7 @@ from oracles import (
     keystroke_features_oracle,
     tap_features_oracle,
 )
-from labels import labelled, session_ids, user_ids
+from labels import labelled, session_ids, stacked, user_ids
 from tables import key_table, tap_table
 
 
@@ -183,7 +183,7 @@ def test_tap_features_bit_equal_to_oracle_mixed_lengths():
 
 def assert_sessions_match_one_by_one(sessions):
     got = tap_features(*sessions)
-    assert_same_matrix(got, FeatureMatrix.vstack([tap_features(s) for s in sessions]))
+    assert_same_matrix(got, stacked([tap_features(s) for s in sessions]))
     return got
 
 
@@ -400,21 +400,20 @@ def assert_filter_matches_oracle(train_events, test_events, dense_train, dense_t
     return train, test
 
 
-def stacked(sessions, pick):
-    return FeatureMatrix.vstack([pick(s)[1] for s in sessions])
+def oracle_digraphs(sessions):
+    return stacked([keystroke_features_oracle(s)[1] for s in sessions])
 
 
 @pytest.mark.parametrize("m_min", [0, 1, 3])
 def test_latency_filter_bit_equal_to_oracle_synthetic(mini_sessions, m_min):
     train_s, test_s = split_train_test(mini_sessions)
-    train_events = stacked(train_s, keystroke_features)
+    train_events = keystroke_features(*train_s)[1]
     latencies = np.sort(train_events.values[:, 1])
     # the default cap, and a cap exactly at a training latency
     for l_ms in (1500.0, float(latencies[len(latencies) // 2])):
         train, _ = assert_filter_matches_oracle(
-            train_events, stacked(test_s, keystroke_features),
-            stacked(train_s, keystroke_features_oracle),
-            stacked(test_s, keystroke_features_oracle), l_ms, m_min)
+            train_events, keystroke_features(*test_s)[1],
+            oracle_digraphs(train_s), oracle_digraphs(test_s), l_ms, m_min)
         assert train.n_features > 0 or l_ms < 1500.0
 
 
