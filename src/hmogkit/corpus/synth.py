@@ -136,13 +136,13 @@ def _make_taps(profile: SynthProfile, times, rng: np.random.Generator) -> TapTab
     draws = rng.normal(loc, scale)
     origin = np.array(profile.tap_center_px) + draws[first[:, None] + [0, 1]]
     steps = draws[np.column_stack([x_step, y_step])]
-    xy = np.empty((m, 2))
+    # tap i's steps open row i of one zero-padded (taps, longest, 2) array;
     # cumsum runs sequentially along axis 1, so each tap's running sum is the
-    # one a 1-D cumsum over its own steps gives
-    for length in np.unique(counts):
-        rows = np.flatnonzero(counts == length)
-        idx = offsets[rows, None] + np.arange(length)
-        xy[idx] = origin[rows, None] + np.cumsum(steps[idx], axis=1)
+    # one a 1-D cumsum over its own steps gives, and no padding enters it
+    inside = np.arange(counts.max(initial=0)) < counts[:, None]
+    padded = np.zeros(inside.shape + (2,))
+    padded[inside] = steps
+    xy = (origin[:, None] + np.cumsum(padded, axis=1))[inside]
     return TapTable(tap_id=np.arange(n), t_start_ms=starts, t_end_ms=ends,
                     offsets=offsets, t_samples=t, xy_px=xy,
                     contact_size=np.clip(draws[size_at], 0.01, 2.0))

@@ -31,12 +31,10 @@ sessions, clocks and event chunks only:
   factor of two in width, each padding at most one cap's worth, so one
   long press does not widen the arrays of short taps. Per chunk each of
   the four windows is one take of (width, events) row indices from the
-  block, width the longest window of its kind in the chunk. Before,
-  during and after100 start on row 0, every row past an event's window
-  pointing at the sentinel row; the post window ends on the last row,
-  the rows before it reading the stream rows there (clipped at row 0).
-  Timestamps are not gathered: the rows of the tap maximum and of the
-  settle time index the stream's t directly;
+  block, width the longest window of its kind in the chunk. Every window
+  starts on row 0, every row past an event's window pointing at the
+  sentinel row. Timestamps are not gathered: the rows of the tap maximum
+  and of the settle time index the stream's t directly;
 - reduce: each window mean, the masked tap maximum with the row it sits
   on, the settle row and each inside mask are computed once per chunk, and
   all 8 families x 4k channels come from whole-block array operations
@@ -53,15 +51,16 @@ every x, both zeros included); std is the mean of squared deviations from
 that mean, as NumPy computes it. The tap maximum sees -inf in the padding,
 and its row is the first row equal to the maximum or the first NaN, which
 is the row argmax picks, so NaN and ties pick the same first index. The
-settle time's suffix sums add the right-aligned post window's rows from
-its last row back, one row at a time, in the order of a cumsum over the
-reversed window alone; the rows before the window come later and touch no
-window suffix. Each suffix count W - i of the float array W, W-1, ..., 1
-equals the window's own count, so every suffix mean keeps its bits. The
-rows before the window read +inf, and the settle row is the first row
-equal to the least suffix mean or the first NaN, as argmin picks, so NaN
-and ties pick the same first row, and a window of +inf means only falls
-back on its first row.
+settle time's suffix sums add the post window's rows from the last row of
+the width back, one row at a time; the rows past the window read +0.0
+there and come first, and +0.0 + x == x for every |z - avg| (+0.0, a
+positive number, +inf or NaN), so each window suffix is the one a cumsum
+over the reversed window alone gives. Row i of a window of n rows is
+divided by n - i, the window's own count, so every suffix mean keeps its
+bits. The rows past the window are divided by 1 and then read +inf, and
+the settle row is the first row equal to the least suffix mean or the
+first NaN, as argmin picks, so NaN and ties pick the same first row, and a
+window of +inf means only falls back on its first row.
 """
 
 from __future__ import annotations
@@ -108,10 +107,8 @@ class _Windows(NamedTuple):
     """One kind of window for several events, padded to a common width.
 
     values is (width, events, channels); inside is the (width, events, 1)
-    mask of the rows inside each event's window, whose length is n. A
-    window gathered by _gather starts on row 0 and the rows after it hold
-    -0.0; one gathered by _gather_tail ends on the last row and the rows
-    before it hold whatever the stream has there.
+    mask of the rows inside each event's window, whose length is n. Each
+    window starts on row 0 and the rows after it hold -0.0.
     """
 
     values: np.ndarray
@@ -141,23 +138,26 @@ def _first_match(values: np.ndarray, extreme: np.ndarray) -> np.ndarray:
 
 
 def _settle_index(post: _Windows, avg_before: np.ndarray) -> np.ndarray:
-    """(events, channels) row of the right-aligned post windows whose suffix
-    mean of |z - avg_before| is minimal, the earliest on ties.
+    """(events, channels) row of each post window, counted from its first
+    row, whose suffix mean of |z - avg_before| is minimal, the earliest on
+    ties.
 
-    The suffix sums add the rows from the last one back, in place, as a
-    cumsum over the reversed width axis would; the rows before a window
-    come after it there and are masked to +inf, and an all +inf window
-    falls back on its first row.
+    The rows past a window read +0.0, and the suffix sums add the rows from
+    the last one back, in place, as a cumsum over the reversed width axis
+    would; row i of a window of n rows is divided by n - i, the rows past it
+    by 1, and then masked to +inf, so an all +inf window falls back on its
+    first row. The masks index whole (width, events) rows: a copyto whose
+    mask is broadcast along the channels takes three times as long.
     """
-    width = len(post.values)
+    outside = ~post.inside[..., 0]
     suffix = post.values - avg_before
     np.abs(suffix, out=suffix)
-    for w in range(width - 2, -1, -1):
-        np.add(suffix[w + 1], suffix[w], out=suffix[w])
-    suffix /= np.arange(width, 0, -1, dtype=np.float64)[:, None, None]
-    np.copyto(suffix, np.inf, where=~post.inside)
-    index = _first_match(suffix, suffix.min(axis=0))
-    return np.maximum(index, (width - post.n)[:, None])
+    suffix[outside] = 0.0
+    for i in range(len(suffix) - 2, -1, -1):
+        np.add(suffix[i + 1], suffix[i], out=suffix[i])
+    suffix /= np.where(outside, 1.0, post.n - np.arange(len(suffix))[:, None])[..., None]
+    suffix[outside] = np.inf
+    return _first_match(suffix, suffix.min(axis=0))
 
 
 def _between_bounds(starts: np.ndarray, ends: np.ndarray,
@@ -215,16 +215,6 @@ def _gather(chans: np.ndarray, start: np.ndarray, n: np.ndarray) -> _Windows:
     return _Windows(chans.take(rows, axis=0), inside[..., None], n)
 
 
-def _gather_tail(chans: np.ndarray, stop: np.ndarray, n: np.ndarray) -> _Windows:
-    """Windows chans[stop[e] - n[e]:stop[e]] of every event e, each ending
-    on the last row; the first width - n[e] rows take the stream rows
-    before the window, row indices below 0 clipped to 0."""
-    offsets = np.arange(n.max())
-    inside = offsets[:, None] >= len(offsets) - n
-    rows = np.maximum(stop + (offsets - len(offsets))[:, None], 0)
-    return _Windows(chans.take(rows, axis=0), inside[..., None], n)
-
-
 def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
             t_end: np.ndarray, start: np.ndarray, n: np.ndarray) -> np.ndarray:
     """(8 families, events, channels) features of each event's windows
@@ -238,16 +228,14 @@ def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
     avg100msBefore) and (t_after_center - t_max_in_tap) / (avg100msAfter -
     maxTap); a zero denominator gives NaN for that feature only.
     """
-    before, during, after100 = (_gather(chans, s, k) for s, k in zip(start[:3], n[:3]))
-    stop = start[3] + n[3]
-    post = _gather_tail(chans, stop, n[3])
+    before, during, after100, post = (_gather(chans, s, k) for s, k in zip(start, n))
     avg_before = before.mean()
     avg_tap = during.mean()
     avg_after = after100.mean()
     lifted = np.where(during.inside, during.values, -np.inf)
     max_tap = lifted.max(axis=0)
     t_max_in_tap = t[start[1][:, None] + _first_match(lifted, max_tap)]
-    settle_row = (stop - len(post.values))[:, None] + _settle_index(post, avg_before)
+    settle_row = start[3][:, None] + _settle_index(post, avg_before)
     settle = t[settle_row] - t_end[:, None]
     t_before_center = (t_start - CENTER_OFFSET_MS)[:, None]
     t_after_center = (t_end + CENTER_OFFSET_MS)[:, None]

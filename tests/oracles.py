@@ -21,7 +21,7 @@ from hmogkit.corpus.types import (
     SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
-    FEATURE_NAMES, POST_MS, _blocks, _gather_tail, _settle_index)
+    FEATURE_NAMES, POST_MS, _blocks, _gather, _settle_index)
 from hmogkit.corpus.synth import (
     _IMPULSE_TAIL_MS, _MIN_TAP_GAP_MS, _SESSION_LEAD_MS, KEY_ALPHABET, _key_hold_offset)
 from hmogkit.matrix import FeatureMatrix
@@ -92,9 +92,10 @@ def eer_searchsorted_oracle(genuine, impostor) -> float:
 
 def _single(values):
     """A (k,) or (k, channels) post window as a batch of one event,
-    gathered by hmog's right-aligned take."""
+    gathered by hmog's take from a block whose last row is -0.0."""
     values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
-    return _gather_tail(values, np.array([len(values)]), np.array([len(values)]))
+    block = np.concatenate([values, np.full((1, values.shape[1]), -0.0)])
+    return _gather(block, np.array([0]), np.array([len(values)]))
 
 
 def _one_tap(t_start, t_end, before, during, t_during, after100, t_post,

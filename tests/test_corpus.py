@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -349,6 +351,43 @@ def test_parse_sensor_timestamps_exactly(tmp_path, text, t_ms):
             parse()
     else:
         assert parse().streams[Sensor.ACC].t_ms.tolist() == [t_ms]
+
+
+@pytest.mark.parametrize("field, x", [
+    ("1_0", 10.0),
+    (" 1.5", 1.5),
+    ("1.5 ", 1.5),
+    ('"1.5"', 1.5),
+    ("+2", 2.0),
+    ("\u0661\u0662", 12.0),  # Arabic-Indic digits
+    ("-0.0", -0.0),
+    ("1e-320", 1e-320),  # subnormal
+    ("1e400", math.inf),
+    ("inf", math.inf),
+    ("infinity", math.inf),
+    ("-inf", -math.inf),
+    ("nan", math.nan),
+    ("NaN", math.nan),
+    ("0x1p3", None),
+    ("", None),
+])
+def test_parse_sensor_value_strings(tmp_path, field, x):
+    # the strings a value column accepts, and the float each one reads as
+    sensor, touch, keys, _ = write_raw(tmp_path, [f"s1,acc,0,{field},0,9.8"],
+                                       ["s1,1,100,1,2,0.4"], [])
+
+    def parse():
+        return parse_session(str(sensor), str(touch), str(keys),
+                             user_id="u", session_id="s1", condition="sitting")
+    if x is None:
+        with pytest.raises(ParseError, match=re.escape(f"sensor.csv:2: bad number {field!r}")):
+            parse()
+        return
+    got = parse().streams[Sensor.ACC].values[0, 0]
+    if math.isnan(x):
+        assert np.isnan(got)
+    else:
+        assert got == x and np.signbit(got) == np.signbit(x)
 
 
 def test_parse_rejects_nonmonotone_sensor_rows(tmp_path):

@@ -18,6 +18,8 @@ from hmogkit.hmog import (
     _clock_groups,
     _event_chunks,
     _first_match,
+    _gather,
+    _settle_index,
     _window_bounds,
     extract_hmog,
     feature_names_for,
@@ -157,6 +159,28 @@ def test_t_min_index_per_channel():
     z = np.array([[4.0, 1.0], [1.0, 4.0]])
     idx = t_min_index(z, np.array([1.0, 1.0]))
     assert list(idx) == [1, 0]
+
+
+def test_settle_index_padded_batch_equals_each_window_alone():
+    # one gathered batch of post windows of 1 row up to the batch width, so
+    # every shorter window is padded: each event's settle row is the one it
+    # gets gathered alone, with NaN, +-inf, -0.0 and ties in its values. The
+    # call runs outside extract_hmog's errstate, so no division may warn
+    rng = np.random.default_rng(17)
+    lengths = rng.permutation(np.arange(1, 13))
+    windows = [rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, np.nan], (k, 6),
+                          p=[0.05, 0.2, 0.15, 0.15, 0.2, 0.15, 0.05, 0.05])
+               for k in lengths]
+    widest = windows[int(np.argmax(lengths))]
+    widest[:, 0], widest[:, 1] = np.inf, 1.0  # all +inf means; all tied means
+    avg_before = rng.choice([-1.0, -0.0, 0.0, 1.0], (len(lengths), 6))
+    block = np.concatenate(windows + [np.full((1, 6), -0.0)])
+    post = _gather(block, np.cumsum(lengths) - lengths, lengths)
+    assert len(post.values) == lengths.max()
+    batch = _settle_index(post, avg_before)
+    alone = np.array([t_min_index(w, avg) for w, avg in zip(windows, avg_before)])
+    assert batch.tolist() == alone.tolist()
+    assert (alone > 0).any() and np.isnan(block).any() and np.isinf(block).any()
 
 
 def test_first_match_is_argmax_and_argmin():
@@ -609,14 +633,15 @@ def test_extract_bit_equal_to_oracle_equal_clock_copies(mode):
         assert fm.n_rows > 0
 
 
-# ---------------------------------------------------------------- right-aligned post window
+# ---------------------------------------------------------------- padded post window
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_extract_bit_equal_to_oracle_settle_after_nonfinite_rows():
     # six samples are missing after the first tap, so its post window (14
-    # rows) is shorter than the second tap's (20) in the same chunk, and it
-    # reads the 6 stream rows before it: the end of the tap, which holds a
-    # NaN (acc x) and a +inf (acc y). A +inf in the first tap's before
+    # rows) is shorter than the second tap's (20) in the same chunk and is
+    # padded by 6 rows. The 6 stream rows before it, which no suffix may
+    # read, are the end of the tap and hold a NaN (acc x) and a +inf
+    # (acc y). A +inf in the first tap's before
     # window (gyr x) makes every suffix mean of its post window +inf, so
     # the settle time falls back on the window's first row.
     t = np.arange(0, 3001, 10)
@@ -641,8 +666,9 @@ def test_extract_bit_equal_to_oracle_settle_after_nonfinite_rows():
 def test_extract_bit_equal_to_oracle_settle_window_clipped_at_row_0(mode):
     # the first tap's post window is sampled every 2 ms (100 rows) and
     # starts on row 16; a 1 ms burst after the second tap gives it a
-    # 200-row post window in the same chunk, so the first tap's
-    # right-aligned window reaches 84 rows before row 0
+    # 200-row post window in the same chunk, so the first tap's window is
+    # padded by 100 rows, more than the 16 stream rows before it: aligned
+    # to the end of the chunk's width, it would reach 84 rows before row 0
     t = np.concatenate([np.arange(0, 151, 10), np.arange(152, 351, 2),
                         np.arange(360, 2101, 10), np.arange(2101, 2301, 1),
                         np.arange(2310, 4001, 10)])
@@ -657,26 +683,39 @@ def test_extract_bit_equal_to_oracle_settle_window_clipped_at_row_0(mode):
         assert np.isfinite(fm.values).all()
 
 
-def test_extract_peak_memory_bounded_by_event_chunks():
-    # events are taken in chunks of bounded size, so apart from the channel
-    # block, which grows with the stream, the peak memory of 1,000 taps
-    # stays close to that of 250
+def test_extract_peak_memory_bounded_by_event_chunks(monkeypatch):
+    # events are taken in chunks of bounded size, so the memory that one
+    # chunk's windows and features take stays the same from 250 taps to
+    # 1,000; what must grow with the stream or the taps (the channel block,
+    # the feature cells and the rows taken from them) is allocated outside
+    # the chunks and not counted
     import tracemalloc
+    from hmogkit import hmog
 
-    def peak_beyond_block(n_taps):
+    blocks, chunk_peaks = hmog._blocks, []
+
+    def traced_blocks(*args):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        features = blocks(*args)
+        chunk_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return features
+
+    monkeypatch.setattr(hmog, "_blocks", traced_blocks)
+
+    def peak_per_chunk(n_taps):
         taps = [make_tap(i, 500 + 700 * i, 600 + 700 * i) for i in range(n_taps)]
         session = grid_session(10, 700 * n_taps + 1000, taps, seed=15)
-        block_bytes = (len(session.streams[Sensor.ACC]) + 1) * 3 * len(AXES) * 8
+        chunk_peaks.clear()
         tracemalloc.start()
         try:
             fm = extract_hmog(session)
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert fm.n_rows == n_taps
-        return peak - block_bytes
+        return max(chunk_peaks)
 
-    assert peak_beyond_block(1000) < 1.5 * peak_beyond_block(250)
+    assert peak_per_chunk(1000) < 1.5 * peak_per_chunk(250)
 
 
 # ---------------------------------------------------------------- event chunks
