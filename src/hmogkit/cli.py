@@ -10,7 +10,8 @@ precedence over flags; flags in turn override built-in defaults. The file
 may name any config field: one the subcommand does not read is reset by
 the runner, so it changes neither the outputs nor the config_hash. Exit
 codes: 0 success, 2 configuration error, 3 data error, 4 infeasible
-experiment.
+experiment. A file that cannot be opened, or read by hmogkit.table, ends in
+one line naming it: exit 3, or 2 for the --config and --manifest files.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import types
 import typing
 from pathlib import Path
 
-from .corpus.io import ParseError, id_problem, load_mapping, parse_session, save_corpus
+from .corpus.io import id_problem, load_mapping, parse_session, save_corpus
 from .corpus.types import Condition, CorpusError
 from .experiments import (
     AUTH_FIELDS,
@@ -51,6 +52,7 @@ from .experiments import (
     run_train,
 )
 from .pipeline import PipelineError
+from .table import FormatError, read_json
 from .verify import VerifyError
 
 EXIT_OK = 0
@@ -146,16 +148,9 @@ _FLAG_TYPES = {name: _flag_type(hint)
 
 def _load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return data
+        return read_json(path)
+    except (OSError, FormatError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -401,8 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, ParseError, PipelineError, VerifyError,
-            FileNotFoundError) as exc:
+    except (CorpusError, FormatError, PipelineError, VerifyError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InfeasibleError as exc:

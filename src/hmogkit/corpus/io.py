@@ -18,14 +18,14 @@ rejected.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 import os
 from itertools import chain, repeat
 
 import numpy as np
 
-from ..table import read_rows, write_table
+from ..table import read_json, read_rows, read_utf8, write_json, write_table
 from .types import (
     Condition,
     CorpusError,
@@ -66,8 +66,7 @@ def parse_mapping(text: str) -> dict[str, str]:
 
 
 def load_mapping(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_mapping(fh.read())
+    return parse_mapping(read_utf8(path))
 
 
 def _floor_ms(value: str, where: str) -> int:
@@ -104,48 +103,49 @@ def _float(value: str, where: str) -> float:
 
 def _read_rows(path: str, canonical: tuple[str, ...],
                mapping: dict[str, str] | None):
-    """Yield (lineno, dict keyed by canonical column names)."""
+    """Yield (lineno, the row's fields in canonical column order)."""
     mapping = mapping or {}
     rows = read_rows(path)
     _, header = next(rows, (0, None))
     if header is None:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in header]
-    index: dict[str, int] = {}
+    index = []
     for name in canonical:
         # one mapping file serves every input; fall back to the
         # canonical name in files that never used the source name
         source = mapping.get(name, name)
         if source in header:
-            index[name] = header.index(source)
+            index.append(header.index(source))
         elif name in header:
-            index[name] = header.index(name)
+            index.append(header.index(name))
         else:
             raise ParseError(f"{path}: missing column {source!r}")
-    width = len(header)
+    pick, width = operator.itemgetter(*index), len(header)
     for lineno, row in rows:
         if len(row) != width:
             raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        yield lineno, {name: row[i] for name, i in index.items()}
+        yield lineno, pick(row)
+
+
+_SENSORS = {sensor.value: sensor for sensor in Sensor}
 
 
 def _parse_sensor_file(path: str, mapping: dict[str, str] | None,
                        nominal_rate_hz: float) -> dict[Sensor, SensorStream]:
     times: dict[Sensor, list[int]] = {s: [] for s in SENSOR_ORDER}
     values: dict[Sensor, list[tuple[float, float, float]]] = {s: [] for s in SENSOR_ORDER}
-    for lineno, row in _read_rows(path, SENSOR_COLUMNS, mapping):
+    for lineno, (_, tag, t_ms, x, y, z) in _read_rows(path, SENSOR_COLUMNS, mapping):
         where = f"{path}:{lineno}"
-        tag = row["sensor"].strip()
-        try:
-            sensor = Sensor(tag)
-        except ValueError:
-            raise ParseError(f"{where}: unknown sensor tag {tag!r}") from None
-        t, seen = _floor_ms(row["t_ms"], where), times[sensor]
+        tag = tag.strip()
+        sensor = _SENSORS.get(tag)
+        if sensor is None:
+            raise ParseError(f"{where}: unknown sensor tag {tag!r}")
+        t, seen = _floor_ms(t_ms, where), times[sensor]
         if seen and t <= seen[-1]:
             raise ParseError(f"{where}: non-monotone timestamp for {tag} ({t} after {seen[-1]})")
         seen.append(t)
-        values[sensor].append((_float(row["x"], where), _float(row["y"], where),
-                               _float(row["z"], where)))
+        values[sensor].append((_float(x, where), _float(y, where), _float(z, where)))
     return {sensor: SensorStream(sensor=sensor, nominal_rate_hz=nominal_rate_hz,
                                  t_ms=np.array(times[sensor], dtype=np.int64),
                                  values=np.array(values[sensor], dtype=np.float64))
@@ -155,12 +155,11 @@ def _parse_sensor_file(path: str, mapping: dict[str, str] | None,
 def _parse_touch_file(path: str, mapping: dict[str, str] | None,
                       boundaries: dict[int, tuple[int, int]] | None) -> TapTable:
     ids, t, values = [], [], []
-    for lineno, row in _read_rows(path, TOUCH_COLUMNS, mapping):
+    for lineno, (_, tap, t_ms, x, y, size) in _read_rows(path, TOUCH_COLUMNS, mapping):
         where = f"{path}:{lineno}"
-        ids.append(_tap_id(row["tap_id"], where))
-        t.append(_floor_ms(row["t_ms"], where))
-        values.append((_float(row["x_px"], where), _float(row["y_px"], where),
-                       _float(row["contact_size"], where)))
+        ids.append(_tap_id(tap, where))
+        t.append(_floor_ms(t_ms, where))
+        values.append((_float(x, where), _float(y, where), _float(size, where)))
     ids, t = np.array(ids, dtype=np.int64), np.array(t, dtype=np.int64)
     values = np.array(values, dtype=np.float64).reshape(-1, 3)
     tap_id, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
@@ -185,30 +184,30 @@ def _parse_touch_file(path: str, mapping: dict[str, str] | None,
 
 def _parse_taps_file(path: str, mapping: dict[str, str] | None) -> dict[int, tuple[int, int]]:
     boundaries: dict[int, tuple[int, int]] = {}
-    for lineno, row in _read_rows(path, TAPS_COLUMNS, mapping):
+    for lineno, (_, tap_id, t_start, t_end) in _read_rows(path, TAPS_COLUMNS, mapping):
         where = f"{path}:{lineno}"
-        tap_id = _tap_id(row["tap_id"], where)
+        tap_id = _tap_id(tap_id, where)
         if tap_id in boundaries:
             raise ParseError(f"{where}: duplicate tap_id {tap_id}")
-        boundaries[tap_id] = (_floor_ms(row["t_start_ms"], where), _floor_ms(row["t_end_ms"], where))
+        boundaries[tap_id] = (_floor_ms(t_start, where), _floor_ms(t_end, where))
     return boundaries
 
 
 def _parse_key_file(path: str, mapping: dict[str, str] | None) -> KeyTable:
     keys, press, release = [], [], []
-    for lineno, row in _read_rows(path, KEY_COLUMNS, mapping):
+    for lineno, (_, key, t_press, t_release) in _read_rows(path, KEY_COLUMNS, mapping):
         where = f"{path}:{lineno}"
-        t = _floor_ms(row["t_press_ms"], where)
+        t = _floor_ms(t_press, where)
         if press and t < press[-1]:
             raise ParseError(f"{where}: non-monotone key press timestamps")
-        key = row["key_code"].strip()
+        key = key.strip()
         if not key:
             raise ParseError(f"{where}: empty key code")
         if "\r" in key:  # keys.csv would leave it unquoted and split the row
             raise ParseError(f"{where}: key code {key!r} contains CR")
         keys.append(key)
         press.append(t)
-        release.append(_floor_ms(row["t_release_ms"], where))
+        release.append(_floor_ms(t_release, where))
     return KeyTable(key=keys, t_press_ms=press, t_release_ms=release)
 
 
@@ -261,20 +260,12 @@ def write_session(session: Session, directory: str) -> None:
         "condition": session.condition.value,
         "nominal_rate_hz": rates,
     }
-    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(directory, "meta.json"), meta)
 
 
 def _read_json(path: str, required: tuple[str, ...]) -> dict:
-    """A JSON object holding the required keys; ParseError names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(blob, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    """The JSON object of a file, which must hold the required keys."""
+    blob = read_json(path)
     missing = [key for key in required if key not in blob]
     if missing:
         raise ParseError(f"{path}: missing {', '.join(map(repr, missing))}")
@@ -337,10 +328,8 @@ def read_session(directory: str) -> Session:
         nominal_rate_hz=rate,
     )
     # restore per-sensor rates (parse_session applies a single figure)
-    for tag, value in rates.items():
-        sensor = Sensor(tag)
-        if sensor in session.streams:
-            session.streams[sensor].nominal_rate_hz = value
+    for sensor, stream in session.streams.items():
+        stream.nominal_rate_hz = rates.get(sensor.value, rate)
     return session
 
 
@@ -356,9 +345,7 @@ def save_corpus(sessions: list[Session], root: str) -> None:
             "condition": session.condition.value,
             "path": rel,
         })
-    with open(os.path.join(root, "index.json"), "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "sessions": index}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(root, "index.json"), {"version": 1, "sessions": index})
 
 
 def load_corpus(root: str) -> list[Session]:

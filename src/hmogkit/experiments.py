@@ -69,7 +69,7 @@ from .pipeline import (
     save_templates,
     scan_aggregate,
 )
-from .table import write_table
+from .table import write_json, write_table
 from .touchkeys import (
     digraph_feature_names,
     hold_feature_names,
@@ -478,22 +478,6 @@ def _stamp(config: ExperimentConfig) -> list[str]:
     return [f"config_hash={config.config_hash()}", f"seed={config.seed}"]
 
 
-def _json_default(o):
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.bool_):
-        return bool(o)
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               default=_json_default) + "\n",
-                    encoding="utf-8")
-
-
 def _write_scores(out: Path, name: str, scores: verify.ScoreSet,
                   comments: list[str]) -> None:
     """scores_<name>.csv and its DET curve, det_<name>.csv."""
@@ -533,7 +517,7 @@ def _finish(config: ExperimentConfig, body: dict,
         comments = _stamp(config)
         for name, (header, rows) in tables.items():
             write_table(out / name, header, rows, comments)
-        _write_json(out / "summary.json", bundle)
+        write_json(out / "summary.json", bundle)
     return bundle
 
 
@@ -748,7 +732,7 @@ def run_fuse(config: ExperimentConfig, paths, weights: dict | None) -> dict:
     out = _ensure_out(config)
     if out is not None:
         _write_scores(out, "fused", fused, _stamp(config))
-        _write_json(out / "fusion.json", report)
+        write_json(out / "fusion.json", report)
     return report
 
 

@@ -106,9 +106,9 @@ def feature_names_for(sensors) -> tuple[str, ...]:
 class _Windows(NamedTuple):
     """One kind of window for several events, padded to a common width.
 
-    values is (width, events, channels); inside is the (width, events, 1)
-    mask of the rows inside each event's window, whose length is n. Each
-    window starts on row 0 and the rows after it hold -0.0.
+    values is (width, events, channels); inside is the (width, events) mask
+    of the rows inside each event's window, whose length is n. Each window
+    starts on row 0 and the rows after it hold -0.0.
     """
 
     values: np.ndarray
@@ -121,7 +121,7 @@ class _Windows(NamedTuple):
     def std(self, mean: np.ndarray) -> np.ndarray:
         """Population form, from the window mean as numpy.std computes it."""
         dev = self.values - mean
-        np.copyto(dev, -0.0, where=~self.inside)
+        dev[~self.inside] = -0.0
         dev *= dev
         return np.sqrt(dev.sum(axis=0) / self.n[:, None])
 
@@ -149,7 +149,7 @@ def _settle_index(post: _Windows, avg_before: np.ndarray) -> np.ndarray:
     first row. The masks index whole (width, events) rows: a copyto whose
     mask is broadcast along the channels takes three times as long.
     """
-    outside = ~post.inside[..., 0]
+    outside = ~post.inside
     suffix = post.values - avg_before
     np.abs(suffix, out=suffix)
     suffix[outside] = 0.0
@@ -212,7 +212,7 @@ def _gather(chans: np.ndarray, start: np.ndarray, n: np.ndarray) -> _Windows:
     offsets = np.arange(n.max())[:, None]
     inside = offsets < n
     rows = np.where(inside, start + offsets, len(chans) - 1)
-    return _Windows(chans.take(rows, axis=0), inside[..., None], n)
+    return _Windows(chans.take(rows, axis=0), inside, n)
 
 
 def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
@@ -232,7 +232,9 @@ def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
     avg_before = before.mean()
     avg_tap = during.mean()
     avg_after = after100.mean()
-    lifted = np.where(during.inside, during.values, -np.inf)
+    std_tap = during.std(avg_tap)
+    lifted = during.values  # lifted in place: the tap windows are not read again
+    lifted[~during.inside] = -np.inf
     max_tap = lifted.max(axis=0)
     t_max_in_tap = t[start[1][:, None] + _first_match(lifted, max_tap)]
     settle_row = start[3][:, None] + _settle_index(post, avg_before)
@@ -244,7 +246,7 @@ def _blocks(t: np.ndarray, chans: np.ndarray, t_start: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         s2 = np.where(den2 == 0, np.nan, (t_after_center - t_before_center) / den2)
         s3 = np.where(den3 == 0, np.nan, (t_after_center - t_max_in_tap) / den3)
-    return np.stack([avg_tap, during.std(avg_tap), den2, avg_tap - avg_before,
+    return np.stack([avg_tap, std_tap, den2, avg_tap - avg_before,
                      max_tap - avg_before, settle.astype(np.float64), s2, s3])
 
 

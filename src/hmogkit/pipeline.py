@@ -13,12 +13,12 @@ stretch of recording in every channel extracted from the same sessions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix import FeatureMatrix
+from .table import write_json
 
 SIGMA_FLOOR = 1e-6
 
@@ -408,34 +408,13 @@ def scan_aggregate(fm: FeatureMatrix, scan_s: float) -> FeatureMatrix:
 _TEMPLATE_FORMAT = "hmogkit-templates-1"
 
 
-def _pca_to_dict(pca: PcaBasis | None):
-    if pca is None:
-        return None
-    return {
-        "center": pca.center.tolist(),
-        "scale": pca.scale.tolist(),
-        "components": pca.components.tolist(),   # row-major
-        "variances": pca.variances.tolist(),
-    }
-
-
 def save_templates(path: str, templates: dict[str, Template],
                    params_echo: dict | None = None) -> None:
-    blob = {
+    write_json(path, {
         "format": _TEMPLATE_FORMAT,
         "params": params_echo or {},
-        "templates": {
-            user: {
-                "input_features": list(t.input_features),
-                "raw_means": t.raw_means.tolist(),
-                "mu": t.mu.tolist(),
-                "sigma": t.sigma.tolist(),
-                "n_train": t.n_train,
-                "pca": _pca_to_dict(t.pca),
-            }
-            for user, t in sorted(templates.items())
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        "templates": {user: {"input_features": t.input_features, "raw_means": t.raw_means,
+                             "mu": t.mu, "sigma": t.sigma, "n_train": t.n_train,
+                             "pca": None if t.pca is None else vars(t.pca)}
+                      for user, t in sorted(templates.items())},
+    }, indent=1)

@@ -144,6 +144,31 @@ def malformed_corpora(tmp_path_factory):
         (root / name / "index.json").write_text(index_text)
         if meta_text is not None:
             (root / name / "s1" / "meta.json").write_text(meta_text)
+    # sessions whose keys.csv, the last file read, or meta.json cannot be read
+    headers = {"sensor.csv": sensor, "touch.csv": "session_id,tap_id,t_ms,x_px,y_px,contact_size\n",
+               "taps.csv": taps}
+    keys = b"session_id,key_code,t_press_ms,t_release_ms\n"
+    for name, keys_bytes, meta_bytes in [
+            ("keys_not_utf8", keys + b"s01,\xe9,1,2\n", good_meta.encode()),
+            ("keys_long_field", keys + b's01,"' + b"k" * 131073 + b'",1,2\n', good_meta.encode()),
+            ("keys_dir", None, good_meta.encode()),
+            ("meta_not_utf8", keys, good_meta.replace("u1", "u\xe9").encode("latin-1"))]:
+        (root / name / "s1").mkdir(parents=True)
+        (root / name / "index.json").write_text(index)
+        (root / name / "s1" / "meta.json").write_bytes(meta_bytes)
+        for file_name, text in headers.items():
+            (root / name / "s1" / file_name).write_text(text)
+        if keys_bytes is None:
+            (root / name / "s1" / "keys.csv").mkdir()
+        else:
+            (root / name / "s1" / "keys.csv").write_bytes(keys_bytes)
+    # a --config, --mapping or --scores path, or an --out-dir, of the wrong kind
+    (root / "config_not_utf8.json").write_bytes(b'{"seed": "\xe9"}')
+    (root / "config_big_int.json").write_bytes(b'{"seed": ' + b"9" * 5000 + b"}")
+    (root / "mapping_not_utf8.txt").write_bytes(b"key_code = k\xe9y\n")
+    (root / "manifest.json").write_text(json.dumps({"sessions": [{}]}))
+    (root / "a_dir").mkdir()
+    (root / "a_file").write_text("")
     return root
 
 
@@ -264,13 +289,46 @@ def malformed_corpora(tmp_path_factory):
      2, "config error: fusion weights name unknown channels ['hmgo']"),
     (["fuse", "--weights", "hmgo=1"], None,
      2, "config error: fusion weights name unknown channels ['hmgo']"),
+    # a file that cannot be read names its path
+    (["eval", "--corpus", "{corpora}/keys_not_utf8"], None,
+     3, "data error: {corpora}/keys_not_utf8/s1/keys.csv: not UTF-8 (byte 0xe9)"),
+    (["eval", "--corpus", "{corpora}/meta_not_utf8"], None,
+     3, "data error: {corpora}/meta_not_utf8/s1/meta.json: not UTF-8 (byte 0xe9)"),
+    (["eval", "--config", "{corpora}/config_not_utf8.json"], None,
+     2, "config error: {corpora}/config_not_utf8.json: not UTF-8 (byte 0xe9)"),
+    (["ingest", "--manifest", "{corpora}/manifest.json",
+      "--mapping", "{corpora}/mapping_not_utf8.txt", "--corpus-out", "{corpora}/ingested"], None,
+     3, "data error: {corpora}/mapping_not_utf8.txt: not UTF-8 (byte 0xe9)"),
+    (["eval", "--corpus", "{corpora}/keys_long_field"], None,
+     3, "data error: {corpora}/keys_long_field/s1/keys.csv:2:"
+        " field larger than field limit (131072)"),
+    (["eval", "--corpus", "{corpora}/keys_dir"], None,
+     3, "data error: [Errno 21] Is a directory: '{corpora}/keys_dir/s1/keys.csv'"),
+    (["fuse", "--scores", "a={corpora}/a_dir"], None,
+     3, "data error: [Errno 21] Is a directory: '{corpora}/a_dir'"),
+    (["extract", "--corpus", "{corpus}", "--channel", "tap", "--features-out", "{corpora}/a_dir"],
+     None, 3, "data error: [Errno 21] Is a directory: '{corpora}/a_dir'"),
+    (["eval", "--corpus", "{corpus}", "--channels", "tap", "--scans", "20", "--min-vectors", "10",
+      "--out-dir", "{corpora}/a_file"], None,
+     3, "data error: [Errno 17] File exists: '{corpora}/a_file'"),
+    (["fuse", "--scores", "a={corpora}/missing.csv"], None,
+     3, "data error: [Errno 2] No such file or directory: '{corpora}/missing.csv'"),
+    (["ingest", "--manifest", "{corpora}/manifest.json",
+      "--mapping", "{corpora}/missing.txt", "--corpus-out", "{corpora}/ingested"], None,
+     3, "data error: [Errno 2] No such file or directory: '{corpora}/missing.txt'"),
+    (["eval", "--config", "{corpora}/a_dir"], None,
+     2, "config error: [Errno 21] Is a directory: '{corpora}/a_dir'"),
+    # an int past Python's digit limit, which json.loads raises as ValueError
+    (["eval", "--config", "{corpora}/config_big_int.json"], None,
+     2, "config error: {corpora}/config_big_int.json: not valid JSON ("),
 ])
-def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, argv,
-                                              config, code, message):
-    argv = [arg.format(corpora=malformed_corpora) for arg in argv]
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, cli_corpus,
+                                              argv, config, code, message):
+    argv = [arg.format(corpora=malformed_corpora, corpus=cli_corpus) for arg in argv]
     message = message.format(corpora=malformed_corpora)
     out = tmp_path / "out"
-    if argv[0] != "synth":  # synth writes no output directory
+    # synth, extract and ingest take no output directory
+    if argv[0] not in ("synth", "extract", "ingest") and "--out-dir" not in argv:
         argv = [*argv, "--out-dir", str(out)]
     if argv[0] == "fuse":
         score_csv(tmp_path / "good.csv", [1.0, 2.0], [10.0, 11.0])
