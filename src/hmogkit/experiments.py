@@ -15,17 +15,23 @@ outputs nor their stamps; the command line offers exactly these fields as
 flags. The four experiments share one skeleton. _split splits the corpus;
 test vectors are scored per scan window (pipeline.scan_aggregate, keyed by
 session code); every per-scan result is an {eer, n_genuine, n_impostor}
-cell from _cell; and _finish stamps the bundle with the config, its hash
-and the seed and writes the CSV tables and summary.json. Output files carry
-the config hash and seed in comment lines.
+cell from _cell; _bundle stamps the result with the config, its hash and
+the seed; and _finish writes the score files, CSV tables and summary.json.
+_finish is the only code that makes the output directory or writes into
+it, and it runs after a run's last check, so a run that fails writes
+nothing; an output directory that is an existing file fails before any
+input is read. Output files carry the config hash and seed in comment
+lines.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
 import numbers
+import os
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -466,24 +472,16 @@ def _fuse(per_channel: dict[str, verify.ScoreSet], weights: dict | None, step: f
     return weights, fused, verify.eer(fused.genuine, fused.impostor)
 
 
-def _ensure_out(config: ExperimentConfig) -> Path | None:
-    if config.out_dir is None:
-        return None
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _check_out_dir(config: ExperimentConfig) -> None:
+    """Fail as _finish's mkdir would on an output directory that is an
+    existing file, before the run reads or builds anything."""
+    if config.out_dir is not None and os.path.lexists(config.out_dir) \
+            and not os.path.isdir(config.out_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), config.out_dir)
 
 
 def _stamp(config: ExperimentConfig) -> list[str]:
     return [f"config_hash={config.config_hash()}", f"seed={config.seed}"]
-
-
-def _write_scores(out: Path, name: str, scores: verify.ScoreSet,
-                  comments: list[str]) -> None:
-    """scores_<name>.csv and its DET curve, det_<name>.csv."""
-    scores.write_csv(out / f"scores_{name}.csv", comments)
-    verify.write_det_csv(out / f"det_{name}.csv",
-                         verify.det_curve(scores.genuine, scores.impostor), comments)
 
 
 def _split(config: ExperimentConfig, sessions: list[Session] | None):
@@ -505,20 +503,37 @@ def _row(prefix: tuple, cell: dict) -> tuple:
     return (*prefix, cell["eer"], cell["n_genuine"], cell["n_impostor"])
 
 
-def _finish(config: ExperimentConfig, body: dict,
-            tables: dict[str, tuple[tuple[str, ...], list[tuple]]]) -> dict:
-    """The run bundle: config, hash and seed ahead of the body. With an
-    output directory, each {file name: (header, rows)} table becomes a
-    stamped CSV, and the bundle summary.json."""
-    bundle = {"config": config.canonical(), "config_hash": config.config_hash(),
-              "seed": config.seed, **body}
-    out = _ensure_out(config)
-    if out is not None:
+def _bundle(config: ExperimentConfig, body: dict) -> dict:
+    """An experiment's result: config, hash and seed ahead of the body."""
+    return {"config": config.canonical(), "config_hash": config.config_hash(),
+            "seed": config.seed, **body}
+
+
+def _finish(config: ExperimentConfig, report: dict,
+            tables: dict[str, tuple[tuple[str, ...], list[tuple]]],
+            scores: dict[str, verify.ScoreSet] | None = None, *, det: bool = True,
+            summary: str = "summary.json") -> dict:
+    """Write a run's files and return its report.
+
+    This is the one place that makes the output directory and writes into
+    it, so a run that fails earlier leaves nothing. With an output
+    directory, each {name: ScoreSet} becomes scores_<name>.csv and, with
+    det, its DET curve det_<name>.csv; each {file name: (header, rows)}
+    table a stamped CSV; and the report the summary file.
+    """
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         comments = _stamp(config)
+        for name, scoreset in (scores or {}).items():
+            scoreset.write_csv(out / f"scores_{name}.csv", comments)
+            if det:
+                verify.write_det_csv(out / f"det_{name}.csv", verify.det_curve(
+                    scoreset.genuine, scoreset.impostor), comments)
         for name, (header, rows) in tables.items():
             write_table(out / name, header, rows, comments)
-        write_json(out / "summary.json", bundle)
-    return bundle
+        write_json(out / summary, report)
+    return report
 
 
 def _hmog_scans(config: ExperimentConfig, train_s: list[Session],
@@ -549,16 +564,16 @@ def run_auth(config: ExperimentConfig,
              sessions: list[Session] | None = None) -> dict:
     """Verification experiment: per-channel and fused EER per scan length."""
     config = config.narrow(AUTH_FIELDS)
+    _check_out_dir(config)
     train_s, test_s = _split(config, sessions)
     channel_data, failures, notes = _channel_setup(config, train_s, test_s,
                                                    config.channels)
     if not channel_data:
         raise InfeasibleError("; ".join(notes) or "no channel could enroll users")
 
-    out = _ensure_out(config)
-    comments = _stamp(config)
     scans: dict[str, dict] = {}
     eer_rows: list[tuple] = []
+    scoresets: dict[str, verify.ScoreSet] = {}
 
     def eval_scan(scan_s: float):
         return scan_s, _scan_eval(channel_data, scan_s, config)
@@ -570,8 +585,7 @@ def run_auth(config: ExperimentConfig,
         cells = {channel: _cell(scores) for channel, scores in per_channel.items()}
         for channel, scores in per_channel.items():
             eer_rows.append(_row((f"{scan_s:g}", channel), cells[channel]))
-            if out is not None:
-                _write_scores(out, f"{channel}_{scan_s:g}s", scores, comments)
+            scoresets[f"{channel}_{scan_s:g}s"] = scores
         if len(per_channel) >= 2:
             weights, fused, value = _fuse(per_channel, config.fusion_weights,
                                           config.fusion_step)
@@ -580,17 +594,17 @@ def run_auth(config: ExperimentConfig,
             weights, fused, value = {only: 1.0}, per_channel[only], cells[only]["eer"]
         fused_cell = {**_cell(fused, value), "weights": weights}
         eer_rows.append(_row((f"{scan_s:g}", "fused"), fused_cell))
-        if out is not None:
-            _write_scores(out, f"fused_{scan_s:g}s", fused, comments)
+        scoresets[f"fused_{scan_s:g}s"] = fused
         scans[f"{scan_s:g}"] = {"channels": cells, "fused": fused_cell}
 
     if not scans:
         raise InfeasibleError("no scan length produced scored decisions")
-    return _finish(config, {"scans": scans, "enrollment_failures": failures,
-                            "notes": notes}, {
+    return _finish(config, _bundle(config, {"scans": scans, "enrollment_failures": failures,
+                                            "notes": notes}), {
         "eer.csv": (("scan_s", "channel", "eer", "n_genuine", "n_impostor"), eer_rows),
         "enrollment.csv": (("channel", "user_id", "reason"),
-                           [(f["channel"], f["user_id"], f["reason"]) for f in failures])})
+                           [(f["channel"], f["user_id"], f["reason"]) for f in failures])},
+        scoresets)
 
 
 BETWEEN_FIELDS = (*CORPUS_FIELDS, "sensors", "metric", "scan_seconds", "selector",
@@ -601,26 +615,26 @@ def run_between(config: ExperimentConfig,
                 sessions: list[Session] | None = None) -> dict:
     """During-tap vs between-tap comparison on the HMOG channel."""
     config = config.narrow(BETWEEN_FIELDS)
+    _check_out_dir(config)
     train_s, test_s = _split(config, sessions)
-    out = _ensure_out(config)
-    comments = _stamp(config)
     modes: dict[str, dict] = {}
     rows: list[tuple] = []
     notes: list[str] = []
+    scoresets: dict[str, verify.ScoreSet] = {}
     for mode in ("during", "between"):
         _, scans, failures, mode_notes = _hmog_scans(
             replace(config, mode=mode), train_s, test_s)
         notes.extend(f"{mode}: {n}" for n in mode_notes)
         for scan_key, (cell, scores) in scans.items():
             rows.append(_row((mode, scan_key), cell))
-            if out is not None:
-                scores.write_csv(out / f"scores_{mode}_{scan_key}s.csv", comments)
+            scoresets[f"{mode}_{scan_key}s"] = scores
         modes[mode] = {"scans": {k: cell for k, (cell, _) in scans.items()},
                        "enrollment_failures": failures}
     if not any(modes[m]["scans"] for m in modes):
         raise InfeasibleError("; ".join(notes) or "neither mode produced decisions")
-    return _finish(config, {"modes": modes, "notes": notes},
-                   {"between.csv": (("mode", "scan_s", "eer", "n_genuine", "n_impostor"), rows)})
+    return _finish(config, _bundle(config, {"modes": modes, "notes": notes}),
+                   {"between.csv": (("mode", "scan_s", "eer", "n_genuine", "n_impostor"), rows)},
+                   scoresets, det=False)
 
 
 def _downsample_session(session: Session, factor: int) -> Session:
@@ -639,6 +653,7 @@ def run_rate_sweep(config: ExperimentConfig,
                    sessions: list[Session] | None = None) -> dict:
     """HMOG-only EER after downsampling the sensor streams per factor."""
     config = config.narrow(SWEEP_FIELDS)
+    _check_out_dir(config)
     train_s, test_s = _split(config, sessions)
     # each factor reports the first training stream's rate, divided as
     # downsample divides it
@@ -667,7 +682,7 @@ def run_rate_sweep(config: ExperimentConfig,
                          cell["n_enrolled"], cell["n_genuine"], cell["n_impostor"]))
     if not any(per["scans"] for per in factors.values()):
         raise InfeasibleError("no downsample factor produced scored decisions")
-    return _finish(config, {"factors": factors}, {"sweep.csv": (
+    return _finish(config, _bundle(config, {"factors": factors}), {"sweep.csv": (
         ("factor", "rate_hz", "scan_s", "eer", "n_enrolled", "n_genuine", "n_impostor"),
         rows)})
 
@@ -723,17 +738,14 @@ def run_fuse(config: ExperimentConfig, paths, weights: dict | None) -> dict:
         raise ConfigError(f"score names must not repeat an entry, got {names}")
     if weights is not None:
         check_fusion_weights(weights, names)
+    _check_out_dir(config)
     channels = {name: verify.ScoreSet.read_csv(path) for name, path in paths}
     if len(channels) < 2:
         raise ConfigError(f"fuse needs score files of at least two channels, got {len(channels)}")
     weights, fused, value = _fuse(channels, weights, config.fusion_step)
     report = {"config_hash": config.config_hash(), "seed": config.seed,
               **_cell(fused, value), "weights": weights}
-    out = _ensure_out(config)
-    if out is not None:
-        _write_scores(out, "fused", fused, _stamp(config))
-        write_json(out / "fusion.json", report)
-    return report
+    return _finish(config, report, {}, {"fused": fused}, summary="fusion.json")
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +858,7 @@ def run_bkg(config: ExperimentConfig,
         params = grs_build(config.bkg_n, config.bkg_l, config.bkg_p)
     except ValueError as exc:
         raise ConfigError(f"bkg code parameters rejected: {exc}") from None
+    _check_out_dir(config)
     train_s, test_s = _split(config, sessions)
     matrices = _channel_matrices(train_s, test_s, config.bkg_channels, config)
     reports = [_bkg_channel(channel, config, params, *matrices.pop(channel))
@@ -857,10 +870,10 @@ def run_bkg(config: ExperimentConfig,
             (r["channel"], r["eer"], r["far"], r["frr"], r["mean_guessing_distance"],
              r["non_guessed_pct"], "yes" if r["key_generation_possible"] else "no")
             for r in reports]
-    return _finish(config, {
+    return _finish(config, _bundle(config, {
         "code": {"n": params.n, "l": params.l, "p": params.p,
                  "radius": params.radius},
         "channels": {r["channel"]: {k: v for k, v in r.items() if k != "channel"}
                      for r in reports},
-    }, {"bkg.csv": (("channel", "eer", "far", "frr", "mean_gd", "non_guessed_pct",
-                     "key_generation"), rows)})
+    }), {"bkg.csv": (("channel", "eer", "far", "frr", "mean_gd", "non_guessed_pct",
+                      "key_generation"), rows)})

@@ -29,15 +29,18 @@ differently and let BLAS reorder the sum. An absent channel's term is
 skipped, which is what adding +0.0 does to a sum that starts at +0.0 and
 so is never -0.0.
 
-Each row of the fused block is then scored with one row-wise EER: the row
-is sorted once, its kept decisions (present channels carrying weight) are
-taken in score order, and the genuine and impostor decisions up to each
-distinct score are counted. FAR and FRR are those counts divided as a
-``searchsorted`` count over each kind's sorted scores would be, and the
-crossing is found and interpolated with the same float operations as a
-one-set EER, so each row's EER is bit-equal to ``eer`` on that point's
-kept decisions; ``eer`` is the one-row case of the same kernel. The search
-keeps the first grid point with the smallest EER.
+The fused block is then scored by one dense EER kernel in which every
+intermediate is (points x decisions): each row is sorted once with its
+excluded decisions (no present channel carrying weight) set to +inf, so
+they sort last and are never read; the genuine and impostor counts
+accumulate along the row; and the last position of each run of equal
+scores is a threshold. FAR and FRR are those counts divided as a
+``searchsorted`` count over each kind's sorted scores would be, and each
+row's first crossing is found and interpolated with the same float
+operations as a one-set EER, so each row's EER is bit-equal to ``eer`` on
+that point's kept decisions; ``eer`` and ``det_curve`` are the one-row
+case of the same kernel. The search keeps the first grid point with the
+smallest EER.
 """
 
 from __future__ import annotations
@@ -311,37 +314,29 @@ def _rate_points(scores: np.ndarray, genuine: np.ndarray, keep: np.ndarray):
     """FAR and FRR of each row of a block at each of its distinct kept scores.
 
     ``scores`` and ``keep`` are (rows x decisions), ``genuine`` is the
-    (decisions,) genuine mask. Each row is sorted by score once and its kept
-    decisions taken in that order, which is a sort on (excluded, score) cut
-    to the kept decisions: an excluded decision is dropped by its mask and
-    never read as a score. The genuine and impostor decisions up to each
-    distinct score are counted, and FAR and FRR divide the counts as
-    ``searchsorted`` counts would be divided. Returns flat arrays (row,
-    threshold, far, frr), rows ascending and thresholds ascending within a
-    row; a row without both genuine and impostor decisions has no points.
+    (decisions,) genuine mask. Each row is sorted once with its excluded
+    decisions set to +inf, so they sort after every kept decision and are
+    never read as scores. Along the sorted row the genuine and impostor
+    decisions are counted, and the last position of each run of equal kept
+    scores is a threshold; FAR and FRR divide the counts there as
+    ``searchsorted`` counts would be divided. Returns (value, end, far, frr),
+    each (rows x decisions): the sorted scores, the threshold mask, and the
+    rates, which read FAR 0 and FRR 1 off the thresholds. A row without both
+    genuine and impostor decisions has no thresholds.
     """
-    order = np.argsort(scores, axis=1)
-    kept = np.take_along_axis(keep, order, axis=1)
-    value = np.take_along_axis(scores, order, axis=1)[kept]
-    cell = order[kept]
-    n_kept = keep.sum(axis=1)
-    row = np.repeat(np.arange(len(scores)), n_kept)
-    first = np.cumsum(n_kept) - n_kept          # flat index of each row's first kept decision
-    n_genuine_before = np.concatenate([[0], np.cumsum(genuine[cell])])
-    n_genuine = n_genuine_before[first + n_kept] - n_genuine_before[first]
-    n_impostor = n_kept - n_genuine
-    # the last decision of each run of equal scores in a row, in rows with both kinds
-    end = np.ones(len(value), dtype=bool)
-    end[:-1] = (value[1:] != value[:-1]) | (row[1:] != row[:-1])
-    end &= ((n_genuine > 0) & (n_impostor > 0))[row]
-    idx = np.flatnonzero(end)
-    row = row[idx]
-    start = first[row]
-    below = idx + 1 - start                     # kept decisions scoring <= the threshold
-    gen_below = n_genuine_before[idx + 1] - n_genuine_before[start]
-    far = (below - gen_below) / n_impostor[row]
-    frr = 1.0 - gen_below / n_genuine[row]
-    return row, value[idx], far, frr
+    value = np.where(keep, scores, np.inf)
+    order = np.argsort(value, axis=1)
+    value = np.take_along_axis(value, order, axis=1)
+    n_genuine = np.cumsum(genuine[order], axis=1)
+    n_below = np.arange(1, value.shape[1] + 1)
+    total_genuine = (keep & genuine).sum(axis=1, keepdims=True)
+    total_impostor = keep.sum(axis=1, keepdims=True) - total_genuine
+    end = np.ones(value.shape, dtype=bool)
+    end[:, :-1] = value[:, 1:] != value[:, :-1]
+    end &= (value < np.inf) & (total_genuine > 0) & (total_impostor > 0)
+    far = np.divide(n_below - n_genuine, total_impostor, out=np.zeros(value.shape), where=end)
+    frr = 1.0 - np.divide(n_genuine, total_genuine, out=np.zeros(value.shape), where=end)
+    return value, end, far, frr
 
 
 def _eer_rows(scores: np.ndarray, genuine: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -352,27 +347,29 @@ def _eer_rows(scores: np.ndarray, genuine: np.ndarray, keep: np.ndarray) -> np.n
     where FAR is 1 and FRR 0, so every scored row crosses exactly once; the
     virtual threshold below every score (FAR 0, FRR 1) precedes its first.
     """
-    row, _, far, frr = _rate_points(scores, genuine, keep)
+    _, end, far, frr = _rate_points(scores, genuine, keep)
     diff = far - frr
-    row_start = np.ones(len(row), dtype=bool)
-    row_start[1:] = row[1:] != row[:-1]
-    crossed = diff >= 0
-    k = np.flatnonzero(crossed & (row_start | ~np.roll(crossed, 1)))
-    far0 = np.where(row_start[k], 0.0, far[k - 1])
-    frr0 = np.where(row_start[k], 1.0, frr[k - 1])
-    d_far = far[k] - far0
-    d_frr = frr[k] - frr0
+    k = np.argmax(end & (diff >= 0), axis=1)    # each row's first crossing
+    # the threshold before it, the last one below 0, or -1 for the virtual one
+    j = np.where(end & (diff < 0), np.arange(diff.shape[1]), -1).max(axis=1)
+    rows = np.flatnonzero(end[np.arange(len(k)), k])   # the scored rows
+    k, j = k[rows], j[rows]
+    far0 = np.where(j < 0, 0.0, far[rows, j])
+    frr0 = np.where(j < 0, 1.0, frr[rows, j])
+    d_far = far[rows, k] - far0
+    d_frr = frr[rows, k] - frr0
     t = (frr0 - far0) / (d_far - d_frr)
     values = np.full(len(scores), np.nan)
     # a crossing on an exact FAR == FRR plateau reports that plateau value
-    values[row[k]] = np.where(diff[k] == 0.0, 0.5 * (far[k] + frr[k]), far0 + t * d_far)
+    values[rows] = np.where(diff[rows, k] == 0.0, 0.5 * (far[rows, k] + frr[rows, k]),
+                            far0 + t * d_far)
     return values
 
 
 def det_curve(genuine: np.ndarray, impostor: np.ndarray) -> np.ndarray:
     """(threshold, FAR, FRR) rows; FAR nondecreasing, FRR nonincreasing."""
-    _, thresholds, far, frr = _rate_points(*_one_row(genuine, impostor))
-    return np.column_stack([thresholds, far, frr])
+    thresholds, end, far, frr = _rate_points(*_one_row(genuine, impostor))
+    return np.column_stack([thresholds[end], far[end], frr[end]])
 
 
 def write_det_csv(path: str, det: np.ndarray, header_comments=()) -> None:

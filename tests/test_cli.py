@@ -321,6 +321,17 @@ def malformed_corpora(tmp_path_factory):
     # an int past Python's digit limit, which json.loads raises as ValueError
     (["eval", "--config", "{corpora}/config_big_int.json"], None,
      2, "config error: {corpora}/config_big_int.json: not valid JSON ("),
+    # a run that fails after scoring writes no file and no directory
+    (["eval", "--corpus", "{corpus}", "--channels", "hmog,tap", "--scans", "20",
+      "--min-vectors", "10", "--weights", "hmog=0,tap=0"], None,
+     4, "infeasible: fixed fusion weights left no decisions"),
+    (["between", "--corpus", "{corpus}", "--scans", "20", "--min-vectors", "100000"], None,
+     4, "infeasible: during: hmog: fewer than two users enrolled"),
+    # an output directory that is a file fails before any input is read
+    (["bkg", "--corpus", "{corpora}/missing", "--out-dir", "{corpora}/a_file"], None,
+     3, "data error: [Errno 17] File exists: '{corpora}/a_file'"),
+    (["fuse", "--scores", "a={corpora}/missing.csv", "--out-dir", "{corpora}/a_file"], None,
+     3, "data error: [Errno 17] File exists: '{corpora}/a_file'"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, cli_corpus,
                                               argv, config, code, message):

@@ -373,16 +373,21 @@ def grid_block(channels, step):
 
 def assert_rows_match_eer(fused, keep, genuine):
     """Each row's EER is repr-equal to eer and to the searchsorted oracle on
-    that row's kept decisions, and nan for a row lacking either kind."""
+    that row's kept decisions, and its thresholds and rates bit-equal to the
+    oracle's; a row lacking either kind reads nan and has no thresholds."""
     values = verify._eer_rows(fused, genuine, keep)
+    thresholds, end, far, frr = verify._rate_points(fused, genuine, keep)
     scored = 0
     for p, value in enumerate(values.tolist()):
         gen, imp = fused[p][keep[p] & genuine], fused[p][keep[p] & ~genuine]
         if len(gen) and len(imp):
             assert repr(value) == repr(eer(gen, imp)) == repr(eer_searchsorted_oracle(gen, imp))
+            at = end[p]
+            assert np.column_stack([thresholds[p][at], far[p][at], frr[p][at]]).tobytes() == \
+                np.column_stack(rates_searchsorted_oracle(gen, imp)).tobytes()
             scored += 1
         else:
-            assert np.isnan(value)
+            assert np.isnan(value) and not end[p].any()
     return scored
 
 
@@ -430,6 +435,34 @@ def test_eer_rows_skip_rows_lacking_a_kind():
     assert verify._eer_rows(fused[:0], genuine, keep[:0]).shape == (0,)
     none = np.zeros_like(keep)
     assert np.isnan(verify._eer_rows(fused, genuine, none)).all()
+
+
+def test_eer_rows_random_blocks():
+    rng = np.random.default_rng(61)
+    seen = {"nothing": 0, "one kind": 0, "scored": 0}
+    for trial in range(300):
+        n_rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 61))
+        if trial % 2:
+            levels = int(rng.integers(1, 13))    # heavy ties
+            fused = rng.integers(0, levels, (n_rows, n)).astype(np.float64)
+        else:
+            fused = rng.normal(0, 1, (n_rows, n))
+        genuine = rng.random(n) < rng.uniform(0.1, 0.9)
+        keep = rng.random((n_rows, n)) < rng.uniform(0.2, 1.0, (n_rows, 1))
+        if trial % 3 == 0:
+            keep[0] = False
+        if trial % 4 == 0:
+            keep[-1] &= genuine if trial % 8 else ~genuine
+        for kept in keep:
+            kinds = len(set(genuine[kept].tolist()))
+            seen[("nothing", "one kind", "scored")[kinds]] += 1
+        want = verify._eer_rows(fused, genuine, keep)
+        assert assert_rows_match_eer(fused, keep, genuine) == (~np.isnan(want)).sum()
+        # an excluded decision is never read as a score, whatever value it holds
+        for filler in (np.nan, np.inf, -np.inf):
+            garbage = np.where(keep, fused, filler)
+            assert verify._eer_rows(garbage, genuine, keep).tobytes() == want.tobytes()
+    assert min(seen.values()) >= 50
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
