@@ -25,8 +25,8 @@ import types
 import typing
 from pathlib import Path
 
-from .corpus.io import id_problem, load_mapping, parse_session, save_corpus
-from .corpus.types import Condition, CorpusError
+from .corpus.io import DEFAULT_RATE_HZ, id_problem, load_mapping, parse_session, save_corpus
+from .corpus.types import CONDITIONS, CorpusError
 from .experiments import (
     AUTH_FIELDS,
     BETWEEN_FIELDS,
@@ -207,7 +207,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                               f" {key[0]!r} and session_id {key[1]!r} of"
                               f" session {seen[key]}")
         seen[key] = i
-        if str(condition) not in {c.value for c in Condition}:
+        if str(condition) not in CONDITIONS:
             raise ConfigError(f"{args.manifest}: session {i} has unknown"
                               f" condition {condition!r}")
         taps = entry.get("taps_file")
@@ -352,8 +352,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="JSON manifest with a \"sessions\" list")
     p.add_argument("--mapping", help="column mapping file (canonical = source)")
-    p.add_argument("--rate", type=float, default=100.0,
-                   help="nominal sensor rate in Hz (default 100)")
+    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
+                   help=f"nominal sensor rate in Hz (default {DEFAULT_RATE_HZ:g})")
     p.add_argument("--corpus-out", required=True,
                    help="directory for the parsed corpus")
     p.set_defaults(handler=cmd_ingest)

@@ -14,10 +14,9 @@ from .io import (
 from .synth import KEY_ALPHABET, SynthProfile, make_corpus, make_profiles, synthesize_user
 from .types import (
     AXES,
-    Condition,
+    CONDITIONS,
     CorpusError,
     KeyTable,
-    Sensor,
     SENSOR_ORDER,
     SensorStream,
     Session,
@@ -27,14 +26,13 @@ from .types import (
 
 __all__ = [
     "AXES",
-    "Condition",
+    "CONDITIONS",
     "CorpusError",
     "DEFAULT_RATE_HZ",
     "KEY_ALPHABET",
     "KeyTable",
     "ParseError",
     "SENSOR_ORDER",
-    "Sensor",
     "SensorStream",
     "Session",
     "SynthProfile",

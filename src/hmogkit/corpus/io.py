@@ -27,10 +27,9 @@ import numpy as np
 
 from ..table import read_json, read_rows, read_utf8, write_json, write_table
 from .types import (
-    Condition,
+    CONDITIONS,
     CorpusError,
     KeyTable,
-    Sensor,
     SENSOR_ORDER,
     SensorStream,
     Session,
@@ -128,25 +127,21 @@ def _read_rows(path: str, canonical: tuple[str, ...],
         yield lineno, pick(row)
 
 
-_SENSORS = {sensor.value: sensor for sensor in Sensor}
-
-
 def _parse_sensor_file(path: str, mapping: dict[str, str] | None,
-                       nominal_rate_hz: float) -> dict[Sensor, SensorStream]:
-    times: dict[Sensor, list[int]] = {s: [] for s in SENSOR_ORDER}
-    values: dict[Sensor, list[tuple[float, float, float]]] = {s: [] for s in SENSOR_ORDER}
+                       nominal_rate_hz: float) -> dict[str, SensorStream]:
+    times: dict[str, list[int]] = {s: [] for s in SENSOR_ORDER}
+    values: dict[str, list[tuple[float, float, float]]] = {s: [] for s in SENSOR_ORDER}
     for lineno, (_, tag, t_ms, x, y, z) in _read_rows(path, SENSOR_COLUMNS, mapping):
         where = f"{path}:{lineno}"
         tag = tag.strip()
-        sensor = _SENSORS.get(tag)
-        if sensor is None:
+        if tag not in times:
             raise ParseError(f"{where}: unknown sensor tag {tag!r}")
-        t, seen = _floor_ms(t_ms, where), times[sensor]
+        t, seen = _floor_ms(t_ms, where), times[tag]
         if seen and t <= seen[-1]:
             raise ParseError(f"{where}: non-monotone timestamp for {tag} ({t} after {seen[-1]})")
         seen.append(t)
-        values[sensor].append((_float(x, where), _float(y, where), _float(z, where)))
-    return {sensor: SensorStream(sensor=sensor, nominal_rate_hz=nominal_rate_hz,
+        values[tag].append((_float(x, where), _float(y, where), _float(z, where)))
+    return {sensor: SensorStream(nominal_rate_hz=nominal_rate_hz,
                                  t_ms=np.array(times[sensor], dtype=np.int64),
                                  values=np.array(values[sensor], dtype=np.float64))
             for sensor in SENSOR_ORDER if times[sensor]}
@@ -212,21 +207,20 @@ def _parse_key_file(path: str, mapping: dict[str, str] | None) -> KeyTable:
 
 
 def parse_session(sensor_path: str, touch_path: str, key_path: str, *,
-                  user_id: str, session_id: str, condition: Condition | str,
+                  user_id: str, session_id: str, condition: str,
                   taps_path: str | None = None,
                   mapping: dict[str, str] | None = None,
                   nominal_rate_hz: float = DEFAULT_RATE_HZ) -> Session:
-    """Build a validated Session from CSV files."""
+    """Build a Session from CSV files."""
     boundaries = _parse_taps_file(taps_path, mapping) if taps_path else None
-    session = Session(
+    return Session(
         user_id=user_id,
         session_id=session_id,
-        condition=Condition(condition),
+        condition=condition,
         streams=_parse_sensor_file(sensor_path, mapping, nominal_rate_hz),
         taps=_parse_touch_file(touch_path, mapping, boundaries),
         keys=_parse_key_file(key_path, mapping),
     )
-    return session.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +234,7 @@ def write_session(session: Session, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     sid = repeat(session.session_id)  # the first field of every row
     taps, keys = session.taps, session.keys
-    streams = [(sensor.value, session.streams[sensor])
+    streams = [(sensor, session.streams[sensor])
                for sensor in SENSOR_ORDER if sensor in session.streams]
     write_table(os.path.join(directory, "sensor.csv"), SENSOR_COLUMNS, chain.from_iterable(
         zip(sid, repeat(tag), stream.t_ms.tolist(), *stream.values.T.tolist())
@@ -252,12 +246,12 @@ def write_session(session: Session, directory: str) -> None:
         sid, taps.tap_id.tolist(), taps.t_start_ms.tolist(), taps.t_end_ms.tolist()))
     write_table(os.path.join(directory, "keys.csv"), KEY_COLUMNS, zip(
         sid, keys.key.tolist(), keys.t_press_ms.tolist(), keys.t_release_ms.tolist()))
-    rates = {sensor.value: session.streams[sensor].nominal_rate_hz
+    rates = {sensor: session.streams[sensor].nominal_rate_hz
              for sensor in SENSOR_ORDER if sensor in session.streams}
     meta = {
         "user_id": session.user_id,
         "session_id": session.session_id,
-        "condition": session.condition.value,
+        "condition": session.condition,
         "nominal_rate_hz": rates,
     }
     write_json(os.path.join(directory, "meta.json"), meta)
@@ -303,14 +297,11 @@ def read_session(directory: str) -> Session:
     problem = id_problem(meta["user_id"], meta["session_id"])
     if problem:
         raise ParseError(f"{meta_path}: {problem}")
-    try:
-        condition = Condition(meta["condition"])
-    except ValueError:
-        raise ParseError(f"{meta_path}: unknown condition {meta['condition']!r}") from None
+    if meta["condition"] not in CONDITIONS:
+        raise ParseError(f"{meta_path}: unknown condition {meta['condition']!r}")
     rates = meta.get("nominal_rate_hz", {})
-    tags = {sensor.value for sensor in Sensor}
     if not isinstance(rates, dict) or not all(
-            tag in tags and isinstance(value, (int, float))
+            tag in SENSOR_ORDER and isinstance(value, (int, float))
             and not isinstance(value, bool) and math.isfinite(value) and value > 0
             for tag, value in rates.items()):
         raise ParseError(f"{meta_path}: nominal_rate_hz must map sensor tags to "
@@ -324,12 +315,12 @@ def read_session(directory: str) -> Session:
         # an integer id reads as its string, as ingest writes it
         user_id=str(meta["user_id"]),
         session_id=str(meta["session_id"]),
-        condition=condition,
+        condition=meta["condition"],
         nominal_rate_hz=rate,
     )
     # restore per-sensor rates (parse_session applies a single figure)
     for sensor, stream in session.streams.items():
-        stream.nominal_rate_hz = rates.get(sensor.value, rate)
+        stream.nominal_rate_hz = rates.get(sensor, rate)
     return session
 
 
@@ -342,7 +333,7 @@ def save_corpus(sessions: list[Session], root: str) -> None:
         index.append({
             "user_id": session.user_id,
             "session_id": session.session_id,
-            "condition": session.condition.value,
+            "condition": session.condition,
             "path": rel,
         })
     write_json(os.path.join(root, "index.json"), {"version": 1, "sessions": index})

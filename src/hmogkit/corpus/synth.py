@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .types import Condition, CorpusError, KeyTable, Sensor, SENSOR_ORDER, SensorStream, Session, TapTable
+from .types import CONDITIONS, CorpusError, KeyTable, SENSOR_ORDER, SensorStream, Session, TapTable
 
 # canonical 35-key alphabet: 26 letters, 5 layout/control keys, 4 specials
 KEY_ALPHABET: tuple[str, ...] = tuple("abcdefghijklmnopqrstuvwxyz") + (
@@ -53,11 +53,11 @@ class SynthProfile:
     """Generative parameters for one user.
 
     Array fields are indexed [sensor, axis] with sensors ordered acc, gyr,
-    mag and axes x, y, z.
+    mag and axes x, y, z. A profile checks itself when it is built.
     """
 
     user_id: str
-    condition: Condition = Condition.SITTING
+    condition: str = "sitting"
     sessions: int = 4
     session_seconds: float = 300.0
     sample_rate_hz: float = 100.0
@@ -80,7 +80,9 @@ class SynthProfile:
     key_hold_sd_ms: float = 14.0
     key_style: float = 0.0
 
-    def validate(self) -> "SynthProfile":
+    def __post_init__(self) -> None:
+        if self.condition not in CONDITIONS:
+            raise CorpusError(f"unknown condition {self.condition!r}")
         if self.sessions < 1:
             raise CorpusError("sessions must be >= 1")
         if self.session_seconds <= 0 or self.sample_rate_hz <= 0:
@@ -93,7 +95,6 @@ class SynthProfile:
             raise CorpusError("event rates must be nonnegative")
         if self.touch_sample_step_ms < 1:
             raise CorpusError("touch sample step must be >= 1 ms")
-        return self
 
 
 def _tap_times(profile: SynthProfile, duration_ms: int, rng: np.random.Generator):
@@ -179,7 +180,7 @@ def _make_keys(profile: SynthProfile, duration_ms: int, rng: np.random.Generator
 
 
 def _make_streams(profile: SynthProfile, duration_ms: int, tap_starts: np.ndarray,
-                  rng: np.random.Generator) -> dict[Sensor, SensorStream]:
+                  rng: np.random.Generator) -> dict[str, SensorStream]:
     step = 1000.0 / profile.sample_rate_hz
     n = int(duration_ms / step)
     t = np.floor(np.arange(n) * step).astype(np.int64)
@@ -195,7 +196,7 @@ def _make_streams(profile: SynthProfile, duration_ms: int, tap_starts: np.ndarra
     streams = {}
     for s_idx, sensor in enumerate(SENSOR_ORDER):
         values = profile.base_offset[s_idx] + rng.normal(0, profile.noise_sd[s_idx], (n, 3))
-        if profile.condition is Condition.WALKING:
+        if profile.condition == "walking":
             phase = rng.uniform(0, 2 * np.pi, 3)
             wave = np.sin(2 * np.pi * profile.gait_freq_hz * (t[:, None] / 1000.0) + phase)
             values = values + profile.gait_amp[s_idx] * wave
@@ -203,7 +204,7 @@ def _make_streams(profile: SynthProfile, duration_ms: int, tap_starts: np.ndarra
         # impulse tails overlap; add.at adds them in tap order
         np.add.at(values, rows,
                   (np.repeat(jitter, lengths) * decay)[:, None] * profile.impulse_amp[s_idx])
-        streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=profile.sample_rate_hz,
+        streams[sensor] = SensorStream(nominal_rate_hz=profile.sample_rate_hz,
                                        t_ms=t, values=values)
     return streams
 
@@ -211,7 +212,6 @@ def _make_streams(profile: SynthProfile, duration_ms: int, tap_starts: np.ndarra
 def synthesize_user(profile: SynthProfile,
                     seed: int | np.random.SeedSequence) -> list[Session]:
     """Generate profile.sessions sessions; deterministic in (profile, seed)."""
-    profile.validate()
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sessions = []
     for s_idx, child in enumerate(ss.spawn(profile.sessions)):
@@ -228,14 +228,13 @@ def synthesize_user(profile: SynthProfile,
             streams=streams,
             taps=taps,
             keys=keys,
-        ).validate())
+        ))
     return sessions
 
 
-def make_profiles(n_users: int, condition: Condition | str, seed: int, *,
+def make_profiles(n_users: int, condition: str, seed: int, *,
                   separation: float = 1.0, **overrides) -> list[SynthProfile]:
     """Draw n distinct user profiles; deterministic in (n_users, condition, seed)."""
-    condition = Condition(condition)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     profiles = []
     for u in range(n_users):

@@ -1,30 +1,24 @@
 """Canonical in-memory model for sensor, touch, and key recordings.
 
+A sensor is named by its tag in SENSOR_ORDER and a condition by its tag
+in CONDITIONS, the same strings the CSV and JSON files, feature names and
+the command line use. A session's streams are keyed by sensor tag. Every
+type checks itself when it is built.
+
 All timestamps are integer milliseconds relative to session start.
 Sub-millisecond sources must be floored before these types are built.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-class Sensor(str, enum.Enum):
-    ACC = "acc"
-    GYR = "gyr"
-    MAG = "mag"
-
-
-class Condition(str, enum.Enum):
-    SITTING = "sitting"
-    WALKING = "walking"
-
-
 # Fixed sensor order used everywhere a deterministic layout matters.
-SENSOR_ORDER: tuple[Sensor, ...] = (Sensor.ACC, Sensor.GYR, Sensor.MAG)
+SENSOR_ORDER: tuple[str, ...] = ("acc", "gyr", "mag")
+CONDITIONS: tuple[str, ...] = ("sitting", "walking")
 
 
 class CorpusError(ValueError):
@@ -33,13 +27,13 @@ class CorpusError(ValueError):
 
 @dataclass
 class SensorStream:
-    """One sensor's time series for one session.
+    """One sensor's time series for one session; Session.streams names the
+    sensor.
 
     t_ms must be strictly increasing: duplicate or backwards timestamps
     are construction errors, never silently reordered.
     """
 
-    sensor: Sensor
     nominal_rate_hz: float
     t_ms: np.ndarray          # (n,) int64
     values: np.ndarray        # (n, 3) float64, columns x, y, z
@@ -54,7 +48,7 @@ class SensorStream:
         if self.nominal_rate_hz <= 0:
             raise CorpusError("nominal_rate_hz must be positive")
         if len(self.t_ms) > 1 and not np.all(np.diff(self.t_ms) > 0):
-            raise CorpusError(f"{self.sensor.value}: timestamps not strictly increasing")
+            raise CorpusError("timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -77,12 +71,8 @@ def downsample(stream: SensorStream, k: int) -> SensorStream:
         raise CorpusError(f"downsample factor must be a positive integer, got {k!r}")
     values = stream.values[::k]
     values.flags.writeable = False
-    return SensorStream(
-        sensor=stream.sensor,
-        nominal_rate_hz=stream.nominal_rate_hz / k,
-        t_ms=stream.t_ms[::k].copy(),
-        values=values,
-    )
+    return SensorStream(nominal_rate_hz=stream.nominal_rate_hz / k,
+                        t_ms=stream.t_ms[::k].copy(), values=values)
 
 
 @dataclass
@@ -155,19 +145,22 @@ class KeyTable:
 
 @dataclass
 class Session:
-    """All recordings of one user session."""
+    """All recordings of one user session: condition is a tag in
+    CONDITIONS, and streams are keyed by sensor tag."""
 
     user_id: str
     session_id: str
-    condition: Condition
-    streams: dict[Sensor, SensorStream] = field(default_factory=dict)
+    condition: str
+    streams: dict[str, SensorStream] = field(default_factory=dict)
     taps: TapTable = field(default_factory=TapTable)
     keys: KeyTable = field(default_factory=KeyTable)
 
-    def validate(self) -> "Session":
-        for sensor, stream in self.streams.items():
-            if stream.sensor is not sensor:
-                raise CorpusError(f"stream keyed {sensor.value} labelled {stream.sensor.value}")
+    def __post_init__(self) -> None:
+        if self.condition not in CONDITIONS:
+            raise CorpusError(f"unknown condition {self.condition!r}")
+        for sensor in self.streams:
+            if sensor not in SENSOR_ORDER:
+                raise CorpusError(f"unknown sensor {sensor!r}")
         taps = self.taps
         overlap = np.flatnonzero(taps.t_start_ms[1:] <= taps.t_end_ms[:-1])
         if len(overlap):
@@ -175,4 +168,3 @@ class Session:
                               f" at tap {taps.tap_id[overlap[0] + 1]}")
         if np.any(np.diff(self.keys.t_press_ms) < 0):
             raise CorpusError(f"session {self.session_id}: key presses out of order")
-        return self

@@ -53,8 +53,8 @@ from .bkg import (
     OpenFailure,
 )
 from .corpus import (
-    Condition,
-    Sensor,
+    CONDITIONS,
+    SENSOR_ORDER,
     Session,
     downsample,
     load_corpus,
@@ -108,7 +108,7 @@ class ExperimentConfig:
     separation: float = 1.0
     tap_rate_hz: float | None = None  # None keeps per-user draws
     channels: tuple[str, ...] = CHANNELS
-    sensors: tuple[str, ...] = ("acc", "gyr", "mag")
+    sensors: tuple[str, ...] = SENSOR_ORDER
     mode: str = "during"
     metric: str = "sm"
     scan_seconds: tuple[float, ...] = (60.0,)
@@ -174,14 +174,11 @@ class ExperimentConfig:
         for name in self.bkg_channels:
             if name not in CHANNELS:
                 raise ConfigError(f"unknown bkg channel {name!r}")
-        known_sensors = {s.value for s in Sensor}
         for name in self.sensors:
-            if name not in known_sensors:
+            if name not in SENSOR_ORDER:
                 raise ConfigError(f"unknown sensor {name!r}")
-        try:
-            Condition(self.condition)
-        except ValueError:
-            raise ConfigError(f"unknown condition {self.condition!r}") from None
+        if self.condition not in CONDITIONS:
+            raise ConfigError(f"unknown condition {self.condition!r}")
         if self.mode not in ("during", "between"):
             raise ConfigError(f"mode must be during or between, got {self.mode!r}")
         if self.metric not in ("sm", "se"):
@@ -337,7 +334,7 @@ def build_sessions(config: ExperimentConfig) -> list[Session]:
         profiles = make_profiles(config.n_users, config.condition, config.seed,
                                  separation=config.separation, **overrides)
         sessions = make_corpus(profiles, config.seed)
-    keep = [s for s in sessions if s.condition.value == config.condition]
+    keep = [s for s in sessions if s.condition == config.condition]
     if not keep:
         raise InfeasibleError(f"no sessions recorded under condition {config.condition!r}")
     return keep
@@ -374,7 +371,7 @@ def extract_channels(sessions: list[Session], channels,
     out = {}
     if "hmog" in channels:
         out["hmog"] = extract_hmog(*ordered, mode=config.mode)
-        if tuple(config.sensors) != tuple(x.value for x in Sensor):
+        if config.sensors != SENSOR_ORDER:
             out["hmog"] = out["hmog"].select_columns(feature_names_for(config.sensors))
     if "tap" in channels:
         out["tap"] = tap_features(*ordered)
@@ -474,10 +471,18 @@ def _fuse(per_channel: dict[str, verify.ScoreSet], weights: dict | None, step: f
 
 def _check_out_dir(config: ExperimentConfig) -> None:
     """Fail as _finish's mkdir would on an output directory that is an
-    existing file, before the run reads or builds anything."""
-    if config.out_dir is not None and os.path.lexists(config.out_dir) \
-            and not os.path.isdir(config.out_dir):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), config.out_dir)
+    existing file or lies below one, before the run reads or builds
+    anything."""
+    if config.out_dir is None:
+        return
+    out = Path(config.out_dir)
+    # the nearest existing path, out_dir itself or an ancestor, decides
+    for path in (out, *out.parents):
+        if os.path.lexists(path):
+            if not path.is_dir():
+                code = errno.EEXIST if path == out else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(out))
+            return
 
 
 def _stamp(config: ExperimentConfig) -> list[str]:

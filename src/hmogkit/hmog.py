@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus.types import AXES, Sensor, SENSOR_ORDER, Session
+from .corpus.types import AXES, SENSOR_ORDER, Session
 from .matrix import FeatureMatrix, encode
 
 BEFORE_MS = 100
@@ -90,7 +90,7 @@ STABILITY_FAMILIES = tuple(f"stab{i}" for i in range(1, 4))
 N_FAMILIES = len(RESISTANCE_FAMILIES) + len(STABILITY_FAMILIES)
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
-    f"{sensor.value}_{axis}_{family}"
+    f"{sensor}_{axis}_{family}"
     for family in RESISTANCE_FAMILIES + STABILITY_FAMILIES
     for sensor in SENSOR_ORDER
     for axis in AXES
@@ -98,9 +98,12 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 
 
 def feature_names_for(sensors) -> tuple[str, ...]:
-    """The canonical 96-name order restricted to the given sensors."""
-    tags = {Sensor(s).value for s in sensors}
-    return tuple(name for name in FEATURE_NAMES if name.split("_")[0] in tags)
+    """The canonical 96-name order restricted to the given sensor tags."""
+    sensors = tuple(sensors)
+    for sensor in sensors:
+        if sensor not in SENSOR_ORDER:
+            raise ValueError(f"unknown sensor {sensor!r}")
+    return tuple(name for name in FEATURE_NAMES if name.split("_")[0] in sensors)
 
 
 class _Windows(NamedTuple):

@@ -18,7 +18,7 @@ from hmogkit.bkg.code import DecodeFailure
 from hmogkit.bkg.commitment import OpenFailure, open_commitment
 from hmogkit.bkg.field import inv_mod
 from hmogkit.corpus.types import (
-    SENSOR_ORDER, Condition, KeyTable, SensorStream, Session, TapTable)
+    SENSOR_ORDER, KeyTable, SensorStream, Session, TapTable)
 from hmogkit.hmog import (
     AFTER_MS, BEFORE_MS, BETWEEN_BLOCK_MS, BETWEEN_GUARD_MS, CENTER_OFFSET_MS,
     FEATURE_NAMES, POST_MS, _blocks, _gather, _settle_index)
@@ -775,7 +775,7 @@ def _make_streams_oracle(profile, duration_ms: int, taps, rng) -> dict:
     streams = {}
     for s_idx, sensor in enumerate(SENSOR_ORDER):
         values = profile.base_offset[s_idx] + rng.normal(0, profile.noise_sd[s_idx], (n, 3))
-        if profile.condition is Condition.WALKING:
+        if profile.condition == "walking":
             phase = rng.uniform(0, 2 * np.pi, 3)
             wave = np.sin(2 * np.pi * profile.gait_freq_hz * (t[:, None] / 1000.0) + phase)
             values = values + profile.gait_amp[s_idx] * wave
@@ -787,7 +787,7 @@ def _make_streams_oracle(profile, duration_ms: int, taps, rng) -> dict:
             dt = (t[i0:i1] - t_start) / profile.impulse_decay_ms
             jitter = 1.0 + rng.normal(0, 0.08)
             values[i0:i1] += jitter * np.exp(-dt)[:, None] * profile.impulse_amp[s_idx]
-        streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=profile.sample_rate_hz,
+        streams[sensor] = SensorStream(nominal_rate_hz=profile.sample_rate_hz,
                                        t_ms=t, values=values)
     return streams
 
@@ -795,7 +795,6 @@ def _make_streams_oracle(profile, duration_ms: int, taps, rng) -> dict:
 def synthesize_user_oracle(profile, seed) -> list[Session]:
     """synthesize_user with one scalar draw or small vector draw per tap,
     per key and per tap impulse, in the order the corpus bytes depend on."""
-    profile.validate()
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sessions = []
     for s_idx, child in enumerate(ss.spawn(profile.sessions)):
@@ -812,5 +811,5 @@ def synthesize_user_oracle(profile, seed) -> list[Session]:
             streams=streams,
             taps=taps,
             keys=keys,
-        ).validate())
+        ))
     return sessions

@@ -15,7 +15,7 @@ import pytest
 
 from hmogkit.bkg.code import DecodeFailure, decode, grs_build
 from hmogkit.bkg.commitment import Commitment, OpenFailure, commit, open_commitment
-from hmogkit.corpus.types import Condition, Sensor, SensorStream, Session
+from hmogkit.corpus.types import SensorStream, Session
 from hmogkit.experiments import ExperimentConfig, build_sessions, run_auth, run_bkg, run_rate_sweep
 from hmogkit.hmog import FEATURE_NAMES, extract_hmog
 from hmogkit.touchkeys import TAP_FEATURE_NAMES, digraph_feature_names
@@ -69,9 +69,9 @@ def settle_session(windows) -> Session:
     x.append(0.0)
     values = np.zeros((len(t), 3))
     values[:, 0] = x
-    stream = SensorStream(sensor=Sensor.ACC, nominal_rate_hz=100.0, t_ms=t, values=values)
-    return Session(user_id="u", session_id="s", condition=Condition.SITTING,
-                   streams={Sensor.ACC: stream}, taps=tap_table(taps))
+    stream = SensorStream(nominal_rate_hz=100.0, t_ms=t, values=values)
+    return Session(user_id="u", session_id="s", condition="sitting",
+                   streams={"acc": stream}, taps=tap_table(taps))
 
 
 def test_criterion_2_settle_time_matches_bruteforce():

@@ -332,6 +332,12 @@ def malformed_corpora(tmp_path_factory):
      3, "data error: [Errno 17] File exists: '{corpora}/a_file'"),
     (["fuse", "--scores", "a={corpora}/missing.csv", "--out-dir", "{corpora}/a_file"], None,
      3, "data error: [Errno 17] File exists: '{corpora}/a_file'"),
+    # and so does one below a file
+    (["eval", "--corpus", "{corpus}", "--channels", "hmog,tap", "--scans", "20",
+      "--min-vectors", "10", "--out-dir", "{corpora}/a_file/sub"], None,
+     3, "data error: [Errno 20] Not a directory: '{corpora}/a_file/sub'"),
+    (["bkg", "--corpus", "{corpora}/missing", "--out-dir", "{corpora}/a_file/sub"], None,
+     3, "data error: [Errno 20] Not a directory: '{corpora}/a_file/sub'"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, malformed_corpora, cli_corpus,
                                               argv, config, code, message):

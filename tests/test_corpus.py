@@ -19,8 +19,6 @@ from hmogkit.corpus.io import (
 from hmogkit.corpus.synth import make_corpus, make_profiles
 from hmogkit.corpus.types import (
     CorpusError,
-    Condition,
-    Sensor,
     SensorStream,
     Session,
     TapTable,
@@ -31,8 +29,8 @@ from oracles import slice_span
 from tables import key_table, tap_table, table_equal
 
 
-def make_stream(t, values, sensor=Sensor.ACC, rate=100.0):
-    return SensorStream(sensor=sensor, nominal_rate_hz=rate,
+def make_stream(t, values, rate=100.0):
+    return SensorStream(nominal_rate_hz=rate,
                         t_ms=np.asarray(t), values=np.asarray(values, dtype=float))
 
 
@@ -191,20 +189,25 @@ def test_key_table():
 
 
 def test_session_validate_rejects_overlapping_taps():
-    s = Session(user_id="u", session_id="s", condition=Condition.SITTING,
-                taps=tap_table([make_tap(1, 100, 250), make_tap(2, 250, 400)]))
     with pytest.raises(CorpusError, match="taps overlap or out of order at tap 2"):
-        s.validate()
-    ok = Session(user_id="u", session_id="s", condition=Condition.SITTING,
-                 taps=tap_table([make_tap(1, 100, 250), make_tap(2, 251, 400)]))
-    assert ok.validate() is ok
+        Session(user_id="u", session_id="s", condition="sitting",
+                taps=tap_table([make_tap(1, 100, 250), make_tap(2, 250, 400)]))
+    Session(user_id="u", session_id="s", condition="sitting",
+            taps=tap_table([make_tap(1, 100, 250), make_tap(2, 251, 400)]))
 
 
 def test_session_validate_rejects_unsorted_keys():
-    s = Session(user_id="u", session_id="s", condition=Condition.SITTING,
-                keys=key_table([("a", 200, 260), ("b", 100, 160)]))
     with pytest.raises(CorpusError, match="out of order"):
-        s.validate()
+        Session(user_id="u", session_id="s", condition="sitting",
+                keys=key_table([("a", 200, 260), ("b", 100, 160)]))
+
+
+def test_session_rejects_unknown_condition_and_stream_key():
+    with pytest.raises(CorpusError, match="^unknown condition 'running'$"):
+        Session(user_id="u", session_id="s", condition="running")
+    with pytest.raises(CorpusError, match="^unknown sensor 'baro'$"):
+        Session(user_id="u", session_id="s", condition="sitting",
+                streams={"baro": make_stream([0, 10], np.zeros((2, 3)))})
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +243,8 @@ def test_parse_session_roundtrip_values(tmp_path):
     session = parse_session(str(sensor), str(touch), str(keys),
                             user_id="u1", session_id="s1", condition="sitting",
                             taps_path=str(taps))
-    assert set(session.streams) == {Sensor.ACC, Sensor.GYR}
-    assert list(session.streams[Sensor.ACC].t_ms) == [0, 10]
+    assert set(session.streams) == {"acc", "gyr"}
+    assert list(session.streams["acc"].t_ms) == [0, 10]
     taps = session.taps
     assert (taps.t_start_ms.tolist(), taps.t_end_ms.tolist()) == ([95], [130])
     assert taps.xy_px[0, 0] == pytest.approx(540.5)
@@ -289,7 +292,7 @@ def test_parse_fractional_timestamps_floored(tmp_path):
     )
     session = parse_session(str(sensor), str(touch), str(keys),
                             user_id="u", session_id="s1", condition="sitting")
-    assert list(session.streams[Sensor.ACC].t_ms) == [0, 10]
+    assert list(session.streams["acc"].t_ms) == [0, 10]
     assert session.taps.t_start_ms.tolist() == [100]
     assert (session.keys.t_press_ms.tolist(), session.keys.t_release_ms.tolist()) == ([50], [120])
 
@@ -350,7 +353,7 @@ def test_parse_sensor_timestamps_exactly(tmp_path, text, t_ms):
         with pytest.raises(ParseError, match=rf"sensor\.csv:2: (bad|negative) timestamp '{text}'"):
             parse()
     else:
-        assert parse().streams[Sensor.ACC].t_ms.tolist() == [t_ms]
+        assert parse().streams["acc"].t_ms.tolist() == [t_ms]
 
 
 @pytest.mark.parametrize("field, x", [
@@ -383,7 +386,7 @@ def test_parse_sensor_value_strings(tmp_path, field, x):
         with pytest.raises(ParseError, match=re.escape(f"sensor.csv:2: bad number {field!r}")):
             parse()
         return
-    got = parse().streams[Sensor.ACC].values[0, 0]
+    got = parse().streams["acc"].values[0, 0]
     if math.isnan(x):
         assert np.isnan(got)
     else:
@@ -427,7 +430,7 @@ def test_mapping_renames_columns(tmp_path):
     session = parse_session(str(sensor), str(touch), str(keys),
                             user_id="u", session_id="s1", condition="sitting",
                             mapping=mapping)
-    assert list(session.streams[Sensor.ACC].t_ms) == [0]
+    assert list(session.streams["acc"].t_ms) == [0]
 
 
 def test_parse_mapping_errors():
@@ -484,7 +487,7 @@ def test_save_load_corpus_roundtrip(tmp_path, mini_sessions):
 
 
 def test_key_codes_with_csv_specials_roundtrip(tmp_path):
-    session = Session(user_id="u", session_id="s1", condition=Condition.SITTING,
+    session = Session(user_id="u", session_id="s1", condition="sitting",
                       keys=key_table([(",", 100, 160), ('"', 200, 250), ("a b", 300, 390)]))
     write_session(session, str(tmp_path / "sess"))
     back = read_session(str(tmp_path / "sess"))

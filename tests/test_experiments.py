@@ -11,7 +11,7 @@ import pytest
 from hmogkit import experiments
 from hmogkit.bkg import commit, grs_build, guessing
 from hmogkit.corpus.synth import KEY_ALPHABET, make_corpus, make_profiles
-from hmogkit.corpus.types import Condition, Session
+from hmogkit.corpus.types import Session
 from hmogkit.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -46,7 +46,7 @@ from tables import tap_rows, tap_table
 
 def bare_session(user, session_id):
     return Session(user_id=user, session_id=session_id,
-                   condition=Condition.SITTING)
+                   condition="sitting")
 
 
 def fm_of(values, users, sessions, t, columns, table=()):
@@ -425,7 +425,7 @@ def test_build_sessions_synthesizes():
     config = ExperimentConfig(n_users=2, sessions=3, session_seconds=40.0)
     sessions = build_sessions(config)
     assert len(sessions) == 6
-    assert all(s.condition is Condition.SITTING for s in sessions)
+    assert all(s.condition == "sitting" for s in sessions)
 
 
 # ---------------------------------------------------------------- runners

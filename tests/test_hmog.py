@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmogkit.corpus.types import (
-    AXES, Condition, SENSOR_ORDER, Sensor, SensorStream, Session, downsample)
+    AXES, SENSOR_ORDER, SensorStream, Session, downsample)
 from hmogkit.hmog import (
     BETWEEN_BLOCK_MS,
     FEATURE_NAMES,
@@ -41,9 +41,9 @@ def clock_session(clocks, taps, seed=0, rate_hz=100.0):
     streams = {}
     for sensor, t in clocks.items():
         t = np.asarray(t, dtype=np.int64)
-        streams[sensor] = SensorStream(sensor=sensor, nominal_rate_hz=rate_hz, t_ms=t,
+        streams[sensor] = SensorStream(nominal_rate_hz=rate_hz, t_ms=t,
                                        values=rng.normal(0, 1, (len(t), 3)))
-    return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
+    return Session(user_id="u1", session_id="s01", condition="sitting",
                    streams=streams, taps=tap_table(taps))
 
 
@@ -52,7 +52,7 @@ def grid_session(step_ms, total_ms, taps, seed=0, short_mag_ms=None):
     t = np.arange(0, total_ms + 1, step_ms, dtype=np.int64)
     clocks = {sensor: t for sensor in SENSOR_ORDER}
     if short_mag_ms is not None:
-        clocks[Sensor.MAG] = t[t <= short_mag_ms]
+        clocks["mag"] = t[t <= short_mag_ms]
     return clock_session(clocks, taps, seed, rate_hz=1000.0 / step_ms)
 
 
@@ -79,7 +79,7 @@ def test_feature_name_order_family_major():
     for family in families:
         for sensor in SENSOR_ORDER:
             for axis in AXES:
-                assert FEATURE_NAMES[idx] == f"{sensor.value}_{axis}_{family}"
+                assert FEATURE_NAMES[idx] == f"{sensor}_{axis}_{family}"
                 idx += 1
 
 
@@ -91,7 +91,8 @@ def test_feature_names_for_subset():
     pos = [FEATURE_NAMES.index(n) for n in acc_only]
     assert pos == sorted(pos)
     assert feature_names_for(SENSOR_ORDER) == FEATURE_NAMES
-    assert feature_names_for([Sensor.GYR]) == feature_names_for(["gyr"])
+    with pytest.raises(ValueError, match="^unknown sensor 'baro'$"):
+        feature_names_for(["baro"])
 
 
 # ---------------------------------------------------------------- resistance
@@ -297,7 +298,7 @@ def test_extract_valid_tap_matches_blocks():
     assert fm.meta["n_events"] == 1 and fm.meta["n_skipped"] == 0
 
     # recompute the acc block straight from the stream
-    stream = session.streams[Sensor.ACC]
+    stream = session.streams["acc"]
     t, chans = stream.t_ms, channel_matrix(stream.values)
     before = chans[(t >= 400) & (t < 500)]
     during = chans[(t >= 500) & (t <= 630)]
@@ -341,7 +342,7 @@ def test_extract_sensor_without_context_gets_nan_cells():
 def test_extract_missing_sensor_stream():
     taps = [make_tap(0, 900, 1030)]
     session = grid_session(10, 2000, taps)
-    del session.streams[Sensor.GYR]
+    del session.streams["gyr"]
     row = extract_hmog(session).values[0]
     gyr = [i for i, n in enumerate(FEATURE_NAMES) if n.startswith("gyr_")]
     assert np.isnan(row[gyr]).all()
@@ -427,7 +428,7 @@ def test_extract_bit_equal_to_oracle_edges(mode):
     taps = [make_tap(0, 40, 160), make_tap(1, 900, 1030), make_tap(2, 1200, 1310),
             make_tap(3, 2500, 2620), make_tap(4, 3850, 3960)]
     session = grid_session(10, 4000, taps, seed=4, short_mag_ms=1500)
-    del session.streams[Sensor.GYR]
+    del session.streams["gyr"]
     fm = assert_matches_oracle(session, mode)
     if mode == "during":
         assert fm.meta["n_context_overlap"] == 1
@@ -457,7 +458,7 @@ def test_extract_bit_equal_to_oracle_nan_sample(nan_ms):
     # whichever row argmax picks) or in the settle window past after100
     # (argmin: the first NaN suffix mean, index 0, wins)
     session = grid_session(10, 2000, [make_tap(0, 900, 1030)], seed=9)
-    stream = session.streams[Sensor.ACC]
+    stream = session.streams["acc"]
     stream.values[np.searchsorted(stream.t_ms, nan_ms), 0] = np.nan
     row = assert_matches_oracle(session, "during").values[0]
     mean_tap = row[FEATURE_NAMES.index("acc_x_res1")]
@@ -472,7 +473,7 @@ def tap_at_900_session():
     """One 900-1030 ms tap at 100 Hz: before reads rows 800-890, during
     900-1030, after100 1040-1130 and post 1040-1230."""
     session = grid_session(10, 2000, [make_tap(0, 900, 1030)], seed=9)
-    stream = session.streams[Sensor.ACC]
+    stream = session.streams["acc"]
     return session, stream.t_ms, stream.values
 
 
@@ -518,10 +519,10 @@ def test_extract_nonfinite_and_huge_readings_do_not_warn(mode):
     # squares; extraction prints no NumPy warning and keeps the oracle's bits
     taps = [make_tap(i, 500 + 1000 * i, 600 + 1020 * i) for i in range(10)]
     session = grid_session(10, 11_000, taps, seed=14)
-    t = session.streams[Sensor.ACC].t_ms
-    session.streams[Sensor.ACC].values[(t >= 900) & (t < 1400), 0] = -np.inf
-    session.streams[Sensor.GYR].values[(t >= 1500) & (t < 4000), 1] = 1e200
-    session.streams[Sensor.MAG].values[t % 700 == 0, 2] = np.inf
+    t = session.streams["acc"].t_ms
+    session.streams["acc"].values[(t >= 900) & (t < 1400), 0] = -np.inf
+    session.streams["gyr"].values[(t >= 1500) & (t < 4000), 1] = 1e200
+    session.streams["mag"].values[t % 700 == 0, 2] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = extract_hmog(session, mode=mode)
@@ -582,7 +583,7 @@ def test_extract_bit_equal_to_oracle_negative_zero():
     # leave the all -0.0 sums exactly as NumPy returns them
     taps = [make_tap(0, 300, 350), make_tap(1, 1000, 1600)]
     session = grid_session(10, 2000, taps, seed=2)
-    stream = session.streams[Sensor.ACC]
+    stream = session.streams["acc"]
     stream.values[(stream.t_ms >= 200) & (stream.t_ms <= 350), 0] = -0.0
     fm = assert_matches_oracle(session, "during")
     assert fm.values[0, FEATURE_NAMES.index("acc_x_res1")] == 0.0
@@ -595,7 +596,7 @@ def test_extract_bit_equal_to_oracle_negative_zero_padded():
     # sentinel row
     taps = [make_tap(0, 300, 350), make_tap(1, 1000, 1200)]
     session = grid_session(10, 2000, taps, seed=2)
-    stream = session.streams[Sensor.ACC]
+    stream = session.streams["acc"]
     stream.values[(stream.t_ms >= 200) & (stream.t_ms <= 350), 0] = -0.0
     fm = assert_matches_oracle(session, "during")
     assert fm.values[0, FEATURE_NAMES.index("acc_x_res1")] == 0.0
@@ -608,7 +609,7 @@ def test_extract_bit_equal_to_oracle_mixed_clocks(mode):
     # acc and gyr share a 10 ms grid and one 8-column pass; mag reads a
     # 20 ms grid offset by 5 ms and gets a pass of its own
     grid = np.arange(0, 6001, 10)
-    clocks = {Sensor.ACC: grid, Sensor.GYR: grid.copy(), Sensor.MAG: np.arange(5, 6001, 20)}
+    clocks = {"acc": grid, "gyr": grid.copy(), "mag": np.arange(5, 6001, 20)}
     taps = [make_tap(0, 500, 630), make_tap(1, 1800, 1900),
             make_tap(2, 3000, 3250), make_tap(3, 4700, 4780)]
     session = clock_session(clocks, taps, seed=11)
@@ -650,10 +651,10 @@ def test_extract_bit_equal_to_oracle_settle_after_nonfinite_rows():
     session = clock_session({sensor: t for sensor in SENSOR_ORDER}, taps, seed=13)
     assert np.count_nonzero((t > 1030) & (t <= 1230)) == 14
     assert np.count_nonzero((t > 2100) & (t <= 2300)) == 20
-    acc = session.streams[Sensor.ACC].values
+    acc = session.streams["acc"].values
     acc[np.searchsorted(t, 1030), 0] = np.nan
     acc[np.searchsorted(t, 1020), 1] = np.inf
-    session.streams[Sensor.GYR].values[np.searchsorted(t, 850), 0] = np.inf
+    session.streams["gyr"].values[np.searchsorted(t, 850), 0] = np.inf
     row = assert_matches_oracle(session, "during").values[0]
     for name in ("acc_x_stab1", "acc_y_stab1", "acc_z_stab1", "acc_m_stab1"):
         assert np.isfinite(row[FEATURE_NAMES.index(name)])
@@ -755,7 +756,7 @@ def test_extract_bit_equal_to_oracle_chunk_spans_widths(mode):
     # one chunk whose widest window is over 7 times its narrowest
     lengths = np.random.default_rng(17).permutation(np.repeat([30, 340, 600, 1500], [6, 6, 2, 2]))
     session = lengths_session(lengths, seed=17)
-    t = session.streams[Sensor.ACC].t_ms
+    t = session.streams["acc"].t_ms
     _, _, n = _window_bounds(t, session.taps.t_start_ms, session.taps.t_end_ms)
     widest = n.max(axis=0)
     assert any(widest[c].max() > 2 * widest[c].min()

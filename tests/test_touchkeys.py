@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmogkit.corpus.synth import KEY_ALPHABET
-from hmogkit.corpus.types import Condition, Session
+from hmogkit.corpus.types import Session
 from hmogkit.matrix import FeatureMatrix
 from hmogkit.experiments import split_train_test
 from hmogkit.touchkeys import (
@@ -40,7 +40,7 @@ def make_tap(tap_id, t_start, t_end, contact, first_xy=(0.0, 0.0)):
 
 
 def key_session(keys):
-    return Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
+    return Session(user_id="u1", session_id="s01", condition="sitting",
                    streams={}, keys=key_table(keys))
 
 
@@ -80,7 +80,7 @@ def test_tap_features_hand_values():
         make_tap(0, 1000, 1130, [2.0, 4.0, 6.0], first_xy=(100.0, 0.0)),
         make_tap(1, 2000, 2100, [1.0, 1.0], first_xy=(400.0, 400.0)),
     ]
-    session = Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
+    session = Session(user_id="u1", session_id="s01", condition="sitting",
                       streams={}, taps=tap_table(taps))
     fm = tap_features(session)
     assert fm.columns == TAP_FEATURE_NAMES
@@ -111,14 +111,14 @@ def test_tap_velocity_uses_start_to_start_time():
         make_tap(0, 1000, 1100, [0.5], first_xy=(0.0, 0.0)),
         make_tap(1, 1500, 1600, [0.5], first_xy=(100.0, 0.0)),
     ]
-    session = Session(user_id="u1", session_id="s01", condition=Condition.SITTING,
+    session = Session(user_id="u1", session_id="s01", condition="sitting",
                       streams={}, taps=tap_table(taps))
     fm = tap_features(session)
     assert_allclose(fm.values[1][-1], 100.0 / 0.5)
 
 
 def tap_session(taps, user="u1", session_id="s01"):
-    return Session(user_id=user, session_id=session_id, condition=Condition.SITTING,
+    return Session(user_id=user, session_id=session_id, condition="sitting",
                    streams={}, taps=tap_table(taps))
 
 
